@@ -33,8 +33,9 @@ bench-memmodel:
 	@echo "wrote BENCH_memmodel.json"
 
 # bench-translate measures the staged translation pipeline over the whole
-# Phoenix suite, cold (empty translation cache) and warm (every function
-# replayed from the cache), and records the raw `go test -json` stream.
+# Phoenix suite, cold (empty translation cache), warm (every function
+# replayed from the suffix tier) and warm-object (every module replayed
+# whole from the module tier), and records the raw `go test -json` stream.
 bench-translate:
 	$(GO) test -json -run '^$$' -bench 'TranslatePhoenix' \
 		-benchmem -count 3 . > BENCH_translate.json

@@ -277,7 +277,10 @@ func buildPhoenixBinaries(b *testing.B) []*obj.File {
 // "cold" starts every iteration with an empty translation cache, so each
 // function runs the full per-function suffix and pays the cache Put; "warm"
 // pre-populates the cache once, so every function replays its memoized body
-// — the difference is the cost the cache removes from an unchanged rebuild.
+// — the difference is the cost the suffix tier removes from an unchanged
+// rebuild. Both stop at the IR. "warm-object" is the end-to-end
+// object-to-object translation against a warm cache: every module replays
+// from the module tier without lifting.
 func BenchmarkTranslatePhoenix(b *testing.B) {
 	bins := buildPhoenixBinaries(b)
 	translateAll := func(b *testing.B, c *cache.Cache) {
@@ -310,6 +313,31 @@ func BenchmarkTranslatePhoenix(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			translateAll(b, c)
+		}
+	})
+	b.Run("warm-object", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := core.Default()
+		cfg.Cache = cache.New(0)
+		translate := func() (misses int) {
+			for _, bin := range bins {
+				_, st, rep, err := core.Translate(bin, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Len() != 0 {
+					b.Fatalf("diagnostics:\n%s", rep)
+				}
+				misses += st.CacheMisses
+			}
+			return misses
+		}
+		translate()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if translate() != 0 {
+				b.Fatal("warm translation missed the cache")
+			}
 		}
 	})
 }

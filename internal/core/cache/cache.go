@@ -1,14 +1,20 @@
 // Package cache implements the content-addressed translation cache of the
-// parallel pipeline: the function-local suffix of the translation (fence
-// placement, fence merging, the optimization pipeline) is memoized keyed by
-// a hash of everything that can influence its output — the pipeline version
-// string, the Config fingerprint, and the canonical byte encoding of the
-// function's signature and body at suffix entry.
+// pipeline. It holds two kinds of entry, both opaque bodies to this package:
 //
-// Entries hold the post-pipeline body in the same canonical encoding plus
-// the per-function statistics deltas, so a hit reproduces the translation
-// byte-for-byte without running any pass. Only cleanly translated functions
-// are stored: degraded/fallback results must re-run (and re-diagnose) every
+//   - module records (made by internal/core): keyed by the whole input
+//     object and the output-affecting configuration, a hit replays the whole
+//     translation for an unchanged module, without lifting it;
+//   - function entries: the function-local suffix of the translation (fence
+//     placement, fence merging, the optimization pipeline) keyed by a hash of
+//     everything that can influence its output — the pipeline version
+//     string, the Config fingerprint, and the canonical byte encoding of the
+//     function's signature and body at suffix entry (KeyFor). They serve a
+//     module miss, so a changed module reuses its unchanged functions.
+//
+// Function entries hold the post-pipeline body in the same canonical
+// encoding plus the per-function statistics deltas, so a hit reproduces the
+// function byte-for-byte without running any pass. Only clean results are
+// stored: degraded/fallback results must re-run (and re-diagnose) every
 // time.
 //
 // The in-memory layer is a bounded LRU, sharded by key prefix so the

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"lasagne/internal/backend"
 	"lasagne/internal/core/cache"
+	"lasagne/internal/diag"
 	"lasagne/internal/diag/inject"
 	"lasagne/internal/minic"
 	"lasagne/internal/obj"
@@ -15,18 +17,28 @@ import (
 // cache tests that need a second, slightly different binary.
 func buildX86From(t *testing.T, src string) *obj.File {
 	t.Helper()
-	m, err := minic.Compile("t", src)
+	x86, _ := buildBoth(t, "t", src)
+	return x86
+}
+
+// buildBoth compiles src through the -O2-like pipeline to an x86-64 object
+// and a native Arm64 object.
+func buildBoth(t *testing.T, name, src string) (x86, arm *obj.File) {
+	t.Helper()
+	m, err := minic.Compile(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := opt.Optimize(m); err != nil {
 		t.Fatal(err)
 	}
-	bin, err := backend.Compile(m, "x86-64")
-	if err != nil {
+	if x86, err = backend.Compile(m.Clone(), "x86-64"); err != nil {
 		t.Fatal(err)
 	}
-	return bin
+	if arm, err = backend.Compile(m, "arm64"); err != nil {
+		t.Fatal(err)
+	}
+	return x86, arm
 }
 
 func TestCacheWarmMatchesCold(t *testing.T) {
@@ -73,6 +85,52 @@ func TestCacheWarmMatchesCold(t *testing.T) {
 		t.Errorf("warm stats (placed %d merged %d final %d) differ from uncached (placed %d merged %d final %d)",
 			stWarm.FencesPlaced, stWarm.FencesMerged, stWarm.FencesFinal,
 			stNone.FencesPlaced, stNone.FencesMerged, stNone.FencesFinal)
+	}
+
+	// Object to object, where the module tier applies: for the Phoenix suite
+	// plus spsc_ring, in both directions, the warm run replays the whole
+	// translation (no misses) with output bytes and statistics identical
+	// to the cold run's and to an uncached run's.
+	names, x86s, arms := kernelSuite(t)
+	c := cache.New(0)
+	dirs := []struct {
+		name      string
+		bins      []*obj.File
+		translate func(*obj.File, Config) (*obj.File, *Stats, *diag.Report, error)
+	}{{"x86>arm", x86s, Translate}, {"arm>x86", arms, TranslateArmToX86}}
+	for _, d := range dirs {
+		for i, bin := range d.bins {
+			what := d.name + " " + names[i]
+			ref, stRef, _, err := d.translate(bin, Default())
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			cfg := Default()
+			cfg.Cache = c
+			cold, stCold, _, err := d.translate(bin, cfg)
+			if err != nil {
+				t.Fatalf("%s cold: %v", what, err)
+			}
+			warm, stWarm, repWarm, err := d.translate(bin, cfg)
+			if err != nil {
+				t.Fatalf("%s warm: %v", what, err)
+			}
+			if repWarm.Len() != 0 {
+				t.Errorf("%s: warm run produced diagnostics:\n%s", what, repWarm)
+			}
+			if !bytes.Equal(cold.Marshal(), ref.Marshal()) || !bytes.Equal(warm.Marshal(), ref.Marshal()) {
+				t.Errorf("%s: cached output differs from uncached", what)
+			}
+			nfuncs := stCold.CacheHits + stCold.CacheMisses
+			if stWarm.CacheMisses != 0 || stWarm.CacheHits != nfuncs {
+				t.Errorf("%s: warm hits=%d misses=%d, want %d hits and 0 misses",
+					what, stWarm.CacheHits, stWarm.CacheMisses, nfuncs)
+			}
+			stWarm.CacheHits, stWarm.CacheMisses = 0, 0
+			if *stWarm != *stRef {
+				t.Errorf("%s: warm stats %+v differ from uncached %+v", what, *stWarm, *stRef)
+			}
+		}
 	}
 }
 
@@ -189,5 +247,39 @@ func TestCacheNeverStoresDegradedFunctions(t *testing.T) {
 	}
 	if mClean.String() != mRef.String() {
 		t.Error("translation after a degraded cached run differs from the clean reference")
+	}
+
+	// The module tier never records a degraded translation either: after a
+	// degraded object-level run, the next run recomputes and returns clean
+	// bytes, and only that clean run fills the module record.
+	want, _, _, err := Translate(bin, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, point := range []string{"opt:worker", "fences:worker"} {
+		cfg := Default()
+		cfg.Cache = cache.New(0)
+		inject.Arm(point, inject.Fail)
+		_, _, repBad, err := Translate(bin, cfg)
+		inject.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := repBad.Degraded(); len(got) != 1 || got[0] != "worker" {
+			t.Fatalf("%s: degraded %v, want [worker]", point, got)
+		}
+		out, st, rep, err := Translate(bin, cfg)
+		if err != nil || rep.Len() != 0 {
+			t.Fatalf("%s: clean run after a degraded one: %v\n%s", point, err, rep)
+		}
+		if st.CacheMisses != 1 {
+			t.Errorf("%s: clean run missed %d functions, want worker's suffix only", point, st.CacheMisses)
+		}
+		if !bytes.Equal(out.Marshal(), want.Marshal()) {
+			t.Errorf("%s: translation after a degraded run differs from the clean reference", point)
+		}
+		if _, st, _, _ := Translate(bin, cfg); st.CacheMisses != 0 {
+			t.Errorf("%s: the clean run did not fill the module record", point)
+		}
 	}
 }

@@ -18,12 +18,16 @@
 // parallel runs produce byte-identical modules and identically ordered
 // reports.
 //
-// The function-local suffix of the pipeline (fence placement, merging,
-// optimization) can be memoized in a content-addressed cache
-// (Config.Cache): the cache key hashes the pipeline version, the Config
-// fingerprint and the function's canonical IR encoding at suffix entry, and
-// a hit replays the memoized post-pipeline body and statistics instead of
-// re-running the passes. Degraded functions are never cached.
+// Translations can be memoized in a content-addressed cache (Config.Cache)
+// with two tiers. The module tier (modtier.go) keys a whole object-to-object
+// translation on the input object and the output-affecting Config, so an
+// unchanged module replays its output object, statistics and per-function
+// events without lifting. On a module miss, the per-function tier memoizes
+// the function-local suffix (fence placement, merging, optimization): its
+// key hashes the pipeline version, the Config fingerprint and the
+// function's canonical IR encoding at suffix entry, and a hit replays the
+// memoized post-pipeline body instead of re-running the passes. Degraded
+// functions and degraded modules are never cached.
 //
 // The pipeline is fault tolerant at function granularity. Every function
 // passes through the optimizing stages inside its own recover boundary
@@ -97,10 +101,12 @@ type Config struct {
 	// negative means one worker per CPU. The translation output is
 	// byte-identical for every worker count.
 	Jobs int
-	// Cache, when non-nil, memoizes the function-local pipeline suffix
-	// (fence placement, merging, optimization) keyed by content: a repeated
-	// translation of an unchanged function under an equivalent Config
-	// replays the memoized body instead of re-running the passes.
+	// Cache, when non-nil, memoizes translations keyed by content. Translate
+	// and TranslateArmToX86 replay the whole translation for an unchanged
+	// module under an equivalent Config (unless Validate is set); otherwise
+	// the function-local pipeline suffix (fence placement, merging,
+	// optimization) of each unchanged function replays its memoized body
+	// instead of re-running the passes.
 	Cache *cache.Cache
 	// Validate turns on the self-checking checkpoints: ir.Verify plus the
 	// semantic invariants of the §7/§8 mapping (fence coverage, no
@@ -109,8 +115,9 @@ type Config struct {
 	// to the exact pass and function. A checkpoint failure degrades the
 	// function like any other stage failure. Validation is observation-only:
 	// the translated output is byte-identical with it on or off, and it does
-	// not change cache keys (cache hits are instead re-checked before being
-	// trusted).
+	// not change cache keys (suffix-tier hits are instead re-checked before
+	// being trusted, and the module tier, whose output cannot be re-checked
+	// function by function, is bypassed).
 	Validate bool
 	// OptPasses overrides the opt pass list (nil means
 	// opt.StandardPipeline). A non-nil list extends the cache fingerprint;
@@ -140,7 +147,9 @@ type Config struct {
 	// in-flight functions finish, remaining ones are skipped, and
 	// TranslateContext fails with an error wrapping ErrHookAborted. FuncDone
 	// never influences the translation output or the cache keys — a run with
-	// the hook attached is byte-identical to one without.
+	// the hook attached is byte-identical to one without. On a module-tier
+	// cache hit the memoized events are replayed serially, in module order,
+	// on the calling goroutine.
 	FuncDone func(FuncEvent) error
 }
 
@@ -165,7 +174,8 @@ type FuncEvent struct {
 	// Degraded reports that the function fell back to the conservative
 	// full-fence translation (or was stubbed/rolled back earlier).
 	Degraded bool
-	// CacheHit reports that the suffix replayed from the translation cache.
+	// CacheHit reports that the function replayed from the translation
+	// cache: its suffix entry, or its whole module's record.
 	CacheHit bool
 }
 
@@ -249,23 +259,37 @@ func Translate(bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, erro
 // pipeline stops between stages and returns an error wrapping
 // diag.ErrBudgetExceeded together with the diagnostics gathered so far.
 func TranslateContext(ctx context.Context, bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, error) {
-	m, stats, rep, err := TranslateToIRContext(ctx, bin, cfg)
+	return x86ToArm.translate(ctx, bin, cfg)
+}
+
+// translateX86ToArm is the uncached x86→Arm pipeline behind the module tier.
+func translateX86ToArm(ctx context.Context, bin *obj.File, cfg Config, record bool) (*obj.File, *Stats, *diag.Report, []FuncEvent, error) {
+	m, stats, rep, events, err := toIR(ctx, bin, cfg, record)
 	if err != nil {
-		return nil, stats, rep, err
+		return nil, stats, rep, nil, err
 	}
+	out, err := compile(m, "arm64", rep)
+	if err != nil {
+		return nil, stats, rep, nil, err
+	}
+	return out, stats, rep, events, nil
+}
+
+// compile runs the target backend over the final module.
+func compile(m *ir.Module, target string, rep *diag.Report) (*obj.File, error) {
 	var out *obj.File
 	gerr := diag.Guard(diag.StageBackend, "", func() error {
 		if err := inject.Hit("backend:module"); err != nil {
 			return err
 		}
 		var cerr error
-		out, cerr = backend.Compile(m, "arm64")
+		out, cerr = backend.Compile(m, target)
 		return cerr
 	})
 	if gerr != nil {
-		return nil, stats, rep, fail(rep, diag.StageBackend, "", "arm64 backend failed", gerr)
+		return nil, fail(rep, diag.StageBackend, "", target+" backend failed", gerr)
 	}
-	return out, stats, rep, nil
+	return out, nil
 }
 
 // TranslateToIR runs the pipeline up to (but not including) code
@@ -274,11 +298,19 @@ func TranslateToIR(bin *obj.File, cfg Config) (*ir.Module, *Stats, *diag.Report,
 	return TranslateToIRContext(context.Background(), bin, cfg)
 }
 
-// TranslateToIRContext is TranslateToIR bounded by ctx.
+// TranslateToIRContext is TranslateToIR bounded by ctx. It returns an IR
+// module, so only the per-function suffix tier of Config.Cache applies.
 func TranslateToIRContext(ctx context.Context, bin *obj.File, cfg Config) (*ir.Module, *Stats, *diag.Report, error) {
+	m, stats, rep, _, err := toIR(ctx, bin, cfg, false)
+	return m, stats, rep, err
+}
+
+// toIR is the x86 lift plus the shared pipeline. With record set it also
+// returns every function's FuncEvent in module order.
+func toIR(ctx context.Context, bin *obj.File, cfg Config, record bool) (*ir.Module, *Stats, *diag.Report, []FuncEvent, error) {
 	rep := diag.NewReport()
 	if bin.Arch != "x86-64" {
-		return nil, nil, rep, fail(rep, diag.StageDisasm, "",
+		return nil, nil, rep, nil, fail(rep, diag.StageDisasm, "",
 			fmt.Sprintf("expected an x86-64 binary, got %q", bin.Arch), nil)
 	}
 	stats := &Stats{}
@@ -293,7 +325,7 @@ func TranslateToIRContext(ctx context.Context, bin *obj.File, cfg Config) (*ir.M
 			Severity: diag.Error, Msg: "cannot disassemble function; dropped", Cause: derr})
 	})
 	if err != nil {
-		return nil, nil, rep, fail(rep, diag.StageDisasm, "", "cannot disassemble object", err)
+		return nil, nil, rep, nil, fail(rep, diag.StageDisasm, "", "cannot disassemble object", err)
 	}
 
 	var lifted []string
@@ -344,18 +376,18 @@ func TranslateToIRContext(ctx context.Context, bin *obj.File, cfg Config) (*ir.M
 
 	if rep.HasErrors() && !cfg.AllowPartial {
 		fe := rep.FirstError()
-		return nil, stats, rep, fmt.Errorf("lasagne: %s stage failed for @%s: %w (set AllowPartial to translate the rest)",
+		return nil, stats, rep, nil, fmt.Errorf("lasagne: %s stage failed for @%s: %w (set AllowPartial to translate the rest)",
 			fe.Stage, fe.Func, fe.Cause)
 	}
 
 	p := &pipeline{ctx: ctx, cfg: cfg, stats: stats, rep: rep, m: m,
-		excluded: excluded, place: true, workers: workers}
+		excluded: excluded, place: true, workers: workers, record: record}
 	p.snapshot()
 	if err := p.run(); err != nil {
-		return nil, stats, rep, err
+		return nil, stats, rep, nil, err
 	}
 	stats.FinalInstrs = m.NumInstrs()
-	return m, stats, rep, nil
+	return m, stats, rep, p.events, nil
 }
 
 // TranslateArmToX86 runs the Appendix B direction: an Arm64 object is
@@ -372,9 +404,14 @@ func TranslateArmToX86(bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Repo
 
 // TranslateArmToX86Context is TranslateArmToX86 bounded by ctx.
 func TranslateArmToX86Context(ctx context.Context, bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, error) {
+	return armToX86.translate(ctx, bin, cfg)
+}
+
+// translateArmToX86 is the uncached Arm→x86 pipeline behind the module tier.
+func translateArmToX86(ctx context.Context, bin *obj.File, cfg Config, record bool) (*obj.File, *Stats, *diag.Report, []FuncEvent, error) {
 	rep := diag.NewReport()
 	if bin.Arch != "arm64" {
-		return nil, nil, rep, fail(rep, diag.StageDisasm, "",
+		return nil, nil, rep, nil, fail(rep, diag.StageDisasm, "",
 			fmt.Sprintf("expected an arm64 binary, got %q", bin.Arch), nil)
 	}
 	stats := &Stats{}
@@ -385,32 +422,23 @@ func TranslateArmToX86Context(ctx context.Context, bin *obj.File, cfg Config) (*
 		return lerr
 	})
 	if gerr != nil {
-		return nil, stats, rep, fail(rep, diag.StageLift, "", "cannot lift arm64 object", gerr)
+		return nil, stats, rep, nil, fail(rep, diag.StageLift, "", "cannot lift arm64 object", gerr)
 	}
 	stats.LiftedInstrs = m.NumInstrs()
 	stats.PtrCastsBefore = refine.CountPtrCasts(m)
 
 	p := &pipeline{ctx: ctx, cfg: cfg, stats: stats, rep: rep, m: m,
-		excluded: map[string]bool{}, place: false, workers: par.Workers(cfg.Jobs)}
+		excluded: map[string]bool{}, place: false, workers: par.Workers(cfg.Jobs), record: record}
 	p.snapshot()
 	if err := p.run(); err != nil {
-		return nil, stats, rep, err
+		return nil, stats, rep, nil, err
 	}
 	stats.FinalInstrs = m.NumInstrs()
-
-	var out *obj.File
-	gerr = diag.Guard(diag.StageBackend, "", func() error {
-		if err := inject.Hit("backend:module"); err != nil {
-			return err
-		}
-		var cerr error
-		out, cerr = backend.Compile(m, "x86-64")
-		return cerr
-	})
-	if gerr != nil {
-		return nil, stats, rep, fail(rep, diag.StageBackend, "", "x86-64 backend failed", gerr)
+	out, err := compile(m, "x86-64", rep)
+	if err != nil {
+		return nil, stats, rep, nil, err
 	}
-	return out, stats, rep, nil
+	return out, stats, rep, p.events, nil
 }
 
 // funcSnap is the sound post-lift state of one function: its body and its
@@ -460,6 +488,11 @@ type pipeline struct {
 	hookAborted atomic.Bool
 	hookOnce    sync.Once
 	hookErr     error
+
+	// record asks for every function's FuncEvent, collected in module order
+	// into events, so the module tier can replay them on a hit.
+	record bool
+	events []FuncEvent
 }
 
 // abortWith records the first hook error and flips the abort flag.
@@ -802,6 +835,9 @@ func (p *pipeline) fenceOptStage() error {
 		}
 		p.stats.FencesPlaced += o.placed
 		p.stats.FencesMerged += o.merged
+		if p.record {
+			p.events = append(p.events, p.funcEvent(f, &o))
+		}
 		if o.probed {
 			if o.hit {
 				p.stats.CacheHits++
@@ -811,10 +847,16 @@ func (p *pipeline) fenceOptStage() error {
 		}
 	}
 	if p.hookAborted.Load() {
-		return fail(p.rep, diag.StageServe, "", "translation cancelled by its consumer",
-			fmt.Errorf("%w: %v", ErrHookAborted, p.hookErr))
+		return hookAbort(p.rep, p.hookErr)
 	}
 	return nil
+}
+
+// hookAbort records a FuncDone hook's cancellation and returns the error the
+// translation fails with.
+func hookAbort(rep *diag.Report, cause error) error {
+	return fail(rep, diag.StageServe, "", "translation cancelled by its consumer",
+		fmt.Errorf("%w: %v", ErrHookAborted, cause))
 }
 
 // emitFuncDone delivers one FuncEvent to the Config.FuncDone hook. It runs
@@ -827,7 +869,14 @@ func (p *pipeline) emitFuncDone(f *ir.Func, o *fenceOut) {
 	if o.body == nil {
 		o.body = cache.EncodeBody(f)
 	}
-	ev := FuncEvent{
+	if err := p.cfg.FuncDone(p.funcEvent(f, o)); err != nil {
+		p.abortWith(err)
+	}
+}
+
+// funcEvent describes f's suffix outcome o.
+func (p *pipeline) funcEvent(f *ir.Func, o *fenceOut) FuncEvent {
+	return FuncEvent{
 		Func:     f.Name,
 		Key:      o.key,
 		Keyed:    o.keyed && o.gerr == nil,
@@ -836,9 +885,6 @@ func (p *pipeline) emitFuncDone(f *ir.Func, o *fenceOut) {
 		Merged:   o.merged,
 		Degraded: o.gerr != nil || p.excluded[f.Name],
 		CacheHit: o.hit,
-	}
-	if err := p.cfg.FuncDone(ev); err != nil {
-		p.abortWith(err)
 	}
 }
 

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"lasagne/internal/core/cache"
+	"lasagne/internal/diag"
+	"lasagne/internal/obj"
 )
 
 // The FuncDone hook is the streaming daemon's tap into the fan-out. Its
@@ -197,5 +201,131 @@ func TestFuncDoneDegradedUnkeyed(t *testing.T) {
 	}
 	if out == nil {
 		t.Fatal("no output object")
+	}
+}
+
+// On a module-tier hit the hook still sees one event per function, now in
+// module order, each a keyed cache hit carrying the cold run's key, body and
+// fence counts. A hook error on a hit fails exactly as in the pipeline.
+func TestFuncDoneModuleHitReplay(t *testing.T) {
+	bin, _ := buildX86(t)
+	refIR, _, _, err := TranslateToIR(bin, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, f := range refIR.Funcs {
+		if !f.External && len(f.Blocks) > 0 {
+			order = append(order, f.Name)
+		}
+	}
+
+	c := cache.New(0)
+	run := func(hook func(FuncEvent) error) (*obj.File, *Stats, *diag.Report, error) {
+		cfg := Default()
+		cfg.Cache = c
+		cfg.FuncDone = hook
+		return Translate(bin, cfg)
+	}
+	var mu sync.Mutex
+	cold := map[string]FuncEvent{}
+	want, _, _, err := run(func(ev FuncEvent) error {
+		mu.Lock()
+		cold[ev.Func] = ev
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var warm []FuncEvent
+	got, st, rep, err := run(func(ev FuncEvent) error {
+		warm = append(warm, ev)
+		return nil
+	})
+	if err != nil || rep.Len() != 0 {
+		t.Fatalf("warm run: %v\n%s", err, rep)
+	}
+	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Error("warm hooked run differs from the cold one")
+	}
+	if st.CacheHits != len(order) || st.CacheMisses != 0 {
+		t.Errorf("warm stats: hits=%d misses=%d, want %d hits", st.CacheHits, st.CacheMisses, len(order))
+	}
+	if len(warm) != len(order) {
+		t.Fatalf("%d warm events for %d functions", len(warm), len(order))
+	}
+	for i, ev := range warm {
+		cev := cold[ev.Func]
+		switch {
+		case ev.Func != order[i]:
+			t.Errorf("event %d is %s, want %s (module order)", i, ev.Func, order[i])
+		case !ev.CacheHit || !ev.Keyed || ev.Degraded:
+			t.Errorf("%s: hit=%t keyed=%t degraded=%t, want a keyed clean hit", ev.Func, ev.CacheHit, ev.Keyed, ev.Degraded)
+		case ev.Key != cev.Key || !bytes.Equal(ev.Body, cev.Body) || ev.Placed != cev.Placed || ev.Merged != cev.Merged:
+			t.Errorf("%s: replayed event differs from the cold one", ev.Func)
+		}
+	}
+
+	boom := errors.New("reader went away")
+	delivered := 0
+	out, _, rep, err := run(func(FuncEvent) error {
+		delivered++
+		return boom
+	})
+	if out != nil || !errors.Is(err, ErrHookAborted) || !rep.HasErrors() {
+		t.Errorf("aborted hit: out=%v err=%v errors=%t, want a failure wrapping ErrHookAborted", out != nil, err, rep.HasErrors())
+	}
+	if delivered != 1 {
+		t.Errorf("%d events delivered after the abort, want 1", delivered)
+	}
+}
+
+// A hooked translation never holds the module tier's flight: a consumer
+// stalled in its hook (a slow stream reader) must not make a plain request
+// for the same module wait behind it.
+func TestBlockedHookDoesNotHoldModuleFlight(t *testing.T) {
+	bin, _ := buildX86(t)
+	want, _, _, err := Translate(bin, Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cache.New(0)
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hooked := Default()
+	hooked.Cache = c
+	hooked.FuncDone = func(FuncEvent) error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := Translate(bin, hooked)
+		done <- err
+	}()
+	<-entered
+
+	// If the stalled run held the flight, this one would wait out its
+	// deadline and fail.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	plain := Default()
+	plain.Cache = c
+	got, _, _, err := TranslateContext(ctx, bin, plain)
+	close(release)
+	if err != nil {
+		t.Fatalf("plain translation behind a stalled hook: %v", err)
+	}
+	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Error("plain translation differs from the reference")
+	}
+	if err := <-done; err != nil {
+		t.Errorf("hooked translation: %v", err)
 	}
 }

@@ -242,9 +242,13 @@ func (s *Server) worker() {
 		case j := <-s.queue:
 			s.queued.Add(-1)
 			s.inflight.Add(1)
-			j.done <- s.process(j)
+			res := s.process(j)
 			s.inflight.Add(-1)
+			// Counted before the reply is delivered (done is buffered, so
+			// the send never blocks): a client holding its response sees
+			// it in /healthz.
 			s.served.Add(1)
+			j.done <- res
 			s.jobs.Done()
 		}
 	}
@@ -407,12 +411,17 @@ func (s *Server) tryAdmit(j *job) (admitted, draining bool) {
 	if s.draining {
 		return false, true
 	}
+	// Count the job before a worker can see it, so the worker's Done and
+	// queued decrement never run first (a fast job can finish before this
+	// goroutine resumes after the send).
+	s.jobs.Add(1)
+	s.queued.Add(1)
 	select {
 	case s.queue <- j:
-		s.jobs.Add(1)
-		s.queued.Add(1)
 		return true, false
 	default:
+		s.queued.Add(-1)
+		s.jobs.Done()
 		return false, false
 	}
 }

@@ -185,7 +185,9 @@ func definedBodies(t *testing.T, bin *obj.File) map[string][]byte {
 // The acceptance pin: over the Phoenix suite, the streamed result, the
 // resumed result, and the batch POST /translate result are all
 // byte-identical to the offline pipeline — per module, and per function
-// against the final IR's canonical encodings.
+// against the final IR's canonical encodings. A warm batch, replayed from
+// the module cache tier, repeats the cold batch's frames, and a partly-acked
+// resume suppresses exactly the acked ones.
 func TestStreamThreePathIdentityPhoenix(t *testing.T) {
 	type ref struct {
 		objBytes []byte
@@ -244,6 +246,64 @@ func TestStreamThreePathIdentityPhoenix(t *testing.T) {
 				t.Errorf("%s/%s: clean function frame carries no resume key", b.Name, f.Func)
 			}
 			allKeys = append(allKeys, f.Key)
+		}
+	}
+
+	// Path 1b: the same batch again, now a module-tier hit per module. The
+	// replayed func frames carry the cold batch's keys, bodies and fence
+	// counts, and each module frame equals the cold one up to its cache
+	// counters (every function now a hit).
+	status, warmFrames := streamFrames(t, ts.URL, serve.StreamRequest{Modules: mods})
+	if status != http.StatusOK {
+		t.Fatalf("warm batch status %d", status)
+	}
+	warmFuncs := map[string]int{}
+	for i := range warmFrames {
+		fr := &warmFrames[i]
+		cold := results[fr.Module]
+		switch fr.Type {
+		case serve.FrameFunc:
+			warmFuncs[fr.Module]++
+			var cf *client.FuncResult
+			for j := range cold.Funcs {
+				if cold.Funcs[j].Func == fr.Func {
+					cf = &cold.Funcs[j]
+				}
+			}
+			body, err := base64.StdEncoding.DecodeString(fr.Body)
+			if cf == nil || err != nil {
+				t.Errorf("%s/%s: warm frame for a function the cold batch never sent", fr.Module, fr.Func)
+				continue
+			}
+			if fr.Key != cf.Key || !bytes.Equal(body, cf.Body) || fr.Placed != cf.Placed ||
+				fr.Merged != cf.Merged || fr.FuncDegraded || !fr.CacheHit {
+				t.Errorf("%s/%s: warm func frame differs from the cold one", fr.Module, fr.Func)
+			}
+		case serve.FrameModule:
+			got, err := base64.StdEncoding.DecodeString(fr.Object)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.Status != cold.Status || !bytes.Equal(got, cold.Object) ||
+				len(fr.Diagnostics) != 0 || len(fr.Degraded) != 0 {
+				t.Errorf("%s: warm module frame differs from the cold one", fr.Module)
+			}
+			if fr.Stats == nil || fr.Stats.CacheMisses != 0 ||
+				fr.Stats.CacheHits != cold.Stats.CacheHits+cold.Stats.CacheMisses {
+				t.Errorf("%s: warm module frame stats %+v, want every function a hit", fr.Module, fr.Stats)
+				continue
+			}
+			ws, cs := *fr.Stats, *cold.Stats
+			ws.CacheHits, ws.CacheMisses, cs.CacheHits, cs.CacheMisses = 0, 0, 0, 0
+			if ws != cs {
+				t.Errorf("%s: warm module stats %+v differ from cold %+v", fr.Module, ws, cs)
+			}
+		}
+	}
+	for _, b := range phoenix.All() {
+		if warmFuncs[b.Name] != len(results[b.Name].Funcs) {
+			t.Errorf("%s: warm batch sent %d func frames, cold sent %d",
+				b.Name, warmFuncs[b.Name], len(results[b.Name].Funcs))
 		}
 	}
 
@@ -311,6 +371,45 @@ func TestStreamThreePathIdentityPhoenix(t *testing.T) {
 	}
 	if h := health(t, ts.URL); h.ResumedJobs == 0 {
 		t.Errorf("healthz resumed_jobs = 0 after a resume: %+v", h)
+	}
+
+	// Path 4: a partly-acked warm resume suppresses exactly the acked
+	// functions: every other function's frame is still sent.
+	acked := map[string]bool{}
+	for i, k := range allKeys {
+		if i%2 == 0 {
+			acked[k] = true
+		}
+	}
+	var ackList []string
+	for k := range acked {
+		ackList = append(ackList, k)
+	}
+	status, frames = streamFrames(t, ts.URL, serve.StreamRequest{Modules: mods, Acked: ackList})
+	if status != http.StatusOK {
+		t.Fatalf("partial resume status %d", status)
+	}
+	sent := map[string]bool{}
+	done = nil
+	for i := range frames {
+		fr := &frames[i]
+		switch fr.Type {
+		case serve.FrameFunc:
+			if acked[fr.Key] {
+				t.Errorf("partial resume re-sent acked func frame %s/%s", fr.Module, fr.Func)
+			}
+			sent[fr.Key] = true
+		case serve.FrameDone:
+			done = fr
+		}
+	}
+	for _, k := range allKeys {
+		if !acked[k] && !sent[k] {
+			t.Errorf("partial resume suppressed the un-acked key %s", k)
+		}
+	}
+	if done == nil || done.Skipped != len(allKeys)-len(sent) {
+		t.Errorf("partial resume done frame %+v, want %d skipped", done, len(allKeys)-len(sent))
 	}
 }
 
