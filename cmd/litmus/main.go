@@ -55,7 +55,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0,
 		"deadline for the whole run; on expiry enumeration stops and a partial-result error is reported (default 0 = unbounded)")
 	maxSteps := flag.Int64("max-steps", 0,
-		"cap on candidate executions visited per enumeration (default 0 = unlimited)")
+		"cap on enumeration nodes checked per behavior enumeration, partial or complete (default 0 = unlimited)")
 	flag.Parse()
 
 	memmodel.DefaultParallelism = *parallel

@@ -36,7 +36,8 @@ type Options struct {
 	// StateDir persists verdicts for incremental re-runs; empty keeps the
 	// campaign in memory only.
 	StateDir string
-	// MaxVisitsPerCheck bounds each individual program check (0 =
+	// MaxVisitsPerCheck bounds each individual program check, counted in
+	// enumeration nodes checked (see memmodel.Budget.MaxVisits; 0 =
 	// unlimited). Checks cut off by this budget are counted in
 	// Result.Unresolved and are not recorded, so they retry next run.
 	MaxVisitsPerCheck int64

@@ -24,24 +24,20 @@ func allocProbePrograms() []*Program {
 }
 
 // TestSteadyStateVisitAllocationFree pins the walker/evaluator arena
-// contract: once a program's enumeration has run once (interning every
-// distinct behavior), re-walking the whole space — every candidate visited,
-// consistency-checked and folded — performs zero heap allocations, under
-// every model.
+// contract: once a program's fold has run once (growing the behavior set's
+// map), re-walking the whole space — every enumeration node checked, every
+// consistent execution folded into the emptied set — performs zero heap
+// allocations, under every model.
 func TestSteadyStateVisitAllocationFree(t *testing.T) {
 	for _, p := range allocProbePrograms() {
 		for _, m := range []Model{SC, X86, Arm, LIMM} {
 			s := newEnumSpace(p)
-			w := s.newAliasWalker()
-			ev := newEvaluator(s, m)
-			acc := newBehaviorSet(s.stat, true)
-			visit := func(x *Execution) {
-				if ev.consistent(x) {
-					acc.add(x)
-				}
-			}
-			w.walkCo(0, visit) // warm: grow maps, intern every behavior
-			allocs := testing.AllocsPerRun(5, func() { w.walkCo(0, visit) })
+			f := &folder{w: s.newAliasWalker(), ev: newEvaluator(s, m), acc: newBehaviorSet(s.stat, true)}
+			f.foldCo(0) // warm: grow the set's map
+			allocs := testing.AllocsPerRun(5, func() {
+				clear(f.acc.interned)
+				f.foldCo(0)
+			})
 			if allocs != 0 {
 				t.Errorf("%s under %s: %.1f allocs per steady-state enumeration pass, want 0",
 					p.Name, m.Name, allocs)

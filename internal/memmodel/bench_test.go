@@ -79,10 +79,11 @@ func BenchmarkBehaviorsOfIRIW(b *testing.B) {
 	}
 }
 
-// BenchmarkSteadyStateVisit isolates the per-execution visit path — walk,
-// consistency check, behavior fold — with the per-program setup hoisted out
-// of the loop. This is the path the walker arena contract promises is
-// allocation-free; -benchmem must report 0 allocs/op.
+// BenchmarkSteadyStateVisit isolates the per-node fold path — walk,
+// consistency check of each partial execution, behavior fold — with the
+// per-program setup hoisted out of the loop. This is the path the walker
+// arena contract promises is allocation-free; -benchmem must report 0
+// allocs/op.
 func BenchmarkSteadyStateVisit(b *testing.B) {
 	p := &Program{Name: "IRIW", Threads: [][]Op{
 		{St("X", 1)},
@@ -91,18 +92,12 @@ func BenchmarkSteadyStateVisit(b *testing.B) {
 		{Ld("Y"), Ld("X")},
 	}}
 	s := newEnumSpace(p)
-	w := s.newAliasWalker()
-	ev := newEvaluator(s, Arm)
-	acc := newBehaviorSet(s.stat, true)
-	visit := func(x *Execution) {
-		if ev.consistent(x) {
-			acc.add(x)
-		}
-	}
-	w.walkCo(0, visit) // warm the interning maps
+	f := &folder{w: s.newAliasWalker(), ev: newEvaluator(s, Arm), acc: newBehaviorSet(s.stat, true)}
+	f.foldCo(0) // warm the interning map
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.walkCo(0, visit)
+		clear(f.acc.interned)
+		f.foldCo(0)
 	}
 }

@@ -39,6 +39,29 @@ func newRelArena(n, count int) []relation {
 func (r *relation) set(a, b int)      { r.bits[a*r.w+b>>6] |= 1 << (uint(b) & 63) }
 func (r *relation) has(a, b int) bool { return r.bits[a*r.w+b>>6]&(1<<(uint(b)&63)) != 0 }
 
+// row returns a's row: the w words holding the pairs (a, ·).
+func (r *relation) row(a int) []uint64 { return r.bits[a*r.w : (a+1)*r.w : (a+1)*r.w] }
+
+// setBit, hasBit, orRow and intersects treat one row as a bitset of event
+// IDs.
+func setBit(row []uint64, b int)      { row[b>>6] |= 1 << (uint(b) & 63) }
+func hasBit(row []uint64, b int) bool { return row[b>>6]&(1<<(uint(b)&63)) != 0 }
+
+func orRow(dst, src []uint64) {
+	for i, x := range src {
+		dst[i] |= x
+	}
+}
+
+func intersects(a, b []uint64) bool {
+	for i, x := range a {
+		if x&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *relation) clear() {
 	for i := range r.bits {
 		r.bits[i] = 0
@@ -86,8 +109,8 @@ func (r *relation) irreflexive() bool {
 // row-ORing closure as transitiveClosure, destructively, but returns the
 // moment a diagonal bit appears: a diagonal bit can only be introduced by an
 // OR into its own row, so checking right after each absorption catches the
-// first cycle without finishing the closure. Inconsistent candidates (the
-// vast majority during enumeration) exit early.
+// first cycle without finishing the closure. Inconsistent candidates exit
+// early; when r is acyclic, the finished closure r+ is left in r.
 func (r *relation) acyclic() bool {
 	if r.w == 1 {
 		return acyclic1(r.bits, r.n)

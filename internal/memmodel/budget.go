@@ -15,19 +15,22 @@ import (
 type Budget struct {
 	// Ctx aborts the enumeration when it is done. Nil means no deadline.
 	Ctx context.Context
-	// MaxVisits caps the number of candidate executions visited across all
-	// workers. Zero means unlimited.
+	// MaxVisits caps the enumeration work across all workers. Zero means
+	// unlimited. The Visit* walks count candidate executions visited; the
+	// behavior folds (BehaviorsOf*, CheckMapping*) count enumeration nodes
+	// checked, partial or complete, since they prune whole subtrees and
+	// reach few complete candidates.
 	MaxVisits int64
 }
 
-// ctxPollInterval is how many visited candidates pass between context
-// polls; candidate visits are sub-microsecond, so polling each one would
-// dominate the walk.
+// ctxPollInterval is how many budget units pass between context polls; a
+// visit or check is sub-microsecond, so polling each one would dominate the
+// walk.
 const ctxPollInterval = 256
 
 // limiter enforces one Budget across the (possibly parallel) enumeration
 // workers. A nil limiter is the unbounded fast path: one nil check per
-// visited candidate.
+// budget unit.
 type limiter struct {
 	ctx       context.Context
 	maxVisits int64
@@ -43,7 +46,8 @@ func newLimiter(b Budget) *limiter {
 	return &limiter{ctx: b.Ctx, maxVisits: b.MaxVisits}
 }
 
-// take consumes one candidate visit; false means the walk must stop.
+// take consumes one budget unit — a candidate visit, or a node check inside
+// a fold; false means the walk must stop.
 func (l *limiter) take() bool {
 	if l == nil {
 		return true
@@ -53,13 +57,13 @@ func (l *limiter) take() bool {
 	}
 	n := l.visits.Add(1)
 	if l.maxVisits > 0 && n > l.maxVisits {
-		l.stop(fmt.Errorf("memmodel: enumeration cut off after %d candidate executions: %w",
+		l.stop(fmt.Errorf("memmodel: enumeration cut off after %d steps: %w",
 			l.maxVisits, diag.ErrBudgetExceeded))
 		return false
 	}
 	if l.ctx != nil && n%ctxPollInterval == 0 {
 		if err := l.ctx.Err(); err != nil {
-			l.stop(fmt.Errorf("memmodel: enumeration interrupted after %d candidate executions: %w (%v)",
+			l.stop(fmt.Errorf("memmodel: enumeration interrupted after %d steps: %w (%v)",
 				n, diag.ErrBudgetExceeded, err))
 			return false
 		}

@@ -157,16 +157,20 @@ func buildStatics(events []*Event, locs []string, reads []*Event, a *arena) *sta
 	return k
 }
 
-// evaluator is one enumeration worker's consistency checker: two scratch
-// relation buffers (the model order graph and the SC-per-location graph)
-// plus pointers to the shared statics and the model's hoisted static order.
-// After construction, consistent() performs zero heap allocations.
+// evaluator is one enumeration worker's consistency checker. It keeps, for
+// every enumeration depth d (reads[:d] have rf sources), the transitive
+// closures of the partial execution's two order graphs — the model order
+// graph and the SC-per-location graph — so a child node is checked by
+// extending its parent's closures with the one read it assigns (see extend)
+// instead of rebuilding and re-closing both graphs. After construction,
+// check and extend perform zero heap allocations.
 type evaluator struct {
-	k  *statics
-	m  Model
-	ms *relation // the model's skeleton-static order (m.static(k))
-	g  *relation // scratch: model order graph
-	s  *relation // scratch: SC-per-location graph
+	k       *statics
+	m       Model
+	ms      *relation  // the model's skeleton-static order (m.static(k))
+	g       []relation // per depth: closure of the model order graph
+	s       []relation // per depth: closure of the SC-per-location graph
+	in, out []uint64   // scratch rows for extend
 }
 
 // newEvaluator builds an evaluator for one enumeration of sp under m,
@@ -187,14 +191,20 @@ func newEvaluatorShared(sp *enumSpace, m Model, ms *relation) *evaluator {
 // the arena.
 func newEvaluatorIn(sp *enumSpace, m Model, ms *relation, a *arena) *evaluator {
 	k := sp.stat
-	scratch := a.relArena(k.n, 2)
+	depths := len(k.reads) + 1
+	levels := a.relArena(k.n, 2*depths)
+	w := levels[0].w
 	var ev *evaluator
+	var rows []uint64
 	if a != nil {
 		ev = &a.evals.take(1)[0]
+		rows = a.words.take(2 * w)
 	} else {
 		ev = &evaluator{}
+		rows = make([]uint64, 2*w)
 	}
-	*ev = evaluator{k: k, m: m, ms: ms, g: &scratch[0], s: &scratch[1]}
+	*ev = evaluator{k: k, m: m, ms: ms, g: levels[:depths], s: levels[depths:],
+		in: rows[:w:w], out: rows[w:]}
 	return ev
 }
 
@@ -238,46 +248,109 @@ func (e *evaluator) addDynamic(g *relation, x *Execution, extRF, extCO, extFR bo
 	}
 }
 
-// consistent decides the full §6.2 consistency predicate — SC-per-location,
-// atomicity, and the model axiom — on one candidate execution, reusing the
-// evaluator's scratch buffers. Zero heap allocations.
-func (e *evaluator) consistent(x *Execution) bool {
+// check decides the full §6.2 consistency predicate — SC-per-location,
+// atomicity, and the model axiom — on x from scratch, leaving the closures
+// of both order graphs at depth d for extend to build on. x may be partial:
+// reads without an rf source contribute no edges. Zero heap allocations.
+func (e *evaluator) check(x *Execution, d int) bool {
 	// SC-per-location: (po|loc ∪ rf ∪ co ∪ fr) acyclic.
-	e.s.copyFrom(e.k.poLoc)
-	e.addDynamic(e.s, x, false, false, false)
-	if !e.s.acyclic() {
+	s := &e.s[d]
+	s.copyFrom(e.k.poLoc)
+	e.addDynamic(s, x, false, false, false)
+	if !s.acyclic() {
 		return false
 	}
 	if !e.atomicity(x) {
 		return false
 	}
 	// The model axiom: (static ∪ dynamic)+ irreflexive.
-	e.g.copyFrom(e.ms)
-	e.addDynamic(e.g, x, e.m.extRF, e.m.extCO, e.m.extFR)
-	return e.g.acyclic()
+	g := &e.g[d]
+	g.copyFrom(e.ms)
+	e.addDynamic(g, x, e.m.extRF, e.m.extCO, e.m.extFR)
+	return g.acyclic()
 }
 
-// atomicity checks rmw ∩ (fre;coe) = ∅ (§6.2) without materializing fre or
-// coe: a violating write w' must sit strictly between the rmw read's rf
-// source and the rmw write in their location's coherence order, so the dense
-// coPos index reduces the check to a scan of that co segment.
-func (e *evaluator) atomicity(x *Execution) bool {
+// extend decides the same predicate as check for an execution whose depth
+// d-1 prefix passed check or extend, after reads[d-1] gained its rf source.
+// Only that read's rf edge, its fr edges and its own rmw pair are new, so
+// the closures at depth d follow from those at depth d-1 (see addRead).
+func (e *evaluator) extend(x *Execution, d int) bool {
+	r := e.k.reads[d-1]
+	if r.RMW >= 0 && !e.atomic(x, rmwPair{r: r.ID, w: r.RMW}) {
+		return false
+	}
+	return e.addRead(&e.s[d], &e.s[d-1], x, r.ID, false, false) &&
+		e.addRead(&e.g[d], &e.g[d-1], x, r.ID, e.m.extRF, e.m.extFR)
+}
+
+// addRead writes to dst the closure of c's graph plus read r's rf and fr
+// edges (restricted to external pairs when the flags say so), and reports
+// false if those edges close a cycle. c must be the closure of an acyclic
+// graph. Every new edge touches r, so a new cycle runs through r: it exists
+// exactly when something r now reaches also reaches r. Otherwise the new
+// paths are those from a node reaching r (in) to r or a node r reaches
+// (out).
+func (e *evaluator) addRead(dst, c *relation, x *Execution, r int, extRF, extFR bool) bool {
 	k := e.k
-	for _, p := range k.rmws {
-		src := int(x.rfOf[p.r])
-		if src < 0 {
-			continue
+	in, out := e.in, e.out
+	copy(out, c.row(r))
+	src := int(x.rfOf[r])
+	order := x.coOrd[k.locIdx[r]]
+	for p := int(x.coPos[src]) + 1; p < len(order); p++ {
+		if w := order[p]; !extFR || k.ext.has(r, w) {
+			setBit(out, w)
+			orRow(out, c.row(w))
 		}
-		i, j := int(x.coPos[src]), int(x.coPos[p.w])
-		if j <= i+1 {
-			continue
+	}
+	clear(in)
+	rf := !extRF || k.ext.has(src, r)
+	for v := 0; v < c.n; v++ {
+		if c.has(v, r) || rf && (v == src || c.has(v, src)) {
+			setBit(in, v)
 		}
-		order := x.coOrd[k.locIdx[p.r]]
-		for t := i + 1; t < j; t++ {
-			wp := order[t]
-			if k.ext.has(p.r, wp) && k.ext.has(wp, p.w) {
-				return false
-			}
+	}
+	if hasBit(in, r) || hasBit(out, r) || intersects(in, out) {
+		return false
+	}
+	dst.copyFrom(c)
+	orRow(dst.row(r), out)
+	setBit(out, r)
+	for v := 0; v < c.n; v++ {
+		if hasBit(in, v) {
+			orRow(dst.row(v), out)
+		}
+	}
+	return true
+}
+
+// atomicity checks rmw ∩ (fre;coe) = ∅ (§6.2) over every rmw pair whose
+// read has an rf source.
+func (e *evaluator) atomicity(x *Execution) bool {
+	for _, p := range e.k.rmws {
+		if !e.atomic(x, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// atomic checks atomicity for one rmw pair without materializing fre or
+// coe: a violating write w' must sit strictly between the rmw read's rf
+// source and the rmw write in their location's coherence order, so the
+// dense coPos index reduces the check to a scan of that co segment. A read
+// with no rf source yet passes.
+func (e *evaluator) atomic(x *Execution, p rmwPair) bool {
+	k := e.k
+	src := int(x.rfOf[p.r])
+	if src < 0 {
+		return true
+	}
+	i, j := int(x.coPos[src]), int(x.coPos[p.w])
+	order := x.coOrd[k.locIdx[p.r]]
+	for t := i + 1; t < j; t++ {
+		wp := order[t]
+		if k.ext.has(p.r, wp) && k.ext.has(wp, p.w) {
+			return false
 		}
 	}
 	return true
@@ -360,7 +433,18 @@ func (bs *behaviorSet) pack(x *Execution) (ikey, bool) {
 // map assignment, with zero allocations for an already-seen behavior.
 func (bs *behaviorSet) add(x *Execution) {
 	key, ok := bs.pack(x)
-	if !ok {
+	bs.insert(x, key, ok)
+}
+
+// hasKey reports whether a packed behavior is already in the set.
+func (bs *behaviorSet) hasKey(key ikey) bool {
+	_, ok := bs.interned[key]
+	return ok
+}
+
+// insert is add with x's behavior already packed; packed is pack's ok.
+func (bs *behaviorSet) insert(x *Execution, key ikey, packed bool) {
+	if !packed {
 		b := x.behaviorOf()
 		if bs.slow == nil {
 			bs.slow = map[string]Behavior{}

@@ -626,18 +626,24 @@ func (w *walker) walkReads(ri int, visit func(*Execution)) bool {
 		visit(w.x)
 		return true
 	}
-	r := w.s.reads[ri]
 	for _, src := range w.s.rfChoices[ri] {
-		if w.x.RF != nil {
-			w.x.RF[r.ID] = src
-		}
-		w.x.rfOf[r.ID] = int32(src)
-		w.x.Events[r.ID].Val = w.x.Events[src].Val
+		w.assign(ri, src)
 		if !w.walkReads(ri+1, visit) {
 			return false
 		}
 	}
 	return true
+}
+
+// assign makes write src the rf source of reads[ri] on the walker's scratch
+// execution, filling the read's value from it.
+func (w *walker) assign(ri, src int) {
+	r := w.s.reads[ri]
+	if w.x.RF != nil {
+		w.x.RF[r.ID] = src
+	}
+	w.x.rfOf[r.ID] = int32(src)
+	w.x.Events[r.ID].Val = w.x.Events[src].Val
 }
 
 // setCo assigns one location's coherence order on the walker's scratch

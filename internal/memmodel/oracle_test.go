@@ -12,16 +12,27 @@ import (
 // behaviors with the reference extraction. It shares no code with the bitset
 // evaluator, the interned behavior sets, or the hoisted statics.
 func referenceBehaviors(p *Program, m Model, withReads bool) map[string]bool {
-	out := map[string]bool{}
+	reads, finals := referenceKeys(p, m)
+	if withReads {
+		return reads
+	}
+	return finals
+}
+
+// referenceKeys is referenceBehaviors in both observation modes at once.
+func referenceKeys(p *Program, m Model) (withReads, finals map[string]bool) {
+	withReads, finals = map[string]bool{}, map[string]bool{}
 	var buf *rels
 	VisitExecutions(p, func(x *Execution) {
 		r := x.relationsInto(buf)
 		buf = r
 		if refScPerLoc(x, r) && refAtomicity(x, r) && referenceConsistent(m, x, r) {
-			out[x.referenceBehavior().Key(withReads)] = true
+			b := x.referenceBehavior()
+			withReads[b.Key(true)] = true
+			finals[b.Key(false)] = true
 		}
 	})
-	return out
+	return withReads, finals
 }
 
 // genRandomProgram draws a random litmus program from one of four op-pool
