@@ -696,7 +696,7 @@ func (p *pipeline) refineStage() {
 			f := fs[i]
 			var o peepOut
 			o.gerr = p.guardWithBudget(diag.StageRefine, f.Name, func(fctx context.Context) error {
-				if err := inject.Hit("refine:" + f.Name); err != nil {
+				if err := inject.HitContext(fctx, "refine:"+f.Name); err != nil {
 					return err
 				}
 				o.rewrites = refine.PeepholeFunc(f)
@@ -950,7 +950,7 @@ func (p *pipeline) suffixFunc(f *ir.Func, fp string, popts fences.Options) fence
 	o.probed = p.cfg.Cache != nil
 	o.stage = diag.StageFences
 	o.gerr = p.guardWithBudget(diag.StageFences, f.Name, func(fctx context.Context) error {
-		if err := inject.Hit("fences:" + f.Name); err != nil {
+		if err := inject.HitContext(fctx, "fences:"+f.Name); err != nil {
 			return err
 		}
 		// One escape-analysis fixpoint serves placement, merging,
@@ -980,7 +980,7 @@ func (p *pipeline) suffixFunc(f *ir.Func, fp string, popts fences.Options) fence
 			// fence-covered and within its cast baseline before the opt
 			// pipeline is allowed to touch it.
 			o.stage = diag.StageValidate
-			if err := inject.Hit("validate:" + f.Name); err != nil {
+			if err := inject.HitContext(fctx, "validate:"+f.Name); err != nil {
 				return err
 			}
 			if err := validate.CheckFuncWith(f, p.checkOpts(f.Name), local); err != nil {
@@ -993,7 +993,7 @@ func (p *pipeline) suffixFunc(f *ir.Func, fp string, popts fences.Options) fence
 		}
 		if p.cfg.Optimize {
 			o.stage = diag.StageOpt
-			if err := inject.Hit("opt:" + f.Name); err != nil {
+			if err := inject.HitContext(fctx, "opt:"+f.Name); err != nil {
 				return err
 			}
 			names := p.cfg.passes()

@@ -41,6 +41,9 @@ func cleanFuncIR(t *testing.T, cfg Config) map[string]string {
 // re-emitted with the conservative full-fence translation, every other
 // function is untouched, and the translated binary still runs correctly.
 func TestInjectedStageFailuresDegrade(t *testing.T) {
+	// The stall cases' budget: far above what any clean function needs,
+	// even under the race detector, so only the stalled function degrades.
+	const stallBudget = time.Second
 	bin, want := buildX86(t)
 	clean := cleanFuncIR(t, Default())
 	if _, ok := clean["worker"]; !ok {
@@ -56,16 +59,22 @@ func TestInjectedStageFailuresDegrade(t *testing.T) {
 	}{
 		{"refine-fail", "refine:worker", inject.Fail, diag.StageRefine, 0},
 		{"refine-panic", "refine:worker", inject.Panic, diag.StageRefine, 0},
-		{"refine-stall", "refine:worker", inject.Stall, diag.StageRefine, 2 * time.Millisecond},
+		{"refine-stall", "refine:worker", inject.Stall, diag.StageRefine, stallBudget},
 		{"fences-fail", "fences:worker", inject.Fail, diag.StageFences, 0},
 		{"fences-panic", "fences:worker", inject.Panic, diag.StageFences, 0},
-		{"fences-stall", "fences:worker", inject.Stall, diag.StageFences, 2 * time.Millisecond},
+		{"fences-stall", "fences:worker", inject.Stall, diag.StageFences, stallBudget},
 		{"opt-fail", "opt:worker", inject.Fail, diag.StageOpt, 0},
 		{"opt-panic", "opt:worker", inject.Panic, diag.StageOpt, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.mode == inject.Stall {
+				// The armed stall lasts until the function's budget runs out.
+				old := inject.StallDuration
+				inject.StallDuration = time.Hour
+				defer func() { inject.StallDuration = old }()
+			}
 			inject.Arm(tc.point, tc.mode)
 			defer inject.Reset()
 			cfg := Default()

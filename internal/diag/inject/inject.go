@@ -10,6 +10,7 @@
 package inject
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,8 @@ const (
 	// Panic makes Hit panic with a typed *Error, exercising the pipeline's
 	// recover boundaries.
 	Panic
-	// Stall makes Hit sleep for StallDuration, exercising the pipeline's
+	// Stall makes Hit block for StallDuration, or until the context passed
+	// to HitContext is done if that comes first, exercising the pipeline's
 	// time budgets.
 	Stall
 	// Corrupt marks a point at which the caller should apply a deterministic
@@ -54,7 +56,7 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// StallDuration is how long a Stall-armed point sleeps.
+// StallDuration is the longest a Stall-armed point blocks.
 var StallDuration = 25 * time.Millisecond
 
 // Error is the typed failure injected at an armed point.
@@ -143,8 +145,14 @@ func ModeOf(point string) Mode {
 }
 
 // Hit is called by the pipeline at a stage boundary. With nothing armed it
-// costs one atomic load and returns nil.
-func Hit(point string) error {
+// costs one atomic load and returns nil. A Stall blocks for StallDuration.
+func Hit(point string) error { return HitContext(context.Background(), point) }
+
+// HitContext is Hit for a boundary that runs under a context, such as a
+// function's time budget: a Stall blocks until ctx is done or StallDuration
+// has passed, whichever comes first, so a stall under a budget shorter than
+// StallDuration ends when the budget does.
+func HitContext(ctx context.Context, point string) error {
 	if armed.Load() == 0 {
 		return nil
 	}
@@ -167,7 +175,12 @@ func Hit(point string) error {
 	case Panic:
 		panic(&Error{Point: point, Mode: Panic})
 	case Stall:
-		time.Sleep(StallDuration)
+		t := time.NewTimer(StallDuration)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -60,5 +61,23 @@ func TestStallMode(t *testing.T) {
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("stall too short: %v", d)
+	}
+}
+
+func TestStallEndsWithContext(t *testing.T) {
+	Reset()
+	defer Reset()
+	old := StallDuration
+	StallDuration = time.Hour
+	defer func() { StallDuration = old }()
+	Arm("fences:slow", Stall)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := HitContext(ctx, "fences:slow"); err != nil {
+		t.Fatalf("stall returned %v", err)
+	}
+	if d := time.Since(start); d < 5*time.Millisecond || d > time.Minute {
+		t.Errorf("stall lasted %v, want about the context's 10ms", d)
 	}
 }

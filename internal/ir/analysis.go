@@ -1,16 +1,24 @@
 package ir
 
-// Uses maps each value to the instructions that use it as an operand.
-// It is recomputed on demand rather than maintained incrementally.
+// Uses maps each instruction and parameter to the instructions that use it
+// as an operand, in block and instruction order. It is recomputed on demand
+// rather than maintained incrementally, so a pass builds it at most once per
+// invocation and keeps it only while its own rewrites leave the entries it
+// reads intact.
 type Uses map[Value][]*Instr
 
-// ComputeUses scans the function and builds the use map.
+// ComputeUses scans the function and builds the use map. Only *Instr and
+// *Param operands are recorded: constants, globals and functions are never
+// looked up, and leaving them out keeps the map small.
 func ComputeUses(f *Func) Uses {
 	u := make(Uses)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				u[a] = append(u[a], in)
+				switch a.(type) {
+				case *Instr, *Param:
+					u[a] = append(u[a], in)
+				}
 			}
 		}
 	}
@@ -26,6 +34,23 @@ func ReplaceAllUses(f *Func, old, new Value) int {
 		}
 	}
 	return n
+}
+
+// DropDetached removes from f's blocks every instruction whose Parent has
+// been cleared. A pass that decides many removals at once marks each dead
+// instruction with Parent = nil and compacts every block in one sweep,
+// instead of a Block.Remove scan per instruction.
+func DropDetached(f *Func) {
+	for _, b := range f.Blocks {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if in.Parent != nil {
+				kept = append(kept, in)
+			}
+		}
+		clear(b.Instrs[len(kept):])
+		b.Instrs = kept
+	}
 }
 
 // HasUses reports whether v is used by any instruction in f.

@@ -3,41 +3,90 @@ package opt
 import "lasagne/internal/ir"
 
 // DCE removes instructions whose results are unused and which have no side
-// effects, iterating to a fixpoint. Stores into write-only private allocas
-// (never loaded, never escaping — e.g. the lifter's dead flag slots) are
-// also dead: the memory is thread-private and never read.
+// effects. Stores into write-only private allocas (never loaded, never
+// escaping — e.g. the lifter's dead flag slots) are also dead: the memory is
+// thread-private and never read.
+//
+// It is a worklist over use counts taken once: removing an instruction
+// decrements its operands' counts, and an alloca whose last use other than
+// a plain store to it goes away releases those stores. Both rules only grow
+// as instructions disappear, so the removed set is the same as iterating
+// the rules to a fixpoint.
 func DCE(f *ir.Func) bool {
-	changed := false
-	for {
-		uses := ir.ComputeUses(f)
-		dead := writeOnlyAllocas(f, uses)
-		n := 0
-		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-				if in.Op == ir.OpStore && in.Order == ir.NotAtomic {
-					if a, ok := in.Args[1].(*ir.Instr); ok && dead[a] {
-						b.Remove(in)
-						n++
-					}
-					continue
-				}
-				if in.HasSideEffects() || in.IsTerminator() {
-					continue
-				}
-				if ir.IsVoid(in.Ty) {
-					continue
-				}
-				if len(uses[in]) == 0 {
-					b.Remove(in)
-					n++
+	type slot struct {
+		others int         // uses that are not plain non-atomic stores to it
+		stores []*ir.Instr // plain non-atomic stores to it
+	}
+	slots := map[*ir.Instr]*slot{}
+	var work []*ir.Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpAlloca {
+				slots[in] = &slot{}
+			}
+			work = append(work, in)
+		}
+	}
+	uses := map[*ir.Instr]int{}
+	// operands visits each instruction operand of in, with the alloca slot
+	// it occupies and whether the use is a plain store to that slot.
+	operands := func(in *ir.Instr, visit func(a *ir.Instr, s *slot, plainStore bool)) {
+		for k, v := range in.Args {
+			a, ok := v.(*ir.Instr)
+			if !ok {
+				continue
+			}
+			plain := in.Op == ir.OpStore && k == 1 && in.Order == ir.NotAtomic && in.Args[0] != v
+			visit(a, slots[a], plain)
+		}
+	}
+	for _, in := range work {
+		operands(in, func(a *ir.Instr, s *slot, plain bool) {
+			uses[a]++
+			switch {
+			case s == nil:
+			case plain:
+				s.stores = append(s.stores, in)
+			default:
+				s.others++
+			}
+		})
+	}
+	dead := func(in *ir.Instr) bool {
+		if in.Parent == nil {
+			return false // already removed
+		}
+		if in.Op == ir.OpStore && in.Order == ir.NotAtomic {
+			a, ok := in.Args[1].(*ir.Instr)
+			s := slots[a]
+			return ok && s != nil && s.others == 0
+		}
+		return !in.HasSideEffects() && !in.IsTerminator() && !ir.IsVoid(in.Ty) && uses[in] == 0
+	}
+	removed := 0
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !dead(in) {
+			continue
+		}
+		in.Parent = nil
+		removed++
+		operands(in, func(a *ir.Instr, s *slot, plain bool) {
+			uses[a]--
+			if s != nil && !plain {
+				if s.others--; s.others == 0 {
+					work = append(work, s.stores...)
 				}
 			}
-		}
-		if n == 0 {
-			return changed
-		}
-		changed = true
+			work = append(work, a)
+		})
 	}
+	if removed == 0 {
+		return false
+	}
+	ir.DropDetached(f)
+	return true
 }
 
 // writeOnlyAllocas returns the allocas whose only uses are non-atomic

@@ -9,6 +9,7 @@ import "lasagne/internal/ir"
 // rule, which is stated for final-value behavior (see internal/memmodel's
 // strong-observation tests for the distinction).
 func DSE(f *ir.Func) bool {
+	esc := &escapeInfo{f: f}
 	changed := false
 	for _, b := range f.Blocks {
 		insts := b.Instrs
@@ -17,8 +18,11 @@ func DSE(f *ir.Func) bool {
 			if st.Op != ir.OpStore || st.Order != ir.NotAtomic {
 				continue
 			}
-			if killedByLaterStore(f, b, i) {
+			if killedByLaterStore(esc, b, i) {
 				b.Remove(st)
+				// The removed store may have held an alloca's address,
+				// the use that made it escape.
+				esc.reset()
 				insts = b.Instrs
 				i--
 				changed = true
@@ -30,7 +34,7 @@ func DSE(f *ir.Func) bool {
 
 // killedByLaterStore scans forward from index i for a store to the same
 // address with no intervening reader or barrier that blocks the WAW rule.
-func killedByLaterStore(f *ir.Func, b *ir.Block, i int) bool {
+func killedByLaterStore(esc *escapeInfo, b *ir.Block, i int) bool {
 	st := b.Instrs[i]
 	addr := st.Args[1]
 	size := st.Args[0].Type().Size()
@@ -38,7 +42,7 @@ func killedByLaterStore(f *ir.Func, b *ir.Block, i int) bool {
 		in := b.Instrs[k]
 		switch in.Op {
 		case ir.OpFence:
-			if !isPrivate(f, addr) {
+			if !esc.isPrivate(addr) {
 				return false
 			}
 		case ir.OpLoad:

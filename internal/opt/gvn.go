@@ -20,8 +20,13 @@ import (
 func GVN(f *ir.Func) bool {
 	removeUnreachable(f)
 	changed := pureCSE(f)
+	// Forwarding removes loads and hands their users a loaded or stored
+	// value. A stored value is an alloca's address only if that store,
+	// which stays, already makes the alloca escape; so no answer changes
+	// and one escapeInfo built after CSE serves every block.
+	esc := &escapeInfo{f: f}
 	for _, b := range f.Blocks {
-		if loadForwarding(f, b) {
+		if loadForwarding(f, b, esc) {
 			changed = true
 		}
 	}
@@ -124,7 +129,7 @@ type availEntry struct {
 	crossFence bool // a fence was crossed since the entry became available
 }
 
-func loadForwarding(f *ir.Func, b *ir.Block) bool {
+func loadForwarding(f *ir.Func, b *ir.Block, esc *escapeInfo) bool {
 	changed := false
 	var avail []availEntry
 	clear := func() { avail = avail[:0] }
@@ -148,7 +153,7 @@ func loadForwarding(f *ir.Func, b *ir.Block) bool {
 				}
 				// Adjacent forwarding is always legal (Fig. 11b RAR/RAW);
 				// crossing a fence requires thread-private memory.
-				if e.crossFence && !isPrivate(f, in.Args[0]) {
+				if e.crossFence && !esc.isPrivate(in.Args[0]) {
 					continue
 				}
 				ir.ReplaceAllUses(f, in, e.val)

@@ -9,6 +9,11 @@ import "lasagne/internal/ir"
 func LICM(f *ir.Func) bool {
 	removeUnreachable(f)
 	dt := ir.ComputeDomTree(f)
+	// Hoisting moves instructions without changing their operands, and
+	// promotion only removes loads and redirects load results, which no
+	// alloca's use chain walks through: no rewrite here can change an
+	// escape answer, so one escapeInfo serves every loop.
+	esc := &escapeInfo{f: f}
 	changed := false
 	for _, loop := range findLoops(f, dt) {
 		pre := uniqueOutsidePred(loop)
@@ -47,7 +52,7 @@ func LICM(f *ir.Func) bool {
 				}
 			}
 		}
-		if promoteLoopLoads(f, loop, pre, inLoop) {
+		if promoteLoopLoads(f, loop, pre, inLoop, esc) {
 			changed = true
 		}
 	}
@@ -59,7 +64,7 @@ func LICM(f *ir.Func) bool {
 // loop-invariant, and because the memory is private no other thread or
 // callee can modify it. Multiple loads of the same address collapse into
 // the single hoisted load — the scalar-promotion half of LLVM's LICM.
-func promoteLoopLoads(f *ir.Func, l *loopInfo, pre *ir.Block, inLoop func(ir.Value) bool) bool {
+func promoteLoopLoads(f *ir.Func, l *loopInfo, pre *ir.Block, inLoop func(ir.Value) bool, esc *escapeInfo) bool {
 	// Addresses stored to inside the loop (by identified base object).
 	storedTo := map[ir.Value]bool{}
 	hasAtomicOrCall := false
@@ -84,7 +89,7 @@ func promoteLoopLoads(f *ir.Func, l *loopInfo, pre *ir.Block, inLoop func(ir.Val
 				continue
 			}
 			addr := in.Args[0]
-			if inLoop(addr) || !isPrivate(f, addr) || hasAtomicOrCall {
+			if inLoop(addr) || !esc.isPrivate(addr) || hasAtomicOrCall {
 				continue
 			}
 			// Any store in the loop to a may-aliasing address of the same

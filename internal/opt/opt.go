@@ -345,24 +345,56 @@ func mayAlias(a, b ir.Value) bool {
 	return true
 }
 
-// isPrivate reports whether the pointer provably refers to a non-escaping
-// alloca: thread-private memory that fences cannot order. GVN and DSE only
+// escapeInfo answers "is this pointer thread-private?" for one pass
+// invocation: a pointer is private when it provably refers to a
+// non-escaping alloca, memory that fences cannot order. GVN and DSE only
 // move accesses across fences for private memory — strictly stronger than
 // the Fig. 11b fenced rules, which are stated for the paper's final-values
 // behavior definition (see internal/memmodel's strong-observation tests).
-func isPrivate(f *ir.Func, p ir.Value) bool {
-	base := baseObject(p)
-	a, ok := base.(*ir.Instr)
+//
+// The use map is built on the first query and each alloca's answer is
+// memoised, so a pass builds uses at most once however many accesses it
+// asks about. The memo stays valid only while the pass's own rewrites
+// cannot change an answer; a pass whose rewrites can (DSE removing a store
+// that may hold an alloca's address) calls reset after each one.
+type escapeInfo struct {
+	f    *ir.Func
+	uses ir.Uses
+	memo map[*ir.Instr]bool // alloca -> escapes
+}
+
+// escapeObserver, when set, sees every escape answer a pass acts on. Tests
+// use it to compare each memoised answer against a fresh analysis of the
+// function as it stands at that query.
+var escapeObserver func(f *ir.Func, alloca *ir.Instr, escapes bool)
+
+// isPrivate reports whether p provably refers to a non-escaping alloca.
+func (e *escapeInfo) isPrivate(p ir.Value) bool {
+	a, ok := baseObject(p).(*ir.Instr)
 	if !ok || a.Op != ir.OpAlloca {
 		return false
 	}
-	return !escapes(f, a)
+	esc, ok := e.memo[a]
+	if !ok {
+		if e.uses == nil {
+			e.uses = ir.ComputeUses(e.f)
+			e.memo = make(map[*ir.Instr]bool)
+		}
+		esc = escapes(e.uses, a)
+		e.memo[a] = esc
+	}
+	if escapeObserver != nil {
+		escapeObserver(e.f, a, esc)
+	}
+	return !esc
 }
+
+// reset drops the use map and every memoised answer.
+func (e *escapeInfo) reset() { e.uses, e.memo = nil, nil }
 
 // escapes reports whether any use chain of the alloca leaves the
 // load/store-address discipline (ptrtoint, calls, stored as a value, ...).
-func escapes(f *ir.Func, a *ir.Instr) bool {
-	uses := ir.ComputeUses(f)
+func escapes(uses ir.Uses, a *ir.Instr) bool {
 	var visit func(v ir.Value, depth int) bool
 	visit = func(v ir.Value, depth int) bool {
 		if depth > 16 {

@@ -10,6 +10,10 @@ import (
 // the outermost position where instcombine can fold them:
 // (x + c) + y -> (x + y) + c.
 func Reassociate(f *ir.Func) bool {
+	// A rewrite moves y from the outer operation to the inner one and a
+	// constant the other way, so no instruction's use count changes: one
+	// use map, built at the first candidate, serves the whole walk.
+	var uses ir.Uses
 	changed := false
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -25,7 +29,9 @@ func Reassociate(f *ir.Func) bool {
 			if innerConst && !outerConst {
 				// (x op c) op y  ->  (x op y) op c, reusing ai only if this
 				// is its single use (otherwise we would duplicate work).
-				uses := ir.ComputeUses(f)
+				if uses == nil {
+					uses = ir.ComputeUses(f)
+				}
 				if len(uses[ai]) != 1 {
 					continue
 				}

@@ -182,12 +182,12 @@ func PromoteParamsFiltered(m *ir.Module, keep func(*ir.Func) bool) int {
 		if keep != nil && !keep(f) {
 			continue
 		}
-		uses := ir.ComputeUses(f)
+		uses := paramUses(f)
 		for idx, p := range f.Params {
 			if !ir.IsInt(p.Ty) {
 				continue
 			}
-			us := uses[p]
+			us := uses[idx]
 			if len(us) == 0 {
 				continue
 			}
@@ -233,6 +233,22 @@ func PromoteParamsFiltered(m *ir.Module, keep func(*ir.Func) bool) int {
 	return promoted
 }
 
+// paramUses lists, per parameter index, the instructions using that
+// parameter, in block and instruction order: the only uses promotion reads.
+func paramUses(f *ir.Func) [][]*ir.Instr {
+	us := make([][]*ir.Instr, len(f.Params))
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if p, ok := a.(*ir.Param); ok && p.Idx < len(us) && f.Params[p.Idx] == p {
+					us[p.Idx] = append(us[p.Idx], in)
+				}
+			}
+		}
+	}
+	return us
+}
+
 func rewriteCallSites(m *ir.Module, callee *ir.Func, argIdx int, newTy ir.Type) {
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
@@ -262,26 +278,42 @@ func cleanupDeadCasts(m *ir.Module) int {
 	return removed
 }
 
+// cleanupFunc is a worklist over use counts taken once: removing a dead
+// instruction decrements its operands' counts and revisits them. An
+// instruction only becomes dead as others disappear, so the removed set is
+// the same as rescanning to a fixpoint.
 func cleanupFunc(f *ir.Func) int {
-	removed := 0
-	for {
-		uses := ir.ComputeUses(f)
-		n := 0
-		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-				if in.HasSideEffects() || ir.IsVoid(in.Ty) || in.Op == ir.OpPhi {
-					continue
-				}
-				if len(uses[in]) == 0 {
-					b.Remove(in)
-					n++
+	uses := map[*ir.Instr]int{}
+	var work []*ir.Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if ai, ok := a.(*ir.Instr); ok {
+					uses[ai]++
 				}
 			}
+			work = append(work, in)
 		}
-		removed += n
-		if n == 0 {
-			break
+	}
+	removed := 0
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		if in.Parent == nil || uses[in] != 0 ||
+			in.HasSideEffects() || ir.IsVoid(in.Ty) || in.Op == ir.OpPhi {
+			continue
 		}
+		in.Parent = nil
+		removed++
+		for _, a := range in.Args {
+			if ai, ok := a.(*ir.Instr); ok {
+				uses[ai]--
+				work = append(work, ai)
+			}
+		}
+	}
+	if removed > 0 {
+		ir.DropDetached(f)
 	}
 	return removed
 }
