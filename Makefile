@@ -35,9 +35,11 @@ bench-memmodel:
 # bench-translate measures the staged translation pipeline over the whole
 # Phoenix suite, cold (empty translation cache), warm (every function
 # replayed from the suffix tier) and warm-object (every module replayed
-# whole from the module tier), and records the raw `go test -json` stream.
+# whole from the module tier), plus the cold object-to-object translation
+# of the six suite kernels in both directions that perfbench's
+# translate-cold workload times, and records the raw `go test -json` stream.
 bench-translate:
-	$(GO) test -json -run '^$$' -bench 'TranslatePhoenix' \
+	$(GO) test -json -run '^$$' -bench 'TranslatePhoenix|TranslateSuite' \
 		-benchmem -count 3 . > BENCH_translate.json
 	@echo "wrote BENCH_translate.json"
 

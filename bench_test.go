@@ -5,6 +5,7 @@
 package lasagne
 
 import (
+	"context"
 	"testing"
 
 	"lasagne/internal/backend"
@@ -388,4 +389,55 @@ func BenchmarkEvalPipelineParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTranslateSuite is the cold object-to-object translation of the
+// six suite kernels (the five Phoenix kernels plus the lock-free
+// spsc_ring) with core.Default() and no cache: x86-arm translates each
+// kernel's x86-64 build to Arm64, arm-x86 each native Arm64 build to x86-64.
+// It is the path the translate-cold workload of perfbench times.
+func BenchmarkTranslateSuite(b *testing.B) {
+	var x86s, arms []*obj.File
+	var suite []phoenix.Benchmark
+	suite = append(suite, phoenix.All()...)
+	suite = append(suite, phoenix.LockFree()...)
+	for _, bench := range suite {
+		m, err := minic.Compile(bench.Name, bench.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := opt.Optimize(m); err != nil {
+			b.Fatal(err)
+		}
+		x, err := backend.Compile(m.Clone(), "x86-64")
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := backend.Compile(m, "arm64")
+		if err != nil {
+			b.Fatal(err)
+		}
+		x86s, arms = append(x86s, x), append(arms, a)
+	}
+	ctx := context.Background()
+	b.Run("x86-arm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, bin := range x86s {
+				if _, _, _, err := core.TranslateContext(ctx, bin, core.Default()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("arm-x86", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, bin := range arms {
+				if _, _, _, err := core.TranslateArmToX86Context(ctx, bin, core.Default()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

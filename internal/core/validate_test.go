@@ -16,6 +16,7 @@ import (
 	"lasagne/internal/obj"
 	"lasagne/internal/opt"
 	"lasagne/internal/phoenix"
+	"lasagne/internal/race"
 	"lasagne/internal/sim"
 	"lasagne/internal/validate"
 )
@@ -108,7 +109,10 @@ func TestValidatePhoenixCleanAndIdentical(t *testing.T) {
 // actually fired (otherwise the test would vacuously pass a disabled pass).
 func TestPhoenixDifferentialWeakFences(t *testing.T) {
 	seeds := 32
-	if testing.Short() {
+	if testing.Short() || race.Enabled {
+		// The race detector slows the simulator ~20x: 32 seeds per kernel
+		// would take ~22 minutes, past go test's default timeout. The
+		// non-race run keeps the full 32.
 		seeds = 4
 	}
 	for _, bench := range phoenix.All() {

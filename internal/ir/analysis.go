@@ -1,41 +1,5 @@
 package ir
 
-// Uses maps each instruction and parameter to the instructions that use it
-// as an operand, in block and instruction order. It is recomputed on demand
-// rather than maintained incrementally, so a pass builds it at most once per
-// invocation and keeps it only while its own rewrites leave the entries it
-// reads intact.
-type Uses map[Value][]*Instr
-
-// ComputeUses scans the function and builds the use map. Only *Instr and
-// *Param operands are recorded: constants, globals and functions are never
-// looked up, and leaving them out keeps the map small.
-func ComputeUses(f *Func) Uses {
-	u := make(Uses)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				switch a.(type) {
-				case *Instr, *Param:
-					u[a] = append(u[a], in)
-				}
-			}
-		}
-	}
-	return u
-}
-
-// ReplaceAllUses rewrites every use of old within f to new.
-func ReplaceAllUses(f *Func, old, new Value) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			n += in.ReplaceUses(old, new)
-		}
-	}
-	return n
-}
-
 // DropDetached removes from f's blocks every instruction whose Parent has
 // been cleared. A pass that decides many removals at once marks each dead
 // instruction with Parent = nil and compacts every block in one sweep,
@@ -51,20 +15,6 @@ func DropDetached(f *Func) {
 		clear(b.Instrs[len(kept):])
 		b.Instrs = kept
 	}
-}
-
-// HasUses reports whether v is used by any instruction in f.
-func HasUses(f *Func, v Value) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a == v {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // ReachableBlocks returns the set of blocks reachable from the entry.
@@ -167,7 +117,14 @@ func ComputeDomTree(f *Func) *DomTree {
 			}
 		}
 	}
-	for b, d := range idom {
+	// Children are listed in block layout order, so walks over the tree
+	// (the rename walk of mem2reg, GVN's scoped table) visit siblings the
+	// same way on every run.
+	for _, b := range f.Blocks {
+		d, ok := idom[b]
+		if !ok {
+			continue
+		}
 		if b == entry {
 			dt.IDom[b] = nil
 			continue

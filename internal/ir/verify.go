@@ -111,6 +111,10 @@ func (v *verifier) run() {
 	if v.stop() || v.cfgBroken {
 		return
 	}
+	v.valueIDs()
+	if v.stop() {
+		return
+	}
 	v.operandsDefined()
 	if v.stop() {
 		return
@@ -156,6 +160,34 @@ func (v *verifier) structural() {
 				if v.stop() {
 					return
 				}
+			}
+		}
+	}
+}
+
+// valueIDs checks that every value-producing instruction has its own ID in
+// 1..IDBound: the dense per-function indexes (Uses, Replacer, the fence
+// escape analysis) are keyed by it. A bitset keeps the check allocation-light.
+func (v *verifier) valueIDs() {
+	bound := v.f.IDBound()
+	seen := make([]uint64, bound/64+1)
+	for _, b := range v.f.Blocks {
+		for _, in := range b.Instrs {
+			if IsVoid(in.Ty) {
+				continue
+			}
+			id := in.ID
+			switch {
+			case id <= 0 || id > bound:
+				v.add(b, in, "value ID %d outside 1..%d", id, bound)
+			case seen[id/64]&(1<<(id%64)) != 0:
+				v.add(b, in, "duplicate value ID %d", id)
+			default:
+				seen[id/64] |= 1 << (id % 64)
+				continue
+			}
+			if v.stop() {
+				return
 			}
 		}
 	}

@@ -12,37 +12,49 @@ import "lasagne/internal/ir"
 // a plain store to it goes away releases those stores. Both rules only grow
 // as instructions disappear, so the removed set is the same as iterating
 // the rules to a fixpoint.
+//
+// Use counts and alloca slots are indexed by instruction ID, which the
+// verifier keeps unique and within IDBound.
 func DCE(f *ir.Func) bool {
 	type slot struct {
 		others int         // uses that are not plain non-atomic stores to it
 		stores []*ir.Instr // plain non-atomic stores to it
 	}
-	slots := map[*ir.Instr]*slot{}
+	bound := f.IDBound()
+	var slots []slot
+	slotOf := make([]int32, bound+1) // alloca ID -> 1 + index into slots
 	var work []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpAlloca {
-				slots[in] = &slot{}
+			if in.Op == ir.OpAlloca && in.ID > 0 && in.ID <= bound {
+				slots = append(slots, slot{})
+				slotOf[in.ID] = int32(len(slots))
 			}
 			work = append(work, in)
 		}
 	}
-	uses := map[*ir.Instr]int{}
+	slotFor := func(a *ir.Instr) *slot {
+		if a.ID <= 0 || a.ID > bound || slotOf[a.ID] == 0 {
+			return nil
+		}
+		return &slots[slotOf[a.ID]-1]
+	}
+	uses := make([]int32, bound+1)
 	// operands visits each instruction operand of in, with the alloca slot
 	// it occupies and whether the use is a plain store to that slot.
 	operands := func(in *ir.Instr, visit func(a *ir.Instr, s *slot, plainStore bool)) {
 		for k, v := range in.Args {
 			a, ok := v.(*ir.Instr)
-			if !ok {
+			if !ok || a.ID > bound {
 				continue
 			}
 			plain := in.Op == ir.OpStore && k == 1 && in.Order == ir.NotAtomic && in.Args[0] != v
-			visit(a, slots[a], plain)
+			visit(a, slotFor(a), plain)
 		}
 	}
 	for _, in := range work {
 		operands(in, func(a *ir.Instr, s *slot, plain bool) {
-			uses[a]++
+			uses[a.ID]++
 			switch {
 			case s == nil:
 			case plain:
@@ -58,10 +70,14 @@ func DCE(f *ir.Func) bool {
 		}
 		if in.Op == ir.OpStore && in.Order == ir.NotAtomic {
 			a, ok := in.Args[1].(*ir.Instr)
-			s := slots[a]
-			return ok && s != nil && s.others == 0
+			if !ok {
+				return false
+			}
+			s := slotFor(a)
+			return s != nil && s.others == 0
 		}
-		return !in.HasSideEffects() && !in.IsTerminator() && !ir.IsVoid(in.Ty) && uses[in] == 0
+		return !in.HasSideEffects() && !in.IsTerminator() && !ir.IsVoid(in.Ty) &&
+			in.ID <= bound && uses[in.ID] == 0
 	}
 	removed := 0
 	for len(work) > 0 {
@@ -73,7 +89,7 @@ func DCE(f *ir.Func) bool {
 		in.Parent = nil
 		removed++
 		operands(in, func(a *ir.Instr, s *slot, plain bool) {
-			uses[a]--
+			uses[a.ID]--
 			if s != nil && !plain {
 				if s.others--; s.others == 0 {
 					work = append(work, s.stores...)
@@ -91,7 +107,7 @@ func DCE(f *ir.Func) bool {
 
 // writeOnlyAllocas returns the allocas whose only uses are non-atomic
 // stores *to* them (no loads, no escapes): their stores are unobservable.
-func writeOnlyAllocas(f *ir.Func, uses ir.Uses) map[*ir.Instr]bool {
+func writeOnlyAllocas(f *ir.Func, uses *ir.Uses) map[*ir.Instr]bool {
 	out := map[*ir.Instr]bool{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -99,7 +115,7 @@ func writeOnlyAllocas(f *ir.Func, uses ir.Uses) map[*ir.Instr]bool {
 				continue
 			}
 			ok := true
-			for _, u := range uses[in] {
+			for _, u := range uses.Of(in) {
 				if u.Op != ir.OpStore || u.Args[1] != ir.Value(in) ||
 					u.Args[0] == ir.Value(in) || u.Order != ir.NotAtomic {
 					ok = false
@@ -151,12 +167,15 @@ func ADCE(f *ir.Func) bool {
 	}
 	changed := false
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		for _, in := range b.Instrs {
 			if !live[in] {
-				b.Remove(in)
+				in.Parent = nil
 				changed = true
 			}
 		}
+	}
+	if changed {
+		ir.DropDetached(f)
 	}
 	return changed
 }

@@ -1,8 +1,7 @@
 package opt
 
 import (
-	"fmt"
-	"strings"
+	"math"
 
 	"lasagne/internal/ir"
 )
@@ -17,107 +16,246 @@ import (
 // Forwarding across a fence is performed only for provably thread-private
 // (non-escaping alloca) memory — a strictly stronger condition than the
 // paper's fenced F-RAR/F-RAW rules, which hold for final-value behavior.
+//
+// Both halves batch their replacements through one ir.Replacer: CSE's are
+// swept before forwarding starts, forwarding's at the end.
 func GVN(f *ir.Func) bool {
 	removeUnreachable(f)
-	changed := pureCSE(f)
+	r := ir.NewReplacer(f)
+	cse := pureCSE(f, r)
+	if cse {
+		ir.DropDetached(f)
+		r.Apply()
+	}
 	// Forwarding removes loads and hands their users a loaded or stored
 	// value. A stored value is an alloca's address only if that store,
 	// which stays, already makes the alloca escape; so no answer changes
 	// and one escapeInfo built after CSE serves every block.
 	esc := &escapeInfo{f: f}
+	forwarded := false
 	for _, b := range f.Blocks {
-		if loadForwarding(f, b, esc) {
-			changed = true
+		if loadForwarding(b, esc, r) {
+			forwarded = true
 		}
 	}
-	if changed {
+	if forwarded {
+		ir.DropDetached(f)
+		r.Apply()
+	}
+	if cse || forwarded {
 		DCE(f)
 	}
-	return changed
+	return cse || forwarded
 }
 
-// valueKey builds a structural key for a pure instruction.
-func valueKey(in *ir.Instr) (string, bool) {
+// gvnKey identifies a pure instruction up to structural equality: opcode,
+// predicate, result and element types, and operands, each as a number from
+// the function's gvnTable. Operands beyond the third are folded into rest,
+// an interned tail.
+type gvnKey struct {
+	op       ir.Op
+	pred     ir.Pred
+	ty, elem int32
+	args     [3]int32
+	rest     int32
+}
+
+// gvnTable numbers the types and operands of one function for gvnKey.
+// Instructions are numbered by their ID; every other operand gets a
+// negative number: constants structurally (integers by type and value,
+// floats by type and bits with every NaN alike — the equality their %v
+// spelling gives — and nulls by type), everything else by identity.
+type gvnTable struct {
+	consts map[gvnConst]int32
+	idents map[ir.Value]int32
+	types  map[gvnType]int32
+	named  map[string]int32
+	tails  map[[2]int32]int32
+	next   int32 // last negative operand number handed out
+}
+
+type gvnConst struct {
+	kind uint8
+	ty   int32
+	bits uint64
+}
+
+type gvnType struct {
+	kind uint8
+	n    int
+	elem int32
+}
+
+func newGVNTable() *gvnTable {
+	return &gvnTable{consts: map[gvnConst]int32{}, idents: map[ir.Value]int32{},
+		types: map[gvnType]int32{}}
+}
+
+// typeNum numbers a type so that equal numbers mean equal spellings:
+// integers and floats arithmetically, pointers, vectors and arrays by
+// shape, anything else by its string.
+func (t *gvnTable) typeNum(ty ir.Type) int32 {
+	const (
+		tagVoid = iota + 1
+		tagInt
+		tagFloat
+		tagShape
+		tagNamed
+	)
+	var k gvnType
+	switch ty := ty.(type) {
+	case nil:
+		return 0
+	case ir.VoidType:
+		return tagVoid
+	case *ir.IntType:
+		return int32(ty.Bits)<<3 | tagInt
+	case *ir.FloatType:
+		if ty.Bits == 32 {
+			return tagFloat
+		}
+		return 1<<3 | tagFloat
+	case *ir.PtrType:
+		k = gvnType{1, 0, t.typeNum(ty.Elem)}
+	case *ir.VectorType:
+		k = gvnType{2, ty.Len, t.typeNum(ty.Elem)}
+	case *ir.ArrayType:
+		k = gvnType{3, ty.Len, t.typeNum(ty.Elem)}
+	default:
+		if t.named == nil {
+			t.named = map[string]int32{}
+		}
+		s := ty.String()
+		n, ok := t.named[s]
+		if !ok {
+			n = int32(len(t.named))
+			t.named[s] = n
+		}
+		return n<<3 | tagNamed
+	}
+	n, ok := t.types[k]
+	if !ok {
+		n = int32(len(t.types))
+		t.types[k] = n
+	}
+	return n<<3 | tagShape
+}
+
+// operand numbers one operand.
+func (t *gvnTable) operand(a ir.Value) int32 {
+	var c gvnConst
+	switch a := a.(type) {
+	case *ir.Instr:
+		if a.ID > 0 {
+			return int32(a.ID)
+		}
+	case *ir.ConstInt:
+		c = gvnConst{1, t.typeNum(a.Ty), uint64(a.V)}
+	case *ir.ConstFloat:
+		bits := math.Float64bits(a.V)
+		if math.IsNaN(a.V) {
+			bits = math.Float64bits(math.NaN())
+		}
+		c = gvnConst{2, t.typeNum(a.Ty), bits}
+	case *ir.ConstNull:
+		c = gvnConst{3, t.typeNum(a.Ty), 0}
+	}
+	if c.kind == 0 {
+		n, ok := t.idents[a]
+		if !ok {
+			t.next--
+			n = t.next
+			t.idents[a] = n
+		}
+		return n
+	}
+	n, ok := t.consts[c]
+	if !ok {
+		t.next--
+		n = t.next
+		t.consts[c] = n
+	}
+	return n
+}
+
+// key builds the structural key of a pure instruction.
+func (t *gvnTable) key(in *ir.Instr) (gvnKey, bool) {
 	switch {
 	case ir.IsBinaryOp(in.Op), ir.IsCast(in.Op):
 	default:
 		switch in.Op {
 		case ir.OpICmp, ir.OpFCmp, ir.OpGEP, ir.OpSelect:
 		default:
-			return "", false
+			return gvnKey{}, false
 		}
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:%s:%d:", in.Op, in.Ty, in.Pred)
-	if in.Elem != nil {
-		sb.WriteString(in.Elem.String())
+	k := gvnKey{op: in.Op, pred: in.Pred, ty: t.typeNum(in.Ty), elem: t.typeNum(in.Elem)}
+	for i := len(in.Args) - 1; i >= 0; i-- {
+		n := t.operand(in.Args[i])
+		if i < len(k.args) {
+			k.args[i] = n
+			continue
+		}
+		tail := [2]int32{n, k.rest}
+		if t.tails == nil {
+			t.tails = map[[2]int32]int32{}
+		}
+		r, ok := t.tails[tail]
+		if !ok {
+			r = int32(len(t.tails) + 1)
+			t.tails[tail] = r
+		}
+		k.rest = r
 	}
-	toks := make([]string, len(in.Args))
-	for i, a := range in.Args {
-		toks[i] = argToken(a)
+	// Commutative operands are ordered, so `add x, 5` and `add 5, x` share
+	// a key.
+	if ir.CommutativeOp(in.Op) && len(in.Args) == 2 && k.args[1] < k.args[0] {
+		k.args[0], k.args[1] = k.args[1], k.args[0]
 	}
-	// Canonicalize commutative operand order by the serialized token, so
-	// that e.g. `add x, 5` and `add 5, x` always produce the same key:
-	// constants serialize structurally, which keeps the ordering stable
-	// across runs (raw pointer addresses are not).
-	if ir.CommutativeOp(in.Op) && len(toks) == 2 && toks[1] < toks[0] {
-		toks[0], toks[1] = toks[1], toks[0]
-	}
-	for _, t := range toks {
-		sb.WriteString(t)
-	}
-	return sb.String(), true
-}
-
-// argToken serializes one operand for valueKey: constants structurally,
-// SSA values by identity.
-func argToken(a ir.Value) string {
-	switch c := a.(type) {
-	case *ir.ConstInt:
-		return fmt.Sprintf("ci%s:%d;", c.Ty, c.V)
-	case *ir.ConstFloat:
-		return fmt.Sprintf("cf%s:%v;", c.Ty, c.V)
-	case *ir.ConstNull:
-		return fmt.Sprintf("null%s;", c.Ty)
-	default:
-		return fmt.Sprintf("%p;", a)
-	}
+	return k, true
 }
 
 // pureCSE eliminates structurally identical pure instructions dominated by
-// an earlier occurrence.
-func pureCSE(f *ir.Func) bool {
+// an earlier occurrence. It resolves each instruction's operands as it
+// visits it — every operand of a non-phi is defined in a dominating block,
+// visited earlier by the walk — and records each elimination in r; the
+// caller sweeps.
+func pureCSE(f *ir.Func, r *ir.Replacer) bool {
+	if f.Entry() == nil {
+		return false
+	}
 	dt := ir.ComputeDomTree(f)
 	changed := false
-	type scope struct{ added []string }
-	table := map[string]*ir.Instr{}
+	t := newGVNTable()
+	table := map[gvnKey]*ir.Instr{}
+	var scope []gvnKey // keys added by the blocks on the walk's path
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		sc := scope{}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			key, ok := valueKey(in)
+		mark := len(scope)
+		for _, in := range b.Instrs {
+			r.ResolveOperands(in)
+			key, ok := t.key(in)
 			if !ok {
 				continue
 			}
 			if prev, exists := table[key]; exists {
-				ir.ReplaceAllUses(f, in, prev)
-				b.Remove(in)
+				r.Replace(in, prev)
+				in.Parent = nil
 				changed = true
 				continue
 			}
 			table[key] = in
-			sc.added = append(sc.added, key)
+			scope = append(scope, key)
 		}
 		for _, c := range dt.Children[b] {
 			walk(c)
 		}
-		for _, k := range sc.added {
+		for _, k := range scope[mark:] {
 			delete(table, k)
 		}
+		scope = scope[:mark]
 	}
-	if f.Entry() != nil {
-		walk(f.Entry())
-	}
+	walk(f.Entry())
 	return changed
 }
 
@@ -129,11 +267,16 @@ type availEntry struct {
 	crossFence bool // a fence was crossed since the entry became available
 }
 
-func loadForwarding(f *ir.Func, b *ir.Block, esc *escapeInfo) bool {
+// loadForwarding forwards within one block, recording each forwarded load
+// in r. Operands are resolved as instructions are visited, and address
+// chains before alias and privacy questions walk them, so every answer
+// sees the values an immediate rewrite would have left.
+func loadForwarding(b *ir.Block, esc *escapeInfo, r *ir.Replacer) bool {
 	changed := false
 	var avail []availEntry
 	clear := func() { avail = avail[:0] }
-	for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+	for _, in := range b.Instrs {
+		r.ResolveOperands(in)
 		switch in.Op {
 		case ir.OpFence:
 			for i := range avail {
@@ -153,11 +296,11 @@ func loadForwarding(f *ir.Func, b *ir.Block, esc *escapeInfo) bool {
 				}
 				// Adjacent forwarding is always legal (Fig. 11b RAR/RAW);
 				// crossing a fence requires thread-private memory.
-				if e.crossFence && !esc.isPrivate(in.Args[0]) {
+				if e.crossFence && !esc.isPrivate(resolveChain(r, in.Args[0])) {
 					continue
 				}
-				ir.ReplaceAllUses(f, in, e.val)
-				b.Remove(in)
+				r.Replace(in, e.val)
+				in.Parent = nil
 				changed = true
 				replaced = true
 				break
@@ -173,7 +316,7 @@ func loadForwarding(f *ir.Func, b *ir.Block, esc *escapeInfo) bool {
 			// Invalidate aliasing entries.
 			kept := avail[:0]
 			for _, e := range avail {
-				if !mayAlias(e.addr, in.Args[1]) {
+				if !mayAlias(resolveChain(r, e.addr), resolveChain(r, in.Args[1])) {
 					kept = append(kept, e)
 				}
 			}
@@ -182,4 +325,18 @@ func loadForwarding(f *ir.Func, b *ir.Block, esc *escapeInfo) bool {
 		}
 	}
 	return changed
+}
+
+// resolveChain resolves the operands along p's bitcast/GEP chain — the
+// instructions baseObject walks — and returns p.
+func resolveChain(r *ir.Replacer, p ir.Value) ir.Value {
+	for v, depth := p, 0; depth < 64; depth++ {
+		x, ok := v.(*ir.Instr)
+		if !ok || (x.Op != ir.OpBitcast && x.Op != ir.OpGEP) {
+			break
+		}
+		r.ResolveOperands(x)
+		v = x.Args[0]
+	}
+	return p
 }

@@ -8,18 +8,30 @@ import (
 
 // InstCombine performs peephole simplification: constant folding, algebraic
 // identities and cast-chain collapsing. It iterates to a fixpoint.
+//
+// Replacements are batched: visiting an instruction resolves its operands,
+// and its operands' operands — simplify looks one instruction deep — so each
+// rule sees what an immediate whole-function rewrite would have left; one
+// sweep at the end covers everything else.
 func InstCombine(f *ir.Func) bool {
 	changed := false
+	r := ir.NewReplacer(f)
 	for iter := 0; iter < 8; iter++ {
 		n := 0
 		for _, b := range f.Blocks {
-			for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+			for _, in := range b.Instrs {
 				if in.Parent == nil {
 					continue
 				}
+				r.ResolveOperands(in)
+				for _, a := range in.Args {
+					if ai, ok := a.(*ir.Instr); ok {
+						r.ResolveOperands(ai)
+					}
+				}
 				if v := simplify(in); v != nil {
-					ir.ReplaceAllUses(f, in, v)
-					b.Remove(in)
+					r.Replace(in, v)
+					in.Parent = nil
 					n++
 				}
 			}
@@ -28,6 +40,10 @@ func InstCombine(f *ir.Func) bool {
 			break
 		}
 		changed = true
+	}
+	if changed {
+		ir.DropDetached(f)
+		r.Apply()
 	}
 	if DCE(f) {
 		changed = true

@@ -14,6 +14,10 @@ func LICM(f *ir.Func) bool {
 	// alloca's use chain walks through: no rewrite here can change an
 	// escape answer, so one escapeInfo serves every loop.
 	esc := &escapeInfo{f: f}
+	// Merged duplicate loads are batched: every instruction a loop visits
+	// has its operands resolved first, so invariance is judged on the values
+	// an immediate rewrite would have left, and one sweep ends the pass.
+	r := ir.NewReplacer(f)
 	changed := false
 	for _, loop := range findLoops(f, dt) {
 		pre := uniqueOutsidePred(loop)
@@ -32,6 +36,7 @@ func LICM(f *ir.Func) bool {
 			again = false
 			for _, blk := range body {
 				for _, in := range append([]*ir.Instr(nil), blk.Instrs...) {
+					r.ResolveOperands(in)
 					if !hoistable(in) {
 						continue
 					}
@@ -52,9 +57,12 @@ func LICM(f *ir.Func) bool {
 				}
 			}
 		}
-		if promoteLoopLoads(f, loop, pre, inLoop, esc) {
+		if promoteLoopLoads(f, loop, pre, inLoop, esc, r) {
 			changed = true
 		}
+	}
+	if r.Apply() {
+		ir.DropDetached(f)
 	}
 	return changed
 }
@@ -64,13 +72,14 @@ func LICM(f *ir.Func) bool {
 // loop-invariant, and because the memory is private no other thread or
 // callee can modify it. Multiple loads of the same address collapse into
 // the single hoisted load — the scalar-promotion half of LLVM's LICM.
-func promoteLoopLoads(f *ir.Func, l *loopInfo, pre *ir.Block, inLoop func(ir.Value) bool, esc *escapeInfo) bool {
+func promoteLoopLoads(f *ir.Func, l *loopInfo, pre *ir.Block, inLoop func(ir.Value) bool, esc *escapeInfo, r *ir.Replacer) bool {
 	// Addresses stored to inside the loop (by identified base object).
 	storedTo := map[ir.Value]bool{}
 	hasAtomicOrCall := false
 	body := l.orderedBody(f)
 	for _, blk := range body {
 		for _, in := range blk.Instrs {
+			r.ResolveOperands(in)
 			switch in.Op {
 			case ir.OpStore:
 				storedTo[in.Args[1]] = true
@@ -105,8 +114,8 @@ func promoteLoopLoads(f *ir.Func, l *loopInfo, pre *ir.Block, inLoop func(ir.Val
 				continue
 			}
 			if prev, ok := hoisted[addr]; ok && prev.Ty.Equal(in.Ty) {
-				ir.ReplaceAllUses(f, in, prev)
-				blk.Remove(in)
+				r.Replace(in, prev)
+				in.Parent = nil
 				changed = true
 				continue
 			}

@@ -359,7 +359,7 @@ func mayAlias(a, b ir.Value) bool {
 // that may hold an alloca's address) calls reset after each one.
 type escapeInfo struct {
 	f    *ir.Func
-	uses ir.Uses
+	uses *ir.Uses
 	memo map[*ir.Instr]bool // alloca -> escapes
 }
 
@@ -394,13 +394,13 @@ func (e *escapeInfo) reset() { e.uses, e.memo = nil, nil }
 
 // escapes reports whether any use chain of the alloca leaves the
 // load/store-address discipline (ptrtoint, calls, stored as a value, ...).
-func escapes(uses ir.Uses, a *ir.Instr) bool {
+func escapes(uses *ir.Uses, a *ir.Instr) bool {
 	var visit func(v ir.Value, depth int) bool
 	visit = func(v ir.Value, depth int) bool {
 		if depth > 16 {
 			return true
 		}
-		for _, u := range uses[v] {
+		for _, u := range uses.Of(v) {
 			switch u.Op {
 			case ir.OpLoad:
 			case ir.OpStore:

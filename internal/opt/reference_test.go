@@ -11,7 +11,7 @@ func ReferenceDCE(f *ir.Func) bool {
 	changed := false
 	for {
 		uses := referenceUses(f)
-		dead := writeOnlyAllocas(f, uses)
+		dead := referenceWriteOnlyAllocas(f, uses)
 		n := 0
 		for _, b := range f.Blocks {
 			for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
@@ -44,7 +44,54 @@ func ReferenceDCE(f *ir.Func) bool {
 // ReferenceEscapes answers one escape query from a use map built for it
 // alone.
 func ReferenceEscapes(f *ir.Func, a *ir.Instr) bool {
-	return escapes(referenceUses(f), a)
+	uses := referenceUses(f)
+	var visit func(v ir.Value, depth int) bool
+	visit = func(v ir.Value, depth int) bool {
+		if depth > 16 {
+			return true
+		}
+		for _, u := range uses[v] {
+			switch u.Op {
+			case ir.OpLoad:
+			case ir.OpStore:
+				if u.Args[0] == v {
+					return true
+				}
+			case ir.OpBitcast, ir.OpGEP:
+				if visit(u, depth+1) {
+					return true
+				}
+			default:
+				return true
+			}
+		}
+		return false
+	}
+	return visit(a, 0)
+}
+
+// referenceWriteOnlyAllocas is writeOnlyAllocas over a use map.
+func referenceWriteOnlyAllocas(f *ir.Func, uses map[ir.Value][]*ir.Instr) map[*ir.Instr]bool {
+	out := map[*ir.Instr]bool{}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpAlloca {
+				continue
+			}
+			ok := true
+			for _, u := range uses[in] {
+				if u.Op != ir.OpStore || u.Args[1] != ir.Value(in) ||
+					u.Args[0] == ir.Value(in) || u.Order != ir.NotAtomic {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				out[in] = true
+			}
+		}
+	}
+	return out
 }
 
 // ObserveEscapes routes every escape answer a pass acts on to fn until the
@@ -56,8 +103,8 @@ func ObserveEscapes(fn func(f *ir.Func, alloca *ir.Instr, escapes bool)) (restor
 }
 
 // referenceUses records every operand, constants and globals included.
-func referenceUses(f *ir.Func) ir.Uses {
-	u := make(ir.Uses)
+func referenceUses(f *ir.Func) map[ir.Value][]*ir.Instr {
+	u := make(map[ir.Value][]*ir.Instr)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {

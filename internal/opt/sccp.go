@@ -27,15 +27,19 @@ func SCCP(f *ir.Func) bool {
 	}
 	removeUnreachable(f)
 
-	vals := map[ir.Value]lattice{}
+	// Lattice values are indexed by instruction ID.
+	vals := make([]lattice, f.IDBound()+1)
 	get := func(v ir.Value) lattice {
-		switch v.(type) {
+		switch v := v.(type) {
 		case *ir.ConstInt, *ir.ConstFloat, *ir.ConstNull:
 			return lattice{state: latConst, val: v}
-		case *ir.Global, *ir.Func, *ir.Param, *ir.Undef:
-			return lattice{state: latOver}
+		case *ir.Instr:
+			if v.ID > 0 && v.ID < len(vals) {
+				return vals[v.ID]
+			}
+			return lattice{}
 		}
-		return vals[v]
+		return lattice{state: latOver}
 	}
 
 	execEdge := map[[2]*ir.Block]bool{}
@@ -45,14 +49,12 @@ func SCCP(f *ir.Func) bool {
 	uses := ir.ComputeUses(f)
 
 	setVal := func(in *ir.Instr, l lattice) {
-		old := vals[in]
+		old := vals[in.ID]
 		if old.state == latOver || (old.state == l.state && sameConst(old.val, l.val)) {
 			return
 		}
-		vals[in] = l
-		for _, u := range uses[in] {
-			instWork = append(instWork, u)
-		}
+		vals[in.ID] = l
+		instWork = append(instWork, uses.Of(in)...)
 	}
 
 	markEdge := func(from, to *ir.Block) {
@@ -148,17 +150,21 @@ func SCCP(f *ir.Func) bool {
 	}
 
 	changed := false
+	r := ir.NewReplacer(f)
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			l := vals[in]
-			if l.state == latConst {
-				ir.ReplaceAllUses(f, in, l.val)
+		for _, in := range b.Instrs {
+			if l := vals[in.ID]; l.state == latConst && in.ID != 0 {
+				r.Replace(in, l.val)
 				if !in.HasSideEffects() {
-					b.Remove(in)
+					in.Parent = nil
 				}
 				changed = true
 			}
 		}
+	}
+	if changed {
+		ir.DropDetached(f)
+		r.Apply()
 	}
 	if foldConstBranches(f) {
 		changed = true

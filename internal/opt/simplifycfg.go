@@ -197,9 +197,11 @@ func removePhiEdge(b, pred *ir.Block) {
 }
 
 // mergeLinearBlocks merges s into b when b ends in an unconditional branch
-// to s and s has b as its only predecessor.
+// to s and s has b as its only predecessor. The phis of merged blocks are
+// replaced through one Replacer, swept once when no merge is left.
 func mergeLinearBlocks(f *ir.Func) bool {
 	changed := false
+	r := ir.NewReplacer(f)
 	for {
 		merged := false
 		for _, b := range f.Blocks {
@@ -216,17 +218,18 @@ func mergeLinearBlocks(f *ir.Func) bool {
 				continue
 			}
 			// Phis in s have exactly one incoming value: replace them.
-			for _, phi := range append([]*ir.Instr(nil), s.Phis()...) {
+			phis := s.Phis()
+			for _, phi := range phis {
 				var v ir.Value = ir.NewUndef(phi.Ty)
 				if len(phi.Args) == 1 {
 					v = phi.Args[0]
 				}
-				ir.ReplaceAllUses(f, phi, v)
-				s.Remove(phi)
+				r.Replace(phi, v)
+				phi.Parent = nil
 			}
 			// Move instructions.
 			b.Remove(t)
-			for _, in := range s.Instrs {
+			for _, in := range s.Instrs[len(phis):] {
 				in.Parent = b
 				b.Instrs = append(b.Instrs, in)
 			}
@@ -247,6 +250,7 @@ func mergeLinearBlocks(f *ir.Func) bool {
 			break
 		}
 		if !merged {
+			r.Apply()
 			return changed
 		}
 	}

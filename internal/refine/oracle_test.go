@@ -41,8 +41,8 @@ func referenceCleanup(f *ir.Func) int {
 }
 
 // referenceUses records every operand, constants and globals included.
-func referenceUses(f *ir.Func) ir.Uses {
-	u := make(ir.Uses)
+func referenceUses(f *ir.Func) map[ir.Value][]*ir.Instr {
+	u := make(map[ir.Value][]*ir.Instr)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -118,8 +118,11 @@ func checkParamUses(t *testing.T, where string, f *ir.Func) {
 }
 
 // walkRefine runs Run's rounds over m, checking cleanup and parameter uses
-// against their references at every stage.
-func walkRefine(t *testing.T, where string, m *ir.Module) {
+// against their references at every stage. twin is a second, independent
+// lift of the same object: it runs the rounds with the previous,
+// rewrite-at-a-time peephole and promotion, and must print identically to
+// m after every step.
+func walkRefine(t *testing.T, where string, m, twin *ir.Module) {
 	t.Helper()
 	check := func(stage string) {
 		for _, f := range m.Funcs {
@@ -129,21 +132,35 @@ func walkRefine(t *testing.T, where string, m *ir.Module) {
 			}
 		}
 	}
+	same := func(stage string, n, want int) {
+		if got, ref := m.String(), twin.String(); n != want || got != ref {
+			t.Fatalf("%s, %s: batched rewrites (%d) differ from the reference (%d):\n--- batched ---\n%s--- reference ---\n%s",
+				where, stage, n, want, got, ref)
+		}
+	}
 	for round := 0; ; round++ {
 		check(fmt.Sprintf("round %d before peephole", round))
 		n := Peephole(m)
+		want := 0
+		for _, f := range twin.Funcs {
+			want += referencePeepholeFunc(f)
+		}
+		same(fmt.Sprintf("round %d peephole", round), n, want)
 		check(fmt.Sprintf("round %d after peephole", round))
 		cleanupDeadCasts(m)
-		n += PromoteParams(m)
-		if n == 0 {
+		cleanupDeadCasts(twin)
+		p := PromoteParams(m)
+		same(fmt.Sprintf("round %d promotion", round), p, referencePromoteParams(twin, nil))
+		if n+p == 0 {
 			break
 		}
 	}
 	check("before the final cleanup")
 }
 
-// TestCleanupMatchesReference checks the worklist cleanup and the
-// parameter-only use lists against their straightforward forms on every
+// TestCleanupMatchesReference checks the worklist cleanup, the
+// parameter-only use lists and the batched peephole and promotion against
+// their straightforward forms on every
 // suite kernel and GenProgram seeds 0..199, lifted from both x86-64 and
 // Arm64, at every stage of refinement.
 func TestCleanupMatchesReference(t *testing.T) {
@@ -163,16 +180,17 @@ func TestCleanupMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lx, err := lifter.Lift(x86)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		var lx, la [2]*ir.Module
+		for i := range lx {
+			if lx[i], err = lifter.Lift(x86); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if la[i], err = armlifter.Lift(arm); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
-		walkRefine(t, name+" (x86-64)", lx)
-		la, err := armlifter.Lift(arm)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		walkRefine(t, name+" (arm64)", la)
+		walkRefine(t, name+" (x86-64)", lx[0], lx[1])
+		walkRefine(t, name+" (arm64)", la[0], la[1])
 	}
 	var suite []phoenix.Benchmark
 	suite = append(suite, phoenix.All()...)

@@ -69,41 +69,69 @@ func Peephole(m *ir.Module) int {
 	return n
 }
 
+// peepholeFunc rewrites one function in a single pass. Replacements are
+// batched: each visited instruction's operands are resolved first, and one
+// sweep at the end covers the rest. A block with a rewrite is rebuilt in
+// order — the new address chain lands where InsertBefore would have put it
+// — rather than rescanned per insertion and removal.
 func peepholeFunc(f *ir.Func) int {
 	changed := 0
+	r := ir.NewReplacer(f)
 	for _, b := range f.Blocks {
-		// Iterate over a snapshot; rewrites insert before the current
-		// instruction.
-		insts := append([]*ir.Instr(nil), b.Instrs...)
-		for _, in := range insts {
-			if in.Op != ir.OpIntToPtr {
-				continue
+		old, rebuilt := b.Instrs, false
+		for k, in := range old {
+			r.ResolveOperands(in)
+			var base ir.Value
+			var offsets []ir.Value
+			ok := false
+			if in.Op == ir.OpIntToPtr {
+				base, offsets, ok = rewritable(in)
 			}
-			base, offsets, ok := pointerize(in.Args[0], 0)
-			if !ok {
-				continue
+			if ok && !rebuilt {
+				b.Instrs = append(make([]*ir.Instr, 0, len(old)+4), old[:k]...)
+				rebuilt = true
 			}
-			// A bare inttoptr of a parameter is already in canonical form
-			// (Rule 3 only fires under address arithmetic); rewriting it
-			// would not terminate.
-			if _, isParam := base.(*ir.Param); isParam && len(offsets) == 0 {
-				continue
+			switch {
+			case ok:
+				rewrite(r, b, in, base, offsets)
+				changed++
+			case rebuilt:
+				b.Instrs = append(b.Instrs, in)
 			}
-			bld := ir.NewBuilder(b)
-			p := materializePointer(bld, b, in, base, offsets)
-			dst := in.Ty.(*ir.PtrType)
-			var repl ir.Value = p
-			if !p.Type().Equal(dst) {
-				bc := &ir.Instr{Op: ir.OpBitcast, Ty: dst, Args: []ir.Value{p}}
-				b.InsertBefore(bc, in)
-				repl = bc
-			}
-			ir.ReplaceAllUses(f, in, repl)
-			b.Remove(in)
-			changed++
 		}
 	}
+	r.Apply()
 	return changed
+}
+
+// rewritable decomposes an inttoptr's address for the Fig. 5 rules. The
+// base may be an inttoptr replaced earlier (under a ptrtoint the visit did
+// not reach): it has its replacement's type, and the final sweep and
+// Replace itself resolve it.
+func rewritable(in *ir.Instr) (base ir.Value, offsets []ir.Value, ok bool) {
+	base, offsets, ok = pointerize(in.Args[0], 0)
+	if !ok {
+		return nil, nil, false
+	}
+	// A bare inttoptr of a parameter is already in canonical form (Rule 3
+	// only fires under address arithmetic); rewriting it would not
+	// terminate.
+	if _, isParam := base.(*ir.Param); isParam && len(offsets) == 0 {
+		return nil, nil, false
+	}
+	return base, offsets, true
+}
+
+// rewrite appends the pointer form of in to b and records the replacement.
+func rewrite(r *ir.Replacer, b *ir.Block, in *ir.Instr, base ir.Value, offsets []ir.Value) {
+	p := materializePointer(b, base, offsets)
+	dst := in.Ty.(*ir.PtrType)
+	var repl ir.Value = p
+	if !p.Type().Equal(dst) {
+		repl = b.Append(&ir.Instr{Op: ir.OpBitcast, Ty: dst, Args: []ir.Value{p}})
+	}
+	r.Replace(in, repl)
+	in.Parent = nil
 }
 
 // pointerize decomposes an integer address expression into a pointer base
@@ -135,29 +163,22 @@ func pointerize(v ir.Value, depth int) (base ir.Value, offsets []ir.Value, ok bo
 	return nil, nil, false
 }
 
-// materializePointer builds the i8* GEP chain for base+offsets immediately
-// before pos.
-func materializePointer(bld *ir.Builder, b *ir.Block, pos *ir.Instr, base ir.Value, offsets []ir.Value) ir.Value {
+// materializePointer appends the i8* GEP chain for base+offsets to b.
+func materializePointer(b *ir.Block, base ir.Value, offsets []ir.Value) ir.Value {
 	i8p := ir.PointerTo(ir.I8)
 	var p ir.Value
 	if ir.IsPtr(base.Type()) {
 		if base.Type().Equal(i8p) {
 			p = base
 		} else {
-			bc := &ir.Instr{Op: ir.OpBitcast, Ty: i8p, Args: []ir.Value{base}}
-			b.InsertBefore(bc, pos)
-			p = bc
+			p = b.Append(&ir.Instr{Op: ir.OpBitcast, Ty: i8p, Args: []ir.Value{base}})
 		}
 	} else {
 		// Integer parameter base (Rule 3).
-		cast := &ir.Instr{Op: ir.OpIntToPtr, Ty: i8p, Args: []ir.Value{base}}
-		b.InsertBefore(cast, pos)
-		p = cast
+		p = b.Append(&ir.Instr{Op: ir.OpIntToPtr, Ty: i8p, Args: []ir.Value{base}})
 	}
 	for _, off := range offsets {
-		gep := &ir.Instr{Op: ir.OpGEP, Ty: i8p, Elem: ir.I8, Args: []ir.Value{p, off}}
-		b.InsertBefore(gep, pos)
-		p = gep
+		p = b.Append(&ir.Instr{Op: ir.OpGEP, Ty: i8p, Elem: ir.I8, Args: []ir.Value{p, off}})
 	}
 	return p
 }
@@ -183,6 +204,7 @@ func PromoteParamsFiltered(m *ir.Module, keep func(*ir.Func) bool) int {
 			continue
 		}
 		uses := paramUses(f)
+		r := ir.NewReplacer(f)
 		for idx, p := range f.Params {
 			if !ir.IsInt(p.Ty) {
 				continue
@@ -219,8 +241,8 @@ func PromoteParamsFiltered(m *ir.Module, keep func(*ir.Func) bool) int {
 			// Rewrite the inttoptr users.
 			for _, u := range us {
 				if u.Ty.Equal(newTy) {
-					ir.ReplaceAllUses(f, u, p)
-					u.Parent.Remove(u)
+					r.Replace(u, p)
+					u.Parent = nil
 				} else {
 					u.Op = ir.OpBitcast
 				}
@@ -228,6 +250,9 @@ func PromoteParamsFiltered(m *ir.Module, keep func(*ir.Func) bool) int {
 			// Adjust every call site in the module.
 			rewriteCallSites(m, f, idx, newTy)
 			promoted++
+		}
+		if r.Apply() {
+			ir.DropDetached(f)
 		}
 	}
 	return promoted
@@ -282,14 +307,17 @@ func cleanupDeadCasts(m *ir.Module) int {
 // instruction decrements its operands' counts and revisits them. An
 // instruction only becomes dead as others disappear, so the removed set is
 // the same as rescanning to a fixpoint.
+//
+// Counts are indexed by instruction ID, which the verifier keeps unique and
+// within IDBound.
 func cleanupFunc(f *ir.Func) int {
-	uses := map[*ir.Instr]int{}
+	uses := make([]int32, f.IDBound()+1)
 	var work []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if ai, ok := a.(*ir.Instr); ok {
-					uses[ai]++
+				if ai, ok := a.(*ir.Instr); ok && ai.ID < len(uses) {
+					uses[ai.ID]++
 				}
 			}
 			work = append(work, in)
@@ -299,15 +327,15 @@ func cleanupFunc(f *ir.Func) int {
 	for len(work) > 0 {
 		in := work[len(work)-1]
 		work = work[:len(work)-1]
-		if in.Parent == nil || uses[in] != 0 ||
-			in.HasSideEffects() || ir.IsVoid(in.Ty) || in.Op == ir.OpPhi {
+		if in.Parent == nil || in.HasSideEffects() || ir.IsVoid(in.Ty) || in.Op == ir.OpPhi ||
+			in.ID >= len(uses) || uses[in.ID] != 0 {
 			continue
 		}
 		in.Parent = nil
 		removed++
 		for _, a := range in.Args {
-			if ai, ok := a.(*ir.Instr); ok {
-				uses[ai]--
+			if ai, ok := a.(*ir.Instr); ok && ai.ID < len(uses) {
+				uses[ai.ID]--
 				work = append(work, ai)
 			}
 		}
