@@ -1,6 +1,9 @@
 package sim_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"lasagne/internal/backend"
@@ -39,7 +42,9 @@ func runEngine(t *testing.T, bin *obj.File, k sim.EngineKind) engineObs {
 	return o
 }
 
-func compareEngines(t *testing.T, name string, bin *obj.File) {
+// compareEngines runs bin under both engines, reports any divergence, and
+// returns the reference observation.
+func compareEngines(t *testing.T, name string, bin *obj.File) engineObs {
 	t.Helper()
 	ref := runEngine(t, bin, sim.Reference)
 	thr := runEngine(t, bin, sim.Threaded)
@@ -47,6 +52,7 @@ func compareEngines(t *testing.T, name string, bin *obj.File) {
 		t.Errorf("%s (%s): engines diverge:\nreference: %+v\nthreaded:  %+v",
 			name, bin.Arch, ref, thr)
 	}
+	return ref
 }
 
 func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
@@ -69,6 +75,16 @@ func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
 	return xbin, abin
 }
 
+// Digests of every (output, cycles, instrs, error) observation
+// TestThreadedMatchesReference makes, in its fixed order, recorded before
+// the two engines came to share one instruction semantics. They pin the
+// programs' observable behavior across commits, which the engine
+// differential alone cannot.
+const (
+	programsDigest      = "7970eb4767fbad4b8966857ddfe9ad7f78de61d8b31c93945e9d8fdcb64a71ab"
+	programsDigestShort = "82b9877acc9eb787fc950e152fbcbf5b802c6163a995690c1609f542078501c7"
+)
+
 // TestThreadedMatchesReference is the engine differential: the threaded
 // interpreter must be observationally bit-identical to the reference
 // interpreter — same output, same cycle counts, same instruction counts —
@@ -77,17 +93,25 @@ func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
 func TestThreadedMatchesReference(t *testing.T) {
 	seeds := int64(20)
 	kernels := append(phoenix.All(), phoenix.LockFree()...)
+	want := programsDigest
 	if testing.Short() {
 		seeds = 5
 		kernels = []phoenix.Benchmark{*phoenix.Get("HT"), *phoenix.Get("SR")}
+		want = programsDigestShort
+	}
+	h := sha256.New()
+	runs := 0
+	record := func(o engineObs) {
+		fmt.Fprintf(h, "%q %d %d %q\n", o.out, o.cycles, o.instrs, o.err)
+		runs++
 	}
 
 	t.Run("fuzz", func(t *testing.T) {
 		for seed := int64(1); seed <= seeds; seed++ {
 			src := validate.GenProgram(seed)
 			xbin, abin := buildPair(t, "fuzz", src)
-			compareEngines(t, "fuzz", xbin)
-			compareEngines(t, "fuzz", abin)
+			record(compareEngines(t, "fuzz", xbin))
+			record(compareEngines(t, "fuzz", abin))
 			if t.Failed() {
 				t.Fatalf("diverging program is GenProgram(%d):\n%s", seed, src)
 			}
@@ -98,9 +122,19 @@ func TestThreadedMatchesReference(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			xbin, abin := buildPair(t, b.Name, b.Source)
-			compareEngines(t, b.Name, xbin)
-			compareEngines(t, b.Name, abin)
+			record(compareEngines(t, b.Name, xbin))
+			record(compareEngines(t, b.Name, abin))
 		})
+	}
+
+	// A -run filter that skips subtests changes the set, so only a
+	// complete run is compared.
+	if runs != 2*(int(seeds)+len(kernels)) {
+		t.Logf("%d of %d programs ran; digest not compared", runs, 2*(int(seeds)+len(kernels)))
+		return
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("program observations digest %s, recorded %s", got, want)
 	}
 }
 

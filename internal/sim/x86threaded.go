@@ -494,8 +494,9 @@ func compileX86Uop(in x86.Inst) x86Uop {
 			r := in.Ops[0].Reg
 			return func(c *x86CPU) error {
 				c.icount++
+				v := c.regs[r] // read first: PUSH RSP stores the old value
 				c.regs[x86.RSP] -= 8
-				if err := c.m.store8(c.regs[x86.RSP], c.regs[r]); err != nil {
+				if err := c.m.store8(c.regs[x86.RSP], v); err != nil {
 					return err
 				}
 				c.rip = next
