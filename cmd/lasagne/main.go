@@ -53,7 +53,7 @@ func main() {
 	replay := flag.String("replay", "",
 		"replay a repro bundle JSON written by -repro-dir and report whether it still reproduces")
 	simEngine := flag.String("sim-engine", "threaded",
-		"interpreter engine for -run and the -validate oracle: threaded (fused superblocks) or reference (the original per-step interpreter); the two are observationally identical")
+		"interpreter engine for -run and the -validate oracle: threaded (fused superblocks) or reference (one compiled instruction per scheduler step); the two are observationally identical")
 	out := flag.String("o", "", "output object file")
 	flag.Parse()
 

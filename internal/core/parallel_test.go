@@ -37,6 +37,11 @@ func buildArm64(t *testing.T) *obj.File {
 // count so every interleaving-order hazard is exercised.
 func TestSerialParallelDeterminism(t *testing.T) {
 	bin, _ := buildX86(t)
+	// The stall cases' budget: far above what any unstalled function
+	// needs, even under the race detector on busy CPUs, so only the stalled
+	// function degrades, in the serial and the parallel run alike. The
+	// stall itself outlasts the budget and ends when it runs out.
+	const stallBudget = time.Second
 
 	cases := []struct {
 		name         string
@@ -48,12 +53,10 @@ func TestSerialParallelDeterminism(t *testing.T) {
 		{name: "clean"},
 		{name: "refine-fail", point: "refine:worker", mode: inject.Fail},
 		{name: "refine-panic", point: "refine:worker", mode: inject.Panic},
-		// Stall budgets sit below inject.StallDuration (25ms) but well above
-		// the fault_test budgets to stay stable on a loaded single CPU.
-		{name: "refine-stall", point: "refine:worker", mode: inject.Stall, budget: 10 * time.Millisecond},
+		{name: "refine-stall", point: "refine:worker", mode: inject.Stall, budget: stallBudget},
 		{name: "fences-fail", point: "fences:worker", mode: inject.Fail},
 		{name: "fences-panic", point: "fences:worker", mode: inject.Panic},
-		{name: "fences-stall", point: "fences:worker", mode: inject.Stall, budget: 10 * time.Millisecond},
+		{name: "fences-stall", point: "fences:worker", mode: inject.Stall, budget: stallBudget},
 		{name: "opt-fail", point: "opt:worker", mode: inject.Fail},
 		{name: "opt-panic", point: "opt:worker", mode: inject.Panic},
 		{name: "promote-fail", point: "refine:promote", mode: inject.Fail},
@@ -63,6 +66,11 @@ func TestSerialParallelDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.mode == inject.Stall {
+				old := inject.StallDuration
+				inject.StallDuration = 30 * time.Second
+				defer func() { inject.StallDuration = old }()
+			}
 			translate := func(jobs int) (string, string) {
 				if tc.point != "" {
 					inject.Arm(tc.point, tc.mode)

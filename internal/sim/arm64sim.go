@@ -41,59 +41,6 @@ func (c *arm64CPU) InstrCount() int64 { return c.icount }
 func (c *arm64CPU) Joining() bool     { return c.joining }
 func (c *arm64CPU) SetClock(v int64)  { c.clock = v; c.joining = false }
 
-func (c *arm64CPU) fetch() (arm64.Inst, error) {
-	m := c.m
-	if c.pc < m.textAddr || c.pc+4 > m.textEnd {
-		return arm64.Inst{}, fmt.Errorf("sim: arm64 fetch outside .text at %#x", c.pc)
-	}
-	off := c.pc - m.textAddr
-	if off%4 == 0 {
-		if i := off / 4; m.armOK[i] {
-			return m.armTab[i], nil
-		}
-	}
-	// Misaligned pc or a word the predecoder rejected: decode directly so the
-	// original error surfaces.
-	w := binary.LittleEndian.Uint32(m.text[off:])
-	return arm64.Decode(w, c.pc)
-}
-
-// rd reads a register operand (XZR reads 0, SP reads the stack pointer).
-func (c *arm64CPU) rd(r arm64.Reg, size int) uint64 {
-	var v uint64
-	switch {
-	case r == arm64.XZR:
-		v = 0
-	case r == arm64.SP:
-		v = c.sp
-	case r.IsFP():
-		v = c.v[r-arm64.D0]
-	default:
-		v = c.x[r]
-	}
-	if size == 4 {
-		v &= 0xFFFFFFFF
-	}
-	return v
-}
-
-// wr writes a register (writes to XZR are discarded; 32-bit writes zero the
-// upper half).
-func (c *arm64CPU) wr(r arm64.Reg, size int, v uint64) {
-	if size == 4 {
-		v &= 0xFFFFFFFF
-	}
-	switch {
-	case r == arm64.XZR:
-	case r == arm64.SP:
-		c.sp = v
-	case r.IsFP():
-		c.v[r-arm64.D0] = v
-	default:
-		c.x[r] = v
-	}
-}
-
 func (c *arm64CPU) setSubFlags(a, b uint64, size int) {
 	var res uint64
 	if size == 4 {
@@ -167,400 +114,38 @@ func (c *arm64CPU) stepPLT(idx int) error {
 	return nil
 }
 
+// Step executes one instruction or builtin call: the reference engine's
+// scheduling unit.
 func (c *arm64CPU) Step() error {
 	if idx := pltIndex(c.pc); idx >= 0 {
 		return c.stepPLT(idx)
 	}
-
-	in, err := c.fetch()
+	u, err := c.m.armUop(c.pc)
 	if err != nil {
 		return err
 	}
-	return c.exec(in)
+	return u(c)
 }
 
-// exec executes one fetched instruction. It is the reference semantics every
-// specialized threaded-code handler must match bit for bit; the threaded
-// compiler also uses it (with the instruction captured at compile time) as
-// the fallback handler for ops it does not specialize.
-func (c *arm64CPU) exec(in arm64.Inst) error {
-	c.icount++
-	next := c.pc + 4
-	size := in.Size
-	if size == 0 {
-		size = 8
+// armUop returns the compiled uop at pc. A pc outside .text reports a fetch
+// error and an undecodable word its decode error. A misaligned pc inside
+// .text decodes the word at that address and compiles it for this one
+// step.
+func (m *Machine) armUop(pc uint64) (armUop, error) {
+	if pc < m.textAddr || pc+4 > m.textEnd {
+		return nil, fmt.Errorf("sim: arm64 fetch outside .text at %#x", pc)
 	}
-	cost := int64(CostALU)
-
-	switch in.Op {
-	case arm64.NOP:
-
-	case arm64.ADD, arm64.SUB, arm64.AND, arm64.ORR, arm64.EOR:
-		a := c.rd(in.Rn, size)
-		b := c.rd(in.Rm, size)
-		var r uint64
-		switch in.Op {
-		case arm64.ADD:
-			r = a + b
-		case arm64.SUB:
-			r = a - b
-		case arm64.AND:
-			r = a & b
-		case arm64.ORR:
-			r = a | b
-		case arm64.EOR:
-			r = a ^ b
+	off := pc - m.textAddr
+	if off%4 == 0 {
+		if u := m.armProg.uops[off/4]; u != nil {
+			return u, nil
 		}
-		c.wr(in.Rd, size, r)
-
-	case arm64.SUBS:
-		a := c.rd(in.Rn, size)
-		b := c.rd(in.Rm, size)
-		c.setSubFlags(a, b, size)
-		c.wr(in.Rd, size, a-b)
-
-	case arm64.ADDI:
-		c.wr(in.Rd, size, c.rd(in.Rn, size)+uint64(in.Imm))
-	case arm64.SUBI:
-		c.wr(in.Rd, size, c.rd(in.Rn, size)-uint64(in.Imm))
-	case arm64.SUBSI:
-		a := c.rd(in.Rn, size)
-		c.setSubFlags(a, uint64(in.Imm), size)
-		c.wr(in.Rd, size, a-uint64(in.Imm))
-
-	case arm64.MADD:
-		c.wr(in.Rd, size, c.rd(in.Ra, size)+c.rd(in.Rn, size)*c.rd(in.Rm, size))
-		cost += 2
-	case arm64.MSUB:
-		c.wr(in.Rd, size, c.rd(in.Ra, size)-c.rd(in.Rn, size)*c.rd(in.Rm, size))
-		cost += 2
-
-	case arm64.SDIV:
-		a, b := c.rd(in.Rn, size), c.rd(in.Rm, size)
-		var as, bs int64
-		if size == 4 {
-			as, bs = int64(int32(a)), int64(int32(b))
-		} else {
-			as, bs = int64(a), int64(b)
-		}
-		var r int64
-		if bs != 0 {
-			r = as / bs // A64 sdiv by zero yields 0; Go would panic
-		}
-		c.wr(in.Rd, size, uint64(r))
-		cost = CostDiv
-	case arm64.UDIV:
-		a, b := c.rd(in.Rn, size), c.rd(in.Rm, size)
-		var r uint64
-		if b != 0 {
-			r = a / b
-		}
-		c.wr(in.Rd, size, r)
-		cost = CostDiv
-
-	case arm64.LSLV:
-		sh := c.rd(in.Rm, size) & uint64(size*8-1)
-		c.wr(in.Rd, size, c.rd(in.Rn, size)<<sh)
-	case arm64.LSRV:
-		sh := c.rd(in.Rm, size) & uint64(size*8-1)
-		c.wr(in.Rd, size, c.rd(in.Rn, size)>>sh)
-	case arm64.ASRV:
-		sh := c.rd(in.Rm, size) & uint64(size*8-1)
-		if size == 4 {
-			c.wr(in.Rd, size, uint64(int32(c.rd(in.Rn, 4))>>sh))
-		} else {
-			c.wr(in.Rd, size, uint64(int64(c.rd(in.Rn, 8))>>sh))
-		}
-
-	case arm64.LSLI:
-		c.wr(in.Rd, size, c.rd(in.Rn, size)<<uint(in.Imm))
-	case arm64.LSRI:
-		c.wr(in.Rd, size, c.rd(in.Rn, size)>>uint(in.Imm))
-	case arm64.ASRI:
-		if size == 4 {
-			c.wr(in.Rd, size, uint64(int32(c.rd(in.Rn, 4))>>uint(in.Imm)))
-		} else {
-			c.wr(in.Rd, size, uint64(int64(c.rd(in.Rn, 8))>>uint(in.Imm)))
-		}
-
-	case arm64.SXTB:
-		c.wr(in.Rd, size, uint64(int64(int8(c.rd(in.Rn, 8)))))
-	case arm64.SXTH:
-		c.wr(in.Rd, size, uint64(int64(int16(c.rd(in.Rn, 8)))))
-	case arm64.SXTW:
-		c.wr(in.Rd, size, uint64(int64(int32(c.rd(in.Rn, 8)))))
-	case arm64.UXTB:
-		c.wr(in.Rd, 8, c.rd(in.Rn, 8)&0xFF)
-	case arm64.UXTH:
-		c.wr(in.Rd, 8, c.rd(in.Rn, 8)&0xFFFF)
-
-	case arm64.MOVZ:
-		c.wr(in.Rd, size, uint64(in.Imm)<<(16*uint(in.Shift)))
-	case arm64.MOVN:
-		c.wr(in.Rd, size, ^(uint64(in.Imm) << (16 * uint(in.Shift))))
-	case arm64.MOVK:
-		old := c.rd(in.Rd, 8)
-		sh := 16 * uint(in.Shift)
-		c.wr(in.Rd, size, old&^(uint64(0xFFFF)<<sh)|uint64(in.Imm)<<sh)
-
-	case arm64.CSEL:
-		if c.cond(in.Cond) {
-			c.wr(in.Rd, size, c.rd(in.Rn, size))
-		} else {
-			c.wr(in.Rd, size, c.rd(in.Rm, size))
-		}
-	case arm64.CSINC:
-		if c.cond(in.Cond) {
-			c.wr(in.Rd, size, c.rd(in.Rn, size))
-		} else {
-			c.wr(in.Rd, size, c.rd(in.Rm, size)+1)
-		}
-
-	case arm64.LDR, arm64.LDUR:
-		addr := c.rd(in.Rn, 8) + uint64(in.Imm)
-		v, err := c.m.load(addr, in.Size)
-		if err != nil {
-			return err
-		}
-		if in.Rd.IsFP() {
-			c.v[in.Rd-arm64.D0] = v
-		} else {
-			c.wr(in.Rd, 8, v) // zero-extends
-		}
-		cost = CostMem
-	case arm64.STR, arm64.STUR:
-		addr := c.rd(in.Rn, 8) + uint64(in.Imm)
-		var v uint64
-		if in.Rd.IsFP() {
-			v = c.v[in.Rd-arm64.D0]
-		} else {
-			v = c.rd(in.Rd, 8)
-		}
-		if err := c.m.store(addr, in.Size, v); err != nil {
-			return err
-		}
-		c.m.invalidateMonitors(addr, in.Size, c)
-		cost = CostMem
-
-	case arm64.LDRR:
-		off := c.rd(in.Rm, 8)
-		if in.Imm == 1 {
-			off <<= uint(log2(in.Size))
-		}
-		v, err := c.m.load(c.rd(in.Rn, 8)+off, in.Size)
-		if err != nil {
-			return err
-		}
-		if in.Rd.IsFP() {
-			c.v[in.Rd-arm64.D0] = v
-		} else {
-			c.wr(in.Rd, 8, v)
-		}
-		cost = CostMem
-	case arm64.STRR:
-		off := c.rd(in.Rm, 8)
-		if in.Imm == 1 {
-			off <<= uint(log2(in.Size))
-		}
-		var v uint64
-		if in.Rd.IsFP() {
-			v = c.v[in.Rd-arm64.D0]
-		} else {
-			v = c.rd(in.Rd, 8)
-		}
-		straddr := c.rd(in.Rn, 8) + off
-		if err := c.m.store(straddr, in.Size, v); err != nil {
-			return err
-		}
-		c.m.invalidateMonitors(straddr, in.Size, c)
-		cost = CostMem
-
-	case arm64.LDRSB, arm64.LDRSH, arm64.LDRSW:
-		addr := c.rd(in.Rn, 8) + uint64(in.Imm)
-		v, err := c.m.load(addr, in.Size)
-		if err != nil {
-			return err
-		}
-		switch in.Op {
-		case arm64.LDRSB:
-			c.wr(in.Rd, 8, uint64(int64(int8(v))))
-		case arm64.LDRSH:
-			c.wr(in.Rd, 8, uint64(int64(int16(v))))
-		case arm64.LDRSW:
-			c.wr(in.Rd, 8, uint64(int64(int32(v))))
-		}
-		cost = CostMem
-
-	case arm64.LDAR:
-		// Acquire load: the interleaving simulator is sequentially
-		// consistent, so the acquire ordering is already enforced; what the
-		// model charges is the ordered-access cost instead of a DMB. No
-		// exclusive monitor is set (unlike LDAXR).
-		addr := c.rd(in.Rn, 8)
-		v, err := c.m.load(addr, in.Size)
-		if err != nil {
-			return err
-		}
-		if in.Rd.IsFP() {
-			c.v[in.Rd-arm64.D0] = v
-		} else {
-			c.wr(in.Rd, 8, v)
-		}
-		cost = CostLDAR
-	case arm64.STLR:
-		addr := c.rd(in.Rn, 8)
-		var v uint64
-		if in.Rd.IsFP() {
-			v = c.v[in.Rd-arm64.D0]
-		} else {
-			v = c.rd(in.Rd, 8)
-		}
-		if err := c.m.store(addr, in.Size, v); err != nil {
-			return err
-		}
-		c.m.invalidateMonitors(addr, in.Size, c)
-		cost = CostSTLR
-
-	case arm64.LDXR, arm64.LDAXR:
-		addr := c.rd(in.Rn, 8)
-		v, err := c.m.load(addr, in.Size)
-		if err != nil {
-			return err
-		}
-		c.setMonitor(addr)
-		c.wr(in.Rd, 8, v)
-		cost = CostExcl
-	case arm64.STXR, arm64.STLXR:
-		addr := c.rd(in.Rn, 8)
-		if c.exclValid && c.exclAddr == addr {
-			if err := c.m.store(addr, in.Size, c.rd(in.Rd, 8)); err != nil {
-				return err
-			}
-			c.m.invalidateMonitors(addr, in.Size, c)
-			c.wr(in.Ra, 8, 0) // success
-		} else {
-			c.wr(in.Ra, 8, 1) // failure
-		}
-		c.clearMonitor()
-		cost = CostExcl
-
-	case arm64.DMB:
-		switch in.Barrier {
-		case arm64.BarrierISH:
-			cost = CostDMBFF
-		case arm64.BarrierISHLD:
-			cost = CostDMBLD
-		case arm64.BarrierISHST:
-			cost = CostDMBST
-		}
-
-	case arm64.B:
-		c.pc = uint64(in.Imm)
-		if c.pc == in.Addr {
-			return fmt.Errorf("sim: arm64 trapped (branch-to-self) at %#x", in.Addr)
-		}
-		c.clock += CostBranch
-		return nil
-	case arm64.BCOND:
-		if c.cond(in.Cond) {
-			c.pc = uint64(in.Imm)
-			c.clock += CostBranch
-			return nil
-		}
-		cost = CostBranch
-	case arm64.CBZ, arm64.CBNZ:
-		v := c.rd(in.Rd, size)
-		taken := (v == 0) == (in.Op == arm64.CBZ)
-		if taken {
-			c.pc = uint64(in.Imm)
-			c.clock += CostBranch
-			return nil
-		}
-		cost = CostBranch
-	case arm64.BL:
-		c.x[30] = next
-		c.pc = uint64(in.Imm)
-		c.clock += CostCall
-		return nil
-	case arm64.BLR:
-		target := c.rd(in.Rn, 8)
-		c.x[30] = next
-		c.pc = target
-		c.clock += CostCall
-		return nil
-	case arm64.BR:
-		c.pc = c.rd(in.Rn, 8)
-		c.clock += CostBranch
-		return nil
-	case arm64.RET:
-		target := c.x[30]
-		if target == sentinel {
-			c.done = true
-			c.clock += CostBranch
-			return nil
-		}
-		c.pc = target
-		c.clock += CostBranch
-		return nil
-
-	case arm64.FADD, arm64.FSUB, arm64.FMUL, arm64.FDIV:
-		a, b := c.fval(in.Rn, size), c.fval(in.Rm, size)
-		var r float64
-		switch in.Op {
-		case arm64.FADD:
-			r = a + b
-		case arm64.FSUB:
-			r = a - b
-		case arm64.FMUL:
-			r = a * b
-		case arm64.FDIV:
-			r = a / b
-		}
-		c.setF(in.Rd, size, r)
-		cost = CostFP
-	case arm64.FSQRT:
-		c.setF(in.Rd, size, math.Sqrt(c.fval(in.Rn, size)))
-		cost = CostFP + 6
-	case arm64.FCMP:
-		a, b := c.fval(in.Rn, size), c.fval(in.Rm, size)
-		switch {
-		case math.IsNaN(a) || math.IsNaN(b):
-			c.flagN, c.flagZ, c.flagC, c.flagV = false, false, true, true
-		case a == b:
-			c.flagN, c.flagZ, c.flagC, c.flagV = false, true, true, false
-		case a < b:
-			c.flagN, c.flagZ, c.flagC, c.flagV = true, false, false, false
-		default:
-			c.flagN, c.flagZ, c.flagC, c.flagV = false, false, true, false
-		}
-		cost = CostFP
-	case arm64.FMOV:
-		c.v[in.Rd-arm64.D0] = c.v[in.Rn-arm64.D0]
-	case arm64.FMOVTOG:
-		c.wr(in.Rd, 8, c.v[in.Rn-arm64.D0]&maskFor(size))
-	case arm64.FMOVTOF:
-		c.v[in.Rd-arm64.D0] = c.rd(in.Rn, 8) & maskFor(size)
-	case arm64.SCVTF:
-		r := float64(int64(c.rd(in.Rn, 8)))
-		c.setF(in.Rd, size, r)
-		cost = CostFP
-	case arm64.FCVTZS:
-		c.wr(in.Rd, 8, uint64(int64(c.fval(in.Rn, size))))
-		cost = CostFP
-	case arm64.FCVTDS:
-		c.v[in.Rd-arm64.D0] = math.Float64bits(float64(math.Float32frombits(uint32(c.v[in.Rn-arm64.D0]))))
-		cost = CostFP
-	case arm64.FCVTSD:
-		c.v[in.Rd-arm64.D0] = uint64(math.Float32bits(float32(math.Float64frombits(c.v[in.Rn-arm64.D0]))))
-		cost = CostFP
-
-	default:
-		return fmt.Errorf("sim: unhandled arm64 op %s at %#x", in.Op, in.Addr)
 	}
-
-	c.pc = next
-	c.clock += cost
-	return nil
+	in, err := arm64.Decode(binary.LittleEndian.Uint32(m.text[off:]), pc)
+	if err != nil {
+		return nil, err
+	}
+	return compileArmUop(in), nil
 }
 
 // setMonitor arms the exclusive monitor, keeping the machine-wide count of

@@ -8,13 +8,14 @@ import (
 	"lasagne/internal/arm64"
 )
 
-// The arm64 uop compiler. Every compiled closure must be observationally
-// identical to arm64CPU.exec on the same instruction: same register/memory
-// effects, same icount/pc/clock updates, same errors (including the order
-// of icount bump vs. error return). Operand addressing is resolved at
-// compile time; ops without a specialized shape fall back to a closure
-// that re-enters exec with the instruction captured, which is trivially
-// identical and still benefits from fetch elimination and fusion.
+// The arm64 uop compiler: the simulator's only arm64 instruction
+// semantics. Each decoded instruction becomes one closure that bumps icount
+// first, then applies its register/memory/flag effects, and on success
+// advances pc and the clock by the instruction's cost; a memory fault
+// returns the error with pc and clock untouched. Operand addressing is
+// resolved at compile time, and the hot shapes get specialized closures
+// that must agree with the general ones (testdata/vectors.golden pins
+// both).
 
 // plainX reports whether r is an ordinary general-purpose register
 // (X0–X30): array-indexable with no XZR/SP/FP special-casing.
@@ -295,6 +296,73 @@ func compileArmUop(in arm64.Inst) armUop {
 		return func(c *arm64CPU) error {
 			c.icount++
 			wd(c, k)
+			c.pc = next
+			c.clock += CostALU
+			return nil
+		}
+
+	case arm64.LSLV, arm64.LSRV, arm64.ASRV:
+		rn, rm, wd := armRdF(in.Rn, size), armRdF(in.Rm, size), armWrF(in.Rd, size)
+		op, mask, w := in.Op, uint64(size*8-1), size == 4
+		return func(c *arm64CPU) error {
+			c.icount++
+			sh, a := rm(c)&mask, rn(c)
+			switch {
+			case op == arm64.LSLV:
+				wd(c, a<<sh)
+			case op == arm64.LSRV:
+				wd(c, a>>sh)
+			case w:
+				wd(c, uint64(int32(a)>>sh))
+			default:
+				wd(c, uint64(int64(a)>>sh))
+			}
+			c.pc = next
+			c.clock += CostALU
+			return nil
+		}
+
+	case arm64.ASRI:
+		sh := uint(in.Imm)
+		rn, wd := armRdF(in.Rn, size), armWrF(in.Rd, size)
+		if size == 4 {
+			return func(c *arm64CPU) error {
+				c.icount++
+				wd(c, uint64(int32(rn(c))>>sh))
+				c.pc = next
+				c.clock += CostALU
+				return nil
+			}
+		}
+		return func(c *arm64CPU) error {
+			c.icount++
+			wd(c, uint64(int64(rn(c))>>sh))
+			c.pc = next
+			c.clock += CostALU
+			return nil
+		}
+
+	case arm64.SXTB, arm64.SXTH, arm64.SXTW:
+		// Sign-extend the low 8/16/32 bits of the 64-bit source.
+		sh := map[arm64.Op]uint{arm64.SXTB: 56, arm64.SXTH: 48, arm64.SXTW: 32}[in.Op]
+		rn, wd := armRdF(in.Rn, 8), armWrF(in.Rd, size)
+		return func(c *arm64CPU) error {
+			c.icount++
+			wd(c, uint64(int64(rn(c)<<sh)>>sh))
+			c.pc = next
+			c.clock += CostALU
+			return nil
+		}
+
+	case arm64.UXTB, arm64.UXTH:
+		msk := uint64(0xFF)
+		if in.Op == arm64.UXTH {
+			msk = 0xFFFF
+		}
+		rn, wd := armRdF(in.Rn, 8), armWrF(in.Rd, 8)
+		return func(c *arm64CPU) error {
+			c.icount++
+			wd(c, rn(c)&msk)
 			c.pc = next
 			c.clock += CostALU
 			return nil
@@ -821,42 +889,38 @@ func compileArmUop(in arm64.Inst) armUop {
 			return nil
 		}
 
+	// The decoder gives FMOV, FMOVTOG, FMOVTOF, FCVTDS and FCVTSD FP
+	// registers in their D/S operand slots.
 	case arm64.FMOV:
-		if in.Rd >= arm64.D0 && in.Rn >= arm64.D0 {
-			d, n := in.Rd-arm64.D0, in.Rn-arm64.D0
-			return func(c *arm64CPU) error {
-				c.icount++
-				c.v[d] = c.v[n]
-				c.pc = next
-				c.clock += CostALU
-				return nil
-			}
+		d, n := in.Rd-arm64.D0, in.Rn-arm64.D0
+		return func(c *arm64CPU) error {
+			c.icount++
+			c.v[d] = c.v[n]
+			c.pc = next
+			c.clock += CostALU
+			return nil
 		}
 
 	case arm64.FMOVTOG:
-		if in.Rn >= arm64.D0 {
-			n, msk := in.Rn-arm64.D0, maskFor(size)
-			wd := armWrF(in.Rd, 8)
-			return func(c *arm64CPU) error {
-				c.icount++
-				wd(c, c.v[n]&msk)
-				c.pc = next
-				c.clock += CostALU
-				return nil
-			}
+		n, msk := in.Rn-arm64.D0, maskFor(size)
+		wd := armWrF(in.Rd, 8)
+		return func(c *arm64CPU) error {
+			c.icount++
+			wd(c, c.v[n]&msk)
+			c.pc = next
+			c.clock += CostALU
+			return nil
 		}
 
 	case arm64.FMOVTOF:
-		if in.Rd >= arm64.D0 {
-			d, msk := in.Rd-arm64.D0, maskFor(size)
-			rn := armRdF(in.Rn, 8)
-			return func(c *arm64CPU) error {
-				c.icount++
-				c.v[d] = rn(c) & msk
-				c.pc = next
-				c.clock += CostALU
-				return nil
-			}
+		d, msk := in.Rd-arm64.D0, maskFor(size)
+		rn := armRdF(in.Rn, 8)
+		return func(c *arm64CPU) error {
+			c.icount++
+			c.v[d] = rn(c) & msk
+			c.pc = next
+			c.clock += CostALU
+			return nil
 		}
 
 	case arm64.SCVTF:
@@ -881,27 +945,23 @@ func compileArmUop(in arm64.Inst) armUop {
 		}
 
 	case arm64.FCVTDS:
-		if in.Rd >= arm64.D0 && in.Rn >= arm64.D0 {
-			d, n := in.Rd-arm64.D0, in.Rn-arm64.D0
-			return func(c *arm64CPU) error {
-				c.icount++
-				c.v[d] = math.Float64bits(float64(math.Float32frombits(uint32(c.v[n]))))
-				c.pc = next
-				c.clock += CostFP
-				return nil
-			}
+		d, n := in.Rd-arm64.D0, in.Rn-arm64.D0
+		return func(c *arm64CPU) error {
+			c.icount++
+			c.v[d] = math.Float64bits(float64(math.Float32frombits(uint32(c.v[n]))))
+			c.pc = next
+			c.clock += CostFP
+			return nil
 		}
 
 	case arm64.FCVTSD:
-		if in.Rd >= arm64.D0 && in.Rn >= arm64.D0 {
-			d, n := in.Rd-arm64.D0, in.Rn-arm64.D0
-			return func(c *arm64CPU) error {
-				c.icount++
-				c.v[d] = uint64(math.Float32bits(float32(math.Float64frombits(c.v[n]))))
-				c.pc = next
-				c.clock += CostFP
-				return nil
-			}
+		d, n := in.Rd-arm64.D0, in.Rn-arm64.D0
+		return func(c *arm64CPU) error {
+			c.icount++
+			c.v[d] = uint64(math.Float32bits(float32(math.Float64frombits(c.v[n]))))
+			c.pc = next
+			c.clock += CostFP
+			return nil
 		}
 
 	case arm64.FSQRT:
@@ -939,8 +999,10 @@ func compileArmUop(in arm64.Inst) armUop {
 		}
 	}
 
-	// Everything else (rare ops, odd operand shapes): re-enter the
-	// reference exec with the decoded instruction captured. Still skips
-	// fetch, and still participates in fusion when thread-local.
-	return func(c *arm64CPU) error { return c.exec(in) }
+	// The decoder yields no other op.
+	op, addr := in.Op, in.Addr
+	return func(c *arm64CPU) error {
+		c.icount++
+		return fmt.Errorf("sim: unhandled arm64 op %s at %#x", op, addr)
+	}
 }

@@ -19,11 +19,9 @@ import (
 	"math"
 	"strings"
 
-	"lasagne/internal/arm64"
 	"lasagne/internal/diag"
 	"lasagne/internal/obj"
 	"lasagne/internal/rt"
-	"lasagne/internal/x86"
 )
 
 // Cycle costs of instruction classes.
@@ -96,18 +94,12 @@ type Machine struct {
 	heapTop  uint64
 	steps    int64
 
-	// Predecoded instruction table over .text, built once per machine and
-	// shared by all CPUs: fetch is an array index on the pc offset instead
-	// of a per-address map lookup and re-decode.
 	text     []byte
 	textAddr uint64
 	textEnd  uint64
-	armTab   []arm64.Inst // entry per 4-byte word; armOK marks valid decodes
-	armOK    []bool
-	x86Tab   []x86.Inst // entry per byte offset; Len==0 means not predecoded
 
-	// Threaded-code programs over .text, compiled lazily on the first
-	// threaded Run and shared by all CPUs of the machine.
+	// The compiled program over .text (one per machine, for its
+	// architecture), shared by all CPUs and both engines.
 	armProg *armProg
 	x86Prog *x86Prog
 }
@@ -138,46 +130,8 @@ func NewMachine(f *obj.File) (*Machine, error) {
 		}
 		copy(m.Mem[s.Addr:], s.Data)
 	}
-	m.predecode()
+	m.compile()
 	return m, nil
-}
-
-// predecode builds the dense instruction table for .text. Arm64 words decode
-// independently; x86 is swept linearly from the section start (the backends
-// emit pure instruction streams, so every sweep boundary is a real
-// instruction start). Offsets the sweep could not reach — e.g. after a
-// decode error over padding — fall back to on-demand decoding in fetch.
-func (m *Machine) predecode() {
-	text := m.File.Section(".text")
-	if text == nil {
-		return
-	}
-	m.text = text.Data
-	m.textAddr = text.Addr
-	m.textEnd = text.Addr + uint64(len(text.Data))
-	switch m.File.Arch {
-	case "arm64":
-		n := len(text.Data) / 4
-		m.armTab = make([]arm64.Inst, n)
-		m.armOK = make([]bool, n)
-		for i := 0; i < n; i++ {
-			w := binary.LittleEndian.Uint32(text.Data[i*4:])
-			if in, err := arm64.Decode(w, text.Addr+uint64(i*4)); err == nil {
-				m.armTab[i] = in
-				m.armOK[i] = true
-			}
-		}
-	case "x86-64":
-		m.x86Tab = make([]x86.Inst, len(text.Data))
-		for off := 0; off < len(text.Data); {
-			in, err := x86.Decode(text.Data[off:], text.Addr+uint64(off))
-			if err != nil || in.Len <= 0 {
-				break
-			}
-			m.x86Tab[off] = in
-			off += in.Len
-		}
-	}
 }
 
 // Run executes the entry function on thread 0 until all threads finish.
@@ -211,9 +165,10 @@ func (m *Machine) RunContext(ctx context.Context) (int64, error) {
 	return m.runReference(ctx)
 }
 
-// runReference is the seed per-instruction interpreter loop: one cpu.Step
-// per scheduler step. It is retained as the differential oracle for the
-// threaded engine (selected with sim.Engine = Reference).
+// runReference is the reference scheduler loop: one cpu.Step — one
+// compiled uop, never a fused run — per scheduler step. It is the
+// differential oracle for the threaded engine's fusion, preemption points
+// and single-thread loop (selected with sim.Engine = Reference).
 func (m *Machine) runReference(ctx context.Context) (int64, error) {
 	poll := int64(ctxCheckInterval)
 	for {

@@ -272,6 +272,75 @@ func TestMachineErrors(t *testing.T) {
 	}
 }
 
+// TestDispatchErrors runs programs that fault in instruction dispatch
+// rather than in an instruction, under both engines. Each must end with the
+// same error string (or, jumping into the middle of an x86 instruction,
+// the same cycle and instruction counts) under both, as recorded.
+func TestDispatchErrors(t *testing.T) {
+	tb := int64(obj.TextBase)
+	// x1 = TextBase + off, then br x1.
+	armBranch := func(off int64) []arm64.Inst {
+		a := tb + off
+		return []arm64.Inst{
+			{Op: arm64.MOVZ, Size: 8, Rd: arm64.X1, Imm: a & 0xFFFF},
+			{Op: arm64.MOVK, Size: 8, Rd: arm64.X1, Imm: a >> 16 & 0xFFFF, Shift: 1},
+			{Op: arm64.BR, Rn: arm64.X1},
+			{Op: arm64.RET, Rn: arm64.X30},
+		}
+	}
+	// mov eax, imm32 (c7 c0 and four immediate bytes), then a jmp to the
+	// immediate.
+	x86Mid := func(imm int64) []x86.Inst {
+		return []x86.Inst{
+			x86.NewInst(x86.MOV, 4, x86.RegOp(x86.RAX), x86.ImmOp(imm)),
+			x86.NewInst(x86.JMP, 0, x86.ImmOp(-9)),
+		}
+	}
+	undecodable := buildArm(t, []arm64.Inst{{Op: arm64.NOP}})
+	undecodable.Sections[0].Data = []byte{0, 0, 0, 0}
+	for _, tc := range []struct {
+		name           string
+		bin            *obj.File
+		err            string
+		cycles, instrs int64
+	}{
+		{"arm64 undecodable word", undecodable,
+			"arm64: decode 0x00000000 at 0x400000: unsupported instruction word", 0, 0},
+		{"arm64 misaligned branch", buildArm(t, armBranch(2)),
+			"arm64: decode 0x0801d280 at 0x400002: unsupported instruction word", 0, 3},
+		{"arm64 branch outside text", buildArm(t, armBranch(obj.DataBase-obj.TextBase)),
+			"sim: arm64 fetch outside .text at 0x600000", 0, 3},
+		{"x86 ud2", buildX86(t, []x86.Inst{x86.NewInst(x86.NOP, 0), x86.NewInst(x86.UD2, 0)}),
+			"sim: ud2 executed at 0x400001", 0, 2},
+		// The jump lands on 90 90 90 c3: three NOPs and a RET.
+		{"x86 jump into an instruction", buildX86(t, x86Mid(-0x3C6F6F70)), "", 12, 6},
+		// The jump lands on 0f ff, which does not decode.
+		{"x86 jump into an undecodable tail", buildX86(t, x86Mid(0xFF0F)),
+			"x86: decode at 0x400002: unsupported opcode 0f ff", 0, 2},
+		{"x86 jump outside text", buildX86(t, []x86.Inst{
+			x86.NewInst(x86.MOV, 8, x86.RegOp(x86.RAX), x86.ImmOp(obj.DataBase)),
+			x86.NewInst(x86.JMP, 0, x86.RegOp(x86.RAX)),
+		}), "sim: x86 fetch outside .text at 0x600000", 0, 2},
+	} {
+		for _, k := range Engines {
+			m, err := NewMachine(tc.bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Engine = k
+			cycles, err := m.Run()
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != tc.err || cycles != tc.cycles || m.InstrCount() != tc.instrs {
+				t.Errorf("%s (%s): error %q, %d cycles, %d instrs; want %q, %d, %d",
+					tc.name, k, got, cycles, m.InstrCount(), tc.err, tc.cycles, tc.instrs)
+			}
+		}
+	}
+}
+
 func TestPLTIndex(t *testing.T) {
 	if pltIndex(obj.PLTBase) != 0 {
 		t.Fatal("first slot")

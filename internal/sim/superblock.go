@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+
 	"lasagne/internal/arm64"
 	"lasagne/internal/x86"
 )
@@ -71,17 +73,39 @@ func x86Local(in x86.Inst) bool {
 	return false
 }
 
-// compileArm builds the machine's threaded-code program for an arm64
-// .text: one uop per decodable word, plus the fusible-run lengths via a
-// single backward scan (fuse[i] = fuse[i+1]+1 for local instructions).
+// compile decodes .text and compiles it into the machine's program in one
+// pass. Arm64 words decode independently; x86 is swept linearly from the
+// section start (the backends emit pure instruction streams, so every sweep
+// boundary is a real instruction start). Words that do not decode keep a
+// nil uop, and x86 offsets the sweep could not reach are compiled on demand
+// (Machine.x86Uop).
+func (m *Machine) compile() {
+	text := m.File.Section(".text")
+	if text == nil {
+		return
+	}
+	m.text = text.Data
+	m.textAddr = text.Addr
+	m.textEnd = text.Addr + uint64(len(text.Data))
+	switch m.File.Arch {
+	case "arm64":
+		m.compileArm()
+	case "x86-64":
+		m.compileX86()
+	}
+}
+
+// compileArm builds one uop per decodable word, plus the fusible-run
+// lengths via a single backward scan (fuse[i] = fuse[i+1]+1 for local
+// instructions).
 func (m *Machine) compileArm() {
-	n := len(m.armTab)
+	n := len(m.text) / 4
 	p := &armProg{uops: make([]armUop, n), fuse: make([]int32, n)}
 	for i := n - 1; i >= 0; i-- {
-		if !m.armOK[i] {
+		in, err := arm64.Decode(binary.LittleEndian.Uint32(m.text[i*4:]), m.textAddr+uint64(i*4))
+		if err != nil {
 			continue
 		}
-		in := m.armTab[i]
 		p.uops[i] = compileArmUop(in)
 		if armLocal(in.Op) {
 			f := int32(1)
@@ -94,32 +118,32 @@ func (m *Machine) compileArm() {
 	m.armProg = p
 }
 
-// compileX86 builds the threaded-code program for an x86-64 .text by
-// replaying the predecode sweep (instruction starts are the Len-chain from
-// offset 0). Offsets the sweep did not reach keep a nil uop and fall back
-// to Step's on-demand decode.
+// compileX86 sweeps .text forward compiling each instruction start, then
+// computes the fusible-run lengths backward over the starts.
 func (m *Machine) compileX86() {
 	n := len(m.text)
 	p := &x86Prog{uops: make([]x86Uop, n), fuse: make([]int32, n)}
-	var starts []int
+	type start struct {
+		off, next int
+		local     bool
+	}
+	var starts []start
 	for off := 0; off < n; {
-		in := m.x86Tab[off]
-		if in.Len <= 0 {
+		in, err := x86.Decode(m.text[off:], m.textAddr+uint64(off))
+		if err != nil || in.Len <= 0 {
 			break
 		}
-		starts = append(starts, off)
 		p.uops[off] = compileX86Uop(in)
+		starts = append(starts, start{off, off + in.Len, x86Local(in)})
 		off += in.Len
 	}
 	for i := len(starts) - 1; i >= 0; i-- {
-		off := starts[i]
-		in := m.x86Tab[off]
-		if x86Local(in) {
+		if s := starts[i]; s.local {
 			f := int32(1)
-			if nxt := off + in.Len; nxt < n {
-				f += p.fuse[nxt]
+			if s.next < n {
+				f += p.fuse[s.next]
 			}
-			p.fuse[off] = f
+			p.fuse[s.off] = f
 		}
 	}
 	m.x86Prog = p

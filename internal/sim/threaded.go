@@ -9,17 +9,18 @@ import (
 type EngineKind int
 
 const (
-	// Threaded is the threaded-code engine: each .text range is compiled
-	// once per Machine into an array of micro-op handler closures indexed
-	// by pc, straight-line runs of thread-local instructions are fused into
-	// superblocks that execute as one scheduler step, and the memory fast
-	// paths are inlined. It is observationally bit-identical to Reference:
-	// same interleaving, same cycle counts, same instruction counts, same
-	// program output.
+	// Threaded is the threaded-code engine: straight-line runs of
+	// thread-local instructions are fused into superblocks that execute as
+	// one scheduler step, over concrete CPU types, with a loop that skips
+	// scheduler picks while one thread runs. It is observationally
+	// bit-identical to Reference: same interleaving, same cycle counts,
+	// same instruction counts, same program output.
 	Threaded EngineKind = iota
-	// Reference is the seed per-instruction interpreter (fetch + switch,
-	// one cpu.Step per scheduler step). It is retained as the differential
-	// oracle for Threaded.
+	// Reference runs one compiled instruction per scheduler step, without
+	// fusion, through the generic cpu interface. Both engines share the
+	// compiled instruction semantics, so Reference is the differential
+	// oracle for Threaded's fusion, preemption points and single-thread
+	// loop.
 	Reference
 )
 
@@ -53,19 +54,19 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // A uop is one compiled micro-op handler: it executes exactly one
 // instruction at its compile-time pc (the dispatcher guarantees the thread's
-// pc matches), updating pc, clock and icount exactly as the reference
-// interpreter's exec would.
+// pc matches), updating pc, clock and icount. Uops are the simulator's only
+// instruction semantics.
 type (
 	armUop = func(*arm64CPU) error
 	x86Uop = func(*x86CPU) error
 )
 
-// armProg is the threaded-code compilation of an arm64 .text range,
-// built once per Machine and shared by all its CPUs.
+// armProg is the compilation of an arm64 .text range, built once per
+// Machine and shared by all its CPUs and both engines.
 type armProg struct {
 	// uops[i] executes the instruction at textAddr+4*i; nil marks a word
-	// the predecoder rejected (dispatch falls back to Step, which surfaces
-	// the decode error exactly as the reference does).
+	// that does not decode (dispatch falls back to Step, which surfaces
+	// the decode error).
 	uops []armUop
 	// fuse[i] is the number of consecutive thread-local instructions
 	// starting at word i (0 if the instruction at i is an interaction
@@ -73,8 +74,8 @@ type armProg struct {
 	fuse []int32
 }
 
-// x86Prog is the threaded-code compilation of an x86-64 .text range,
-// indexed by byte offset of each instruction start.
+// x86Prog is the compilation of an x86-64 .text range, indexed by byte
+// offset of each instruction start.
 type x86Prog struct {
 	uops []x86Uop
 	fuse []int32
@@ -91,8 +92,8 @@ func (m *Machine) armUnit(c *arm64CPU, p *armProg) (int64, error) {
 		return 1, c.stepPLT(idx)
 	}
 	if pc < m.textAddr || pc+4 > m.textEnd || pc&3 != 0 {
-		// Outside .text or misaligned: let the reference path construct
-		// the exact fetch error.
+		// Outside .text or misaligned: Step reports the fetch error or
+		// decodes the misaligned word.
 		return 1, c.Step()
 	}
 	w := (pc - m.textAddr) >> 2
@@ -146,9 +147,6 @@ func (m *Machine) x86Unit(c *x86CPU, p *x86Prog) (int64, error) {
 // (no interface calls) and executes fused superblocks as single steps.
 // Contexts are polled only at unit boundaries via a countdown.
 func (m *Machine) runThreadedArm(ctx context.Context) (int64, error) {
-	if m.armProg == nil {
-		m.compileArm()
-	}
 	p := m.armProg
 	poll := int64(ctxCheckInterval)
 	for {
@@ -233,9 +231,6 @@ func (m *Machine) runThreadedArm(ctx context.Context) (int64, error) {
 }
 
 func (m *Machine) runThreadedX86(ctx context.Context) (int64, error) {
-	if m.x86Prog == nil {
-		m.compileX86()
-	}
 	p := m.x86Prog
 	poll := int64(ctxCheckInterval)
 	for {

@@ -228,13 +228,7 @@ func vecMachine(arch string, code, mem []byte) *Machine {
 	clear(mem[obj.TextBase : obj.TextBase+64])
 	copy(mem[obj.TextBase:], code)
 	m := &Machine{File: f, Mem: mem, Out: &strings.Builder{}, NThreads: 4, MaxSteps: DefaultMaxSteps, heapTop: HeapBase}
-	m.predecode()
-	switch arch {
-	case "arm64":
-		m.compileArm()
-	default:
-		m.compileX86()
-	}
+	m.compile()
 	return m
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"lasagne/internal/x86"
@@ -41,25 +40,6 @@ func (c *x86CPU) InstrCount() int64 { return c.icount }
 func (c *x86CPU) Joining() bool     { return c.joining }
 func (c *x86CPU) SetClock(v int64)  { c.clock = v; c.joining = false }
 
-func (c *x86CPU) fetch() (x86.Inst, error) {
-	m := c.m
-	if c.rip < m.textAddr || c.rip >= m.textEnd {
-		return x86.Inst{}, fmt.Errorf("sim: x86 fetch outside .text at %#x", c.rip)
-	}
-	off := c.rip - m.textAddr
-	if in := m.x86Tab[off]; in.Len > 0 {
-		return in, nil
-	}
-	// An offset the linear sweep did not reach: decode on demand and memoize
-	// in the shared table (CPUs within a machine step one at a time).
-	in, err := x86.Decode(m.text[off:], c.rip)
-	if err != nil {
-		return x86.Inst{}, err
-	}
-	m.x86Tab[off] = in
-	return in, nil
-}
-
 func maskFor(size int) uint64 {
 	if size >= 8 {
 		return ^uint64(0)
@@ -83,45 +63,6 @@ func (c *x86CPU) writeReg(r x86.Reg, size int, v uint64) {
 		m := maskFor(size)
 		c.regs[r] = c.regs[r]&^m | v&m
 	}
-}
-
-func (c *x86CPU) effAddr(in x86.Inst, mem x86.Mem) uint64 {
-	if mem.Base == x86.RIP {
-		return in.Addr + uint64(in.Len) + uint64(int64(mem.Disp))
-	}
-	var a uint64
-	if mem.Base != x86.RegNone {
-		a = c.regs[mem.Base]
-	}
-	if mem.Index != x86.RegNone {
-		a += c.regs[mem.Index] * uint64(mem.Scale)
-	}
-	return a + uint64(int64(mem.Disp))
-}
-
-// readOp reads an operand at the given size (memory costs are charged by
-// the caller via memTouched).
-func (c *x86CPU) readOp(in x86.Inst, o x86.Operand, size int) (uint64, error) {
-	switch o.Kind {
-	case x86.KindReg:
-		return c.readReg(o.Reg, size), nil
-	case x86.KindImm:
-		return uint64(o.Imm) & maskFor(size), nil
-	case x86.KindMem:
-		return c.m.load(c.effAddr(in, o.Mem), size)
-	}
-	return 0, fmt.Errorf("sim: bad operand")
-}
-
-func (c *x86CPU) writeOp(in x86.Inst, o x86.Operand, size int, v uint64) error {
-	switch o.Kind {
-	case x86.KindReg:
-		c.writeReg(o.Reg, size, v)
-		return nil
-	case x86.KindMem:
-		return c.m.store(c.effAddr(in, o.Mem), size, v)
-	}
-	return fmt.Errorf("sim: bad write operand")
 }
 
 func signBit(v uint64, size int) bool {
@@ -194,11 +135,6 @@ func (c *x86CPU) cond(cc x86.Cond) bool {
 	return false
 }
 
-func (c *x86CPU) push(v uint64) error {
-	c.regs[x86.RSP] -= 8
-	return c.m.store(c.regs[x86.RSP], 8, v)
-}
-
 func (c *x86CPU) pop() (uint64, error) {
 	v, err := c.m.load(c.regs[x86.RSP], 8)
 	c.regs[x86.RSP] += 8
@@ -243,626 +179,37 @@ func (c *x86CPU) stepPLT(idx int) error {
 	return nil
 }
 
+// Step executes one instruction or builtin call: the reference engine's
+// scheduling unit.
 func (c *x86CPU) Step() error {
-	// PLT entry: runtime call.
 	if idx := pltIndex(c.rip); idx >= 0 {
 		return c.stepPLT(idx)
 	}
-
-	in, err := c.fetch()
+	u, err := c.m.x86Uop(c.rip)
 	if err != nil {
 		return err
 	}
-	return c.exec(in)
+	return u(c)
 }
 
-// exec executes one fetched instruction. It is the reference semantics every
-// specialized threaded-code handler must match bit for bit, and the
-// threaded compiler's fallback handler for unspecialized ops.
-func (c *x86CPU) exec(in x86.Inst) error {
-	c.icount++
-	next := in.Addr + uint64(in.Len)
-	size := in.Size
-	if size == 0 {
-		size = 8
+// x86Uop returns the compiled uop at rip. A rip outside .text reports a
+// fetch error. An offset the linear sweep did not reach (a jump into the
+// middle of an instruction, or past a decode error) is decoded, compiled
+// and memoized in the shared program; CPUs within a machine step one at a
+// time.
+func (m *Machine) x86Uop(rip uint64) (x86Uop, error) {
+	if rip < m.textAddr || rip >= m.textEnd {
+		return nil, fmt.Errorf("sim: x86 fetch outside .text at %#x", rip)
 	}
-	cost := int64(CostALU)
-	if memTouched(in.Ops) {
-		cost = CostMem
+	off := rip - m.textAddr
+	if u := m.x86Prog.uops[off]; u != nil {
+		return u, nil
 	}
-	if in.Lock {
-		cost += CostLock
+	in, err := x86.Decode(m.text[off:], rip)
+	if err != nil {
+		return nil, err
 	}
-
-	switch in.Op {
-	case x86.NOP:
-	case x86.UD2:
-		return fmt.Errorf("sim: ud2 executed at %#x", in.Addr)
-	case x86.MFENCE:
-		cost = CostMFENCE
-
-	case x86.MOV:
-		v, err := c.readOp(in, in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		if err := c.writeOp(in, in.Ops[0], size, v); err != nil {
-			return err
-		}
-
-	case x86.MOVZX:
-		v, err := c.readOp(in, in.Ops[1], in.SrcSize)
-		if err != nil {
-			return err
-		}
-		c.writeReg(in.Ops[0].Reg, size, v)
-
-	case x86.MOVSX, x86.MOVSXD:
-		src := in.SrcSize
-		v, err := c.readOp(in, in.Ops[1], src)
-		if err != nil {
-			return err
-		}
-		s := int64(v) << (64 - uint(src)*8) >> (64 - uint(src)*8)
-		c.writeReg(in.Ops[0].Reg, size, uint64(s))
-
-	case x86.LEA:
-		c.writeReg(in.Ops[0].Reg, size, c.effAddr(in, in.Ops[1].Mem))
-		cost = CostALU
-
-	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.CMP:
-		a, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		b, err := c.readOp(in, in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		var res uint64
-		switch in.Op {
-		case x86.ADD:
-			res = a + b
-			c.setAddFlags(a, b, res, size)
-		case x86.SUB, x86.CMP:
-			res = a - b
-			c.setSubFlags(a, b, res, size)
-		case x86.AND:
-			res = a & b
-			c.setLogicFlags(res, size)
-		case x86.OR:
-			res = a | b
-			c.setLogicFlags(res, size)
-		case x86.XOR:
-			res = a ^ b
-			c.setLogicFlags(res, size)
-		}
-		if in.Op != x86.CMP {
-			if err := c.writeOp(in, in.Ops[0], size, res&maskFor(size)); err != nil {
-				return err
-			}
-		}
-
-	case x86.TEST:
-		a, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		b, err := c.readOp(in, in.Ops[1], size)
-		if err != nil {
-			return err
-		}
-		c.setLogicFlags(a&b, size)
-
-	case x86.IMUL:
-		switch len(in.Ops) {
-		case 2:
-			a := c.readReg(in.Ops[0].Reg, size)
-			b, err := c.readOp(in, in.Ops[1], size)
-			if err != nil {
-				return err
-			}
-			c.writeReg(in.Ops[0].Reg, size, a*b)
-		case 3:
-			b, err := c.readOp(in, in.Ops[1], size)
-			if err != nil {
-				return err
-			}
-			c.writeReg(in.Ops[0].Reg, size, b*uint64(in.Ops[2].Imm))
-		}
-		cost += 2
-
-	case x86.IMUL1, x86.MUL1:
-		v, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		a := c.readReg(x86.RAX, size)
-		if in.Op == x86.IMUL1 {
-			hi, lo := bits.Mul64(a, v)
-			c.writeReg(x86.RAX, size, lo)
-			c.writeReg(x86.RDX, size, hi) // approximation for sub-64 widths
-		} else {
-			hi, lo := bits.Mul64(a, v)
-			c.writeReg(x86.RAX, size, lo)
-			c.writeReg(x86.RDX, size, hi)
-		}
-		cost += 2
-
-	case x86.IDIV:
-		v, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		d := int64(v) << (64 - uint(size)*8) >> (64 - uint(size)*8)
-		if d == 0 {
-			return fmt.Errorf("sim: integer divide by zero at %#x", in.Addr)
-		}
-		var n int64
-		if size == 8 {
-			n = int64(c.regs[x86.RAX]) // RDX:RAX approximated by RAX (codegen sign-extends)
-		} else {
-			n = int64(c.readReg(x86.RAX, size)) << (64 - uint(size)*8) >> (64 - uint(size)*8)
-		}
-		c.writeReg(x86.RAX, size, uint64(n/d))
-		c.writeReg(x86.RDX, size, uint64(n%d))
-		cost = CostDiv
-
-	case x86.DIV:
-		v, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		if v == 0 {
-			return fmt.Errorf("sim: integer divide by zero at %#x", in.Addr)
-		}
-		n := c.readReg(x86.RAX, size)
-		c.writeReg(x86.RAX, size, n/v)
-		c.writeReg(x86.RDX, size, n%v)
-		cost = CostDiv
-
-	case x86.NEG:
-		v, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		res := -v
-		c.setSubFlags(0, v, res, size)
-		if err := c.writeOp(in, in.Ops[0], size, res&maskFor(size)); err != nil {
-			return err
-		}
-
-	case x86.NOT:
-		v, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		if err := c.writeOp(in, in.Ops[0], size, ^v&maskFor(size)); err != nil {
-			return err
-		}
-
-	case x86.SHL, x86.SHR, x86.SAR:
-		v, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		var cnt uint64
-		if in.Ops[1].Kind == x86.KindImm {
-			cnt = uint64(in.Ops[1].Imm)
-		} else {
-			cnt = c.regs[x86.RCX]
-		}
-		if size == 8 {
-			cnt &= 63
-		} else {
-			cnt &= 31
-		}
-		var res uint64
-		switch in.Op {
-		case x86.SHL:
-			res = v << cnt
-		case x86.SHR:
-			res = (v & maskFor(size)) >> cnt
-		case x86.SAR:
-			s := int64(v) << (64 - uint(size)*8) >> (64 - uint(size)*8)
-			res = uint64(s >> cnt)
-		}
-		if cnt != 0 {
-			c.setLogicFlags(res, size)
-		}
-		if err := c.writeOp(in, in.Ops[0], size, res&maskFor(size)); err != nil {
-			return err
-		}
-
-	case x86.CQO:
-		if int64(c.regs[x86.RAX]) < 0 {
-			c.regs[x86.RDX] = ^uint64(0)
-		} else {
-			c.regs[x86.RDX] = 0
-		}
-	case x86.CDQ:
-		if int32(c.regs[x86.RAX]) < 0 {
-			c.writeReg(x86.RDX, 4, 0xFFFFFFFF)
-		} else {
-			c.writeReg(x86.RDX, 4, 0)
-		}
-
-	case x86.PUSH:
-		v, err := c.readOp(in, in.Ops[0], 8)
-		if err != nil {
-			return err
-		}
-		if err := c.push(v); err != nil {
-			return err
-		}
-		cost = CostMem
-	case x86.POP:
-		v, err := c.pop()
-		if err != nil {
-			return err
-		}
-		c.writeReg(in.Ops[0].Reg, 8, v)
-		cost = CostMem
-
-	case x86.XCHG:
-		a, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		b := c.readReg(in.Ops[1].Reg, size)
-		if err := c.writeOp(in, in.Ops[0], size, b); err != nil {
-			return err
-		}
-		c.writeReg(in.Ops[1].Reg, size, a)
-		if in.Ops[0].Kind == x86.KindMem {
-			cost = CostMem + CostLock // implicit lock
-		}
-
-	case x86.CMPXCHG:
-		dst, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		acc := c.readReg(x86.RAX, size)
-		c.setSubFlags(acc, dst, acc-dst, size)
-		if acc == dst {
-			if err := c.writeOp(in, in.Ops[0], size, c.readReg(in.Ops[1].Reg, size)); err != nil {
-				return err
-			}
-		} else {
-			c.writeReg(x86.RAX, size, dst)
-		}
-
-	case x86.XADD:
-		dst, err := c.readOp(in, in.Ops[0], size)
-		if err != nil {
-			return err
-		}
-		src := c.readReg(in.Ops[1].Reg, size)
-		res := dst + src
-		c.setAddFlags(dst, src, res, size)
-		if err := c.writeOp(in, in.Ops[0], size, res&maskFor(size)); err != nil {
-			return err
-		}
-		c.writeReg(in.Ops[1].Reg, size, dst)
-
-	case x86.JMP:
-		cost = CostBranch
-		if in.Ops[0].Kind == x86.KindImm {
-			c.rip = uint64(in.Ops[0].Imm)
-		} else {
-			v, err := c.readOp(in, in.Ops[0], 8)
-			if err != nil {
-				return err
-			}
-			c.rip = v
-		}
-		c.clock += cost
-		return nil
-
-	case x86.JCC:
-		cost = CostBranch
-		if c.cond(in.Cond) {
-			c.rip = uint64(in.Ops[0].Imm)
-			c.clock += cost
-			return nil
-		}
-
-	case x86.CALL:
-		cost = CostCall
-		var target uint64
-		if in.Ops[0].Kind == x86.KindImm {
-			target = uint64(in.Ops[0].Imm)
-		} else {
-			v, err := c.readOp(in, in.Ops[0], 8)
-			if err != nil {
-				return err
-			}
-			target = v
-		}
-		if err := c.push(next); err != nil {
-			return err
-		}
-		c.rip = target
-		c.clock += cost
-		return nil
-
-	case x86.RET:
-		cost = CostBranch + CostMem
-		ret, err := c.pop()
-		if err != nil {
-			return err
-		}
-		if ret == sentinel {
-			c.done = true
-			c.clock += cost
-			return nil
-		}
-		c.rip = ret
-		c.clock += cost
-		return nil
-
-	case x86.SETCC:
-		v := uint64(0)
-		if c.cond(in.Cond) {
-			v = 1
-		}
-		if err := c.writeOp(in, in.Ops[0], 1, v); err != nil {
-			return err
-		}
-
-	case x86.CMOVCC:
-		if c.cond(in.Cond) {
-			v, err := c.readOp(in, in.Ops[1], size)
-			if err != nil {
-				return err
-			}
-			c.writeReg(in.Ops[0].Reg, size, v)
-		}
-
-	default:
-		var err error
-		cost, err = c.stepSSE(in, cost)
-		if err != nil {
-			return err
-		}
-	}
-
-	c.rip = next
-	c.clock += cost
-	return nil
-}
-
-// stepSSE executes the SSE subset.
-func (c *x86CPU) stepSSE(in x86.Inst, cost int64) (int64, error) {
-	xr := func(o x86.Operand) int { return int(o.Reg - x86.XMM0) }
-	readScalar := func(o x86.Operand, size int) (uint64, error) {
-		if o.Kind == x86.KindReg && o.Reg.IsXMM() {
-			return c.xmm[xr(o)][0] & maskFor(size), nil
-		}
-		return c.readOp(in, o, size)
-	}
-	read128 := func(o x86.Operand) ([2]uint64, error) {
-		if o.Kind == x86.KindReg && o.Reg.IsXMM() {
-			return c.xmm[xr(o)], nil
-		}
-		a := c.effAddr(in, o.Mem)
-		lo, err := c.m.load(a, 8)
-		if err != nil {
-			return [2]uint64{}, err
-		}
-		hi, err := c.m.load(a+8, 8)
-		return [2]uint64{lo, hi}, err
-	}
-	write128 := func(o x86.Operand, v [2]uint64) error {
-		if o.Kind == x86.KindReg && o.Reg.IsXMM() {
-			c.xmm[xr(o)] = v
-			return nil
-		}
-		a := c.effAddr(in, o.Mem)
-		if err := c.m.store(a, 8, v[0]); err != nil {
-			return err
-		}
-		return c.m.store(a+8, 8, v[1])
-	}
-	f64 := math.Float64frombits
-	f32 := func(v uint64) float64 { return float64(math.Float32frombits(uint32(v))) }
-
-	switch in.Op {
-	case x86.MOVSD_X, x86.MOVSS_X:
-		sz := 8
-		if in.Op == x86.MOVSS_X {
-			sz = 4
-		}
-		v, err := readScalar(in.Ops[1], sz)
-		if err != nil {
-			return cost, err
-		}
-		if in.Ops[0].Kind == x86.KindReg && in.Ops[0].Reg.IsXMM() {
-			if in.Ops[1].Kind == x86.KindMem {
-				c.xmm[xr(in.Ops[0])] = [2]uint64{v, 0}
-			} else {
-				c.xmm[xr(in.Ops[0])][0] = c.xmm[xr(in.Ops[0])][0]&^maskFor(sz) | v
-			}
-			return cost, nil
-		}
-		return cost, c.writeOp(in, in.Ops[0], sz, v)
-
-	case x86.MOVQ, x86.MOVD:
-		sz := 8
-		if in.Op == x86.MOVD {
-			sz = 4
-		}
-		if in.Ops[0].Kind == x86.KindReg && in.Ops[0].Reg.IsXMM() {
-			v, err := c.readOp(in, in.Ops[1], sz)
-			if err != nil {
-				return cost, err
-			}
-			c.xmm[xr(in.Ops[0])] = [2]uint64{v, 0}
-			return cost, nil
-		}
-		return cost, c.writeOp(in, in.Ops[0], sz, c.xmm[xr(in.Ops[1])][0]&maskFor(sz))
-
-	case x86.MOVAPS, x86.MOVUPS:
-		if in.Ops[0].Kind == x86.KindReg && in.Ops[0].Reg.IsXMM() {
-			v, err := read128(in.Ops[1])
-			if err != nil {
-				return cost, err
-			}
-			c.xmm[xr(in.Ops[0])] = v
-			return cost, nil
-		}
-		return cost, write128(in.Ops[0], c.xmm[xr(in.Ops[1])])
-
-	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.SQRTSD:
-		b, err := readScalar(in.Ops[1], 8)
-		if err != nil {
-			return cost, err
-		}
-		a := c.xmm[xr(in.Ops[0])][0]
-		var r float64
-		switch in.Op {
-		case x86.ADDSD:
-			r = f64(a) + f64(b)
-		case x86.SUBSD:
-			r = f64(a) - f64(b)
-		case x86.MULSD:
-			r = f64(a) * f64(b)
-		case x86.DIVSD:
-			r = f64(a) / f64(b)
-		case x86.SQRTSD:
-			r = math.Sqrt(f64(b))
-		}
-		c.xmm[xr(in.Ops[0])][0] = math.Float64bits(r)
-		return cost + CostFP, nil
-
-	case x86.ADDSS, x86.SUBSS, x86.MULSS, x86.DIVSS:
-		b, err := readScalar(in.Ops[1], 4)
-		if err != nil {
-			return cost, err
-		}
-		a := c.xmm[xr(in.Ops[0])][0] & 0xFFFFFFFF
-		var r float32
-		switch in.Op {
-		case x86.ADDSS:
-			r = math.Float32frombits(uint32(a)) + math.Float32frombits(uint32(b))
-		case x86.SUBSS:
-			r = math.Float32frombits(uint32(a)) - math.Float32frombits(uint32(b))
-		case x86.MULSS:
-			r = math.Float32frombits(uint32(a)) * math.Float32frombits(uint32(b))
-		case x86.DIVSS:
-			r = math.Float32frombits(uint32(a)) / math.Float32frombits(uint32(b))
-		}
-		c.xmm[xr(in.Ops[0])][0] = c.xmm[xr(in.Ops[0])][0]&^uint64(0xFFFFFFFF) | uint64(math.Float32bits(r))
-		return cost + CostFP, nil
-
-	case x86.UCOMISD:
-		b, err := readScalar(in.Ops[1], 8)
-		if err != nil {
-			return cost, err
-		}
-		a := f64(c.xmm[xr(in.Ops[0])][0])
-		bb := f64(b)
-		c.of, c.sf = false, false
-		switch {
-		case math.IsNaN(a) || math.IsNaN(bb):
-			c.zf, c.pf, c.cf = true, true, true
-		case a > bb:
-			c.zf, c.pf, c.cf = false, false, false
-		case a < bb:
-			c.zf, c.pf, c.cf = false, false, true
-		default:
-			c.zf, c.pf, c.cf = true, false, false
-		}
-		return cost + CostFP, nil
-
-	case x86.CVTSI2SD:
-		v, err := c.readOp(in, in.Ops[1], in.Size)
-		if err != nil {
-			return cost, err
-		}
-		s := int64(v)
-		if in.Size == 4 {
-			s = int64(int32(v))
-		}
-		c.xmm[xr(in.Ops[0])][0] = math.Float64bits(float64(s))
-		return cost + CostFP, nil
-
-	case x86.CVTTSD2SI:
-		b, err := readScalar(in.Ops[1], 8)
-		if err != nil {
-			return cost, err
-		}
-		c.writeReg(in.Ops[0].Reg, in.Size, uint64(int64(f64(b))))
-		return cost + CostFP, nil
-
-	case x86.CVTSS2SD:
-		b, err := readScalar(in.Ops[1], 4)
-		if err != nil {
-			return cost, err
-		}
-		c.xmm[xr(in.Ops[0])][0] = math.Float64bits(f32(b))
-		return cost + CostFP, nil
-
-	case x86.CVTSD2SS:
-		b, err := readScalar(in.Ops[1], 8)
-		if err != nil {
-			return cost, err
-		}
-		c.xmm[xr(in.Ops[0])][0] = uint64(math.Float32bits(float32(f64(b))))
-		return cost + CostFP, nil
-
-	case x86.PXOR, x86.XORPS:
-		v, err := read128(in.Ops[1])
-		if err != nil {
-			return cost, err
-		}
-		r := xr(in.Ops[0])
-		c.xmm[r][0] ^= v[0]
-		c.xmm[r][1] ^= v[1]
-		return cost, nil
-
-	case x86.ADDPD, x86.MULPD:
-		v, err := read128(in.Ops[1])
-		if err != nil {
-			return cost, err
-		}
-		r := xr(in.Ops[0])
-		for k := 0; k < 2; k++ {
-			a, b := f64(c.xmm[r][k]), f64(v[k])
-			if in.Op == x86.ADDPD {
-				c.xmm[r][k] = math.Float64bits(a + b)
-			} else {
-				c.xmm[r][k] = math.Float64bits(a * b)
-			}
-		}
-		return cost + CostFP, nil
-
-	case x86.ADDPS:
-		v, err := read128(in.Ops[1])
-		if err != nil {
-			return cost, err
-		}
-		r := xr(in.Ops[0])
-		for k := 0; k < 2; k++ {
-			lo := math.Float32frombits(uint32(c.xmm[r][k])) + math.Float32frombits(uint32(v[k]))
-			hi := math.Float32frombits(uint32(c.xmm[r][k]>>32)) + math.Float32frombits(uint32(v[k]>>32))
-			c.xmm[r][k] = uint64(math.Float32bits(lo)) | uint64(math.Float32bits(hi))<<32
-		}
-		return cost + CostFP, nil
-
-	case x86.PADDD:
-		v, err := read128(in.Ops[1])
-		if err != nil {
-			return cost, err
-		}
-		r := xr(in.Ops[0])
-		for k := 0; k < 2; k++ {
-			lo := uint32(c.xmm[r][k]) + uint32(v[k])
-			hi := uint32(c.xmm[r][k]>>32) + uint32(v[k]>>32)
-			c.xmm[r][k] = uint64(lo) | uint64(hi)<<32
-		}
-		return cost, nil
-	}
-	return cost, fmt.Errorf("sim: unhandled x86 op %s at %#x", in.Op, in.Addr)
+	u := compileX86Uop(in)
+	m.x86Prog.uops[off] = u
+	return u, nil
 }

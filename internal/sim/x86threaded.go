@@ -3,17 +3,18 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lasagne/internal/x86"
 )
 
-// The x86-64 uop compiler. The same contract as the arm64 one: every
-// compiled closure is observationally identical to x86CPU.exec on its
-// instruction. Effective addresses are resolved to closures at compile
-// time (RIP-relative folds to a constant), operand widths select
-// size-specialized memory fast paths, and per-op cycle costs are
-// precomputed. Unspecialized shapes re-enter exec with the decoded
-// instruction captured.
+// The x86-64 uop compiler: the simulator's only x86 instruction semantics,
+// under the same contract as the arm64 one. Effective addresses are
+// resolved to closures at compile time (RIP-relative folds to a constant),
+// operand widths select size-specialized memory fast paths, and per-op
+// cycle costs are precomputed. Hot shapes get specialized closures; every
+// other shape the decoder produces gets a general closure built from
+// compiled operand accessors.
 
 func isGP(r x86.Reg) bool { return r >= x86.RAX && r <= x86.R15 }
 
@@ -60,6 +61,40 @@ func x86EAF(in x86.Inst, mem x86.Mem) func(*x86CPU) uint64 {
 	}
 }
 
+// x86OpF compiles a read of operand o at a width: a GP register, an
+// immediate (masked to the width), or memory.
+func x86OpF(in x86.Inst, o x86.Operand, size int) func(*x86CPU) (uint64, error) {
+	switch o.Kind {
+	case x86.KindImm:
+		v := uint64(o.Imm) & maskFor(size)
+		return func(*x86CPU) (uint64, error) { return v, nil }
+	case x86.KindMem:
+		ea, ld := x86EAF(in, o.Mem), loadFn(size)
+		return func(c *x86CPU) (uint64, error) { return ld(c.m, ea(c)) }
+	}
+	rd := x86RdF(o.Reg, size)
+	return func(c *x86CPU) (uint64, error) { return rd(c), nil }
+}
+
+// x86SetF compiles a write of operand o (a GP register or memory).
+func x86SetF(in x86.Inst, o x86.Operand, size int) func(*x86CPU, uint64) error {
+	if o.Kind == x86.KindMem {
+		ea, st := x86EAF(in, o.Mem), storeFn(size)
+		return func(c *x86CPU, v uint64) error { return st(c.m, ea(c), v) }
+	}
+	wr := x86WrF(o.Reg, size)
+	return func(c *x86CPU, v uint64) error { wr(c, v); return nil }
+}
+
+// x86Unhandled reports an op the decoder never produces.
+func x86Unhandled(in x86.Inst) x86Uop {
+	op, addr := in.Op, in.Addr
+	return func(c *x86CPU) error {
+		c.icount++
+		return fmt.Errorf("sim: unhandled x86 op %s at %#x", op, addr)
+	}
+}
+
 // gpOnly reports whether every register mentioned by the operands is a
 // plain GP register (no XMM), so the GP fast paths are safe.
 func gpOnly(ops []x86.Operand) bool {
@@ -77,7 +112,8 @@ func compileX86Uop(in x86.Inst) x86Uop {
 	if size == 0 {
 		size = 8
 	}
-	// Base cost, exactly as exec computes it before op-specific overrides.
+	// Base cost: a memory operand makes it CostMem, a LOCK prefix adds
+	// CostLock; some ops override it.
 	cost := int64(CostALU)
 	if memTouched(in.Ops) {
 		cost = CostMem
@@ -85,14 +121,9 @@ func compileX86Uop(in x86.Inst) x86Uop {
 	if in.Lock {
 		cost += CostLock
 	}
-	fallback := func(c *x86CPU) error { return c.exec(in) }
 	if !gpOnly(in.Ops) {
-		// Shapes touching XMM registers get their own compiler; what it
-		// declines keeps the (already exec-identical) fallback.
-		if u := compileX86SSE(in, next, cost); u != nil {
-			return u
-		}
-		return fallback
+		// Shapes touching XMM registers get their own compilers.
+		return compileX86SSEAny(in, next, cost)
 	}
 
 	done := func(c *x86CPU) {
@@ -106,6 +137,13 @@ func compileX86Uop(in x86.Inst) x86Uop {
 			c.icount++
 			done(c)
 			return nil
+		}
+
+	case x86.UD2:
+		addr := in.Addr
+		return func(c *x86CPU) error {
+			c.icount++
+			return fmt.Errorf("sim: ud2 executed at %#x", addr)
 		}
 
 	case x86.MFENCE:
@@ -176,7 +214,6 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
 
 	case x86.MOVZX:
 		if in.Ops[1].Kind == x86.KindReg {
@@ -204,7 +241,6 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
 
 	case x86.MOVSX, x86.MOVSXD:
 		src := in.SrcSize
@@ -233,7 +269,6 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
 
 	case x86.LEA:
 		ea := x86EAF(in, in.Ops[1].Mem)
@@ -249,9 +284,46 @@ func compileX86Uop(in x86.Inst) x86Uop {
 	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR, x86.CMP:
 		dst, src := in.Ops[0], in.Ops[1]
 		if dst.Kind != x86.KindReg || (src.Kind != x86.KindReg && src.Kind != x86.KindImm) {
-			// Memory shapes fall back: the read/flag/write error ordering
-			// is easiest to keep identical through exec.
-			return fallback
+			// Memory shapes: read both operands, set flags, then write
+			// back (CMP does not); a fault stops at the failing access.
+			rdA, rdB, wrA := x86OpF(in, dst, size), x86OpF(in, src, size), x86SetF(in, dst, size)
+			op, sz, msk := in.Op, size, maskFor(size)
+			return func(c *x86CPU) error {
+				c.icount++
+				a, err := rdA(c)
+				if err != nil {
+					return err
+				}
+				b, err := rdB(c)
+				if err != nil {
+					return err
+				}
+				var res uint64
+				switch op {
+				case x86.ADD:
+					res = a + b
+					c.setAddFlags(a, b, res, sz)
+				case x86.SUB, x86.CMP:
+					res = a - b
+					c.setSubFlags(a, b, res, sz)
+				case x86.AND:
+					res = a & b
+					c.setLogicFlags(res, sz)
+				case x86.OR:
+					res = a | b
+					c.setLogicFlags(res, sz)
+				case x86.XOR:
+					res = a ^ b
+					c.setLogicFlags(res, sz)
+				}
+				if op != x86.CMP {
+					if err := wrA(c, res&msk); err != nil {
+						return err
+					}
+				}
+				done(c)
+				return nil
+			}
 		}
 		rdA := x86RdF(dst.Reg, size)
 		var rdB func(*x86CPU) uint64
@@ -294,7 +366,21 @@ func compileX86Uop(in x86.Inst) x86Uop {
 	case x86.TEST:
 		a, b := in.Ops[0], in.Ops[1]
 		if a.Kind != x86.KindReg || (b.Kind != x86.KindReg && b.Kind != x86.KindImm) {
-			return fallback
+			rdA, rdB, sz := x86OpF(in, a, size), x86OpF(in, b, size), size
+			return func(c *x86CPU) error {
+				c.icount++
+				va, err := rdA(c)
+				if err != nil {
+					return err
+				}
+				vb, err := rdB(c)
+				if err != nil {
+					return err
+				}
+				c.setLogicFlags(va&vb, sz)
+				done(c)
+				return nil
+			}
 		}
 		rdA := x86RdF(a.Reg, size)
 		var rdB func(*x86CPU) uint64
@@ -354,8 +440,7 @@ func compileX86Uop(in x86.Inst) x86Uop {
 		}
 		if len(in.Ops) == 3 && in.Ops[0].Kind == x86.KindReg && in.Ops[2].Kind == x86.KindImm {
 			wr := x86WrF(in.Ops[0].Reg, size)
-			// exec multiplies by the raw (unmasked) immediate in the 3-op
-			// form; mirror that exactly.
+			// The 3-op form multiplies by the raw (unmasked) immediate.
 			imm := uint64(in.Ops[2].Imm)
 			switch in.Ops[1].Kind {
 			case x86.KindReg:
@@ -383,23 +468,69 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				}
 			}
 		}
-		return fallback
+
+	case x86.IMUL1, x86.MUL1:
+		// Both compute the unsigned 128-bit product (RDX is approximate
+		// for signed and sub-64-bit widths).
+		rdV, sz, mulCost := x86OpF(in, in.Ops[0], size), size, cost+2
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rdV(c)
+			if err != nil {
+				return err
+			}
+			hi, lo := bits.Mul64(c.readReg(x86.RAX, sz), v)
+			c.writeReg(x86.RAX, sz, lo)
+			c.writeReg(x86.RDX, sz, hi)
+			c.rip = next
+			c.clock += mulCost
+			return nil
+		}
+
+	case x86.DIV:
+		rdV, sz, addr := x86OpF(in, in.Ops[0], size), size, in.Addr
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rdV(c)
+			if err != nil {
+				return err
+			}
+			if v == 0 {
+				return fmt.Errorf("sim: integer divide by zero at %#x", addr)
+			}
+			n := c.readReg(x86.RAX, sz)
+			c.writeReg(x86.RAX, sz, n/v)
+			c.writeReg(x86.RDX, sz, n%v)
+			c.rip = next
+			c.clock += CostDiv
+			return nil
+		}
+
+	case x86.NEG, x86.NOT:
+		rd, wr := x86OpF(in, in.Ops[0], size), x86SetF(in, in.Ops[0], size)
+		neg, sz, msk := in.Op == x86.NEG, size, maskFor(size)
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rd(c)
+			if err != nil {
+				return err
+			}
+			res := ^v
+			if neg {
+				res = -v
+				c.setSubFlags(0, v, res, sz)
+			}
+			if err := wr(c, res&msk); err != nil {
+				return err
+			}
+			done(c)
+			return nil
+		}
 
 	case x86.IDIV:
 		sz := size
 		sh := 64 - uint(sz)*8
-		var rdV func(*x86CPU) (uint64, error)
-		switch {
-		case in.Ops[0].Kind == x86.KindReg:
-			r := in.Ops[0].Reg
-			rdV = func(c *x86CPU) (uint64, error) { return c.readReg(r, sz), nil }
-		case in.Ops[0].Kind == x86.KindMem:
-			ea := x86EAF(in, in.Ops[0].Mem)
-			ld := loadFn(sz)
-			rdV = func(c *x86CPU) (uint64, error) { return ld(c.m, ea(c)) }
-		default:
-			return fallback
-		}
+		rdV := x86OpF(in, in.Ops[0], sz)
 		addr := in.Addr
 		return func(c *x86CPU) error {
 			c.icount++
@@ -425,11 +556,6 @@ func compileX86Uop(in x86.Inst) x86Uop {
 		}
 
 	case x86.SHL, x86.SHR, x86.SAR:
-		if in.Ops[0].Kind != x86.KindReg {
-			return fallback
-		}
-		rd := x86RdF(in.Ops[0].Reg, size)
-		wr := x86WrF(in.Ops[0].Reg, size)
 		var cntF func(*x86CPU) uint64
 		if in.Ops[1].Kind == x86.KindImm {
 			cnt := uint64(in.Ops[1].Imm)
@@ -439,6 +565,39 @@ func compileX86Uop(in x86.Inst) x86Uop {
 		}
 		op, sz, msk := in.Op, size, maskFor(size)
 		shIn := 64 - uint(size)*8
+		if in.Ops[0].Kind != x86.KindReg {
+			rdM, wrM := x86OpF(in, in.Ops[0], size), x86SetF(in, in.Ops[0], size)
+			return func(c *x86CPU) error {
+				c.icount++
+				v, err := rdM(c)
+				if err != nil {
+					return err
+				}
+				cnt := cntF(c) & 63
+				if sz != 8 {
+					cnt &= 31
+				}
+				var res uint64
+				switch op {
+				case x86.SHL:
+					res = v << cnt
+				case x86.SHR:
+					res = (v & msk) >> cnt
+				default:
+					res = uint64(int64(v) << shIn >> shIn >> cnt)
+				}
+				if cnt != 0 {
+					c.setLogicFlags(res, sz)
+				}
+				if err := wrM(c, res&msk); err != nil {
+					return err
+				}
+				done(c)
+				return nil
+			}
+		}
+		rd := x86RdF(in.Ops[0].Reg, size)
+		wr := x86WrF(in.Ops[0].Reg, size)
 		return func(c *x86CPU) error {
 			c.icount++
 			v := rd(c)
@@ -517,7 +676,21 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
+		rdM := x86OpF(in, in.Ops[0], 8)
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rdM(c)
+			if err != nil {
+				return err
+			}
+			c.regs[x86.RSP] -= 8
+			if err := c.m.store8(c.regs[x86.RSP], v); err != nil {
+				return err
+			}
+			c.rip = next
+			c.clock += CostMem
+			return nil
+		}
 
 	case x86.POP:
 		r := in.Ops[0].Reg
@@ -560,7 +733,49 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
+		fallthrough
+
+	case x86.XCHG, x86.CMPXCHG:
+		// Register destinations (and XADD's) read, update and write back
+		// through operand accessors. XCHG with memory is implicitly locked.
+		rdD, wrD := x86OpF(in, in.Ops[0], size), x86SetF(in, in.Ops[0], size)
+		rdS, wrS := x86RdF(in.Ops[1].Reg, size), x86WrF(in.Ops[1].Reg, size)
+		op, sz, msk := in.Op, size, maskFor(size)
+		if op == x86.XCHG && in.Ops[0].Kind == x86.KindMem {
+			cost = CostMem + CostLock
+		}
+		return func(c *x86CPU) error {
+			c.icount++
+			dst, err := rdD(c)
+			if err != nil {
+				return err
+			}
+			switch op {
+			case x86.XCHG:
+				if err := wrD(c, rdS(c)); err != nil {
+					return err
+				}
+				wrS(c, dst)
+			case x86.CMPXCHG:
+				acc := c.readReg(x86.RAX, sz)
+				c.setSubFlags(acc, dst, acc-dst, sz)
+				if acc != dst {
+					c.writeReg(x86.RAX, sz, dst)
+				} else if err := wrD(c, rdS(c)); err != nil {
+					return err
+				}
+			default: // XADD
+				src := rdS(c)
+				res := dst + src
+				c.setAddFlags(dst, src, res, sz)
+				if err := wrD(c, res&msk); err != nil {
+					return err
+				}
+				wrS(c, dst)
+			}
+			done(c)
+			return nil
+		}
 
 	case x86.JMP:
 		if in.Ops[0].Kind == x86.KindImm {
@@ -581,7 +796,17 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
+		rdM := x86OpF(in, in.Ops[0], 8)
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rdM(c)
+			if err != nil {
+				return err
+			}
+			c.rip = v
+			c.clock += CostBranch
+			return nil
+		}
 
 	case x86.JCC:
 		cc := in.Cond
@@ -625,7 +850,21 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
+		rdM := x86OpF(in, in.Ops[0], 8)
+		return func(c *x86CPU) error {
+			c.icount++
+			target, err := rdM(c)
+			if err != nil {
+				return err
+			}
+			c.regs[x86.RSP] -= 8
+			if err := c.m.store8(c.regs[x86.RSP], next); err != nil {
+				return err
+			}
+			c.rip = target
+			c.clock += CostCall
+			return nil
+		}
 
 	case x86.RET:
 		return func(c *x86CPU) error {
@@ -659,7 +898,19 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
+		wrM, cc := x86SetF(in, in.Ops[0], 1), in.Cond
+		return func(c *x86CPU) error {
+			c.icount++
+			v := uint64(0)
+			if c.cond(cc) {
+				v = 1
+			}
+			if err := wrM(c, v); err != nil {
+				return err
+			}
+			done(c)
+			return nil
+		}
 
 	case x86.CMOVCC:
 		if in.Ops[1].Kind == x86.KindReg {
@@ -675,16 +926,38 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return nil
 			}
 		}
-		return fallback
+		// Memory source: read (and fault) only when the condition holds.
+		rdM, wr, cc := x86OpF(in, in.Ops[1], size), x86WrF(in.Ops[0].Reg, size), in.Cond
+		return func(c *x86CPU) error {
+			c.icount++
+			if c.cond(cc) {
+				v, err := rdM(c)
+				if err != nil {
+					return err
+				}
+				wr(c, v)
+			}
+			done(c)
+			return nil
+		}
 	}
 
-	return fallback
+	// SSE ops without an XMM operand (CVTTSD2SI reg, mem).
+	return compileX86SSEAny(in, next, cost)
+}
+
+// compileX86SSEAny compiles an SSE instruction, specialized if possible.
+func compileX86SSEAny(in x86.Inst, next uint64, cost int64) x86Uop {
+	if u := compileX86SSE(in, next, cost); u != nil {
+		return u
+	}
+	return compileX86SSEGeneral(in, next, cost)
 }
 
 // compileX86SSE compiles the hot scalar-SSE shapes (the kernels' double
-// arithmetic is MOVSD/ADDSD/MULSD-dominated). Each closure mirrors
-// stepSSE exactly, including the masked-merge semantics of register moves
-// and the flag layout of UCOMISD. Returning nil keeps the exec fallback.
+// arithmetic is MOVSD/ADDSD/MULSD-dominated), including the masked-merge
+// semantics of register moves and the flag layout of UCOMISD. It returns
+// nil for the shapes compileX86SSEGeneral handles.
 func compileX86SSE(in x86.Inst, next uint64, cost int64) x86Uop {
 	isX := func(o x86.Operand) bool { return o.Kind == x86.KindReg && o.Reg.IsXMM() }
 	xi := func(o x86.Operand) int { return int(o.Reg - x86.XMM0) }
@@ -976,4 +1249,192 @@ func compileX86SSE(in x86.Inst, next uint64, cost int64) x86Uop {
 		}
 	}
 	return nil
+}
+
+// compileX86SSEGeneral compiles the SSE shapes compileX86SSE declines:
+// packed moves and arithmetic, single-precision arithmetic and
+// conversions, PXOR/XORPS from memory, and 16-bit integer conversions.
+// Scalar sources are an XMM register's low lane (masked to the width), a GP
+// register or memory; packed sources are an XMM register or 16 bytes of
+// memory, read low quadword first.
+func compileX86SSEGeneral(in x86.Inst, next uint64, cost int64) x86Uop {
+	if len(in.Ops) < 2 {
+		return x86Unhandled(in)
+	}
+	dst, src := in.Ops[0], in.Ops[1]
+	isX := func(o x86.Operand) bool { return o.Kind == x86.KindReg && o.Reg.IsXMM() }
+	scalar := func(size int) func(*x86CPU) (uint64, error) {
+		if isX(src) {
+			s, msk := src.Reg-x86.XMM0, maskFor(size)
+			return func(c *x86CPU) (uint64, error) { return c.xmm[s][0] & msk, nil }
+		}
+		return x86OpF(in, src, size)
+	}
+	packed := func() func(*x86CPU) ([2]uint64, error) {
+		if isX(src) {
+			s := src.Reg - x86.XMM0
+			return func(c *x86CPU) ([2]uint64, error) { return c.xmm[s], nil }
+		}
+		ea := x86EAF(in, src.Mem)
+		return func(c *x86CPU) ([2]uint64, error) {
+			a := ea(c)
+			lo, err := c.m.load8(a)
+			if err != nil {
+				return [2]uint64{}, err
+			}
+			hi, err := c.m.load8(a + 8)
+			return [2]uint64{lo, hi}, err
+		}
+	}
+	d := dst.Reg - x86.XMM0
+	fpCost := cost + CostFP
+	f32 := func(v uint64) float32 { return math.Float32frombits(uint32(v)) }
+
+	switch in.Op {
+	case x86.MOVAPS, x86.MOVUPS:
+		if isX(dst) {
+			rd := packed()
+			return func(c *x86CPU) error {
+				c.icount++
+				v, err := rd(c)
+				if err != nil {
+					return err
+				}
+				c.xmm[d] = v
+				c.rip = next
+				c.clock += cost
+				return nil
+			}
+		}
+		s, ea := src.Reg-x86.XMM0, x86EAF(in, dst.Mem)
+		return func(c *x86CPU) error {
+			c.icount++
+			a, v := ea(c), c.xmm[s]
+			if err := c.m.store8(a, v[0]); err != nil {
+				return err
+			}
+			if err := c.m.store8(a+8, v[1]); err != nil {
+				return err
+			}
+			c.rip = next
+			c.clock += cost
+			return nil
+		}
+
+	case x86.ADDSS, x86.SUBSS, x86.MULSS, x86.DIVSS:
+		rd, op := scalar(4), in.Op
+		return func(c *x86CPU) error {
+			c.icount++
+			b, err := rd(c)
+			if err != nil {
+				return err
+			}
+			x, y := f32(c.xmm[d][0]), f32(b)
+			var r float32
+			switch op {
+			case x86.ADDSS:
+				r = x + y
+			case x86.SUBSS:
+				r = x - y
+			case x86.MULSS:
+				r = x * y
+			default:
+				r = x / y
+			}
+			c.xmm[d][0] = c.xmm[d][0]&^0xFFFFFFFF | uint64(math.Float32bits(r))
+			c.rip = next
+			c.clock += fpCost
+			return nil
+		}
+
+	case x86.CVTSS2SD, x86.CVTSD2SS:
+		widen := in.Op == x86.CVTSS2SD
+		rd := scalar(8)
+		if widen {
+			rd = scalar(4)
+		}
+		return func(c *x86CPU) error {
+			c.icount++
+			b, err := rd(c)
+			if err != nil {
+				return err
+			}
+			if widen {
+				c.xmm[d][0] = math.Float64bits(float64(f32(b)))
+			} else {
+				c.xmm[d][0] = uint64(math.Float32bits(float32(math.Float64frombits(b))))
+			}
+			c.rip = next
+			c.clock += fpCost
+			return nil
+		}
+
+	case x86.CVTSI2SD:
+		// The source is read at the instruction's width, sign-extended
+		// from 32 bits only for the 32-bit form.
+		rd, w32 := x86OpF(in, src, in.Size), in.Size == 4
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rd(c)
+			if err != nil {
+				return err
+			}
+			s := int64(v)
+			if w32 {
+				s = int64(int32(v))
+			}
+			c.xmm[d][0] = math.Float64bits(float64(s))
+			c.rip = next
+			c.clock += fpCost
+			return nil
+		}
+
+	case x86.CVTTSD2SI:
+		rd, wr := scalar(8), x86WrF(dst.Reg, in.Size)
+		return func(c *x86CPU) error {
+			c.icount++
+			b, err := rd(c)
+			if err != nil {
+				return err
+			}
+			wr(c, uint64(int64(math.Float64frombits(b))))
+			c.rip = next
+			c.clock += fpCost
+			return nil
+		}
+
+	case x86.PXOR, x86.XORPS, x86.ADDPD, x86.MULPD, x86.ADDPS, x86.PADDD:
+		rd, op := packed(), in.Op
+		opCost := fpCost
+		if op == x86.PXOR || op == x86.XORPS || op == x86.PADDD {
+			opCost = cost
+		}
+		return func(c *x86CPU) error {
+			c.icount++
+			v, err := rd(c)
+			if err != nil {
+				return err
+			}
+			for k, b := range v {
+				a := c.xmm[d][k]
+				switch op {
+				case x86.PXOR, x86.XORPS:
+					a ^= b
+				case x86.ADDPD:
+					a = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
+				case x86.MULPD:
+					a = math.Float64bits(math.Float64frombits(a) * math.Float64frombits(b))
+				case x86.ADDPS:
+					a = uint64(math.Float32bits(f32(a)+f32(b))) | uint64(math.Float32bits(f32(a>>32)+f32(b>>32)))<<32
+				default: // PADDD
+					a = uint64(uint32(a)+uint32(b)) | uint64(uint32(a>>32)+uint32(b>>32))<<32
+				}
+				c.xmm[d][k] = a
+			}
+			c.rip = next
+			c.clock += opCost
+			return nil
+		}
+	}
+	return x86Unhandled(in)
 }
