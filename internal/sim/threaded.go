@@ -147,6 +147,9 @@ func (m *Machine) x86Unit(c *x86CPU, p *x86Prog) (int64, error) {
 // (no interface calls) and executes fused superblocks as single steps.
 // Contexts are polled only at unit boundaries via a countdown.
 func (m *Machine) runThreadedArm(ctx context.Context) (int64, error) {
+	if m.armProg == nil {
+		m.compileArm()
+	}
 	p := m.armProg
 	poll := int64(ctxCheckInterval)
 	for {
@@ -231,6 +234,9 @@ func (m *Machine) runThreadedArm(ctx context.Context) (int64, error) {
 }
 
 func (m *Machine) runThreadedX86(ctx context.Context) (int64, error) {
+	if m.x86Prog == nil {
+		m.compileX86()
+	}
 	p := m.x86Prog
 	poll := int64(ctxCheckInterval)
 	for {

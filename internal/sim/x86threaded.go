@@ -740,9 +740,9 @@ func compileX86Uop(in x86.Inst) x86Uop {
 		// through operand accessors. XCHG with memory is implicitly locked.
 		rdD, wrD := x86OpF(in, in.Ops[0], size), x86SetF(in, in.Ops[0], size)
 		rdS, wrS := x86RdF(in.Ops[1].Reg, size), x86WrF(in.Ops[1].Reg, size)
-		op, sz, msk := in.Op, size, maskFor(size)
+		op, sz, msk, opCost := in.Op, size, maskFor(size), cost
 		if op == x86.XCHG && in.Ops[0].Kind == x86.KindMem {
-			cost = CostMem + CostLock
+			opCost = CostMem + CostLock
 		}
 		return func(c *x86CPU) error {
 			c.icount++
@@ -773,7 +773,8 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				}
 				wrS(c, dst)
 			}
-			done(c)
+			c.rip = next
+			c.clock += opCost
 			return nil
 		}
 
