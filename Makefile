@@ -60,10 +60,12 @@ bench-litmus:
 	$(GO) run ./cmd/lasagne-bench -litmus 3 -litmus-out BENCH_litmus.json
 	@echo "wrote BENCH_litmus.json"
 
-# bench-sim times both interpreter engines (reference per-step vs threaded
-# fused-superblock) on every Phoenix and lock-free kernel, both the x86-64
-# input binary and its Arm64 translation, best of 3 runs each. Fails if the
-# engines diverge on output, cycle count, or instruction count anywhere.
+# bench-sim times both interpreter engines (reference: one compiled
+# instruction per scheduler step; threaded: fused superblocks and the
+# single-thread loop, over the same compiled instructions) on every Phoenix
+# and lock-free kernel, both the x86-64 input binary and its Arm64
+# translation, best of 3 runs each. Fails if the engines diverge on output,
+# cycle count, or instruction count anywhere.
 bench-sim:
 	$(GO) run ./cmd/lasagne-bench -sim 3 -sim-out BENCH_sim.json
 	@echo "wrote BENCH_sim.json"
