@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim
+.PHONY: build test verify fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,17 @@ bench-translate:
 	$(GO) test -json -run '^$$' -bench 'TranslatePhoenix|TranslateSuite' \
 		-benchmem -count 3 . > BENCH_translate.json
 	@echo "wrote BENCH_translate.json"
+
+# profile-translate profiles the cold x86->Arm translation of the six suite
+# kernels (BenchmarkTranslateSuite/x86-arm, one CPU, 40 iterations) and
+# prints the top 40 functions by cumulative CPU. The test binary and the
+# profile go to a fresh temporary directory, never into the repository.
+profile-translate:
+	@dir=$$(mktemp -d) && \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkTranslateSuite/x86-arm' -benchtime 40x \
+		-cpuprofile $$dir/cpu.prof -o $$dir/lasagne.test . && \
+	$(GO) tool pprof -top -cum -nodecount 40 $$dir/lasagne.test $$dir/cpu.prof && \
+	echo "profile and test binary in $$dir"
 
 # bench-serve drives an in-process lasagned with 8 clients round-robining
 # over 4 Phoenix modules against one shared translation cache, then a

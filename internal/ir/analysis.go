@@ -43,7 +43,8 @@ func ReachableBlocks(f *Func) map[*Block]bool {
 type DomTree struct {
 	IDom     map[*Block]*Block   // immediate dominator (entry maps to nil)
 	Children map[*Block][]*Block // dominator-tree children
-	order    map[*Block]int      // reverse postorder index
+	order    map[*Block]int      // reverse postorder index, reachable blocks only
+	preds    map[*Block][]*Block // predecessors of f's blocks, in block order
 }
 
 // ComputeDomTree builds the dominator tree using the Cooper-Harvey-Kennedy
@@ -54,6 +55,7 @@ func ComputeDomTree(f *Func) *DomTree {
 		IDom:     make(map[*Block]*Block),
 		Children: make(map[*Block][]*Block),
 		order:    make(map[*Block]int),
+		preds:    predecessors(f),
 	}
 	if entry == nil {
 		return dt
@@ -101,7 +103,7 @@ func ComputeDomTree(f *Func) *DomTree {
 				continue
 			}
 			var newIDom *Block
-			for _, p := range b.Preds() {
+			for _, p := range dt.preds[b] {
 				if idom[p] == nil {
 					continue // unreachable or not yet processed
 				}
@@ -135,6 +137,27 @@ func ComputeDomTree(f *Func) *DomTree {
 	return dt
 }
 
+// predecessors lists the predecessors of each of f's blocks as Block.Preds
+// does, in one pass over the terminators.
+func predecessors(f *Func) map[*Block][]*Block {
+	preds := make(map[*Block][]*Block, len(f.Blocks))
+	for _, bb := range f.Blocks {
+		for _, s := range bb.Succs() {
+			// A terminator naming s twice makes bb one predecessor.
+			if ps := preds[s]; len(ps) == 0 || ps[len(ps)-1] != bb {
+				preds[s] = append(ps, bb)
+			}
+		}
+	}
+	return preds
+}
+
+// reachable reports whether b is reachable from the entry block.
+func (dt *DomTree) reachable(b *Block) bool {
+	_, ok := dt.order[b]
+	return ok
+}
+
 // Dominates reports whether a dominates b (reflexively).
 func (dt *DomTree) Dominates(a, b *Block) bool {
 	for b != nil {
@@ -159,7 +182,7 @@ func DominanceFrontier(f *Func, dt *DomTree) map[*Block][]*Block {
 		df[b] = append(df[b], w)
 	}
 	for _, b := range f.Blocks {
-		preds := b.Preds()
+		preds := dt.preds[b]
 		if len(preds) < 2 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -217,5 +218,50 @@ func TestVerifyAllModule(t *testing.T) {
 	}
 	if err := Verify(m); err == nil || !strings.Contains(err.Error(), "function @a") {
 		t.Fatalf("Verify = %v, want first error naming @a", err)
+	}
+}
+
+// TestVerifyOperandCounts gives every opcode with a fixed operand count a
+// wrong one: each must be reported, in both modes, without a panic.
+func TestVerifyOperandCounts(t *testing.T) {
+	one, ptr := I64Const(1), Null(PointerTo(I64))
+	vec := NewUndef(&VectorType{Elem: I64, Len: 2})
+	cases := []struct {
+		in   *Instr
+		want string
+	}{
+		{&Instr{Op: OpTrunc, Ty: I32}, "want 1 operands, have 0"},
+		{&Instr{Op: OpZext, Ty: I64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpSext, Ty: I64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpBitcast, Ty: F64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpIntToPtr, Ty: PointerTo(I64)}, "want 1 operands, have 0"},
+		{&Instr{Op: OpPtrToInt, Ty: I64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpSIToFP, Ty: F64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpFPToSI, Ty: I64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpFPExt, Ty: F64}, "want 1 operands, have 0"},
+		{&Instr{Op: OpFPTrunc, Ty: F32}, "want 1 operands, have 0"},
+		{&Instr{Op: OpZext, Ty: I64, Args: []Value{one, one}}, "want 1 operands, have 2"},
+		{&Instr{Op: OpExtractElement, Ty: I64, Args: []Value{vec}}, "want 2 operands, have 1"},
+		{&Instr{Op: OpInsertElement, Ty: vec.Ty, Args: []Value{vec, one}}, "want 3 operands, have 2"},
+		{&Instr{Op: OpFence, Ty: Void, Fence: FenceSC, Args: []Value{one}}, "want 0 operands, have 1"},
+		{&Instr{Op: OpAlloca, Ty: PointerTo(I64), Elem: I64, Args: []Value{one, one}}, "want 0 or 1 operands, have 2"},
+		{&Instr{Op: OpBr, Ty: Void, Args: []Value{one}}, "want 0 operands, have 1"},
+		{&Instr{Op: OpUnreachable, Ty: Void, Args: []Value{ptr}}, "want 0 operands, have 1"},
+		{&Instr{Op: OpRet, Ty: Void, Args: []Value{one, one}}, "want 0 or 1 operands, have 2"},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%d", c.in.Op, len(c.in.Args)), func(t *testing.T) {
+			_, f, entry := mkFunc(t)
+			if c.in.IsTerminator() {
+				if c.in.Op == OpBr {
+					c.in.Blocks = []*Block{entry}
+				}
+				entry.Remove(entry.Terminator())
+				entry.Append(c.in)
+			} else {
+				entry.InsertBefore(c.in, entry.Terminator())
+			}
+			wantViolation(t, f, c.want)
+		})
 	}
 }
