@@ -20,13 +20,12 @@
 // The in-memory layer is a bounded LRU, sharded by key prefix so the
 // many-goroutine probe/fill traffic of a long-lived server never serializes
 // on one lock. An optional directory adds a persistent second level shared
-// across processes; that layer is crash-safe: entries are fsynced (file and
-// parent directory) before the publishing rename, carry an end-to-end
-// checksum that is verified on every read, and a corrupt or truncated file
-// is quarantined — moved aside, counted, and treated as a miss — never
-// returned. Disk writes retry transient failures with capped exponential
-// backoff and remain best-effort: a write that still fails only costs
-// future recomputation.
+// across processes. It is crash-safe through internal/durable: each entry
+// file is a sealed payload published atomically, its checksum is verified
+// on every read, and a corrupt or truncated file is quarantined — moved
+// aside, counted, and treated as a miss — never returned. Disk writes retry
+// transient failures with capped exponential backoff and remain
+// best-effort: a write that still fails only costs future recomputation.
 package cache
 
 import (
@@ -36,14 +35,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"lasagne/internal/diag/inject"
+	"lasagne/internal/durable"
 	"lasagne/internal/ir"
 )
 
@@ -81,10 +79,6 @@ type Entry struct {
 	FencesPlaced int
 	FencesMerged int
 }
-
-// encodedSize returns the serialized size of the entry payload on disk
-// (stats fields, body length, body bytes — excluding magic/version/crc).
-func (e *Entry) encodedSize() int { return 8 + 8 + 8 + len(e.Body) }
 
 // numShards splits the in-memory LRU by key prefix. SHA-256 keys are
 // uniform, so the first byte spreads load evenly; 16 shards keeps lock
@@ -196,7 +190,8 @@ func (c *Cache) get(k Key) (*Entry, bool) {
 		case errors.Is(err, errBadEntry):
 			// Never trust a corrupt or truncated entry: move it aside so it
 			// stops matching, keep it for post-mortem, and recompute.
-			c.quarantine(path)
+			durable.Quarantine(c.dir, path)
+			c.quarantined.Add(1)
 		case errors.Is(err, errStaleEntry):
 			// A valid file in an older format: silently superseded.
 			_ = os.Remove(path)
@@ -211,7 +206,9 @@ func (c *Cache) Put(k Key, e *Entry) {
 	c.insert(k, e)
 	if c.dir != "" {
 		// Best effort: a failed write only costs future recomputation.
-		if err := writeEntryFileRetry(c.path(k), e); err != nil {
+		path, image := c.path(k), encodeEntry(e)
+		publish := func() error { return durable.Publish(path, image, diskPoints) }
+		if err := durable.Retry(writeRetries, writeBackoffBase, writeBackoffMax, retrySleep, publish); err != nil {
 			c.diskErrors.Add(1)
 		}
 	}
@@ -232,21 +229,6 @@ func (c *Cache) insert(k Key, e *Entry) {
 		s.ll.Remove(oldest)
 		delete(s.items, oldest.Value.(*lruItem).key)
 	}
-}
-
-// quarantine moves a corrupt disk entry into the quarantine/ subdirectory
-// (falling back to deletion when even that fails) so it can never be
-// returned again but remains inspectable.
-func (c *Cache) quarantine(path string) {
-	qdir := filepath.Join(c.dir, "quarantine")
-	err := os.MkdirAll(qdir, 0o755)
-	if err == nil {
-		err = os.Rename(path, filepath.Join(qdir, filepath.Base(path)))
-	}
-	if err != nil {
-		_ = os.Remove(path)
-	}
-	c.quarantined.Add(1)
 }
 
 // Len returns the number of entries in the memory layer.
@@ -295,18 +277,16 @@ func (c *Cache) path(k Key) string {
 	return filepath.Join(c.dir, name[:2], name[2:]+".lce")
 }
 
-// Disk format v2: magic, format version, stats fields, body length, body
-// bytes, then a CRC-32C over everything before it. The checksum is the
-// end-to-end integrity check: rename gives atomic visibility, but only the
-// checksum catches a torn or bit-flipped entry that a crash (or a bad disk)
-// left behind with a plausible length.
+// Disk format v2: a sealed payload (see internal/durable) of magic, format
+// version, stats fields, body length and body bytes.
 const (
 	diskMagic   = "LCE2"
 	diskVersion = 2
+	diskHeader  = len(diskMagic) + 4 + 3*8
 )
 
-// Failpoint names for the disk layer, armed by crash-safety tests via
-// diag/inject to simulate kill-during-write and transient I/O faults.
+// Failpoint names for the disk layer (the durable.Points of "cache"), armed
+// by crash-safety tests to simulate kill-during-write and transient faults.
 const (
 	InjectWrite   = "cache:write"   // before writing the temp file
 	InjectFsync   = "cache:fsync"   // before fsyncing the temp file
@@ -314,116 +294,35 @@ const (
 	InjectDirsync = "cache:dirsync" // before fsyncing the parent directory
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var diskPoints = durable.Points("cache")
 
 var (
 	errBadEntry   = errors.New("cache: bad disk entry")
 	errStaleEntry = errors.New("cache: stale disk entry format")
 )
 
-// Disk write retry policy: transient I/O errors (EINTR, brief ENOSPC,
-// network filesystems hiccuping) get a few quick retries with doubling,
-// capped backoff; persistent failure is surfaced to the caller, who treats
-// the write as best-effort.
+// Disk write retry policy. retrySleep is swappable so tests exercise the
+// retry loop without real sleeps.
 var (
 	writeRetries     = 3
 	writeBackoffBase = time.Millisecond
 	writeBackoffMax  = 10 * time.Millisecond
-	// retrySleep is swappable so tests exercise the retry loop without
-	// real sleeps.
-	retrySleep = time.Sleep
+	retrySleep       = time.Sleep
 )
 
-func writeEntryFileRetry(path string, e *Entry) error {
-	backoff := writeBackoffBase
-	var err error
-	for attempt := 0; attempt <= writeRetries; attempt++ {
-		if attempt > 0 {
-			retrySleep(backoff)
-			backoff *= 2
-			if backoff > writeBackoffMax {
-				backoff = writeBackoffMax
-			}
-		}
-		if err = writeEntryFile(path, e); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
-// writeEntryFile publishes one entry crash-safely: build the checksummed
-// image, write it to a temp file in the destination directory, fsync the
-// temp file, rename it over the final name, and fsync the directory so the
-// rename itself survives power loss. Concurrent readers see either no entry
-// or the complete entry, and a crash at any point leaves at worst an
-// orphaned temp file (ignored by readers) — never a live corrupt entry.
-func writeEntryFile(path string, e *Entry) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, len(diskMagic)+4+e.encodedSize()+4)
+func encodeEntry(e *Entry) []byte {
+	buf := make([]byte, 0, diskHeader+len(e.Body)+4)
 	buf = append(buf, diskMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, diskVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.FencesPlaced))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.FencesMerged))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.Body)))
 	buf = append(buf, e.Body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := inject.Hit(InjectWrite); err != nil {
-		return cleanup(err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		return cleanup(err)
-	}
-	if err := inject.Hit(InjectFsync); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := inject.Hit(InjectRename); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := inject.Hit(InjectDirsync); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return durable.Seal(buf)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry's name is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
+// readEntryFile checks the seal before anything else, so any damage —
+// including to the version field — quarantines the file.
 func readEntryFile(path string) (*Entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -432,27 +331,17 @@ func readEntryFile(path string) (*Entry, error) {
 	if len(data) >= 4 && string(data[:4]) == "LCE1" {
 		return nil, errStaleEntry
 	}
-	hdr := len(diskMagic) + 4 + 24
-	if len(data) < hdr+4 || string(data[:len(diskMagic)]) != diskMagic {
+	p, ok := durable.Unseal(data)
+	if !ok || len(p) < diskHeader || string(p[:len(diskMagic)]) != diskMagic ||
+		binary.LittleEndian.Uint64(p[diskHeader-8:]) != uint64(len(p)-diskHeader) {
 		return nil, errBadEntry
 	}
-	if binary.LittleEndian.Uint32(data[len(diskMagic):]) != diskVersion {
+	if binary.LittleEndian.Uint32(p[len(diskMagic):]) != diskVersion {
 		return nil, errStaleEntry
 	}
-	payload, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, errBadEntry
-	}
-	p := len(diskMagic) + 4
-	e := &Entry{
-		FencesPlaced: int(binary.LittleEndian.Uint64(data[p:])),
-		FencesMerged: int(binary.LittleEndian.Uint64(data[p+8:])),
-	}
-	n := binary.LittleEndian.Uint64(data[p+16:])
-	body := payload[hdr:]
-	if uint64(len(body)) != n {
-		return nil, errBadEntry
-	}
-	e.Body = body
-	return e, nil
+	return &Entry{
+		Body:         p[diskHeader:],
+		FencesPlaced: int(binary.LittleEndian.Uint64(p[len(diskMagic)+4:])),
+		FencesMerged: int(binary.LittleEndian.Uint64(p[len(diskMagic)+12:])),
+	}, nil
 }
