@@ -68,6 +68,18 @@ func (f *Func) String() string {
 
 // String renders one instruction.
 func (i *Instr) String() string {
+	arg := func(k int) Value {
+		if k < len(i.Args) && i.Args[k] != nil {
+			return i.Args[k]
+		}
+		return missing{}
+	}
+	succ := func(k int) string {
+		if k < len(i.Blocks) && i.Blocks[k] != nil {
+			return i.Blocks[k].Name
+		}
+		return missing{}.Ref()
+	}
 	var b strings.Builder
 	if !IsVoid(i.Ty) {
 		fmt.Fprintf(&b, "%s = ", i.Ref())
@@ -76,90 +88,90 @@ func (i *Instr) String() string {
 	case OpAlloca:
 		fmt.Fprintf(&b, "alloca %s", i.Elem)
 		if len(i.Args) == 1 {
-			fmt.Fprintf(&b, ", %s %s", i.Args[0].Type(), i.Args[0].Ref())
+			fmt.Fprintf(&b, ", %s %s", arg(0).Type(), arg(0).Ref())
 		}
 	case OpLoad:
 		if i.Order != NotAtomic {
-			fmt.Fprintf(&b, "load atomic %s, %s %s %s", i.Ty, i.Args[0].Type(), i.Args[0].Ref(), i.Order)
+			fmt.Fprintf(&b, "load atomic %s, %s %s %s", i.Ty, arg(0).Type(), arg(0).Ref(), i.Order)
 		} else {
-			fmt.Fprintf(&b, "load %s, %s %s", i.Ty, i.Args[0].Type(), i.Args[0].Ref())
+			fmt.Fprintf(&b, "load %s, %s %s", i.Ty, arg(0).Type(), arg(0).Ref())
 		}
 	case OpStore:
 		if i.Order != NotAtomic {
 			fmt.Fprintf(&b, "store atomic %s %s, %s %s %s",
-				i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Type(), i.Args[1].Ref(), i.Order)
+				arg(0).Type(), arg(0).Ref(), arg(1).Type(), arg(1).Ref(), i.Order)
 		} else {
 			fmt.Fprintf(&b, "store %s %s, %s %s",
-				i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Type(), i.Args[1].Ref())
+				arg(0).Type(), arg(0).Ref(), arg(1).Type(), arg(1).Ref())
 		}
 	case OpFence:
 		fmt.Fprintf(&b, "fence.%s", fenceSuffix(i.Fence))
 	case OpRMW:
 		fmt.Fprintf(&b, "atomicrmw %s %s %s, %s %s seq_cst",
-			i.RMWOp, i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Type(), i.Args[1].Ref())
+			i.RMWOp, arg(0).Type(), arg(0).Ref(), arg(1).Type(), arg(1).Ref())
 	case OpCmpXchg:
 		fmt.Fprintf(&b, "cmpxchg %s %s, %s %s, %s %s seq_cst",
-			i.Args[0].Type(), i.Args[0].Ref(),
-			i.Args[1].Type(), i.Args[1].Ref(),
-			i.Args[2].Type(), i.Args[2].Ref())
+			arg(0).Type(), arg(0).Ref(),
+			arg(1).Type(), arg(1).Ref(),
+			arg(2).Type(), arg(2).Ref())
 	case OpGEP:
-		fmt.Fprintf(&b, "getelementptr %s, %s %s", i.Elem, i.Args[0].Type(), i.Args[0].Ref())
-		for _, idx := range i.Args[1:] {
-			fmt.Fprintf(&b, ", %s %s", idx.Type(), idx.Ref())
+		fmt.Fprintf(&b, "getelementptr %s, %s %s", i.Elem, arg(0).Type(), arg(0).Ref())
+		for k := 1; k < len(i.Args); k++ {
+			fmt.Fprintf(&b, ", %s %s", arg(k).Type(), arg(k).Ref())
 		}
 	case OpICmp, OpFCmp:
-		fmt.Fprintf(&b, "%s %s %s %s, %s", i.Op, i.Pred, i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Ref())
+		fmt.Fprintf(&b, "%s %s %s %s, %s", i.Op, i.Pred, arg(0).Type(), arg(0).Ref(), arg(1).Ref())
 	case OpSelect:
 		fmt.Fprintf(&b, "select i1 %s, %s %s, %s %s",
-			i.Args[0].Ref(), i.Args[1].Type(), i.Args[1].Ref(), i.Args[2].Type(), i.Args[2].Ref())
+			arg(0).Ref(), arg(1).Type(), arg(1).Ref(), arg(2).Type(), arg(2).Ref())
 	case OpPhi:
 		fmt.Fprintf(&b, "phi %s ", i.Ty)
 		for k := range i.Args {
 			if k > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "[ %s, %%%s ]", i.Args[k].Ref(), i.Blocks[k].Name)
+			fmt.Fprintf(&b, "[ %s, %%%s ]", arg(k).Ref(), succ(k))
 		}
 	case OpCall:
-		fmt.Fprintf(&b, "call %s %s(", i.Ty, i.Args[0].Ref())
-		for k, a := range i.Args[1:] {
-			if k > 0 {
+		fmt.Fprintf(&b, "call %s %s(", i.Ty, arg(0).Ref())
+		for k := 1; k < len(i.Args); k++ {
+			if k > 1 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s %s", a.Type(), a.Ref())
+			fmt.Fprintf(&b, "%s %s", arg(k).Type(), arg(k).Ref())
 		}
 		b.WriteString(")")
 	case OpRet:
 		if len(i.Args) == 0 {
 			b.WriteString("ret void")
 		} else {
-			fmt.Fprintf(&b, "ret %s %s", i.Args[0].Type(), i.Args[0].Ref())
+			fmt.Fprintf(&b, "ret %s %s", arg(0).Type(), arg(0).Ref())
 		}
 	case OpBr:
-		fmt.Fprintf(&b, "br label %%%s", i.Blocks[0].Name)
+		fmt.Fprintf(&b, "br label %%%s", succ(0))
 	case OpCondBr:
-		fmt.Fprintf(&b, "br i1 %s, label %%%s, label %%%s", i.Args[0].Ref(), i.Blocks[0].Name, i.Blocks[1].Name)
+		fmt.Fprintf(&b, "br i1 %s, label %%%s, label %%%s", arg(0).Ref(), succ(0), succ(1))
 	case OpUnreachable:
 		b.WriteString("unreachable")
 	case OpExtractElement:
 		fmt.Fprintf(&b, "extractelement %s %s, %s %s",
-			i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Type(), i.Args[1].Ref())
+			arg(0).Type(), arg(0).Ref(), arg(1).Type(), arg(1).Ref())
 	case OpInsertElement:
 		fmt.Fprintf(&b, "insertelement %s %s, %s %s, %s %s",
-			i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Type(), i.Args[1].Ref(),
-			i.Args[2].Type(), i.Args[2].Ref())
+			arg(0).Type(), arg(0).Ref(), arg(1).Type(), arg(1).Ref(),
+			arg(2).Type(), arg(2).Ref())
 	default:
 		if IsBinaryOp(i.Op) {
-			fmt.Fprintf(&b, "%s %s %s, %s", i.Op, i.Args[0].Type(), i.Args[0].Ref(), i.Args[1].Ref())
+			fmt.Fprintf(&b, "%s %s %s, %s", i.Op, arg(0).Type(), arg(0).Ref(), arg(1).Ref())
 		} else if IsCast(i.Op) {
-			fmt.Fprintf(&b, "%s %s %s to %s", i.Op, i.Args[0].Type(), i.Args[0].Ref(), i.Ty)
+			fmt.Fprintf(&b, "%s %s %s to %s", i.Op, arg(0).Type(), arg(0).Ref(), i.Ty)
 		} else {
 			fmt.Fprintf(&b, "%s", i.Op)
-			for k, a := range i.Args {
+			for k := range i.Args {
 				if k > 0 {
 					b.WriteString(",")
 				}
-				fmt.Fprintf(&b, " %s", a.Ref())
+				fmt.Fprintf(&b, " %s", arg(k).Ref())
 			}
 		}
 	}
@@ -177,3 +189,13 @@ func fenceSuffix(f FenceKind) string {
 	}
 	return "?"
 }
+
+// missing stands in for an operand or successor that a malformed
+// instruction lacks, so the verifier can print the instruction it reports.
+type missing struct{}
+
+func (missing) Type() Type      { return missing{} }
+func (missing) Ref() string     { return "<missing>" }
+func (missing) String() string  { return "?" }
+func (missing) Size() int       { return 0 }
+func (missing) Equal(Type) bool { return false }
