@@ -356,6 +356,32 @@ func TestPLTIndex(t *testing.T) {
 	}
 }
 
+// TestTextOverlappingPLTRejected: the threaded engine dispatches .text
+// before the PLT, so a .text section reaching a PLT slot would run its
+// bytes where the reference engine calls the builtin. NewMachine rejects
+// any .text that overlaps the PLT and accepts one that only touches it.
+func TestTextOverlappingPLTRejected(t *testing.T) {
+	for _, tc := range []struct {
+		addr uint64
+		size int
+		ok   bool
+	}{
+		{obj.PLTBase - 8, 8, true},
+		{obj.PLTBase - 4, 8, false},
+		{obj.PLTBase + obj.PLTSlot, 4, false},
+		{pltEnd - 4, 4, false},
+		{pltEnd, 4, true},
+	} {
+		f := buildArm(t, []arm64.Inst{{Op: arm64.RET, Rn: arm64.X30}})
+		f.Sections[0].Addr, f.Sections[0].Data = tc.addr, make([]byte, tc.size)
+		f.Symbols[0].Addr = tc.addr
+		_, err := NewMachine(f)
+		if tc.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "overlaps the PLT") {
+			t.Errorf(".text [%#x, %#x): NewMachine error %v, want ok=%v", tc.addr, tc.addr+uint64(tc.size), err, tc.ok)
+		}
+	}
+}
+
 // TestExclusiveMonitorInvalidation: a store by another CPU between a
 // thread's LDXR and STXR must make the STXR fail (the global monitor
 // semantics contended atomics rely on).
