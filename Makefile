@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate
+.PHONY: build test verify fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate profile-sim
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,18 @@ profile-translate:
 	$(GO) tool pprof -top -cum -nodecount 40 $$dir/lasagne.test $$dir/cpu.prof && \
 	echo "profile and test binary in $$dir"
 
+# profile-sim profiles the threaded simulator over the Phoenix suite
+# (BenchmarkSimPhoenix/threaded: every kernel's x86-64 input and its Arm64
+# translation, one CPU, 3 iterations) and prints the top 40 functions by
+# flat CPU. The test binary and the profile go to a fresh temporary
+# directory, never into the repository.
+profile-sim:
+	@dir=$$(mktemp -d) && \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkSimPhoenix/threaded' -benchtime 3x \
+		-cpuprofile $$dir/cpu.prof -o $$dir/lasagne.test . && \
+	$(GO) tool pprof -top -nodecount 40 $$dir/lasagne.test $$dir/cpu.prof && \
+	echo "profile and test binary in $$dir"
+
 # bench-serve drives an in-process lasagned with 8 clients round-robining
 # over 4 Phoenix modules against one shared translation cache, then a
 # streaming phase (4 full-suite /translate/stream batches per client via
@@ -73,7 +85,7 @@ bench-litmus:
 
 # bench-sim times both interpreter engines (reference: one compiled
 # instruction per scheduler step; threaded: fused superblocks and the
-# single-thread loop, over the same compiled instructions) on every Phoenix
+# sorted ready list, over the same compiled instructions) on every Phoenix
 # and lock-free kernel, both the x86-64 input binary and its Arm64
 # translation, best of 3 runs each. Fails if the engines diverge on output,
 # cycle count, or instruction count anywhere.
