@@ -1,11 +1,13 @@
 // Package client is the self-healing consumer of the lasagned wire
 // protocol. It owns the failure modes the server deliberately surfaces —
 // 429 shed, 5xx, dropped connections, torn stream tails — and turns them
-// into three mechanisms:
+// into three mechanisms, with one attempt loop (call) behind both
+// Translate and TranslateStream:
 //
 //   - retry with exponential backoff + full jitter, bounded by a per-call
 //     attempt budget and the caller's context deadline (which also rides to
-//     the server as X-Lasagne-Deadline-Ms);
+//     the server as X-Lasagne-Deadline-Ms, rounded up to whole
+//     milliseconds);
 //   - a circuit breaker that trips on consecutive shed/5xx/transport
 //     failures, fails fast while open, and recovers through a single
 //     half-open probe;
@@ -22,7 +24,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -171,13 +172,6 @@ func (c *Client) report(ok bool) {
 	}
 }
 
-// openRemaining is how long the breaker stays closed to callers.
-func (c *Client) openRemaining() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Until(c.openUntil)
-}
-
 func retryableStatus(code int) bool {
 	return code == http.StatusTooManyRequests || code >= 500
 }
@@ -189,24 +183,23 @@ func (c *Client) backoff(ctx context.Context, n int) error {
 	if d <= 0 || d > c.opts.MaxBackoff {
 		d = c.opts.MaxBackoff
 	}
-	d = time.Duration(rand.Int63n(int64(d) + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return sleep(ctx, time.Duration(rand.Int63n(int64(d)+1)))
 }
 
 // sleepUntilProbe waits out a breaker-open window (bounded by ctx) so the
 // next loop iteration can be the half-open probe. It does not consume an
 // attempt: every open window was paid for by a real attempt already.
 func (c *Client) sleepUntilProbe(ctx context.Context) error {
-	d := c.openRemaining()
+	c.mu.Lock()
+	d := time.Until(c.openUntil)
+	c.mu.Unlock()
+	return sleep(ctx, d)
+}
+
+// sleep waits d (nothing when d <= 0), bounded by ctx.
+func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		return nil
+		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -221,20 +214,83 @@ func (c *Client) sleepUntilProbe(ctx context.Context) error {
 // headers stamps the deadline/budget propagation headers.
 func (c *Client) headers(ctx context.Context, req *http.Request) {
 	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.Header.Set("X-Lasagne-Deadline-Ms", strconv.FormatInt(ms, 10))
+		if d := time.Until(dl); d > 0 {
+			req.Header.Set("X-Lasagne-Deadline-Ms", strconv.FormatInt(ceilMs(d), 10))
 		}
 	}
 	if c.opts.FuncBudget > 0 {
-		req.Header.Set("X-Lasagne-Func-Budget-Ms",
-			strconv.FormatInt(c.opts.FuncBudget.Milliseconds(), 10))
+		req.Header.Set("X-Lasagne-Func-Budget-Ms", strconv.FormatInt(ceilMs(c.opts.FuncBudget), 10))
 	}
 	req.Header.Set("Content-Type", "application/json")
 }
 
+// ceilMs is a positive d in whole milliseconds, rounded up: a duration under
+// 1ms travels as "1", not as the "0" the server refuses.
+func ceilMs(d time.Duration) int64 {
+	ms := d.Milliseconds()
+	if d%time.Millisecond != 0 {
+		ms++
+	}
+	return ms
+}
+
+// call is the attempt loop of every logical call. attempt runs one HTTP
+// attempt; retry reports a failure worth another. An open breaker is
+// waited out without using an attempt, every attempt is reported to the
+// breaker, and retries back off under ctx.
+func (c *Client) call(ctx context.Context, attempt func() (retry bool, err error)) error {
+	var lastErr error
+	for n := 0; n < c.opts.MaxAttempts; {
+		if err := c.allow(); err != nil {
+			lastErr = err
+			if werr := c.sleepUntilProbe(ctx); werr != nil {
+				return fmt.Errorf("%w (last error: %v)", werr, lastErr)
+			}
+			continue
+		}
+		n++
+		retry, err := attempt()
+		// A final status error is a healthy server refusing a wrong request.
+		var se *StatusError
+		c.report(err == nil || !retry && errors.As(err, &se))
+		if !retry {
+			return err
+		}
+		lastErr = err
+		if berr := c.backoff(ctx, n-1); berr != nil {
+			return fmt.Errorf("%w (last error: %v)", berr, lastErr)
+		}
+	}
+	return fmt.Errorf("client: %d attempts exhausted: %w", c.opts.MaxAttempts, lastErr)
+}
+
+// send runs one HTTP attempt: it posts body to path and returns the 200
+// response for the caller to read. Any other status is a *StatusError
+// carrying the decoded error response. retry marks a transport failure or
+// a retryable status.
+func (c *Client) send(ctx context.Context, path string, body []byte) (res *http.Response, retry bool, err error) {
+	c.attempts.Add(1)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.opts.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, true, err
+	}
+	c.headers(ctx, req)
+	if res, err = c.hc.Do(req); err != nil {
+		return nil, true, err
+	}
+	if res.StatusCode != http.StatusOK {
+		defer res.Body.Close()
+		var sr serve.Response
+		_ = json.NewDecoder(res.Body).Decode(&sr)
+		return nil, retryableStatus(res.StatusCode), &StatusError{Code: res.StatusCode, Resp: &sr}
+	}
+	return res, false, nil
+}
+
 // Translate posts one module to /translate with retry, backoff and the
 // breaker. On 200 it returns the decoded response; a non-retryable status
-// returns a *StatusError carrying the server's typed response.
+// returns a *StatusError carrying the server's typed response, which is
+// also the returned response.
 func (c *Client) Translate(ctx context.Context, module []byte, reverse bool, cfg *serve.ConfigJSON) (*serve.Response, error) {
 	body, err := json.Marshal(&serve.Request{
 		Module:  base64.StdEncoding.EncodeToString(module),
@@ -244,57 +300,23 @@ func (c *Client) Translate(ctx context.Context, module []byte, reverse bool, cfg
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; {
-		if err := c.allow(); err != nil {
-			lastErr = err
-			if werr := c.sleepUntilProbe(ctx); werr != nil {
-				return nil, fmt.Errorf("%w (last error: %v)", werr, lastErr)
+	var out *serve.Response
+	err = c.call(ctx, func() (bool, error) {
+		res, retry, err := c.send(ctx, "/translate", body)
+		if err != nil {
+			var se *StatusError
+			if !retry && errors.As(err, &se) {
+				out = se.Resp
 			}
-			continue
+			return retry, err
 		}
-		attempt++
-		resp, code, aerr := c.post(ctx, "/translate", body)
-		if aerr != nil {
-			c.report(false)
-			lastErr = aerr
-		} else if retryableStatus(code) {
-			c.report(false)
-			lastErr = &StatusError{Code: code, Resp: resp}
-		} else if code != http.StatusOK {
-			c.report(true) // the server is healthy; the request is wrong
-			return resp, &StatusError{Code: code, Resp: resp}
-		} else {
-			c.report(true)
-			return resp, nil
+		defer res.Body.Close()
+		var sr serve.Response
+		if err := json.NewDecoder(res.Body).Decode(&sr); err != nil {
+			return true, fmt.Errorf("client: bad response JSON: %w", err)
 		}
-		if err := c.backoff(ctx, attempt-1); err != nil {
-			return nil, fmt.Errorf("%w (last error: %v)", err, lastErr)
-		}
-	}
-	return nil, fmt.Errorf("client: %d attempts exhausted: %w", c.opts.MaxAttempts, lastErr)
-}
-
-// post sends one request and decodes the JSON body (whatever the status).
-func (c *Client) post(ctx context.Context, path string, body []byte) (*serve.Response, int, error) {
-	c.attempts.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.opts.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	c.headers(ctx, req)
-	res, err := c.hc.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer res.Body.Close()
-	data, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, 0, err
-	}
-	var sr serve.Response
-	if err := json.Unmarshal(data, &sr); err != nil {
-		return nil, res.StatusCode, fmt.Errorf("client: bad response JSON (status %d): %w", res.StatusCode, err)
-	}
-	return &sr, res.StatusCode, nil
+		out = &sr
+		return false, nil
+	})
+	return out, err
 }

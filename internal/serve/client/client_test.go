@@ -17,13 +17,17 @@ import (
 )
 
 // flappingHandler fails the first n requests with the given status, then
-// answers every request with the canned body.
+// answers every request with the canned body (on /translate/stream, with
+// a complete stream for module "m").
 type flappingHandler struct {
 	failures int32
 	status   int
 	calls    atomic.Int32
 	body     string
 }
+
+const streamOK = `{"type":"module","seq":0,"module":"m","status":200}` + "\n" +
+	`{"type":"done","seq":1,"modules":1}` + "\n"
 
 func (h *flappingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := h.calls.Add(1)
@@ -33,8 +37,29 @@ func (h *flappingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"error":"synthetic failure %d"}`, n)
 		return
 	}
+	if r.URL.Path == "/translate/stream" {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprint(w, streamOK)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprint(w, h.body)
+}
+
+// retryCalls are the two logical calls that share the attempt loop; the retry
+// and breaker tests run against both.
+var retryCalls = []struct {
+	name string
+	do   func(*Client, context.Context) error
+}{
+	{"Translate", func(cl *Client, ctx context.Context) error {
+		_, err := cl.Translate(ctx, []byte("x"), false, nil)
+		return err
+	}},
+	{"TranslateStream", func(cl *Client, ctx context.Context) error {
+		_, err := cl.TranslateStream(ctx, []serve.ModuleRequest{{Name: "m", Module: "AAAA"}}, nil)
+		return err
+	}},
 }
 
 // A server that sheds a few times and then recovers: the client retries
@@ -71,27 +96,31 @@ func TestRetryThroughFlappingServer(t *testing.T) {
 // Exhausting the attempt budget against a server that never recovers: the
 // error wraps the last failure and the attempt count equals the budget.
 func TestAttemptBudgetExhausted(t *testing.T) {
-	h := &flappingHandler{failures: 1 << 30, status: http.StatusInternalServerError}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	for _, call := range retryCalls {
+		t.Run(call.name, func(t *testing.T) {
+			h := &flappingHandler{failures: 1 << 30, status: http.StatusInternalServerError}
+			ts := httptest.NewServer(h)
+			defer ts.Close()
 
-	cl := New(Options{
-		BaseURL:          ts.URL,
-		MaxAttempts:      3,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       2 * time.Millisecond,
-		BreakerThreshold: 10,
-	})
-	_, err := cl.Translate(context.Background(), []byte("x"), false, nil)
-	if err == nil {
-		t.Fatal("want error after budget exhausted")
-	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
-		t.Errorf("error %v does not wrap the final 500", err)
-	}
-	if got := cl.Attempts(); got != 3 {
-		t.Errorf("attempts = %d, want exactly the budget of 3", got)
+			cl := New(Options{
+				BaseURL:          ts.URL,
+				MaxAttempts:      3,
+				BaseBackoff:      time.Millisecond,
+				MaxBackoff:       2 * time.Millisecond,
+				BreakerThreshold: 10,
+			})
+			err := call.do(cl, context.Background())
+			if err == nil {
+				t.Fatal("want error after budget exhausted")
+			}
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+				t.Errorf("error %v does not wrap the final 500", err)
+			}
+			if got := cl.Attempts(); got != 3 {
+				t.Errorf("attempts = %d, want exactly the budget of 3", got)
+			}
+		})
 	}
 }
 
@@ -99,75 +128,83 @@ func TestAttemptBudgetExhausted(t *testing.T) {
 // fast while open (no network attempts), lets a half-open probe through
 // after the cooldown, and recovers when the server does.
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	h := &flappingHandler{failures: 1 << 30, status: http.StatusServiceUnavailable,
-		body: `{"object":"","stats":{}}`}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	for _, call := range retryCalls {
+		t.Run(call.name, func(t *testing.T) {
+			h := &flappingHandler{failures: 1 << 30, status: http.StatusServiceUnavailable,
+				body: `{"object":"","stats":{}}`}
+			ts := httptest.NewServer(h)
+			defer ts.Close()
 
-	cl := New(Options{
-		BaseURL:          ts.URL,
-		MaxAttempts:      2,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       2 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+			cl := New(Options{
+				BaseURL:          ts.URL,
+				MaxAttempts:      2,
+				BaseBackoff:      time.Millisecond,
+				MaxBackoff:       2 * time.Millisecond,
+				BreakerThreshold: 2,
+				BreakerCooldown:  50 * time.Millisecond,
+			})
 
-	// First call: 2 attempts, both fail, breaker trips at the threshold.
-	if _, err := cl.Translate(context.Background(), []byte("x"), false, nil); err == nil {
-		t.Fatal("want failure")
-	}
-	if cl.BreakerOpens() != 1 {
-		t.Fatalf("breaker opens = %d, want 1", cl.BreakerOpens())
-	}
+			// First call: 2 attempts, both fail, breaker trips at the threshold.
+			if err := call.do(cl, context.Background()); err == nil {
+				t.Fatal("want failure")
+			}
+			if cl.BreakerOpens() != 1 {
+				t.Fatalf("breaker opens = %d, want 1", cl.BreakerOpens())
+			}
 
-	// While open, calls fail fast without touching the network. A short
-	// context ends the call inside the open window.
-	before := cl.Attempts()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, err := cl.Translate(ctx, []byte("x"), false, nil)
-	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("open-breaker call: %v, want ctx deadline while waiting for probe", err)
-	}
-	if got := cl.Attempts(); got != before {
-		t.Errorf("open breaker sent %d network attempts", got-before)
-	}
+			// While open, calls fail fast without touching the network. A
+			// short context ends the call inside the open window.
+			before := cl.Attempts()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			err := call.do(cl, ctx)
+			if err == nil || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("open-breaker call: %v, want ctx deadline while waiting for probe", err)
+			}
+			if got := cl.Attempts(); got != before {
+				t.Errorf("open breaker sent %d network attempts", got-before)
+			}
 
-	// Server recovers; after the cooldown the half-open probe succeeds and
-	// the breaker closes again.
-	atomic.StoreInt32(&h.failures, 0)
-	time.Sleep(60 * time.Millisecond)
-	if _, err := cl.Translate(context.Background(), []byte("x"), false, nil); err != nil {
-		t.Fatalf("recovery call: %v", err)
-	}
-	if got := cl.Attempts(); got != before+1 {
-		t.Errorf("recovery took %d attempts, want 1 probe", got-before)
+			// Server recovers; after the cooldown the half-open probe
+			// succeeds and the breaker closes again.
+			atomic.StoreInt32(&h.failures, 0)
+			time.Sleep(60 * time.Millisecond)
+			if err := call.do(cl, context.Background()); err != nil {
+				t.Fatalf("recovery call: %v", err)
+			}
+			if got := cl.Attempts(); got != before+1 {
+				t.Errorf("recovery took %d attempts, want 1 probe", got-before)
+			}
+		})
 	}
 }
 
 // A half-open probe that fails re-opens the breaker immediately.
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	h := &flappingHandler{failures: 1 << 30, status: http.StatusBadGateway}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
+	for _, call := range retryCalls {
+		t.Run(call.name, func(t *testing.T) {
+			h := &flappingHandler{failures: 1 << 30, status: http.StatusBadGateway}
+			ts := httptest.NewServer(h)
+			defer ts.Close()
 
-	cl := New(Options{
-		BaseURL:          ts.URL,
-		MaxAttempts:      1,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       2 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  20 * time.Millisecond,
-	})
-	for i := 0; i < 3; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		_, _ = cl.Translate(ctx, []byte("x"), false, nil)
-		cancel()
-		time.Sleep(25 * time.Millisecond) // let the cooldown lapse
-	}
-	if got := cl.BreakerOpens(); got < 2 {
-		t.Errorf("breaker opens = %d, want >= 2 (failed probes re-open)", got)
+			cl := New(Options{
+				BaseURL:          ts.URL,
+				MaxAttempts:      1,
+				BaseBackoff:      time.Millisecond,
+				MaxBackoff:       2 * time.Millisecond,
+				BreakerThreshold: 1,
+				BreakerCooldown:  20 * time.Millisecond,
+			})
+			for i := 0; i < 3; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				_ = call.do(cl, ctx)
+				cancel()
+				time.Sleep(25 * time.Millisecond) // let the cooldown lapse
+			}
+			if got := cl.BreakerOpens(); got < 2 {
+				t.Errorf("breaker opens = %d, want >= 2 (failed probes re-open)", got)
+			}
+		})
 	}
 }
 
@@ -236,5 +273,15 @@ func TestDeadlineBudgetHeaders(t *testing.T) {
 	}
 	if b, _ := gotBudget.Load().(string); b != "1500" {
 		t.Errorf("X-Lasagne-Func-Budget-Ms = %q, want 1500", b)
+	}
+
+	// A budget under one millisecond rounds up: "0" would be refused with a
+	// 400 that is never retried.
+	cl = New(Options{BaseURL: ts.URL, FuncBudget: 500 * time.Microsecond})
+	if _, err := cl.Translate(ctx, []byte("x"), false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := gotBudget.Load().(string); b != "1" {
+		t.Errorf("X-Lasagne-Func-Budget-Ms for 500µs = %q, want 1", b)
 	}
 }

@@ -5,13 +5,10 @@ package client
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"lasagne/internal/serve"
 )
@@ -76,43 +73,22 @@ func (c *Client) TranslateStream(ctx context.Context, mods []serve.ModuleRequest
 		}
 	}
 
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; {
-		if err := c.allow(); err != nil {
-			lastErr = err
-			if werr := c.sleepUntilProbe(ctx); werr != nil {
-				return nil, fmt.Errorf("%w (last error: %v)", werr, lastErr)
-			}
-			continue
-		}
-		attempt++
-		done, err := c.streamOnce(ctx, st, cfg)
-		if done {
-			c.report(err == nil)
-			if err != nil {
-				return nil, err // protocol violation: loud, never retried
-			}
-			out := make(map[string]*ModuleResult, len(st.completed))
-			for name, mr := range st.completed {
-				mr.Funcs = st.funcs[name]
-				out[name] = mr
-			}
-			return out, nil
-		}
-		c.report(false)
-		lastErr = err
-		if berr := c.backoff(ctx, attempt-1); berr != nil {
-			return nil, fmt.Errorf("%w (last error: %v)", berr, lastErr)
-		}
+	if err := c.call(ctx, func() (bool, error) { return c.streamOnce(ctx, st, cfg) }); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("client: %d attempts exhausted: %w", c.opts.MaxAttempts, lastErr)
+	out := make(map[string]*ModuleResult, len(st.completed))
+	for name, mr := range st.completed {
+		mr.Funcs = st.funcs[name]
+		out[name] = mr
+	}
+	return out, nil
 }
 
-// streamOnce runs one HTTP attempt. done=true means the logical call is
-// finished: either every module completed (err nil) or the server violated
-// the protocol (err is ErrMalformedStream-wrapped, never retried).
-// done=false is a retryable transport/status failure.
-func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.ConfigJSON) (bool, error) {
+// streamOnce runs one HTTP attempt. With a nil error every module has
+// completed. retry marks a transport failure, a torn stream or a retryable
+// status; a protocol violation (ErrMalformedStream-wrapped) or a final
+// status ends the call.
+func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.ConfigJSON) (retry bool, err error) {
 	// Drop completed modules from the request; carry the acked keys.
 	remaining := make([]serve.ModuleRequest, 0, len(st.mods))
 	for _, m := range st.mods {
@@ -121,7 +97,7 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 		}
 	}
 	if len(remaining) == 0 {
-		return true, nil
+		return false, nil
 	}
 	if len(st.acked) > 0 || len(st.completed) > 0 {
 		st.resumes++
@@ -132,30 +108,13 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 		Acked:   st.acked,
 	})
 	if err != nil {
-		return true, err
-	}
-
-	c.attempts.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.opts.BaseURL+"/translate/stream", bytes.NewReader(body))
-	if err != nil {
-		return true, err
-	}
-	c.headers(ctx, req)
-	res, err := c.hc.Do(req)
-	if err != nil {
 		return false, err
 	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(res.Body)
-		var sr serve.Response
-		_ = json.Unmarshal(data, &sr)
-		if retryableStatus(res.StatusCode) {
-			return false, &StatusError{Code: res.StatusCode, Resp: &sr}
-		}
-		return true, &StatusError{Code: res.StatusCode, Resp: &sr}
+	res, retry, err := c.send(ctx, "/translate/stream", body)
+	if err != nil {
+		return retry, err
 	}
+	defer res.Body.Close()
 
 	// Frame loop. The framing invariant: every complete line (trailing
 	// newline present) is a complete frame; a read that ends without a
@@ -170,14 +129,14 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 			// io.EOF with a partial line is the torn tail; any other error
 			// is the transport dying. Both retry (unless done already
 			// arrived, which ends the loop below before reading again).
-			return false, fmt.Errorf("client: stream interrupted: %w", rerr)
+			return true, fmt.Errorf("client: stream interrupted: %w", rerr)
 		}
 		var fr serve.Frame
 		if err := json.Unmarshal([]byte(line), &fr); err != nil {
-			return true, fmt.Errorf("%w: unparsable frame: %v", ErrMalformedStream, err)
+			return false, fmt.Errorf("%w: unparsable frame: %v", ErrMalformedStream, err)
 		}
 		if fr.Seq != seq {
-			return true, fmt.Errorf("%w: sequence gap: got %d, want %d", ErrMalformedStream, fr.Seq, seq)
+			return false, fmt.Errorf("%w: sequence gap: got %d, want %d", ErrMalformedStream, fr.Seq, seq)
 		}
 		seq++
 		switch fr.Type {
@@ -187,7 +146,7 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 			if fr.Body != "" {
 				b, err := base64.StdEncoding.DecodeString(fr.Body)
 				if err != nil {
-					return true, fmt.Errorf("%w: bad func body base64: %v", ErrMalformedStream, err)
+					return false, fmt.Errorf("%w: bad func body base64: %v", ErrMalformedStream, err)
 				}
 				f.Body = b
 			}
@@ -202,7 +161,7 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 			if fr.Object != "" {
 				b, err := base64.StdEncoding.DecodeString(fr.Object)
 				if err != nil {
-					return true, fmt.Errorf("%w: bad object base64: %v", ErrMalformedStream, err)
+					return false, fmt.Errorf("%w: bad object base64: %v", ErrMalformedStream, err)
 				}
 				mr.Object = b
 			}
@@ -210,7 +169,7 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 		case serve.FrameDone:
 			sawDone = true
 		default:
-			return true, fmt.Errorf("%w: unknown frame type %q", ErrMalformedStream, fr.Type)
+			return false, fmt.Errorf("%w: unknown frame type %q", ErrMalformedStream, fr.Type)
 		}
 		if sawDone {
 			break
@@ -220,8 +179,8 @@ func (c *Client) streamOnce(ctx context.Context, st *streamState, cfg *serve.Con
 	// with the completed-set accounting, all modules are now in.
 	for _, m := range st.mods {
 		if st.completed[m.Name] == nil {
-			return true, fmt.Errorf("%w: done frame before module %q completed", ErrMalformedStream, m.Name)
+			return false, fmt.Errorf("%w: done frame before module %q completed", ErrMalformedStream, m.Name)
 		}
 	}
-	return true, nil
+	return false, nil
 }

@@ -2,6 +2,10 @@
 // server wrapping the core pipeline, built so that robustness — not raw
 // endpoint count — is the feature.
 //
+//   - One request path: /translate is a batch of one. Both endpoints differ
+//     only in how they decode a body into modules and how they write the
+//     finished results; admit does everything between — config, budget
+//     headers, request context, one job per module, admission.
 //   - Admission control: jobs enter a bounded queue drained by a fixed
 //     worker pool. When the queue is full the server sheds load explicitly
 //     (429 + Retry-After) instead of letting latency collapse.
@@ -27,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -110,8 +115,10 @@ type Server struct {
 	resumed       atomic.Int64 // stream requests that carried acked keys
 }
 
-// job is one admitted translation request.
+// job is one module of a request: /translate carries one, a streaming
+// batch one per module.
 type job struct {
+	name string // the module's frame label; "" on /translate
 	ctx  context.Context
 	bin  *obj.File
 	cfg  core.Config
@@ -306,61 +313,13 @@ func (s *Server) process(j *job) *result {
 }
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse("POST required", nil))
+	jobs, cancel := s.admit(w, r, decodeUnary, nil)
+	if jobs == nil {
 		return
 	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse("bad request JSON: "+err.Error(), nil))
-		return
-	}
-	raw, err := base64.StdEncoding.DecodeString(req.Module)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse("module is not valid base64: "+err.Error(), nil))
-		return
-	}
-	bin, err := obj.Unmarshal(raw)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse("cannot parse object: "+err.Error(), nil))
-		return
-	}
-
-	cfg := s.opts.Config
-	cfg.Cache = s.opts.Cache
-	cfg.Jobs = s.opts.Jobs
-	if req.Config != nil {
-		req.Config.apply(&cfg)
-	}
-
-	deadline, err := s.deadlineAndBudget(r, &cfg)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse(err.Error(), nil))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
-
-	j := &job{ctx: ctx, bin: bin, cfg: cfg, rev: req.Reverse, done: make(chan *result, 1)}
-
-	admitted, draining := s.tryAdmit(j)
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse("server is draining", nil))
-		return
-	}
-	if !admitted {
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter())
-		writeJSON(w, http.StatusTooManyRequests, errResponse("admission queue full", nil))
-		return
-	}
-
 	select {
-	case res := <-j.done:
+	case res := <-jobs[0].done:
 		writeJSON(w, res.status, res.resp)
 	case <-r.Context().Done():
 		// Client gone: the job still drains through the worker (its context
@@ -368,20 +327,112 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readBody reads the request body under the MaxRequestBytes cap, writing
-// the 400/413 response itself on failure.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// request is a decoded body: one job per module, still without context
+// and config, plus the per-request overrides and, on streams, the keys the
+// client already holds.
+type request struct {
+	jobs   []*job
+	config *ConfigJSON
+	acked  map[string]bool
+}
+
+// decodeUnary decodes a /translate body: a batch of one unnamed module.
+func decodeUnary(body []byte) (*request, int, error) {
+	var req Request
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request JSON: %v", err)
+	}
+	j, err := decodeModule("", req.Module, req.Reverse)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return &request{jobs: []*job{j}, config: req.Config}, 0, nil
+}
+
+// decodeModule decodes and checks one module: base64, then the object
+// format. name labels the errors; "" is /translate's unnamed module.
+func decodeModule(name, b64 string, rev bool) (*job, error) {
+	what, object := "module", "object"
+	if name != "" {
+		what = fmt.Sprintf("module %q", name)
+		object = what
+	}
+	raw, err := base64.StdEncoding.DecodeString(b64)
+	if err != nil {
+		return nil, fmt.Errorf("%s is not valid base64: %v", what, err)
+	}
+	bin, err := obj.Unmarshal(raw)
+	if err != nil {
+		return nil, fmt.Errorf("cannot parse %s: %v", object, err)
+	}
+	return &job{name: name, bin: bin, rev: rev}, nil
+}
+
+// admit is the request path both endpoints share, up to the first job's
+// admission: the method check, the capped body, the endpoint's decode, the
+// config, the deadline and budget headers, and a non-blocking admission of
+// the first job. It writes every refusal itself and then returns nil jobs;
+// otherwise the caller owns cancel and the jobs after the first. st is
+// nil on /translate, so unary jobs keep FuncDone nil and can lead a
+// module-tier flight; on /translate/stream it takes the request's cancel
+// and hooks every job's FuncDone.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request,
+	decode func([]byte) (*request, int, error), st *stream) ([]*job, context.CancelFunc) {
+	refuse := func(status int, msg string) ([]*job, context.CancelFunc) {
+		writeJSON(w, status, errResponse(msg, nil))
+		return nil, nil
+	}
+	if r.Method != http.MethodPost {
+		return refuse(http.StatusMethodNotAllowed, "POST required")
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxRequestBytes+1))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse("cannot read request body: "+err.Error(), nil))
-		return nil, false
+		return refuse(http.StatusBadRequest, "cannot read request body: "+err.Error())
 	}
 	if int64(len(body)) > s.opts.MaxRequestBytes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errResponse(fmt.Sprintf("request body exceeds %d bytes", s.opts.MaxRequestBytes), nil))
-		return nil, false
+		return refuse(http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", s.opts.MaxRequestBytes))
 	}
-	return body, true
+	req, status, err := decode(body)
+	if err != nil {
+		return refuse(status, err.Error())
+	}
+
+	cfg := s.opts.Config
+	cfg.Cache = s.opts.Cache
+	cfg.Jobs = s.opts.Jobs
+	if req.config != nil {
+		req.config.apply(&cfg)
+	}
+	deadline, err := s.deadlineAndBudget(r, &cfg)
+	if err != nil {
+		return refuse(http.StatusBadRequest, err.Error())
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	if st != nil {
+		st.cancel, st.acked = cancel, req.acked
+	}
+	// All jobs share the request context: a module's panic or budget
+	// exhaustion fails only its own result (process() isolates it), while
+	// losing a stream's reader cancels the whole batch.
+	for _, j := range req.jobs {
+		j.ctx, j.cfg, j.done = ctx, cfg, make(chan *result, 1)
+		if st != nil {
+			j.cfg.FuncDone = st.funcDone(j.name)
+		}
+	}
+
+	admitted, draining := s.tryAdmit(req.jobs[0])
+	if !admitted {
+		cancel()
+		if draining {
+			return refuse(http.StatusServiceUnavailable, "server is draining")
+		}
+		s.shed.Add(1)
+		w.Header().Set("Retry-After", s.retryAfter())
+		return refuse(http.StatusTooManyRequests, "admission queue full")
+	}
+	return req.jobs, cancel
 }
 
 // deadlineAndBudget applies the per-request budget headers: the deadline
@@ -513,15 +564,22 @@ func (s *Server) healthBody() *HealthBody {
 }
 
 // durationHeader parses an integer-millisecond header. ok reports whether
-// the header was present.
+// the header was present. Counts beyond the time.Duration range saturate
+// at its maximum instead of wrapping negative.
 func durationHeader(r *http.Request, name string) (time.Duration, bool, error) {
 	v := r.Header.Get(name)
 	if v == "" {
 		return 0, false, nil
 	}
 	ms, err := strconv.ParseInt(v, 10, 64)
+	if errors.Is(err, strconv.ErrRange) && ms > 0 {
+		err = nil // ParseInt saturated at MaxInt64
+	}
 	if err != nil || ms <= 0 {
 		return 0, false, fmt.Errorf("bad %s header %q: want a positive integer millisecond count", name, v)
+	}
+	if ms > int64(math.MaxInt64/time.Millisecond) {
+		return math.MaxInt64, true, nil
 	}
 	return time.Duration(ms) * time.Millisecond, true, nil
 }

@@ -368,6 +368,20 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 	if !strings.Contains(resp.Error, "budget") && !strings.Contains(resp.Error, "interrupted") {
 		t.Errorf("timeout error does not name the budget: %q", resp.Error)
 	}
+
+	// Counts beyond the time.Duration range saturate: the deadline clamps
+	// to MaxDeadline and the budget is effectively unbounded, instead of
+	// wrapping negative into an expired context or no budget at all.
+	inject.Reset()
+	for _, v := range []string{"10000000000000", "99999999999999999999"} {
+		for _, h := range []string{"X-Lasagne-Deadline-Ms", "X-Lasagne-Func-Budget-Ms"} {
+			status, resp := post(t, ts.URL, Request{Module: moduleB64(bin)}, h, v)
+			if status != http.StatusOK || len(resp.Degraded) != 0 {
+				t.Errorf("%s: %s: status %d (%s), degraded %v; want a clean 200",
+					h, v, status, resp.Error, resp.Degraded)
+			}
+		}
+	}
 }
 
 func TestFuncBudgetHeaderPropagates(t *testing.T) {

@@ -30,7 +30,6 @@ import (
 
 	"lasagne/internal/core"
 	"lasagne/internal/diag/inject"
-	"lasagne/internal/obj"
 )
 
 // InjectFrame is the chaos failpoint inside the frame writer: an armed
@@ -52,24 +51,25 @@ type stream struct {
 	dead     chan struct{}
 	deadOnce sync.Once
 	cancel   context.CancelFunc
+	acked    map[string]bool // func keys the client already holds
 
 	// mu serializes emit so Seq order and channel order agree.
-	mu     sync.Mutex
-	closed bool
-	seq    int
+	mu  sync.Mutex
+	seq int
 
 	funcs   atomic.Int64 // func frames emitted
 	skipped atomic.Int64 // func frames suppressed because the client acked them
 	wg      sync.WaitGroup
 }
 
-func newStream(s *Server, cancel context.CancelFunc) *stream {
+// newStream builds the stream; admit sets its cancel and acked keys before
+// any job can emit.
+func newStream(s *Server) *stream {
 	return &stream{
 		s:      s,
 		frames: make(chan []byte, s.opts.StreamBuffer),
 		stall:  s.opts.StreamWriteTimeout,
 		dead:   make(chan struct{}),
-		cancel: cancel,
 	}
 }
 
@@ -179,17 +179,24 @@ func (st *stream) start(w http.ResponseWriter) {
 // completed, or the dead latch is closed (which unblocks any emit).
 func (st *stream) finish() {
 	st.mu.Lock()
-	st.closed = true
 	close(st.frames)
 	st.mu.Unlock()
 	st.wg.Wait()
 }
 
-// streamMod is one decoded batch entry.
-type streamMod struct {
-	name string
-	bin  *obj.File
-	rev  bool
+// funcDone is the FuncDone hook of the batch's module name: it streams one
+// func frame per finished function.
+func (st *stream) funcDone(name string) func(core.FuncEvent) error {
+	return func(ev core.FuncEvent) error {
+		if ev.Keyed && st.acked[hex.EncodeToString(ev.Key[:])] {
+			// The client already holds this result from the interrupted
+			// stream; with the shared cache the work behind it was a hit,
+			// so nothing is recomputed and nothing is re-sent.
+			st.skipped.Add(1)
+			return st.alive()
+		}
+		return st.emit(funcFrame(name, ev))
+	}
 }
 
 func funcFrame(module string, ev core.FuncEvent) *Frame {
@@ -209,31 +216,23 @@ func funcFrame(module string, ev core.FuncEvent) *Frame {
 	return f
 }
 
-func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errResponse("POST required", nil))
-		return
-	}
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
+// decodeStream decodes a /translate/stream body: a batch of uniquely named
+// modules, at most MaxBatchModules of them.
+func (s *Server) decodeStream(body []byte) (*request, int, error) {
 	var req StreamRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse("bad request JSON: "+err.Error(), nil))
-		return
+		return nil, http.StatusBadRequest, fmt.Errorf("bad request JSON: %v", err)
 	}
 	n := len(req.Modules)
 	if n == 0 {
-		writeJSON(w, http.StatusBadRequest, errResponse("empty batch", nil))
-		return
+		return nil, http.StatusBadRequest, errors.New("empty batch")
 	}
 	if n > s.opts.MaxBatchModules {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errResponse(fmt.Sprintf("batch of %d exceeds %d modules", n, s.opts.MaxBatchModules), nil))
-		return
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d exceeds %d modules", n, s.opts.MaxBatchModules)
 	}
-	mods := make([]streamMod, n)
+	out := &request{jobs: make([]*job, n), config: req.Config,
+		acked: make(map[string]bool, len(req.Acked))}
 	names := make(map[string]bool, n)
 	for i, m := range req.Modules {
 		name := m.Name
@@ -241,86 +240,33 @@ func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
 			name = fmt.Sprintf("m%d", i)
 		}
 		if names[name] {
-			writeJSON(w, http.StatusBadRequest,
-				errResponse(fmt.Sprintf("duplicate module name %q", name), nil))
-			return
+			return nil, http.StatusBadRequest, fmt.Errorf("duplicate module name %q", name)
 		}
 		names[name] = true
-		raw, err := base64.StdEncoding.DecodeString(m.Module)
+		j, err := decodeModule(name, m.Module, m.Reverse)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errResponse(fmt.Sprintf("module %q is not valid base64: %v", name, err), nil))
-			return
+			return nil, http.StatusBadRequest, err
 		}
-		bin, err := obj.Unmarshal(raw)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errResponse(fmt.Sprintf("cannot parse module %q: %v", name, err), nil))
-			return
-		}
-		mods[i] = streamMod{name: name, bin: bin, rev: m.Reverse}
+		out.jobs[i] = j
 	}
-	acked := make(map[string]bool, len(req.Acked))
 	for _, k := range req.Acked {
-		acked[k] = true
+		out.acked[k] = true
 	}
+	return out, 0, nil
+}
 
-	cfg := s.opts.Config
-	cfg.Cache = s.opts.Cache
-	cfg.Jobs = s.opts.Jobs
-	if req.Config != nil {
-		req.Config.apply(&cfg)
-	}
-	deadline, err := s.deadlineAndBudget(r, &cfg)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errResponse(err.Error(), nil))
+func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
+	st := newStream(s)
+	jobs, cancel := s.admit(w, r, s.decodeStream, st)
+	if jobs == nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
-
-	st := newStream(s, cancel)
-
-	// One job per module, all sharing the request context: a module's
-	// panic or budget exhaustion degrades only its own frames (process()
-	// isolates it), while losing the reader cancels the whole batch.
-	jobs := make([]*job, n)
-	for i := range mods {
-		name := mods[i].name
-		mcfg := cfg
-		mcfg.FuncDone = func(ev core.FuncEvent) error {
-			if ev.Keyed && acked[hex.EncodeToString(ev.Key[:])] {
-				// The client already holds this result from the interrupted
-				// stream; with the shared cache the work behind it was a hit,
-				// so nothing is recomputed and nothing is re-sent.
-				st.skipped.Add(1)
-				return st.alive()
-			}
-			return st.emit(funcFrame(name, ev))
-		}
-		jobs[i] = &job{ctx: ctx, bin: mods[i].bin, cfg: mcfg, rev: mods[i].rev,
-			done: make(chan *result, 1)}
-	}
-
-	// Admission decides before the stream commits to a 200: the first
-	// module is admitted non-blockingly, so a draining server refuses the
-	// batch and a full queue sheds it exactly like /translate.
-	admitted, draining := s.tryAdmit(jobs[0])
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, errResponse("server is draining", nil))
-		return
-	}
-	if !admitted {
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter())
-		writeJSON(w, http.StatusTooManyRequests, errResponse("admission queue full", nil))
-		return
-	}
 
 	// Committed: from here every outcome is frames on a 200 stream.
 	s.activeStreams.Add(1)
 	defer s.activeStreams.Add(-1)
-	if len(req.Acked) > 0 {
+	if len(st.acked) > 0 {
 		s.resumed.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -331,13 +277,14 @@ func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
 	// already admitted as a request, so a full queue backpressures (a
 	// bounded wait under the request deadline) instead of shedding; drain
 	// still refuses, failing only the not-yet-admitted modules.
-	for i := 1; i < n; i++ {
-		if aerr := s.admitWait(ctx, jobs[i]); aerr != nil {
+	ctx := jobs[0].ctx
+	for _, j := range jobs[1:] {
+		if aerr := s.admitWait(ctx, j); aerr != nil {
 			code := http.StatusServiceUnavailable
 			if ctx.Err() != nil {
 				code = http.StatusGatewayTimeout
 			}
-			jobs[i].done <- &result{status: code,
+			j.done <- &result{status: code,
 				resp: errResponse("module not admitted: "+aerr.Error(), nil)}
 		}
 	}
@@ -346,10 +293,10 @@ func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
 	// jobs abort through the cancelled context and drain via the worker
 	// pool; nothing waits on the dead connection.
 	completed := 0
-	for i := 0; i < n; i++ {
+	for _, j := range jobs {
 		var res *result
 		select {
-		case res = <-jobs[i].done:
+		case res = <-j.done:
 		case <-st.dead:
 		}
 		if res == nil {
@@ -357,7 +304,7 @@ func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
 		}
 		fr := &Frame{
 			Type:        FrameModule,
-			Module:      mods[i].name,
+			Module:      j.name,
 			Status:      res.status,
 			Object:      res.resp.Object,
 			Error:       res.resp.Error,
@@ -370,8 +317,8 @@ func (s *Server) handleTranslateStream(w http.ResponseWriter, r *http.Request) {
 		}
 		completed++
 	}
-	if completed == n {
-		_ = st.emit(&Frame{Type: FrameDone, Modules: n,
+	if completed == len(jobs) {
+		_ = st.emit(&Frame{Type: FrameDone, Modules: len(jobs),
 			Funcs: int(st.funcs.Load()), Skipped: int(st.skipped.Load())})
 	}
 	st.finish()
