@@ -37,7 +37,7 @@ func main() {
 	funcBudget := flag.Duration("func-budget", 0,
 		"per-function time budget for refine/fences/opt; on expiry the function degrades to conservative fences (0 = unbounded)")
 	allowPartial := flag.Bool("allow-partial", false,
-		"keep translating when a function cannot be lifted (it becomes a flagged stub)")
+		"keep translating when a function cannot be lifted, in either direction (it is dropped or becomes a flagged stub)")
 	jobs := flag.Int("jobs", 0,
 		"worker count for the function-parallel pipeline stages (0 = one per CPU; output is byte-identical for any value)")
 	cacheDir := flag.String("cache-dir", "",

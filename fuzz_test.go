@@ -5,6 +5,7 @@ import (
 
 	"lasagne/internal/backend"
 	"lasagne/internal/core"
+	"lasagne/internal/diag"
 	"lasagne/internal/ir"
 	"lasagne/internal/minic"
 	"lasagne/internal/obj"
@@ -90,32 +91,32 @@ func TestPipelineFuzz(t *testing.T) {
 	}
 }
 
-// FuzzTranslate feeds arbitrary bytes to the pipeline as an x86-64 .text
-// section and asserts the fault-tolerance contract: no panic ever escapes
-// Translate, and every failed translation carries at least one Error
+// FuzzTranslate feeds arbitrary bytes to the pipeline as the .text section
+// of an x86-64 object and of an Arm64 object, and asserts the
+// fault-tolerance contract in both directions: no panic ever escapes the
+// translation, and every failed translation carries at least one Error
 // diagnostic explaining why. With AllowPartial the pipeline additionally
-// must survive by stubbing whatever it cannot lift.
+// must survive by stubbing whatever it cannot lift, and whatever it accepts
+// must stay verifier-clean and compile for the target.
 func FuzzTranslate(f *testing.F) {
-	// Seed with real machine code, a truncated copy of it (cuts an
-	// instruction mid-encoding), and plain garbage.
+	// Seed with real machine code of both architectures, truncated copies
+	// of it (cut an instruction mid-encoding), and plain garbage.
 	m, err := minic.Compile("seed", "int g; int main() { g = 41; print_int(g + 1); return 0; }")
 	if err != nil {
 		f.Fatal(err)
 	}
-	bin, err := backend.Compile(m, "x86-64")
-	if err != nil {
-		f.Fatal(err)
-	}
-	var text []byte
-	for _, s := range bin.Sections {
-		if s.Name == ".text" {
-			text = s.Data
+	for _, arch := range []string{"x86-64", "arm64"} {
+		bin, err := backend.Compile(m, arch)
+		if err != nil {
+			f.Fatal(err)
 		}
+		text := bin.Section(".text").Data
+		f.Add(text)
+		f.Add(text[:len(text)/2])
+		f.Add(text[:1])
 	}
-	f.Add(text)
-	f.Add(text[:len(text)/2])
-	f.Add(text[:1])
 	f.Add([]byte{0x90, 0xcc, 0xff, 0x00, 0x41, 0xf4, 0x0f, 0x05})
+	f.Add([]byte{0x1f, 0x20, 0x03, 0xd5, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -150,6 +151,33 @@ func FuzzTranslate(f *testing.F) {
 			}
 			if _, cerr := backend.Compile(m, "arm64"); cerr != nil {
 				t.Fatalf("cfg %+v: arm64 backend rejected verified IR: %v", cfg, cerr)
+			}
+		}
+
+		// The same bytes as Arm64 code. The object-to-object entry point
+		// hides the IR, so the final-module verifier runs inside the
+		// pipeline (VerifyIR, Validate): the pipeline may refuse what it
+		// cannot lift, but neither that verifier nor the backend may refuse
+		// what it accepted.
+		fuzzed.Arch = "arm64"
+		for _, cfg := range []core.Config{
+			{Refine: true, MergeFences: true, Optimize: true, VerifyIR: true},
+			{Refine: true, MergeFences: true, Optimize: true, VerifyIR: true, AllowPartial: true},
+			{Refine: true, MergeFences: true, Optimize: true, Validate: true, AllowPartial: true},
+		} {
+			out, _, rep, err := core.TranslateArmToX86(fuzzed, cfg)
+			if err != nil {
+				if rep == nil || !rep.HasErrors() {
+					t.Fatalf("arm64 cfg %+v: failure carries no Error diagnostic: %v", cfg, err)
+				}
+			}
+			for _, d := range rep.Diagnostics() {
+				if d.Severity == diag.Error && (d.Stage == diag.StageBackend || d.Stage == diag.StageVerify && d.Func == "") {
+					t.Fatalf("arm64 cfg %+v: accepted input failed at %s: %v", cfg, d.Stage, d.Cause)
+				}
+			}
+			if err == nil && out.Arch != "x86-64" {
+				t.Fatalf("arm64 cfg %+v: translation produced a %q object", cfg, out.Arch)
 			}
 		}
 	})

@@ -1,9 +1,6 @@
 package arm64
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // String renders the instruction in standard A64 assembly syntax.
 func (i Inst) String() string {
@@ -140,13 +137,4 @@ func log2(n int) int {
 		k++
 	}
 	return k
-}
-
-// FormatCode renders a decoded instruction sequence one per line.
-func FormatCode(insts []Inst) string {
-	var b strings.Builder
-	for _, in := range insts {
-		fmt.Fprintf(&b, "%8x:  %s\n", in.Addr, in.String())
-	}
-	return b.String()
 }

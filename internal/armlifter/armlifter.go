@@ -23,8 +23,8 @@ import (
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
+	"lasagne/internal/lifter"
 	"lasagne/internal/obj"
-	"lasagne/internal/rt"
 )
 
 // unit is one lifting unit: a plain instruction or a recognized atomic
@@ -54,6 +54,44 @@ const (
 
 // Lift translates an entire Arm64 object file into an IR module.
 func Lift(file *obj.File) (*ir.Module, error) {
+	ml, err := Begin(file, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i := range ml.syms {
+		if err := ml.Declare(i); err != nil {
+			return nil, err
+		}
+	}
+	for _, name := range ml.Names() {
+		if err := ml.LiftFunc(name); err != nil {
+			return nil, fmt.Errorf("armlifter: @%s: %w", name, err)
+		}
+	}
+	if err := ir.Verify(ml.Module()); err != nil {
+		return nil, fmt.Errorf("armlifter: produced invalid IR: %w", err)
+	}
+	return ml.Module(), nil
+}
+
+// ModuleLifter lifts one object in stages, as lifter.ModuleLifter does for
+// x86-64, so the fault-tolerant pipeline can wrap each function in its own
+// recover boundary: Begin decodes every function and builds the module
+// shell, Declare recognizes one function's atomic idioms and reconstructs
+// its CFG and signature, and LiftFunc translates one declared body.
+type ModuleLifter struct {
+	file  *obj.File
+	mod   *ir.Module
+	funcs map[string]*mfunc // declared functions
+	syms  []obj.Symbol      // decoded functions, object order
+	insts [][]arm64.Inst    // and their instructions
+}
+
+// Begin decodes each function symbol of the object. When bad is non-nil, a
+// function that sits outside .text or holds an undecodable word is reported
+// through bad and dropped instead of failing the whole object. Object-level
+// problems (wrong architecture, missing .text) still return an error.
+func Begin(file *obj.File, bad func(sym obj.Symbol, err error)) (*ModuleLifter, error) {
 	if file.Arch != "arm64" {
 		return nil, fmt.Errorf("armlifter: cannot lift %q binaries", file.Arch)
 	}
@@ -61,66 +99,65 @@ func Lift(file *obj.File) (*ir.Module, error) {
 	if text == nil {
 		return nil, fmt.Errorf("armlifter: no .text section")
 	}
-	mod := ir.NewModule(file.Entry + ".lifted")
-	rt.Declare(mod)
-
-	data := file.Section(".data")
-	for _, s := range file.Symbols {
-		if s.Kind != obj.SymData {
-			continue
-		}
-		g := mod.NewGlobal(s.Name, ir.ArrayOf(ir.I8, int(s.Size)))
-		if data != nil && s.Addr >= data.Addr && s.Addr+s.Size <= data.Addr+uint64(len(data.Data)) {
-			g.Init = append([]byte(nil), data.Data[s.Addr-data.Addr:s.Addr-data.Addr+s.Size]...)
+	var firstErr error
+	if bad == nil {
+		bad = func(_ obj.Symbol, err error) {
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-
-	l := &lifter{file: file, mod: mod, funcs: map[string]*mfunc{}}
+	ml := &ModuleLifter{file: file, mod: lifter.Shell(file), funcs: map[string]*mfunc{}}
 	for _, sym := range file.FuncSymbols() {
 		if sym.Addr < text.Addr || sym.Addr+sym.Size > text.Addr+uint64(len(text.Data)) {
-			return nil, fmt.Errorf("armlifter: function %s outside .text", sym.Name)
+			bad(sym, fmt.Errorf("armlifter: function %s outside .text", sym.Name))
+			continue
 		}
 		code := text.Data[sym.Addr-text.Addr : sym.Addr-text.Addr+sym.Size]
 		insts, err := arm64.DecodeAll(code, sym.Addr)
 		if err != nil {
-			return nil, fmt.Errorf("armlifter: %s: %w", sym.Name, err)
+			bad(sym, fmt.Errorf("armlifter: %s: %w", sym.Name, err))
+			continue
 		}
-		units, err := recognizeAtomics(insts)
-		if err != nil {
-			return nil, fmt.Errorf("armlifter: %s: %w", sym.Name, err)
-		}
-		mf, err := buildCFG(sym, units)
-		if err != nil {
-			return nil, fmt.Errorf("armlifter: %s: %w", sym.Name, err)
-		}
-		discoverType(mf)
-		l.funcs[sym.Name] = mf
-		var params []ir.Type
-		for _, p := range mf.params {
-			if p.fp {
-				params = append(params, ir.F64)
-			} else {
-				params = append(params, ir.I64)
-			}
-		}
-		var ret ir.Type = ir.Void
-		switch mf.ret {
-		case retInt:
-			ret = ir.I64
-		case retF64:
-			ret = ir.F64
-		}
-		mod.NewFunc(sym.Name, &ir.FuncType{Ret: ret, Params: params})
+		ml.syms = append(ml.syms, sym)
+		ml.insts = append(ml.insts, insts)
 	}
-	for _, sym := range file.FuncSymbols() {
-		if err := l.liftFunc(l.funcs[sym.Name]); err != nil {
-			return nil, fmt.Errorf("armlifter: @%s: %w", sym.Name, err)
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	if err := ir.Verify(mod); err != nil {
-		return nil, fmt.Errorf("armlifter: produced invalid IR: %w", err)
+	return ml, nil
+}
+
+// Names returns the decoded functions in object order.
+func (ml *ModuleLifter) Names() []string {
+	names := make([]string, len(ml.syms))
+	for i, sym := range ml.syms {
+		names[i] = sym.Name
 	}
-	return mod, nil
+	return names
+}
+
+// Module returns the module under construction.
+func (ml *ModuleLifter) Module() *ir.Module { return ml.mod }
+
+// Declare prepares the i-th decoded function: atomic idiom recognition,
+// CFG reconstruction and type discovery, creating the (still empty) IR
+// function. All declarations must happen before any LiftFunc so calls can
+// resolve their callees.
+func (ml *ModuleLifter) Declare(i int) error {
+	sym := ml.syms[i]
+	units, err := recognizeAtomics(ml.insts[i])
+	if err != nil {
+		return fmt.Errorf("armlifter: %s: %w", sym.Name, err)
+	}
+	mf, err := buildCFG(sym, units)
+	if err != nil {
+		return fmt.Errorf("armlifter: %s: %w", sym.Name, err)
+	}
+	discoverType(mf)
+	ml.funcs[sym.Name] = mf
+	ml.mod.NewFunc(sym.Name, mf.sig)
+	return nil
 }
 
 // recognizeAtomics scans the instruction stream for the canonical LL/SC
@@ -213,10 +250,6 @@ func (u *unit) ulen() int {
 	return u.length
 }
 
-func (u *unit) isTerminator() bool {
-	return u.kind == unitInst && u.inst.IsTerminator()
-}
-
 // mblock is a machine basic block of units.
 type mblock struct {
 	start uint64
@@ -224,22 +257,11 @@ type mblock struct {
 	succs []*mblock
 }
 
-type paramInfo struct{ fp bool }
-
-type retKind int
-
-const (
-	retVoid retKind = iota
-	retInt
-	retF64
-)
-
 // mfunc is a reconstructed machine function.
 type mfunc struct {
 	sym    obj.Symbol
 	blocks []*mblock
-	params []paramInfo
-	ret    retKind
+	sig    *ir.FuncType // i64 and f64 parameters; void, i64 or f64 result
 }
 
 func buildCFG(sym obj.Symbol, units []unit) (*mfunc, error) {
@@ -272,46 +294,32 @@ func buildCFG(sym obj.Symbol, units []unit) (*mfunc, error) {
 		cur.units = append(cur.units, u)
 	}
 	for _, b := range mf.blocks {
+		// Successors: the branch target first, then the fall-through.
 		last := b.units[len(b.units)-1]
-		next := last.uaddr() + uint64(last.ulen())
-		addSucc := func(a uint64) error {
+		var succs []uint64
+		fall := true
+		if last.kind == unitInst {
+			switch in := last.inst; in.Op {
+			case arm64.RET, arm64.BR:
+				fall = false
+			case arm64.B:
+				succs, fall = []uint64{uint64(in.Imm)}, false
+			case arm64.BCOND, arm64.CBZ, arm64.CBNZ:
+				if in.Addr+4 >= end {
+					return nil, fmt.Errorf("conditional branch at %#x without fallthrough", in.Addr)
+				}
+				succs = []uint64{uint64(in.Imm)}
+			}
+		}
+		if next := last.uaddr() + uint64(last.ulen()); fall && next < end {
+			succs = append(succs, next)
+		}
+		for _, a := range succs {
 			s, ok := byStart[a]
 			if !ok {
-				return fmt.Errorf("no block at %#x", a)
+				return nil, fmt.Errorf("no block at %#x", a)
 			}
 			b.succs = append(b.succs, s)
-			return nil
-		}
-		if last.kind != unitInst {
-			if next < end {
-				if err := addSucc(next); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		in := last.inst
-		switch in.Op {
-		case arm64.RET, arm64.BR:
-		case arm64.B:
-			if err := addSucc(uint64(in.Imm)); err != nil {
-				return nil, err
-			}
-		case arm64.BCOND, arm64.CBZ, arm64.CBNZ:
-			if err := addSucc(uint64(in.Imm)); err != nil {
-				return nil, err
-			}
-			if next < end {
-				if err := addSucc(next); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			if next < end {
-				if err := addSucc(next); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 	sort.Slice(mf.blocks, func(i, j int) bool { return mf.blocks[i].start < mf.blocks[j].start })
@@ -321,6 +329,7 @@ func buildCFG(sym obj.Symbol, units []unit) (*mfunc, error) {
 // discoverType recovers parameters (X0-X7/D0-D7 live-in at entry) and the
 // return kind (X0/D0 defined before RET), mirroring §4.1 for the AAPCS.
 func discoverType(mf *mfunc) {
+	mf.sig = &ir.FuncType{Ret: ir.Void}
 	entry := mf.blocks[0]
 	usedBeforeDef := func(r arm64.Reg) bool {
 		defined := map[arm64.Reg]bool{}
@@ -341,16 +350,15 @@ func discoverType(mf *mfunc) {
 		if !usedBeforeDef(arm64.X0 + arm64.Reg(i)) {
 			break
 		}
-		mf.params = append(mf.params, paramInfo{fp: false})
+		mf.sig.Params = append(mf.sig.Params, ir.I64)
 	}
 	for i := 0; i < 8; i++ {
 		if !usedBeforeDef(arm64.D0 + arm64.Reg(i)) {
 			break
 		}
-		mf.params = append(mf.params, paramInfo{fp: true})
+		mf.sig.Params = append(mf.sig.Params, ir.F64)
 	}
 	// Return kind: walk back from RET blocks looking for X0/D0 defs.
-	mf.ret = retVoid
 	for _, b := range mf.blocks {
 		last := b.units[len(b.units)-1]
 		if last.kind != unitInst || last.inst.Op != arm64.RET {
@@ -365,11 +373,11 @@ func discoverType(mf *mfunc) {
 			_, defs := unitUseDef(u)
 			for _, d := range defs {
 				if d == arm64.X0 {
-					mf.ret = retInt
+					mf.sig.Ret = ir.I64
 					break scan
 				}
 				if d == arm64.D0 {
-					mf.ret = retF64
+					mf.sig.Ret = ir.F64
 					break scan
 				}
 			}

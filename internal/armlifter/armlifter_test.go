@@ -8,6 +8,7 @@ import (
 	"lasagne/internal/backend"
 	"lasagne/internal/ir"
 	"lasagne/internal/minic"
+	"lasagne/internal/obj"
 	"lasagne/internal/opt"
 	"lasagne/internal/sim"
 )
@@ -205,6 +206,17 @@ func TestArmLiftRejectsWrongArch(t *testing.T) {
 	}
 	if _, err := Lift(bin); err == nil {
 		t.Fatal("expected arch error")
+	}
+}
+
+// A function that ends in a conditional branch has no fall-through block:
+// Lift reports it as an error instead of panicking.
+func TestArmLiftCondBranchAtEnd(t *testing.T) {
+	bin := &obj.File{Arch: "arm64", Entry: "main",
+		Sections: []obj.Section{{Name: ".text", Addr: obj.TextBase, Data: []byte{0x00, 0x00, 0x00, 0x54}}}, // b.eq .
+		Symbols:  []obj.Symbol{{Name: "main", Kind: obj.SymFunc, Addr: obj.TextBase, Size: 4}}}
+	if _, err := Lift(bin); err == nil || !strings.Contains(err.Error(), "without fallthrough") {
+		t.Fatalf("err = %v, want a without-fallthrough error", err)
 	}
 }
 

@@ -5,14 +5,9 @@ import (
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
+	"lasagne/internal/lifter"
 	"lasagne/internal/obj"
 )
-
-type lifter struct {
-	file  *obj.File
-	mod   *ir.Module
-	funcs map[string]*mfunc
-}
 
 // NZCV flag indices.
 const (
@@ -24,7 +19,7 @@ const (
 )
 
 type fnLifter struct {
-	l  *lifter
+	l  *ModuleLifter
 	mf *mfunc
 	f  *ir.Func
 	b  *ir.Builder
@@ -43,9 +38,15 @@ type fnLifter struct {
 	snapOff   int64
 }
 
-func (l *lifter) liftFunc(mf *mfunc) error {
-	f := l.mod.Func(mf.sym.Name)
-	fl := &fnLifter{l: l, mf: mf, f: f, irBlocks: map[uint64]*ir.Block{}, regSlot: map[arm64.Reg]*ir.Instr{}}
+// LiftFunc translates one declared function's body. Functions may be
+// lifted concurrently: each only writes its own IR function.
+func (ml *ModuleLifter) LiftFunc(name string) error {
+	mf := ml.funcs[name]
+	if mf == nil {
+		return fmt.Errorf("armlifter: function %q was never declared", name)
+	}
+	f := ml.mod.Func(name)
+	fl := &fnLifter{l: ml, mf: mf, f: f, irBlocks: map[uint64]*ir.Block{}, regSlot: map[arm64.Reg]*ir.Instr{}}
 
 	// Frame size: sum of prologue SP decrements plus slack.
 	var frame int64 = 64
@@ -78,9 +79,9 @@ func (l *lifter) liftFunc(mf *mfunc) error {
 
 	fl.regVal = map[arm64.Reg]ir.Value{}
 	intIdx, fpIdx := 0, 0
-	for i, p := range mf.params {
+	for i, pt := range mf.sig.Params {
 		pv := f.Params[i]
-		if p.fp {
+		if pt == ir.F64 {
 			fl.writeReg(arm64.D0+arm64.Reg(fpIdx), fl.b.Bitcast(pv, ir.I64))
 			fpIdx++
 		} else {
@@ -142,7 +143,7 @@ func (fl *fnLifter) readRegW(r arm64.Reg, w int) ir.Value {
 	if w == 8 {
 		return v
 	}
-	return fl.b.Trunc(v, intType(w))
+	return fl.b.Trunc(v, lifter.IntType(w))
 }
 
 func (fl *fnLifter) writeReg(r arm64.Reg, v ir.Value) {
@@ -164,18 +165,6 @@ func (fl *fnLifter) writeRegW(r arm64.Reg, w int, v ir.Value) {
 	fl.writeReg(r, fl.b.Zext(v, ir.I64))
 }
 
-func intType(w int) *ir.IntType {
-	switch w {
-	case 1:
-		return ir.I8
-	case 2:
-		return ir.I16
-	case 4:
-		return ir.I32
-	}
-	return ir.I64
-}
-
 func (fl *fnLifter) frameAddr(off int64) ir.Value {
 	tos := fl.b.PtrToInt(fl.stackTop, ir.I64)
 	if off == 0 {
@@ -187,36 +176,10 @@ func (fl *fnLifter) frameAddr(off int64) ir.Value {
 // maybeSymbolize rediscovers global/function references in constants that
 // were composed by MOVZ/MOVK sequences.
 func (fl *fnLifter) maybeSymbolize(v ir.Value) ir.Value {
-	c, ok := v.(*ir.ConstInt)
-	if !ok {
-		return v
-	}
-	sym := fl.l.file.SymbolAt(uint64(c.V))
-	if sym == nil {
-		return v
-	}
-	switch sym.Kind {
-	case obj.SymData:
-		g := fl.l.mod.Global(sym.Name)
-		if g == nil {
-			return v
+	if c, ok := v.(*ir.ConstInt); ok {
+		if p := lifter.SymbolRef(fl.b, fl.l.mod, fl.l.file, c.V); p != nil {
+			return p
 		}
-		p := fl.b.Bitcast(g, ir.PointerTo(ir.I8))
-		base := fl.b.PtrToInt(p, ir.I64)
-		if off := c.V - int64(sym.Addr); off != 0 {
-			return fl.b.Add(base, ir.I64Const(off))
-		}
-		return base
-	case obj.SymFunc, obj.SymExtern:
-		if uint64(c.V) != sym.Addr {
-			return v
-		}
-		fn := fl.l.mod.Func(sym.Name)
-		if fn == nil {
-			return v
-		}
-		p := fl.b.Bitcast(fn, ir.PointerTo(ir.I8))
-		return fl.b.PtrToInt(p, ir.I64)
 	}
 	return v
 }
@@ -307,14 +270,14 @@ func (fl *fnLifter) liftBlock(mb *mblock) error {
 			if in.Op == arm64.CBNZ {
 				pred = ir.PredNE
 			}
-			c := fl.b.ICmp(pred, v, ir.IntConst(intType(widthOf(in.Size)), 0))
+			c := fl.b.ICmp(pred, v, ir.IntConst(lifter.IntType(widthOf(in.Size)), 0))
 			fl.b.CondBr(c, fl.irBlocks[uint64(in.Imm)], fl.irBlocks[mb.succs[1].start])
 			return nil
 		case arm64.RET:
-			switch fl.mf.ret {
-			case retInt:
+			switch fl.mf.sig.Ret {
+			case ir.I64:
 				fl.b.Ret(fl.readReg(arm64.X0))
-			case retF64:
+			case ir.F64:
 				fl.b.Ret(fl.readF64(arm64.D0))
 			default:
 				fl.b.Ret(nil)
@@ -340,7 +303,7 @@ func (fl *fnLifter) liftAtomic(u unit) {
 	b := fl.b
 	addr := fl.readReg(u.addrReg)
 	w := widthOf(u.size)
-	p := b.IntToPtr(addr, ir.PointerTo(intType(w)))
+	p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(w)))
 	switch u.kind {
 	case unitRMW:
 		operand := fl.readRegW(u.operand, w)
@@ -415,7 +378,7 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 			return nil
 		}
 		a := fl.readRegW(in.Rn, w)
-		c := ir.IntConst(intType(w), in.Imm)
+		c := ir.IntConst(lifter.IntType(w), in.Imm)
 		switch in.Op {
 		case arm64.ADDI:
 			fl.writeRegW(in.Rd, w, b.Add(a, c))
@@ -447,9 +410,9 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 			op = ir.OpUDiv
 		}
 		// A64 division by zero yields 0: guard with a select.
-		zero := ir.IntConst(intType(w), 0)
+		zero := ir.IntConst(lifter.IntType(w), 0)
 		isZero := b.ICmp(ir.PredEQ, c, zero)
-		safe := b.Select(isZero, ir.IntConst(intType(w), 1), c)
+		safe := b.Select(isZero, ir.IntConst(lifter.IntType(w), 1), c)
 		q := b.Bin(op, a, safe)
 		fl.writeRegW(in.Rd, w, b.Select(isZero, zero, q))
 		return nil
@@ -459,9 +422,9 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		var cnt ir.Value
 		switch in.Op {
 		case arm64.LSLI, arm64.LSRI, arm64.ASRI:
-			cnt = ir.IntConst(intType(w), in.Imm)
+			cnt = ir.IntConst(lifter.IntType(w), in.Imm)
 		default:
-			cnt = b.And(fl.readRegW(in.Rm, w), ir.IntConst(intType(w), int64(w*8-1)))
+			cnt = b.And(fl.readRegW(in.Rm, w), ir.IntConst(lifter.IntType(w), int64(w*8-1)))
 		}
 		var r ir.Value
 		switch in.Op {
@@ -513,7 +476,7 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		a := fl.readRegW(in.Rn, w)
 		d := fl.readRegW(in.Rm, w)
 		if in.Op == arm64.CSINC {
-			d = b.Add(d, ir.IntConst(intType(w), 1))
+			d = b.Add(d, ir.IntConst(lifter.IntType(w), 1))
 		}
 		fl.writeRegW(in.Rd, w, b.Select(c, a, d))
 		return nil
@@ -535,7 +498,7 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 			}
 			return nil
 		}
-		p := b.IntToPtr(addr, ir.PointerTo(intType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
 		v := b.Load(p)
 		fl.writeRegW(in.Rd, in.Size, v)
 		return nil
@@ -554,13 +517,13 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 			}
 			return nil
 		}
-		p := b.IntToPtr(addr, ir.PointerTo(intType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
 		b.Store(fl.readRegW(in.Rd, in.Size), p)
 		return nil
 
 	case arm64.LDRSB, arm64.LDRSH, arm64.LDRSW:
 		addr := fl.loadStoreAddr(in)
-		p := b.IntToPtr(addr, ir.PointerTo(intType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
 		v := b.Load(p)
 		fl.writeReg(in.Rd, b.Sext(v, ir.I64))
 		return nil
@@ -570,14 +533,14 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		// its ordering through a re-translation instead of degrading to a
 		// plain access.
 		addr := fl.readReg(in.Rn)
-		p := b.IntToPtr(addr, ir.PointerTo(intType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
 		v := b.LoadAtomic(p, ir.Acquire)
 		fl.writeRegW(in.Rd, in.Size, v)
 		return nil
 
 	case arm64.STLR:
 		addr := fl.readReg(in.Rn)
-		p := b.IntToPtr(addr, ir.PointerTo(intType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
 		b.StoreAtomic(fl.readRegW(in.Rd, in.Size), p, ir.Release)
 		return nil
 

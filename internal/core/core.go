@@ -8,6 +8,11 @@
 // Each stage can be toggled via Config to reproduce the paper's evaluation
 // variants (Lifted / Opt / POpt / PPOpt).
 //
+// The Appendix B direction (TranslateArmToX86: Arm64 objects to x86-64)
+// runs the same driver. A direction is one row of the direction table in
+// modtier.go — input architecture, lifter, whether fences are placed,
+// backend — and everything else, fault tolerance included, is shared.
+//
 // The pipeline is staged and function-parallel. Module-level steps —
 // disassembly, function declaration, parameter promotion — run serially;
 // everything function-local (body lifting, peephole refinement, fence
@@ -37,8 +42,10 @@
 // its post-lift snapshot and re-fenced with the conservative full-fence
 // mapping of Fig. 8a, which is always sound (§7); the fallback is recorded
 // as a Warning in the returned diag.Report. Only lift-stage failures are
-// unrecoverable per function: those become flagged stubs with Error
-// diagnostics, and Translate fails unless Config.AllowPartial is set.
+// unrecoverable per function, in either direction: a function that cannot
+// be decoded or whose CFG cannot be rebuilt is dropped, one whose body
+// cannot be lifted becomes a stub, each flagged with an Error diagnostic,
+// and the translation fails unless Config.AllowPartial is set.
 package core
 
 import (
@@ -50,14 +57,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lasagne/internal/armlifter"
 	"lasagne/internal/backend"
 	"lasagne/internal/core/cache"
 	"lasagne/internal/diag"
 	"lasagne/internal/diag/inject"
 	"lasagne/internal/fences"
 	"lasagne/internal/ir"
-	"lasagne/internal/lifter"
 	"lasagne/internal/obj"
 	"lasagne/internal/opt"
 	"lasagne/internal/par"
@@ -92,10 +97,13 @@ type Config struct {
 	// conservative full-fence translation (the diagnostic cause wraps
 	// diag.ErrBudgetExceeded). Zero means no per-function budget.
 	FuncBudget time.Duration
-	// AllowPartial lets Translate succeed when some functions could not be
-	// lifted at all: each becomes a stub returning zero, flagged with an
-	// Error diagnostic. Without AllowPartial any lift failure aborts the
-	// translation (the Report still describes every failure).
+	// AllowPartial lets a translation in either direction (Translate,
+	// TranslateArmToX86) succeed when some functions could not be lifted at
+	// all: a function that cannot be decoded or whose CFG cannot be rebuilt
+	// is dropped, one whose body cannot be lifted becomes a stub returning
+	// zero, each flagged with an Error diagnostic. Without AllowPartial any
+	// lift failure aborts the translation (the Report still describes every
+	// failure).
 	AllowPartial bool
 	// Jobs is the worker count for the function-parallel stages: zero or
 	// negative means one worker per CPU. The translation output is
@@ -262,36 +270,6 @@ func TranslateContext(ctx context.Context, bin *obj.File, cfg Config) (*obj.File
 	return x86ToArm.translate(ctx, bin, cfg)
 }
 
-// translateX86ToArm is the uncached x86→Arm pipeline behind the module tier.
-func translateX86ToArm(ctx context.Context, bin *obj.File, cfg Config, record bool) (*obj.File, *Stats, *diag.Report, []FuncEvent, error) {
-	m, stats, rep, events, err := toIR(ctx, bin, cfg, record)
-	if err != nil {
-		return nil, stats, rep, nil, err
-	}
-	out, err := compile(m, "arm64", rep)
-	if err != nil {
-		return nil, stats, rep, nil, err
-	}
-	return out, stats, rep, events, nil
-}
-
-// compile runs the target backend over the final module.
-func compile(m *ir.Module, target string, rep *diag.Report) (*obj.File, error) {
-	var out *obj.File
-	gerr := diag.Guard(diag.StageBackend, "", func() error {
-		if err := inject.Hit("backend:module"); err != nil {
-			return err
-		}
-		var cerr error
-		out, cerr = backend.Compile(m, target)
-		return cerr
-	})
-	if gerr != nil {
-		return nil, fail(rep, diag.StageBackend, "", target+" backend failed", gerr)
-	}
-	return out, nil
-}
-
 // TranslateToIR runs the pipeline up to (but not including) code
 // generation, returning the final IR module.
 func TranslateToIR(bin *obj.File, cfg Config) (*ir.Module, *Stats, *diag.Report, error) {
@@ -301,40 +279,78 @@ func TranslateToIR(bin *obj.File, cfg Config) (*ir.Module, *Stats, *diag.Report,
 // TranslateToIRContext is TranslateToIR bounded by ctx. It returns an IR
 // module, so only the per-function suffix tier of Config.Cache applies.
 func TranslateToIRContext(ctx context.Context, bin *obj.File, cfg Config) (*ir.Module, *Stats, *diag.Report, error) {
-	m, stats, rep, _, err := toIR(ctx, bin, cfg, false)
+	m, stats, rep, _, err := x86ToArm.toIR(ctx, bin, cfg, false)
 	return m, stats, rep, err
 }
 
-// toIR is the x86 lift plus the shared pipeline. With record set it also
-// returns every function's FuncEvent in module order.
-func toIR(ctx context.Context, bin *obj.File, cfg Config, record bool) (*ir.Module, *Stats, *diag.Report, []FuncEvent, error) {
+// TranslateArmToX86 runs the Appendix B direction: an Arm64 object is
+// lifted (DMB fences become LIMM fences, LL/SC idioms become seq_cst
+// atomics), refined and optimized, and compiled with the x86-64 backend
+// (Fsc becomes MFENCE; Frm/Fww need no instruction under TSO). The
+// weak-to-strong direction requires no fence placement pass: every x86
+// access is already at least as ordered as its Arm counterpart — which also
+// makes the conservative fallback for this direction simply the unoptimized
+// lifted body. Fault tolerance is Translate's: a function that cannot be
+// decoded or lifted is dropped or stubbed with an Error diagnostic, and the
+// translation fails unless Config.AllowPartial is set.
+func TranslateArmToX86(bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, error) {
+	return TranslateArmToX86Context(context.Background(), bin, cfg)
+}
+
+// TranslateArmToX86Context is TranslateArmToX86 bounded by ctx.
+func TranslateArmToX86Context(ctx context.Context, bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, error) {
+	return armToX86.translate(ctx, bin, cfg)
+}
+
+// run is the uncached translation behind the module tier: toIR, then the
+// direction's backend.
+func (d direction) run(ctx context.Context, bin *obj.File, cfg Config, record bool) (*obj.File, *Stats, *diag.Report, []FuncEvent, error) {
+	m, stats, rep, events, err := d.toIR(ctx, bin, cfg, record)
+	if err != nil {
+		return nil, stats, rep, nil, err
+	}
+	var out *obj.File
+	gerr := diag.Guard(diag.StageBackend, "", func() error {
+		if err := inject.Hit("backend:module"); err != nil {
+			return err
+		}
+		var cerr error
+		out, cerr = backend.Compile(m, d.target)
+		return cerr
+	})
+	if gerr != nil {
+		return nil, stats, rep, nil, fail(rep, diag.StageBackend, "", d.target+" backend failed", gerr)
+	}
+	return out, stats, rep, events, nil
+}
+
+// toIR is the direction's lift stage plus the shared pipeline. With record
+// set it also returns every function's FuncEvent in module order.
+func (d direction) toIR(ctx context.Context, bin *obj.File, cfg Config, record bool) (*ir.Module, *Stats, *diag.Report, []FuncEvent, error) {
 	rep := diag.NewReport()
-	if bin.Arch != "x86-64" {
+	if bin.Arch != d.arch {
 		return nil, nil, rep, nil, fail(rep, diag.StageDisasm, "",
-			fmt.Sprintf("expected an x86-64 binary, got %q", bin.Arch), nil)
+			fmt.Sprintf("expected an %s binary, got %q", d.arch, bin.Arch), nil)
 	}
 	stats := &Stats{}
 	workers := par.Workers(cfg.Jobs)
 
 	// Lift stage. Disassembly, CFG reconstruction and body translation all
-	// recover per function: a function that cannot be lifted becomes a stub
+	// recover per function: a function that cannot be decoded or declared
+	// is dropped, one whose body cannot be lifted becomes a stub, each
 	// flagged with an Error diagnostic. Declaration is serial (it creates
 	// module-level functions); body lifting is function-local and fans out.
-	ml, err := lifter.BeginTolerant(bin, func(sym obj.Symbol, derr error) {
+	fe, err := d.begin(bin, func(sym obj.Symbol, derr error) {
 		rep.Add(diag.Diagnostic{Stage: diag.StageDisasm, Func: sym.Name, Addr: sym.Addr,
 			Severity: diag.Error, Msg: "cannot disassemble function; dropped", Cause: derr})
 	})
 	if err != nil {
 		return nil, nil, rep, nil, fail(rep, diag.StageDisasm, "", "cannot disassemble object", err)
 	}
-
+	m := fe.Module()
 	var lifted []string
-	for _, s := range ml.Streams() {
-		s := s
-		name := s.Sym.Name
-		gerr := diag.Guard(diag.StageLift, name, func() error {
-			return ml.DeclareFunc(s)
-		})
+	for i, name := range fe.Names() {
+		gerr := diag.Guard(diag.StageLift, name, func() error { return fe.Declare(i) })
 		if gerr != nil {
 			rep.Add(diag.Diagnostic{Stage: diag.StageLift, Func: name, Addr: diag.AddrOf(gerr),
 				Severity: diag.Error, Msg: "cannot reconstruct CFG; function dropped", Cause: gerr})
@@ -351,12 +367,10 @@ func toIR(ctx context.Context, bin *obj.File, cfg Config, record bool) (*ir.Modu
 			if err := inject.Hit("lift:" + name); err != nil {
 				return err
 			}
-			return ml.LiftFunc(name)
+			return fe.LiftFunc(name)
 		})
 		if gerr == nil {
-			if f := ml.Module().Func(name); f != nil {
-				gerr = diag.Guard(diag.StageVerify, name, func() error { return ir.VerifyFunc(f) })
-			}
+			gerr = diag.Guard(diag.StageVerify, name, func() error { return ir.VerifyFunc(m.Func(name)) })
 		}
 		return gerr
 	})
@@ -365,23 +379,22 @@ func toIR(ctx context.Context, bin *obj.File, cfg Config, record bool) (*ir.Modu
 			continue
 		}
 		name := lifted[i]
-		ml.StubFunc(name)
+		stub(m.Func(name))
 		excluded[name] = true
 		rep.Add(diag.Diagnostic{Stage: diag.StageLift, Func: name, Addr: diag.AddrOf(gerr),
 			Severity: diag.Error, Msg: "cannot lift function; emitted a stub returning zero", Cause: gerr})
 	}
-	m := ml.Module()
 	stats.LiftedInstrs = m.NumInstrs()
 	stats.PtrCastsBefore = refine.CountPtrCasts(m)
 
 	if rep.HasErrors() && !cfg.AllowPartial {
-		fe := rep.FirstError()
+		first := rep.FirstError()
 		return nil, stats, rep, nil, fmt.Errorf("lasagne: %s stage failed for @%s: %w (set AllowPartial to translate the rest)",
-			fe.Stage, fe.Func, fe.Cause)
+			first.Stage, first.Func, first.Cause)
 	}
 
 	p := &pipeline{ctx: ctx, cfg: cfg, stats: stats, rep: rep, m: m,
-		excluded: excluded, place: true, workers: workers, record: record}
+		excluded: excluded, place: d.place, workers: workers, record: record}
 	p.snapshot()
 	if err := p.run(); err != nil {
 		return nil, stats, rep, nil, err
@@ -390,55 +403,24 @@ func toIR(ctx context.Context, bin *obj.File, cfg Config, record bool) (*ir.Modu
 	return m, stats, rep, p.events, nil
 }
 
-// TranslateArmToX86 runs the Appendix B direction: an Arm64 object is
-// lifted (DMB fences become LIMM fences, LL/SC idioms become seq_cst
-// atomics), refined and optimized, and compiled with the x86-64 backend
-// (Fsc becomes MFENCE; Frm/Fww need no instruction under TSO). The
-// weak-to-strong direction requires no fence placement pass: every x86
-// access is already at least as ordered as its Arm counterpart — which also
-// makes the conservative fallback for this direction simply the unoptimized
-// lifted body.
-func TranslateArmToX86(bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, error) {
-	return TranslateArmToX86Context(context.Background(), bin, cfg)
-}
-
-// TranslateArmToX86Context is TranslateArmToX86 bounded by ctx.
-func TranslateArmToX86Context(ctx context.Context, bin *obj.File, cfg Config) (*obj.File, *Stats, *diag.Report, error) {
-	return armToX86.translate(ctx, bin, cfg)
-}
-
-// translateArmToX86 is the uncached Arm→x86 pipeline behind the module tier.
-func translateArmToX86(ctx context.Context, bin *obj.File, cfg Config, record bool) (*obj.File, *Stats, *diag.Report, []FuncEvent, error) {
-	rep := diag.NewReport()
-	if bin.Arch != "arm64" {
-		return nil, nil, rep, nil, fail(rep, diag.StageDisasm, "",
-			fmt.Sprintf("expected an arm64 binary, got %q", bin.Arch), nil)
+// stub discards whatever body f has (possibly half-lifted wreckage from a
+// failed lift) and installs a single block returning the zero value of the
+// return type. The stub keeps the module verifiable and callable; the lift
+// stage flags it with an Error diagnostic so nobody mistakes it for a
+// faithful translation.
+func stub(f *ir.Func) {
+	f.Blocks = nil
+	bld := ir.NewBuilder(f.NewBlock("entry"))
+	switch rt := f.Sig.Ret.(type) {
+	case *ir.IntType:
+		bld.Ret(ir.IntConst(rt, 0))
+	case *ir.FloatType:
+		bld.Ret(ir.FloatConst(rt, 0))
+	case *ir.PtrType:
+		bld.Ret(ir.Null(rt))
+	default:
+		bld.Ret(nil)
 	}
-	stats := &Stats{}
-	var m *ir.Module
-	gerr := diag.Guard(diag.StageLift, "", func() error {
-		var lerr error
-		m, lerr = armlifter.Lift(bin)
-		return lerr
-	})
-	if gerr != nil {
-		return nil, stats, rep, nil, fail(rep, diag.StageLift, "", "cannot lift arm64 object", gerr)
-	}
-	stats.LiftedInstrs = m.NumInstrs()
-	stats.PtrCastsBefore = refine.CountPtrCasts(m)
-
-	p := &pipeline{ctx: ctx, cfg: cfg, stats: stats, rep: rep, m: m,
-		excluded: map[string]bool{}, place: false, workers: par.Workers(cfg.Jobs), record: record}
-	p.snapshot()
-	if err := p.run(); err != nil {
-		return nil, stats, rep, nil, err
-	}
-	stats.FinalInstrs = m.NumInstrs()
-	out, err := compile(m, "x86-64", rep)
-	if err != nil {
-		return nil, stats, rep, nil, err
-	}
-	return out, stats, rep, p.events, nil
 }
 
 // funcSnap is the sound post-lift state of one function: its body and its

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"lasagne/internal/backend"
@@ -95,18 +96,20 @@ func TestTranslateAllConfigs(t *testing.T) {
 	}
 }
 
+// TestTranslateRejectsWrongArch: each direction refuses the other
+// direction's input with an error and an Error diagnostic.
 func TestTranslateRejectsWrongArch(t *testing.T) {
-	m, _ := minic.Compile("t", "int main() { return 0; }")
-	armObj, err := backend.Compile(m, "arm64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, rep, err := Translate(armObj, Default())
-	if err == nil {
-		t.Fatal("expected error for non-x86 input")
-	}
-	if !rep.HasErrors() {
-		t.Fatal("failed translation left no Error diagnostic")
+	for i, d := range directions {
+		wrong := directions[1-i].build(t)
+		t.Run(d.name, func(t *testing.T) {
+			_, _, rep, err := d.translate(wrong, Default())
+			if err == nil || !strings.Contains(err.Error(), "expected an") {
+				t.Fatalf("err = %v, want a wrong-architecture error", err)
+			}
+			if !rep.HasErrors() {
+				t.Fatal("failed translation left no Error diagnostic")
+			}
+		})
 	}
 }
 
@@ -167,9 +170,5 @@ func TestTranslateArmToX86(t *testing.T) {
 	}
 	if xm.Out.String() != want {
 		t.Fatalf("x86 output %q, want %q", xm.Out.String(), want)
-	}
-	// Reject wrong input arch.
-	if _, _, _, err := TranslateArmToX86(x86Obj, Default()); err == nil {
-		t.Fatal("expected arch error")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"lasagne/internal/diag"
 	"lasagne/internal/diag/inject"
 	"lasagne/internal/fences"
+	"lasagne/internal/obj"
 	"lasagne/internal/sim"
 )
 
@@ -166,36 +167,85 @@ func TestPromotionFailureRollsBackModule(t *testing.T) {
 	}
 }
 
-// TestLiftFailureStubsOrAborts: a function that cannot be lifted is
-// unrecoverable; without AllowPartial the translation fails (with a
-// diagnostic), with it the function becomes a flagged stub.
-func TestLiftFailureStubsOrAborts(t *testing.T) {
-	bin, _ := buildX86(t)
-	inject.Arm("lift:worker", inject.Panic)
-	defer inject.Reset()
+// directions pairs each translation direction's object-to-object entry
+// point with a build of concurrentSrc for its input architecture, and a
+// word its decoder rejects.
+var directions = []struct {
+	name      string
+	build     func(t *testing.T) *obj.File
+	translate func(*obj.File, Config) (*obj.File, *Stats, *diag.Report, error)
+	badWord   []byte
+}{
+	{"x86-to-arm", func(t *testing.T) *obj.File { bin, _ := buildX86(t); return bin }, Translate, []byte{0x06}},
+	{"arm-to-x86", buildArm64, TranslateArmToX86, []byte{0, 0, 0, 0}},
+}
 
-	_, _, rep, err := Translate(bin, Default())
-	if err == nil {
-		t.Fatal("lift failure without AllowPartial must fail the translation")
-	}
-	if !strings.Contains(err.Error(), "AllowPartial") {
-		t.Errorf("error does not mention the AllowPartial escape hatch: %v", err)
-	}
-	if !rep.HasErrors() {
-		t.Error("failed translation left no Error diagnostic")
-	}
-
-	cfg := Default()
-	cfg.AllowPartial = true
-	armObj, _, rep, err := Translate(bin, cfg)
+// corruptFunc returns a copy of bin with the first bytes of function fn
+// overwritten by word.
+func corruptFunc(t *testing.T, bin *obj.File, fn string, word []byte) *obj.File {
+	t.Helper()
+	out, err := obj.Unmarshal(bin.Marshal())
 	if err != nil {
-		t.Fatalf("AllowPartial translation failed: %v", err)
+		t.Fatal(err)
 	}
-	if armObj == nil {
-		t.Fatal("AllowPartial produced no object")
+	text := out.Section(".text")
+	for _, sym := range out.FuncSymbols() {
+		if sym.Name == fn {
+			copy(text.Data[sym.Addr-text.Addr:], word)
+			return out
+		}
 	}
-	if !rep.HasErrors() {
-		t.Error("stubbed function left no Error diagnostic")
+	t.Fatalf("no function %q", fn)
+	return nil
+}
+
+// TestLiftFailureStubsOrAborts: in both directions, a function that cannot
+// be decoded or lifted is unrecoverable; without AllowPartial the
+// translation fails (with a diagnostic), with it the function is dropped or
+// becomes a stub, flagged with an Error diagnostic, and the rest translates.
+func TestLiftFailureStubsOrAborts(t *testing.T) {
+	for _, d := range directions {
+		for _, fault := range []struct {
+			name  string
+			stage diag.Stage
+		}{{"lift-panic", diag.StageLift}, {"corrupt", diag.StageDisasm}} {
+			t.Run(d.name+"/"+fault.name, func(t *testing.T) {
+				bin := d.build(t)
+				if fault.name == "corrupt" {
+					bin = corruptFunc(t, bin, "worker", d.badWord)
+				} else {
+					inject.Arm("lift:worker", inject.Panic)
+					defer inject.Reset()
+				}
+
+				_, _, rep, err := d.translate(bin, Default())
+				if err == nil {
+					t.Fatal("lift failure without AllowPartial must fail the translation")
+				}
+				if !strings.Contains(err.Error(), "AllowPartial") {
+					t.Errorf("error does not mention the AllowPartial escape hatch: %v", err)
+				}
+				if !rep.HasErrors() {
+					t.Error("failed translation left no Error diagnostic")
+				}
+
+				cfg := Default()
+				cfg.AllowPartial = true
+				out, _, rep, err := d.translate(bin, cfg)
+				if err != nil {
+					t.Fatalf("AllowPartial translation failed: %v", err)
+				}
+				if out == nil {
+					t.Fatal("AllowPartial produced no object")
+				}
+				if fe := rep.FirstError(); fe == nil || fe.Func != "worker" || fe.Stage != fault.stage {
+					t.Errorf("want a %s Error diagnostic for @worker, got:\n%s", fault.stage, rep)
+				}
+				if out.Symbol("main") == nil {
+					t.Error("AllowPartial dropped main along with worker")
+				}
+			})
+		}
 	}
 }
 

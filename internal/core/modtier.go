@@ -8,8 +8,11 @@ import (
 	"fmt"
 	"strings"
 
+	"lasagne/internal/armlifter"
 	"lasagne/internal/core/cache"
 	"lasagne/internal/diag"
+	"lasagne/internal/ir"
+	"lasagne/internal/lifter"
 	"lasagne/internal/obj"
 )
 
@@ -32,17 +35,36 @@ import (
 // the module key also hashes.)
 const moduleKeyVersion = "core-module-v1"
 
-// direction is one translation direction: the name that separates its
-// module keys and the uncached pipeline that runs on a module miss. With
-// record set, run also returns every function's FuncEvent in module order.
+// direction is one translation direction, and the only place that names a
+// direction's lifter, fence placement and backend; everything else — the
+// module tier, the lift stage, the pipeline — is shared.
 type direction struct {
-	name string
-	run  func(ctx context.Context, bin *obj.File, cfg Config, record bool) (*obj.File, *Stats, *diag.Report, []FuncEvent, error)
+	name   string // separates the direction's module keys
+	arch   string // the input object's architecture
+	begin  func(bin *obj.File, bad func(obj.Symbol, error)) (frontEnd, error)
+	place  bool   // place Frm/Fww fences (the strong→weak direction)
+	target string // the backend's architecture
+}
+
+// frontEnd is one ISA's staged lifter, as the lift stage drives it: every
+// decoded function is declared serially, then bodies are lifted on the
+// worker pool.
+type frontEnd interface {
+	Names() []string
+	Declare(i int) error
+	LiftFunc(name string) error
+	Module() *ir.Module
 }
 
 var (
-	x86ToArm = direction{name: "x86-64>arm64", run: translateX86ToArm}
-	armToX86 = direction{name: "arm64>x86-64", run: translateArmToX86}
+	x86ToArm = direction{name: "x86-64>arm64", arch: "x86-64", place: true, target: "arm64",
+		begin: func(bin *obj.File, bad func(obj.Symbol, error)) (frontEnd, error) {
+			return lifter.BeginTolerant(bin, bad)
+		}}
+	armToX86 = direction{name: "arm64>x86-64", arch: "arm64", place: false, target: "x86-64",
+		begin: func(bin *obj.File, bad func(obj.Symbol, error)) (frontEnd, error) {
+			return armlifter.Begin(bin, bad)
+		}}
 )
 
 // moduleFingerprint summarizes every Config field that can change the output

@@ -263,37 +263,6 @@ func (p Pred) Negate() Pred {
 	return p
 }
 
-// Swap returns the predicate equivalent to p with operands exchanged.
-func (p Pred) Swap() Pred {
-	switch p {
-	case PredSLT:
-		return PredSGT
-	case PredSLE:
-		return PredSGE
-	case PredSGT:
-		return PredSLT
-	case PredSGE:
-		return PredSLE
-	case PredULT:
-		return PredUGT
-	case PredULE:
-		return PredUGE
-	case PredUGT:
-		return PredULT
-	case PredUGE:
-		return PredULE
-	case PredOLT:
-		return PredOGT
-	case PredOLE:
-		return PredOGE
-	case PredOGT:
-		return PredOLT
-	case PredOGE:
-		return PredOLE
-	}
-	return p
-}
-
 // Instr is a single IR instruction. Instructions producing a value are
 // themselves Values and may be used as operands of later instructions.
 type Instr struct {
@@ -344,17 +313,6 @@ func (i *Instr) IsMemAccess() bool {
 	return false
 }
 
-// IsAtomic reports whether the instruction is an atomic access or a fence.
-func (i *Instr) IsAtomic() bool {
-	switch i.Op {
-	case OpFence:
-		return true
-	case OpLoad, OpStore, OpRMW, OpCmpXchg:
-		return i.Order != NotAtomic
-	}
-	return false
-}
-
 // HasSideEffects reports whether the instruction may not be removed even if
 // its result is unused.
 func (i *Instr) HasSideEffects() bool {
@@ -379,14 +337,6 @@ func (i *Instr) Pointer() Value {
 	return nil
 }
 
-// Callee returns the called value of a call instruction, or nil.
-func (i *Instr) Callee() Value {
-	if i.Op == OpCall && len(i.Args) > 0 {
-		return i.Args[0]
-	}
-	return nil
-}
-
 // CallArgs returns the argument operands of a call instruction.
 func (i *Instr) CallArgs() []Value {
 	if i.Op == OpCall {
@@ -402,11 +352,6 @@ func (i *Instr) Succs() []*Block {
 		return i.Blocks
 	}
 	return nil
-}
-
-// PhiIncoming returns the incoming (value, block) pair for edge k of a phi.
-func (i *Instr) PhiIncoming(k int) (Value, *Block) {
-	return i.Args[k], i.Blocks[k]
 }
 
 // ReplaceUses replaces every operand equal to old with new. It returns the

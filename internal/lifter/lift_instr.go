@@ -118,7 +118,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		dst, src := in.Ops[0], in.Ops[1]
 		// xor r, r zeroing idiom.
 		if in.Op == x86.XOR && dst.Kind == x86.KindReg && src.Kind == x86.KindReg && dst.Reg == src.Reg {
-			zero := ir.IntConst(intType(w), 0)
+			zero := ir.IntConst(IntType(w), 0)
 			fl.writeRegW(dst.Reg, w, zero)
 			fl.flagsLogic(zero)
 			return nil
@@ -168,7 +168,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 			fl.writeRegW(in.Ops[0].Reg, w, r)
 		case 3:
 			c := fl.readOp(in, in.Ops[1], w)
-			r := b.Mul(c, ir.IntConst(intType(w), in.Ops[2].Imm))
+			r := b.Mul(c, ir.IntConst(IntType(w), in.Ops[2].Imm))
 			fl.flagsLogic(r)
 			fl.writeRegW(in.Ops[0].Reg, w, r)
 		}
@@ -199,12 +199,12 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		a := fl.readRegW(x86.RAX, w)
 		d := fl.readOp(in, in.Ops[0], w)
 		fl.writeRegW(x86.RAX, w, b.Mul(a, d))
-		fl.writeRegW(x86.RDX, w, ir.IntConst(intType(w), 0))
+		fl.writeRegW(x86.RDX, w, ir.IntConst(IntType(w), 0))
 		return nil
 
 	case x86.NEG:
 		a := fl.readOp(in, in.Ops[0], w)
-		zero := ir.IntConst(intType(w), 0)
+		zero := ir.IntConst(IntType(w), 0)
 		r := b.Sub(zero, a)
 		fl.flagsSub(zero, a, r)
 		fl.writeOp(in, in.Ops[0], w, r)
@@ -212,27 +212,27 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.NOT:
 		a := fl.readOp(in, in.Ops[0], w)
-		fl.writeOp(in, in.Ops[0], w, b.Xor(a, ir.IntConst(intType(w), -1)))
+		fl.writeOp(in, in.Ops[0], w, b.Xor(a, ir.IntConst(IntType(w), -1)))
 		return nil
 
 	case x86.SHL, x86.SHR, x86.SAR:
 		a := fl.readOp(in, in.Ops[0], w)
 		var cnt ir.Value
 		if in.Ops[1].Kind == x86.KindImm {
-			cnt = ir.IntConst(intType(w), in.Ops[1].Imm)
+			cnt = ir.IntConst(IntType(w), in.Ops[1].Imm)
 		} else {
 			c8 := fl.readRegW(x86.RCX, 1)
 			if w == 1 {
 				cnt = c8
 			} else {
-				cnt = b.Zext(c8, intType(w))
+				cnt = b.Zext(c8, IntType(w))
 			}
 		}
 		mask := int64(31)
 		if w == 8 {
 			mask = 63
 		}
-		cnt = b.And(cnt, ir.IntConst(intType(w), mask))
+		cnt = b.And(cnt, ir.IntConst(IntType(w), mask))
 		var r *ir.Instr
 		switch in.Op {
 		case x86.SHL:
@@ -256,11 +256,11 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.MOVZX:
 		v := fl.readOp(in, in.Ops[1], in.SrcSize)
-		fl.writeRegW(in.Ops[0].Reg, w, b.Zext(v, intType(w)))
+		fl.writeRegW(in.Ops[0].Reg, w, b.Zext(v, IntType(w)))
 		return nil
 	case x86.MOVSX, x86.MOVSXD:
 		v := fl.readOp(in, in.Ops[1], in.SrcSize)
-		fl.writeRegW(in.Ops[0].Reg, w, b.Sext(v, intType(w)))
+		fl.writeRegW(in.Ops[0].Reg, w, b.Sext(v, IntType(w)))
 		return nil
 
 	case x86.PUSH:
@@ -304,7 +304,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		dst, src := in.Ops[0], in.Ops[1]
 		if dst.Kind == x86.KindMem {
 			addr := fl.memAddr(in, dst.Mem)
-			p := b.IntToPtr(addr, ir.PointerTo(intType(w)))
+			p := b.IntToPtr(addr, ir.PointerTo(IntType(w)))
 			v := fl.readRegW(src.Reg, w)
 			old := b.RMW(ir.RMWXchg, p, v)
 			fl.writeRegW(src.Reg, w, old)
@@ -318,7 +318,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.CMPXCHG:
 		addr := fl.memAddr(in, in.Ops[0].Mem)
-		p := b.IntToPtr(addr, ir.PointerTo(intType(w)))
+		p := b.IntToPtr(addr, ir.PointerTo(IntType(w)))
 		expected := fl.readRegW(x86.RAX, w)
 		newV := fl.readRegW(in.Ops[1].Reg, w)
 		old := b.CmpXchg(p, expected, newV)
@@ -328,7 +328,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.XADD:
 		addr := fl.memAddr(in, in.Ops[0].Mem)
-		p := b.IntToPtr(addr, ir.PointerTo(intType(w)))
+		p := b.IntToPtr(addr, ir.PointerTo(IntType(w)))
 		v := fl.readRegW(in.Ops[1].Reg, w)
 		old := b.RMW(ir.RMWAdd, p, v)
 		fl.flagsAdd(old, v, b.Add(old, v))
@@ -402,7 +402,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.CVTTSD2SI:
 		v := fl.readFPOp(in, in.Ops[1], false)
-		fl.writeRegW(in.Ops[0].Reg, w, b.FPToSI(v, intType(w)))
+		fl.writeRegW(in.Ops[0].Reg, w, b.FPToSI(v, IntType(w)))
 		return nil
 
 	case x86.CVTSS2SD:
@@ -449,7 +449,7 @@ func (fl *fnLifter) truncTo(v ir.Value, w int) ir.Value {
 	if w == 8 {
 		return v
 	}
-	return fl.b.Trunc(v, intType(w))
+	return fl.b.Trunc(v, IntType(w))
 }
 
 // liftCall translates a direct call using the discovered or runtime-provided

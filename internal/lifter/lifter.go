@@ -21,6 +21,7 @@ package lifter
 
 import (
 	"fmt"
+	"maps"
 
 	"lasagne/internal/ir"
 	"lasagne/internal/machine"
@@ -50,9 +51,73 @@ func (e *InstrError) Error() string {
 // (the diag.Addresser contract).
 func (e *InstrError) Address() uint64 { return e.Addr }
 
+// Shell returns the module a lifter fills for file, whatever its
+// architecture: every runtime builtin declared, plus one [size x i8] global
+// per data symbol, initialized from .data where the symbol lies inside it.
+func Shell(file *obj.File) *ir.Module {
+	mod := ir.NewModule(file.Entry + ".lifted")
+	rt.Declare(mod)
+	data := file.Section(".data")
+	for _, s := range file.Symbols {
+		if s.Kind != obj.SymData {
+			continue
+		}
+		g := mod.NewGlobal(s.Name, ir.ArrayOf(ir.I8, int(s.Size)))
+		if data != nil && s.Addr >= data.Addr && s.Addr+s.Size <= data.Addr+uint64(len(data.Data)) {
+			g.Init = append([]byte(nil), data.Data[s.Addr-data.Addr:s.Addr-data.Addr+s.Size]...)
+		}
+	}
+	return mod
+}
+
+// SymbolRef rediscovers the global or function that addr points into (§4:
+// global value discovery) and emits its address as an i64 at b: a data
+// symbol at any offset, a function only at its entry. It returns nil when
+// addr names neither.
+func SymbolRef(b *ir.Builder, mod *ir.Module, file *obj.File, addr int64) ir.Value {
+	sym := file.SymbolAt(uint64(addr))
+	if sym == nil {
+		return nil
+	}
+	switch sym.Kind {
+	case obj.SymData:
+		g := mod.Global(sym.Name)
+		if g == nil {
+			return nil
+		}
+		base := b.PtrToInt(b.Bitcast(g, ir.PointerTo(ir.I8)), ir.I64)
+		if off := addr - int64(sym.Addr); off != 0 {
+			return b.Add(base, ir.I64Const(off))
+		}
+		return base
+	case obj.SymFunc, obj.SymExtern:
+		if uint64(addr) != sym.Addr {
+			return nil
+		}
+		if fn := mod.Func(sym.Name); fn != nil {
+			return b.PtrToInt(b.Bitcast(fn, ir.PointerTo(ir.I8)), ir.I64)
+		}
+	}
+	return nil
+}
+
+// IntType returns the integer type of a given byte width (1, 2, 4; any
+// other width is i64).
+func IntType(w int) *ir.IntType {
+	switch w {
+	case 1:
+		return ir.I8
+	case 2:
+		return ir.I16
+	case 4:
+		return ir.I32
+	}
+	return ir.I64
+}
+
 // Lift translates an entire x86-64 object file into an IR module.
 func Lift(file *obj.File) (*ir.Module, error) {
-	ml, err := Begin(file)
+	ml, err := BeginTolerant(file, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -73,22 +138,18 @@ func Lift(file *obj.File) (*ir.Module, error) {
 }
 
 // ModuleLifter lifts one object incrementally so the fault-tolerant
-// pipeline can wrap each function in its own recover boundary: Begin
-// disassembles and materializes globals, DeclareFunc reconstructs one
-// function's CFG and signature, LiftFunc translates one body, and StubFunc
-// installs a trivial body for a function whose translation failed.
+// pipeline can wrap each function in its own recover boundary:
+// BeginTolerant disassembles and builds the module Shell, DeclareFunc (or
+// Declare, by position) reconstructs one function's CFG and signature, and
+// LiftFunc translates one body.
 type ModuleLifter struct {
 	l       *lifter
 	streams []mc.Stream
 }
 
-// Begin disassembles the object and prepares the module shell (runtime
-// declarations plus one [size x i8] global per data symbol).
-func Begin(file *obj.File) (*ModuleLifter, error) { return BeginTolerant(file, nil) }
-
-// BeginTolerant is Begin with per-function disassembly recovery: when bad is
-// non-nil, a function with undecodable bytes is reported through bad and
-// dropped from the stream list instead of failing the whole object.
+// BeginTolerant disassembles the object and prepares the module shell. When
+// bad is non-nil, a function with undecodable bytes is reported through bad
+// and dropped from the stream list instead of failing the whole object.
 func BeginTolerant(file *obj.File, bad func(sym obj.Symbol, err error)) (*ModuleLifter, error) {
 	var streams []mc.Stream
 	var err error
@@ -100,26 +161,24 @@ func BeginTolerant(file *obj.File, bad func(sym obj.Symbol, err error)) (*Module
 	if err != nil {
 		return nil, err
 	}
-	mod := ir.NewModule(file.Entry + ".lifted")
-	rt.Declare(mod)
-
-	l := &lifter{file: file, mod: mod, mfuncs: map[string]*machine.Function{}}
-
-	data := file.Section(".data")
-	for _, s := range file.Symbols {
-		if s.Kind != obj.SymData {
-			continue
-		}
-		g := mod.NewGlobal(s.Name, ir.ArrayOf(ir.I8, int(s.Size)))
-		if data != nil && s.Addr >= data.Addr && s.Addr+s.Size <= data.Addr+uint64(len(data.Data)) {
-			g.Init = append([]byte(nil), data.Data[s.Addr-data.Addr:s.Addr-data.Addr+s.Size]...)
-		}
-	}
+	l := &lifter{file: file, mod: Shell(file), mfuncs: map[string]*machine.Function{}}
 	return &ModuleLifter{l: l, streams: streams}, nil
 }
 
 // Streams returns the per-function instruction streams in object order.
 func (ml *ModuleLifter) Streams() []mc.Stream { return ml.streams }
+
+// Names returns the streams' function names in object order.
+func (ml *ModuleLifter) Names() []string {
+	names := make([]string, len(ml.streams))
+	for i, s := range ml.streams {
+		names[i] = s.Sym.Name
+	}
+	return names
+}
+
+// Declare is DeclareFunc for the i-th stream.
+func (ml *ModuleLifter) Declare(i int) error { return ml.DeclareFunc(ml.streams[i]) }
 
 // Module returns the module under construction.
 func (ml *ModuleLifter) Module() *ir.Module { return ml.l.mod }
@@ -165,30 +224,6 @@ func (ml *ModuleLifter) LiftFunc(name string) error {
 		return fmt.Errorf("lifter: function %q was never declared", name)
 	}
 	return ml.l.liftFunc(mf)
-}
-
-// StubFunc discards whatever body name has (possibly half-lifted wreckage
-// from a failed LiftFunc) and installs a single block returning the zero
-// value of the return type. The stub keeps the module verifiable and
-// callable; the pipeline flags it with an Error diagnostic so nobody
-// mistakes it for a faithful translation.
-func (ml *ModuleLifter) StubFunc(name string) {
-	f := ml.l.mod.Func(name)
-	if f == nil || f.External {
-		return
-	}
-	f.Blocks = nil
-	bld := ir.NewBuilder(f.NewBlock("entry"))
-	switch rt := f.Sig.Ret.(type) {
-	case *ir.IntType:
-		bld.Ret(ir.IntConst(rt, 0))
-	case *ir.FloatType:
-		bld.Ret(ir.FloatConst(rt, 0))
-	case *ir.PtrType:
-		bld.Ret(ir.Null(rt))
-	default:
-		bld.Ret(nil)
-	}
 }
 
 type lifter struct {
@@ -302,34 +337,18 @@ func (l *lifter) liftFunc(mf *machine.Function) error {
 			// Parameters were cached via the entry prologue stores; the
 			// cache was cleared, so they reload from slots as needed.
 		} else {
-			fl.spKnown = copyMapB(fl.snapKnown)
-			fl.spOff = copyMapI(fl.snapOff)
+			fl.spKnown = maps.Clone(fl.snapKnown)
+			fl.spOff = maps.Clone(fl.snapOff)
 		}
 		if err := fl.liftBlock(mb); err != nil {
 			return err
 		}
 		if i == 0 {
-			fl.snapKnown = copyMapB(fl.spKnown)
-			fl.snapOff = copyMapI(fl.spOff)
+			fl.snapKnown = maps.Clone(fl.spKnown)
+			fl.snapOff = maps.Clone(fl.spOff)
 		}
 	}
 	return nil
-}
-
-func copyMapB(m map[x86.Reg]bool) map[x86.Reg]bool {
-	out := make(map[x86.Reg]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyMapI(m map[x86.Reg]int64) map[x86.Reg]int64 {
-	out := make(map[x86.Reg]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // slot returns (creating on demand) the i64 stack slot of a register. Slots
@@ -376,26 +395,13 @@ func (fl *fnLifter) frameAddr(off int64) ir.Value {
 	return fl.b.Add(tos, ir.I64Const(off))
 }
 
-// intType returns the integer type of a given byte width.
-func intType(w int) *ir.IntType {
-	switch w {
-	case 1:
-		return ir.I8
-	case 2:
-		return ir.I16
-	case 4:
-		return ir.I32
-	}
-	return ir.I64
-}
-
 // readRegW reads the low w bytes of a register as an iW value.
 func (fl *fnLifter) readRegW(r x86.Reg, w int) ir.Value {
 	v := fl.readReg64(r)
 	if w == 8 {
 		return v
 	}
-	return fl.b.Trunc(v, intType(w))
+	return fl.b.Trunc(v, IntType(w))
 }
 
 // writeRegW writes an iW value into a register with x86 merge semantics
@@ -418,32 +424,8 @@ func (fl *fnLifter) writeRegW(r x86.Reg, w int, v ir.Value) {
 // symbolize turns an immediate into a global/function reference when it
 // falls inside a known symbol (§4: global value discovery).
 func (fl *fnLifter) symbolize(v int64) ir.Value {
-	sym := fl.l.file.SymbolAt(uint64(v))
-	if sym == nil {
-		return ir.I64Const(v)
-	}
-	switch sym.Kind {
-	case obj.SymData:
-		g := fl.l.mod.Global(sym.Name)
-		if g == nil {
-			return ir.I64Const(v)
-		}
-		p := fl.b.Bitcast(g, ir.PointerTo(ir.I8))
-		base := fl.b.PtrToInt(p, ir.I64)
-		if off := v - int64(sym.Addr); off != 0 {
-			return fl.b.Add(base, ir.I64Const(off))
-		}
-		return base
-	case obj.SymFunc, obj.SymExtern:
-		if uint64(v) != sym.Addr {
-			return ir.I64Const(v)
-		}
-		fn := fl.l.mod.Func(sym.Name)
-		if fn == nil {
-			return ir.I64Const(v)
-		}
-		p := fl.b.Bitcast(fn, ir.PointerTo(ir.I8))
-		return fl.b.PtrToInt(p, ir.I64)
+	if p := SymbolRef(fl.b, fl.l.mod, fl.l.file, v); p != nil {
+		return p
 	}
 	return ir.I64Const(v)
 }
@@ -483,14 +465,14 @@ func (fl *fnLifter) memAddr(in x86.Inst, m x86.Mem) ir.Value {
 // loadMem loads w bytes from a memory operand.
 func (fl *fnLifter) loadMem(in x86.Inst, m x86.Mem, w int) ir.Value {
 	addr := fl.memAddr(in, m)
-	p := fl.b.IntToPtr(addr, ir.PointerTo(intType(w)))
+	p := fl.b.IntToPtr(addr, ir.PointerTo(IntType(w)))
 	return fl.b.Load(p)
 }
 
 // storeMem stores an iW value to a memory operand.
 func (fl *fnLifter) storeMem(in x86.Inst, m x86.Mem, w int, v ir.Value) {
 	addr := fl.memAddr(in, m)
-	p := fl.b.IntToPtr(addr, ir.PointerTo(intType(w)))
+	p := fl.b.IntToPtr(addr, ir.PointerTo(IntType(w)))
 	fl.b.Store(v, p)
 }
 
@@ -503,7 +485,7 @@ func (fl *fnLifter) readOp(in x86.Inst, o x86.Operand, w int) ir.Value {
 		if w == 8 {
 			return fl.symbolize(o.Imm)
 		}
-		return ir.IntConst(intType(w), o.Imm)
+		return ir.IntConst(IntType(w), o.Imm)
 	case x86.KindMem:
 		return fl.loadMem(in, o.Mem, w)
 	}

@@ -69,6 +69,7 @@ type Client struct {
 	state     breakerState
 	fails     int // consecutive retryable failures while closed
 	openUntil time.Time
+	probeDone chan struct{} // closed when the half-open probe reports
 
 	attempts     atomic.Int64 // HTTP attempts actually sent (all calls)
 	breakerOpens atomic.Int64
@@ -135,8 +136,8 @@ func (c *Client) Attempts() int64 { return c.attempts.Load() }
 func (c *Client) BreakerOpens() int64 { return c.breakerOpens.Load() }
 
 // allow asks the breaker for permission. When the cooldown has elapsed the
-// first caller becomes the half-open probe; everyone else keeps failing
-// fast until the probe reports.
+// first caller becomes the half-open probe; everyone else is refused until
+// the probe reports.
 func (c *Client) allow() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,6 +147,7 @@ func (c *Client) allow() error {
 			return ErrBreakerOpen
 		}
 		c.state = breakerHalfOpen
+		c.probeDone = make(chan struct{})
 		return nil
 	case breakerHalfOpen:
 		return ErrBreakerOpen
@@ -158,6 +160,11 @@ func (c *Client) allow() error {
 func (c *Client) report(ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.state == breakerHalfOpen {
+		// Either outcome leaves half-open: release the probe's waiters.
+		close(c.probeDone)
+		c.probeDone = nil
+	}
 	if ok {
 		c.state = breakerClosed
 		c.fails = 0
@@ -186,14 +193,23 @@ func (c *Client) backoff(ctx context.Context, n int) error {
 	return sleep(ctx, time.Duration(rand.Int63n(int64(d)+1)))
 }
 
-// sleepUntilProbe waits out a breaker-open window (bounded by ctx) so the
-// next loop iteration can be the half-open probe. It does not consume an
+// waitForProbe waits, bounded by ctx, until the breaker may decide
+// differently: out the open window, or, while another caller holds the
+// half-open probe, until that probe reports. It does not consume an
 // attempt: every open window was paid for by a real attempt already.
-func (c *Client) sleepUntilProbe(ctx context.Context) error {
+func (c *Client) waitForProbe(ctx context.Context) error {
 	c.mu.Lock()
-	d := time.Until(c.openUntil)
+	d, probe := time.Until(c.openUntil), c.probeDone
 	c.mu.Unlock()
-	return sleep(ctx, d)
+	if probe == nil {
+		return sleep(ctx, d)
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-probe:
+		return nil
+	}
 }
 
 // sleep waits d (nothing when d <= 0), bounded by ctx.
@@ -243,7 +259,7 @@ func (c *Client) call(ctx context.Context, attempt func() (retry bool, err error
 	for n := 0; n < c.opts.MaxAttempts; {
 		if err := c.allow(); err != nil {
 			lastErr = err
-			if werr := c.sleepUntilProbe(ctx); werr != nil {
+			if werr := c.waitForProbe(ctx); werr != nil {
 				return fmt.Errorf("%w (last error: %v)", werr, lastErr)
 			}
 			continue

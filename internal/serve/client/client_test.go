@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -206,6 +207,90 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// While one caller holds the half-open probe, another caller waits for the
+// probe's outcome: it sends nothing before the probe reports and burns no
+// CPU meanwhile, then goes through on the closed breaker.
+func TestBreakerWaitersWaitForProbe(t *testing.T) {
+	const hold = 200 * time.Millisecond
+	var (
+		calls     atomic.Int32
+		probeIn   = make(chan struct{})
+		probeOut  atomic.Int64 // when the probe was answered (UnixNano)
+		sentEarly atomic.Bool
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		switch calls.Add(1) {
+		case 1: // trips the breaker
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprint(w, `{"error":"synthetic failure"}`)
+			return
+		case 2: // the half-open probe, held open
+			close(probeIn)
+			time.Sleep(hold)
+			probeOut.Store(time.Now().UnixNano())
+		default:
+			if probeOut.Load() == 0 {
+				sentEarly.Store(true)
+			}
+		}
+		fmt.Fprint(w, `{"object":"","stats":{}}`)
+	}))
+	defer ts.Close()
+
+	cl := New(Options{
+		BaseURL:          ts.URL,
+		MaxAttempts:      1,
+		BreakerThreshold: 1,
+		BreakerCooldown:  20 * time.Millisecond,
+	})
+	ctx := context.Background()
+	if _, err := cl.Translate(ctx, []byte("x"), false, nil); err == nil {
+		t.Fatal("want the tripping failure")
+	}
+	time.Sleep(30 * time.Millisecond) // let the cooldown lapse
+
+	probeErr := make(chan error, 1)
+	go func() {
+		_, err := cl.Translate(ctx, []byte("x"), false, nil)
+		probeErr <- err
+	}()
+	<-probeIn
+	cpu0 := cpuTime(t)
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := cl.Translate(ctx, []byte("x"), false, nil)
+		waiterErr <- err
+	}()
+	if err := <-probeErr; err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	spent := cpuTime(t) - cpu0
+	if err := <-waiterErr; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	if sentEarly.Load() {
+		t.Error("waiter sent a request before the probe reported")
+	}
+	// A spinning waiter burns about one CPU for the whole hold.
+	if spent > hold/2 {
+		t.Errorf("process used %v CPU while the probe was held for %v: the waiter spins", spent, hold)
+	}
+	if got := cl.Attempts(); got != 3 {
+		t.Errorf("attempts = %d, want 3 (trip, probe, waiter)", got)
+	}
+}
+
+// cpuTime is the user plus system CPU time this process has used.
+func cpuTime(t *testing.T) time.Duration {
+	t.Helper()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // Protocol violations are terminal: a complete-but-unparsable frame line

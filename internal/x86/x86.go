@@ -366,16 +366,6 @@ func NewInst(op Op, size int, ops ...Operand) Inst {
 	return Inst{Op: op, Size: size, Ops: ops}
 }
 
-// IsBranch reports whether the instruction transfers control (other than
-// fallthrough).
-func (i *Inst) IsBranch() bool {
-	switch i.Op {
-	case JMP, JCC, CALL, RET:
-		return true
-	}
-	return false
-}
-
 // IsTerminator reports whether the instruction ends a basic block.
 func (i *Inst) IsTerminator() bool {
 	switch i.Op {

@@ -54,7 +54,10 @@ func TranslateContext(ctx context.Context, bin *obj.File, cfg Config) (*obj.File
 // TranslateArmToX86 translates an Arm64 object file into an x86-64 object
 // file (the paper's Appendix B direction): DMB fences map through the IR's
 // LIMM fences onto TSO's implicit ordering (plus MFENCE for full fences),
-// and LL/SC loops become LOCK-prefixed instructions.
+// and LL/SC loops become LOCK-prefixed instructions. It runs Translate's
+// pipeline and fault tolerance: a function that cannot be decoded or lifted
+// is dropped or stubbed with an Error diagnostic, and the translation fails
+// unless cfg.AllowPartial is set.
 func TranslateArmToX86(bin *obj.File, cfg Config) (*obj.File, *Stats, *Report, error) {
 	return core.TranslateArmToX86(bin, cfg)
 }
