@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"lasagne/internal/armlifter"
@@ -156,13 +155,10 @@ func walkPipeline(t *testing.T, o *escapeOracle, where string, m *ir.Module) {
 			if f.External {
 				continue
 			}
-			// The dense indexes rely on unique, bounded value IDs. (Only
-			// that rule: Reassociate's known dominance bug on the native
-			// build is a ROADMAP item of its own.)
-			for _, v := range ir.VerifyAllFunc(f) {
-				if strings.Contains(v.Msg, "value ID") {
-					t.Fatalf("%s: %s: %v", stage, f.Name, v)
-				}
+			// The dense indexes rely on unique, bounded value IDs, and every
+			// pass expects a valid function.
+			if err := ir.VerifyFunc(f); err != nil {
+				t.Fatalf("%s: %s: %v", stage, f.Name, err)
 			}
 			checkUses(t, stage, f)
 			checkDCE(t, stage, f)

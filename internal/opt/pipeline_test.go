@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"fmt"
 	"testing"
 
 	"lasagne/internal/backend"
@@ -9,8 +10,10 @@ import (
 	"lasagne/internal/lifter"
 	"lasagne/internal/minic"
 	"lasagne/internal/opt"
+	"lasagne/internal/phoenix"
 	"lasagne/internal/refine"
 	"lasagne/internal/sim"
+	"lasagne/internal/validate"
 )
 
 // fullPipeline compiles src, lowers to x86, lifts, optionally refines,
@@ -211,5 +214,29 @@ func TestOptReducesCodeSize(t *testing.T) {
 	t.Logf("code size %d -> %d (%.1f%% of lifted)", before, after, 100*ratio)
 	if ratio > 0.8 {
 		t.Errorf("expected substantial reduction on lifted code, got %.1f%%", 100*ratio)
+	}
+}
+
+// TestStandardPipelineVerifiesOnMinic runs the optimizer the way the native
+// builds run it, on each suite kernel's minic IR and on generated programs,
+// verifying the module after every pass. Reassociate once reused an inner
+// instruction ahead of its new operand's definition; only a verifier
+// between passes sees such a module.
+func TestStandardPipelineVerifiesOnMinic(t *testing.T) {
+	check := func(name, src string) {
+		t.Helper()
+		m, err := minic.Compile(name, src)
+		if err != nil {
+			t.Fatalf("%s: minic: %v", name, err)
+		}
+		if err := opt.RunPipeline(m, opt.StandardPipeline, true); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for _, b := range append(phoenix.All(), phoenix.LockFree()...) {
+		check(b.Name, b.Source)
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		check(fmt.Sprintf("gen%d", seed), validate.GenProgram(seed))
 	}
 }

@@ -15,6 +15,8 @@ func Reassociate(f *ir.Func) bool {
 	// constant the other way, so no instruction's use count changes: one
 	// use map, built at the first candidate, serves the whole walk.
 	var uses *ir.Uses
+	var dt *ir.DomTree
+	var sink [][2]*ir.Instr // inner instruction, the outer one to sink it to
 	changed := false
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -38,11 +40,28 @@ func Reassociate(f *ir.Func) bool {
 				}
 				c := ai.Args[1]
 				y := in.Args[1]
+				// ai now reads y, which need not dominate it: y dominates
+				// in, so ai moves down to just before in when it must.
+				if yi, ok := y.(*ir.Instr); ok {
+					if dt == nil && yi.Parent != ai.Parent {
+						dt = ir.ComputeDomTree(f)
+					}
+					if !ir.InstrDominates(dt, yi, ai) {
+						sink = append(sink, [2]*ir.Instr{ai, in})
+					}
+				}
 				ai.Args[1] = y
 				in.Args[1] = c
 				changed = true
 			}
 		}
+	}
+	// Sinking after the walk keeps the positions the dominance queries
+	// saw. In a chain an outer instruction may itself sink later; its
+	// inner one stays at the outer's old place, which still dominates it.
+	for _, s := range sink {
+		s[0].Parent.Remove(s[0])
+		s[1].Parent.InsertBefore(s[0], s[1])
 	}
 	if changed {
 		InstCombine(f)

@@ -93,7 +93,7 @@ func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
 // programs' observable behavior across commits, which the engine
 // differential alone cannot.
 const (
-	programsDigest      = "7970eb4767fbad4b8966857ddfe9ad7f78de61d8b31c93945e9d8fdcb64a71ab"
+	programsDigest      = "46d11f524118482e71319b669ce4cbba06ab07adff9ce8a60c0bdb5d3358ff3e"
 	programsDigestShort = "82b9877acc9eb787fc950e152fbcbf5b802c6163a995690c1609f542078501c7"
 )
 
@@ -172,7 +172,7 @@ func buildNative(t *testing.T, name, src string) *obj.File {
 // Digests of TestThreadedMatchesReferenceNative's observations, recorded
 // with the scheduler that rescanned every thread at every step.
 const (
-	nativeDigest      = "c83c661cf37cf8d9ef6b163f64c3a5153aaf0f3de842eb72e3578fcf4a46a10c"
+	nativeDigest      = "216b155835e627a0f96b02bbea5d0553cf192260c532cc1bc9c5780e48b289a0"
 	nativeDigestShort = "2e37c967d1c9a66d1b9815f72ebf84cd59c1cfcb55ce4b2503261d34021161ea"
 )
 
