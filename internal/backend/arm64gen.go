@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
@@ -14,16 +15,40 @@ import (
 var armIntArgs = []arm64.Reg{arm64.X0, arm64.X1, arm64.X2, arm64.X3, arm64.X4, arm64.X5, arm64.X6, arm64.X7}
 var armFPArgs = []arm64.Reg{arm64.D0, arm64.D1, arm64.D2, arm64.D3, arm64.D4, arm64.D5, arm64.D6, arm64.D7}
 
-// Scratch registers used by the slot-based code generator.
+// The register allocator's pools: callee-saved registers only, so a value
+// survives calls, and call-argument setup, results and the scratch
+// registers below never meet an allocated value.
+var armPools = [numClasses][]arm64.Reg{
+	classInt: {arm64.X19, arm64.X20, arm64.X21, arm64.X22, arm64.X23,
+		arm64.X24, arm64.X25, arm64.X26, arm64.X27, arm64.X28},
+	classFloat: {arm64.D8, arm64.D9, arm64.D10, arm64.D11,
+		arm64.D12, arm64.D13, arm64.D14, arm64.D15},
+}
+
+// Scratch registers. X14 is reserved for frame addresses out of immediate
+// range.
 const (
-	sA = arm64.X9  // primary
+	sA = arm64.X9  // primary; also the integer phi-cycle temporary
 	sB = arm64.X10 // secondary
 	sC = arm64.X11
 	sD = arm64.X12
 	sE = arm64.X13 // store-exclusive status
-	fA = arm64.D16
+	fA = arm64.D16 // also the FP phi-cycle temporary
 	fB = arm64.D17
 )
+
+// armFixup is a branch to a label: a block by layout index, or an edge
+// stub after the last block.
+type armFixup struct {
+	pos   int
+	label int
+}
+
+// armStub is an edge stub: the phi moves of one edge, then a jump to its
+// target.
+type armStub struct {
+	from, to *ir.Block
+}
 
 type arm64gen struct {
 	m   *ir.Module
@@ -36,13 +61,16 @@ type arm64gen struct {
 
 	f        *ir.Func
 	fr       *frameInfo
-	total    int64 // frame size incl. saved x30
-	blockOff map[*ir.Block]int
-	localFix []struct {
-		pos    int
-		target *ir.Block
-	}
-	err error
+	ra       *allocation
+	home     []arm64.Reg // by value ID: the value's register, or RegNone
+	saved    []arm64.Reg // callee-saved registers the function uses
+	total    int64       // frame size incl. saved registers and x30
+	saveLR   bool        // the function calls, so x30 needs a save
+	blockIdx map[*ir.Block]int
+	labels   []int // byte offset of each label
+	localFix []armFixup
+	stubs    []armStub
+	err      error
 }
 
 func compileArm64(m *ir.Module) (*obj.File, error) {
@@ -51,6 +79,7 @@ func compileArm64(m *ir.Module) (*obj.File, error) {
 		dl:       layoutGlobals(m),
 		funcOff:  make(map[string]int),
 		funcSize: make(map[string]int),
+		blockIdx: make(map[*ir.Block]int),
 	}
 	for _, f := range m.Funcs {
 		if f.External {
@@ -104,12 +133,11 @@ func (g *arm64gen) emit(in arm64.Inst) {
 	g.txt = binary.LittleEndian.AppendUint32(g.txt, w)
 }
 
-func (g *arm64gen) emitJump(op arm64.Op, cond arm64.Cond, reg arm64.Reg, target *ir.Block) {
+// emitJump emits a branch to a label, patched once the function is laid
+// out.
+func (g *arm64gen) emitJump(op arm64.Op, cond arm64.Cond, reg arm64.Reg, label int) {
 	g.emit(arm64.Inst{Op: op, Cond: cond, Rd: reg, Size: 8, Imm: 0})
-	g.localFix = append(g.localFix, struct {
-		pos    int
-		target *ir.Block
-	}{len(g.txt) - 4, target})
+	g.localFix = append(g.localFix, armFixup{len(g.txt) - 4, label})
 }
 
 func (g *arm64gen) emitCallSym(name string) {
@@ -174,7 +202,7 @@ func (g *arm64gen) slotAccess(op arm64.Op, rd arm64.Reg, size int, off int64) {
 }
 
 func (g *arm64gen) slotOff(v ir.Value) int64 {
-	off, ok := g.fr.slot[v]
+	off, ok := g.fr.slotOf(v)
 	if !ok {
 		g.err = fmt.Errorf("no slot for %s", v.Ref())
 		return 0
@@ -182,11 +210,28 @@ func (g *arm64gen) slotOff(v ir.Value) int64 {
 	return off
 }
 
+// homeOf returns the register allocated to v, or RegNone.
+func (g *arm64gen) homeOf(v ir.Value) arm64.Reg {
+	if id := g.fr.ids.of(v); id >= 0 {
+		return g.home[id]
+	}
+	return arm64.RegNone
+}
+
+// fpSize is the width of a float type in bytes.
+func fpSize(t ir.Type) int {
+	if ft, ok := t.(*ir.FloatType); ok && ft.Bits == 32 {
+		return 4
+	}
+	return 8
+}
+
 // loadVal places v's payload into GP register r.
 func (g *arm64gen) loadVal(v ir.Value, r arm64.Reg) {
 	switch c := v.(type) {
 	case *ir.ConstInt:
 		g.loadConst(c.V, r)
+		return
 	case *ir.ConstFloat:
 		var bits int64
 		if c.Ty.Bits == 32 {
@@ -195,23 +240,173 @@ func (g *arm64gen) loadVal(v ir.Value, r arm64.Reg) {
 			bits = int64(math.Float64bits(c.V))
 		}
 		g.loadConst(bits, r)
+		return
 	case *ir.ConstNull, *ir.Undef:
 		g.emit(arm64.Inst{Op: arm64.ORR, Size: 8, Rd: r, Rn: arm64.XZR, Rm: arm64.XZR})
+		return
 	case *ir.Global:
 		g.loadConst(int64(g.dl.addr[c.Name]), r)
+		return
 	case *ir.Func:
 		// movz+movk+movk triple patched with the function address.
 		g.emit(arm64.Inst{Op: arm64.MOVZ, Size: 8, Rd: r, Imm: 0, Shift: 0})
 		g.emit(arm64.Inst{Op: arm64.MOVK, Size: 8, Rd: r, Imm: 0, Shift: 1})
 		g.emit(arm64.Inst{Op: arm64.MOVK, Size: 8, Rd: r, Imm: 0, Shift: 2})
 		g.fix = append(g.fix, fixup{pos: len(g.txt) - 12, kind: fixMovSeq, target: c.Name})
-	default:
+		return
+	case *ir.Instr:
+		if off, ok := g.frameOff(c); ok {
+			g.frameAddr(off, r)
+			return
+		}
+	}
+	switch h := g.homeOf(v); {
+	case h == arm64.RegNone:
 		g.slotAccess(arm64.LDR, r, 8, g.slotOff(v))
+	case h.IsFP():
+		g.emit(arm64.Inst{Op: arm64.FMOVTOG, Size: fpSize(v.Type()), Rd: r, Rn: h})
+	case h != r:
+		g.emit(arm64.Inst{Op: arm64.ORR, Size: 8, Rd: r, Rn: arm64.XZR, Rm: h})
 	}
 }
 
+// maxFrameChain bounds the bitcast/GEP chain frameBase follows.
+const maxFrameChain = 16
+
+// frameBase returns the alloca a frame address is derived from: in itself
+// when it is an alloca, or the root of a chain of bitcasts and GEPs with
+// constant indices. Such values are SP plus a constant and take no
+// register or slot; every use recomputes them.
+func frameBase(in *ir.Instr) *ir.Instr {
+	for k := 0; k < maxFrameChain; k++ {
+		switch in.Op {
+		case ir.OpAlloca:
+			return in
+		case ir.OpBitcast:
+		case ir.OpGEP:
+			if _, vars, ok := gepConstOffset(in); !ok || len(vars) > 0 {
+				return nil
+			}
+		default:
+			return nil
+		}
+		base, ok := in.Args[0].(*ir.Instr)
+		if !ok {
+			return nil
+		}
+		in = base
+	}
+	return nil
+}
+
+// frameOff returns v's offset from SP when v is a frame address.
+func (g *arm64gen) frameOff(v ir.Value) (int64, bool) {
+	in, ok := v.(*ir.Instr)
+	if !ok || frameBase(in) == nil {
+		return 0, false
+	}
+	var off int64
+	for ; in.Op != ir.OpAlloca; in = in.Args[0].(*ir.Instr) {
+		if in.Op == ir.OpGEP {
+			c, _, _ := gepConstOffset(in)
+			off += c
+		}
+	}
+	return off + g.fr.bulk[g.fr.ids.of(in)], true
+}
+
+// gepConstOffset sums a GEP's constant indices times their element sizes,
+// and returns the variable indices with their element sizes. It fails for
+// an index past the first into a type that is not an array.
+func gepConstOffset(in *ir.Instr) (off int64, vars []gepIndex, ok bool) {
+	elem := in.Elem
+	for k, idx := range in.Args[1:] {
+		if k > 0 {
+			at, ok := elem.(*ir.ArrayType)
+			if !ok {
+				return 0, nil, false
+			}
+			elem = at.Elem
+		}
+		es := int64(elem.Size())
+		if c, ok := ir.ConstIntValue(idx); ok {
+			off += c * es
+			continue
+		}
+		vars = append(vars, gepIndex{idx, es})
+	}
+	return off, vars, true
+}
+
+// gepIndex is a variable GEP index and its element size.
+type gepIndex struct {
+	v  ir.Value
+	es int64
+}
+
+// frameAddr places SP + off in r.
+func (g *arm64gen) frameAddr(off int64, r arm64.Reg) {
+	if off >= 0 && off <= 4095 {
+		g.emit(arm64.Inst{Op: arm64.ADDI, Size: 8, Rd: r, Rn: arm64.SP, Imm: off})
+		return
+	}
+	// ADD (shifted register) cannot name SP: copy it to X14 first.
+	g.loadConst(off, r)
+	g.emit(arm64.Inst{Op: arm64.ADDI, Size: 8, Rd: arm64.X14, Rn: arm64.SP, Imm: 0})
+	g.emit(arm64.Inst{Op: arm64.ADD, Size: 8, Rd: r, Rn: arm64.X14, Rm: r})
+}
+
+// use returns a GP register holding v: its own register when it has one,
+// else scratch after loading v into it.
+func (g *arm64gen) use(v ir.Value, scratch arm64.Reg) arm64.Reg {
+	if h := g.homeOf(v); h != arm64.RegNone && !h.IsFP() {
+		return h
+	}
+	g.loadVal(v, scratch)
+	return scratch
+}
+
+// useFP is use for FP registers.
+func (g *arm64gen) useFP(v ir.Value, scratch arm64.Reg) arm64.Reg {
+	if h := g.homeOf(v); h.IsFP() {
+		return h
+	}
+	g.loadFP(v, scratch)
+	return scratch
+}
+
+// dst returns the GP register an instruction computing in's result in a
+// single final instruction should write: in's own register, or scratch
+// (then storeVal). A multi-instruction sequence writes scratch instead, so
+// it never clobbers an operand register the result shares.
+func (g *arm64gen) dst(in *ir.Instr, scratch arm64.Reg) arm64.Reg {
+	if h := g.homeOf(in); h != arm64.RegNone && !h.IsFP() {
+		return h
+	}
+	return scratch
+}
+
+// dstFP is dst for FP registers.
+func (g *arm64gen) dstFP(in *ir.Instr, scratch arm64.Reg) arm64.Reg {
+	if h := g.homeOf(in); h.IsFP() {
+		return h
+	}
+	return scratch
+}
+
+// storeVal moves the result in GP register r to v's home: its register,
+// its slot, or nowhere for a value nothing reads.
 func (g *arm64gen) storeVal(v *ir.Instr, r arm64.Reg) {
-	g.slotAccess(arm64.STR, r, 8, g.slotOff(v))
+	switch h := g.homeOf(v); {
+	case h == arm64.RegNone:
+		if !g.ra.unused(v) {
+			g.slotAccess(arm64.STR, r, 8, g.slotOff(v))
+		}
+	case h.IsFP():
+		g.emit(arm64.Inst{Op: arm64.FMOVTOF, Size: fpSize(v.Ty), Rd: h, Rn: r})
+	case h != r:
+		g.emit(arm64.Inst{Op: arm64.ORR, Size: 8, Rd: h, Rn: arm64.XZR, Rm: r})
+	}
 }
 
 // loadValSext loads v sign-extended to 64 bits.
@@ -220,9 +415,23 @@ func (g *arm64gen) loadValSext(v ir.Value, r arm64.Reg) {
 		g.loadConst(c.V, r)
 		return
 	}
-	switch width(v.Type()) {
-	case 8:
+	w := width(v.Type())
+	if w == 8 {
 		g.loadVal(v, r)
+		return
+	}
+	if h := g.homeOf(v); h != arm64.RegNone && !h.IsFP() {
+		op := arm64.SXTB
+		switch w {
+		case 4:
+			op = arm64.SXTW
+		case 2:
+			op = arm64.SXTH
+		}
+		g.emit(arm64.Inst{Op: op, Size: 8, Rd: r, Rn: h})
+		return
+	}
+	switch w {
 	case 4:
 		g.slotAccess(arm64.LDRSW, r, 4, g.slotOff(v))
 	case 2:
@@ -247,29 +456,70 @@ func (g *arm64gen) loadValZext(v ir.Value, r arm64.Reg) {
 		g.loadVal(v, r)
 		return
 	}
+	if h := g.homeOf(v); h != arm64.RegNone && !h.IsFP() {
+		switch w {
+		case 4: // a 32-bit move zeroes the upper half
+			g.emit(arm64.Inst{Op: arm64.ORR, Size: 4, Rd: r, Rn: arm64.XZR, Rm: h})
+		case 2:
+			g.emit(arm64.Inst{Op: arm64.UXTH, Size: 4, Rd: r, Rn: h})
+		default:
+			g.emit(arm64.Inst{Op: arm64.UXTB, Size: 4, Rd: r, Rn: h})
+		}
+		return
+	}
 	g.slotAccess(arm64.LDR, r, w, g.slotOff(v))
+}
+
+// sext returns a register holding v sign-extended to 64 bits: v's own
+// register for a 64-bit value, else scratch.
+func (g *arm64gen) sext(v ir.Value, scratch arm64.Reg) arm64.Reg {
+	if width(v.Type()) == 8 {
+		return g.use(v, scratch)
+	}
+	g.loadValSext(v, scratch)
+	return scratch
+}
+
+// zext is sext for zero extension.
+func (g *arm64gen) zext(v ir.Value, scratch arm64.Reg) arm64.Reg {
+	if width(v.Type()) == 8 {
+		return g.use(v, scratch)
+	}
+	g.loadValZext(v, scratch)
+	return scratch
 }
 
 // loadFP places a float value into FP register r.
 func (g *arm64gen) loadFP(v ir.Value, r arm64.Reg) {
-	sz := 8
-	if ft, ok := v.Type().(*ir.FloatType); ok && ft.Bits == 32 {
-		sz = 4
-	}
+	sz := fpSize(v.Type())
 	if ir.IsConst(v) {
 		g.loadVal(v, sA)
 		g.emit(arm64.Inst{Op: arm64.FMOVTOF, Size: sz, Rd: r, Rn: sA})
 		return
 	}
-	g.slotAccess(arm64.LDR, r, sz, g.slotOff(v))
+	switch h := g.homeOf(v); {
+	case h == arm64.RegNone:
+		g.slotAccess(arm64.LDR, r, sz, g.slotOff(v))
+	case !h.IsFP():
+		g.emit(arm64.Inst{Op: arm64.FMOVTOF, Size: sz, Rd: r, Rn: h})
+	case h != r:
+		g.emit(arm64.Inst{Op: arm64.FMOV, Size: sz, Rd: r, Rn: h})
+	}
 }
 
+// storeFP moves the result in FP register r to v's home.
 func (g *arm64gen) storeFP(v *ir.Instr, r arm64.Reg) {
-	sz := 8
-	if ft, ok := v.Ty.(*ir.FloatType); ok && ft.Bits == 32 {
-		sz = 4
+	sz := fpSize(v.Ty)
+	switch h := g.homeOf(v); {
+	case h == arm64.RegNone:
+		if !g.ra.unused(v) {
+			g.slotAccess(arm64.STR, r, sz, g.slotOff(v))
+		}
+	case !h.IsFP():
+		g.emit(arm64.Inst{Op: arm64.FMOVTOG, Size: sz, Rd: h, Rn: r})
+	case h != r:
+		g.emit(arm64.Inst{Op: arm64.FMOV, Size: sz, Rd: h, Rn: r})
 	}
-	g.slotAccess(arm64.STR, r, sz, g.slotOff(v))
 }
 
 // adjustSP moves SP by delta using imm12 chunks (SUB/ADD with SP operands).
@@ -289,78 +539,152 @@ func (g *arm64gen) adjustSP(delta int64) {
 	}
 }
 
-// testBit0 leaves (v & 1) in r.
-func (g *arm64gen) testBit0(v ir.Value, r arm64.Reg) {
-	g.loadVal(v, r)
-	g.loadConst(1, sD)
-	g.emit(arm64.Inst{Op: arm64.AND, Size: 8, Rd: r, Rn: r, Rm: sD})
+// bit0 returns a register that is nonzero exactly when bit 0 of v is set:
+// sA, holding v shifted left by 63.
+func (g *arm64gen) bit0(v ir.Value) arm64.Reg {
+	r := g.use(v, sA)
+	g.emit(arm64.Inst{Op: arm64.LSLI, Size: 8, Rd: sA, Rn: r, Imm: 63})
+	return sA
+}
+
+// fusedCmp reports whether in is an integer compare whose only use is the
+// conditional branch right after it. Such a compare leaves its result in
+// the flags for that branch and has no value of its own.
+func fusedCmp(in *ir.Instr, reads []int32) bool {
+	if in.Op != ir.OpICmp || in.Parent == nil || in.ID <= 0 || in.ID >= len(reads) || reads[in.ID] != 1 {
+		return false
+	}
+	instrs := in.Parent.Instrs
+	n := len(instrs)
+	if n < 2 || instrs[n-2] != in {
+		return false
+	}
+	t := instrs[n-1]
+	return t.Op == ir.OpCondBr && len(t.Args) == 1 && t.Args[0] == in
+}
+
+// noRegister reports the values the allocator leaves out: frame
+// addresses, recomputed from SP at each use, and fused compares.
+func noRegister(in *ir.Instr, reads []int32) bool {
+	return frameBase(in) != nil || fusedCmp(in, reads)
 }
 
 func (g *arm64gen) genFunc(f *ir.Func) error {
-	fr, err := buildFrame(f)
+	ra, err := allocate(f, [numClasses]int{len(armPools[classInt]), len(armPools[classFloat])}, noRegister)
 	if err != nil {
 		return err
 	}
-	g.f, g.fr, g.err = f, fr, nil
-	g.total = fr.size + 16
-	g.blockOff = make(map[*ir.Block]int)
+	fr, err := buildFrame(f, ra)
+	if err != nil {
+		return err
+	}
+	g.f, g.fr, g.ra, g.err = f, fr, ra, nil
+	g.home = make([]arm64.Reg, len(ra.reg))
+	for id, r := range ra.reg {
+		g.home[id] = arm64.RegNone
+		if r >= 0 {
+			g.home[id] = armPools[ra.class[id]][r]
+		}
+	}
+	g.saved = g.saved[:0]
+	for c, pool := range armPools {
+		for k, r := range pool {
+			if ra.used[c]&(1<<uint(k)) != 0 {
+				g.saved = append(g.saved, r)
+			}
+		}
+	}
+	// Frame: slots and alloca storage, the saved registers, x30 on top
+	// unless the function is a leaf.
+	g.saveLR = false
+	clear(g.blockIdx)
+	for bi, b := range f.Blocks {
+		g.blockIdx[b] = bi
+		for _, in := range b.Instrs {
+			g.saveLR = g.saveLR || in.Op == ir.OpCall
+		}
+	}
+	g.total = fr.size + 8*int64(len(g.saved))
+	if g.saveLR {
+		g.total += 8
+	}
+	g.total = (g.total + 15) &^ 15
+	g.labels = append(g.labels[:0], make([]int, len(f.Blocks))...)
 	g.localFix = g.localFix[:0]
+	g.stubs = g.stubs[:0]
 	start := len(g.txt)
 
-	if fr.size+8 > 32760 {
+	if g.total-8 > 32760 {
 		return fmt.Errorf("frame too large (%d bytes)", fr.size)
 	}
 
-	// Prologue: allocate frame, save LR.
+	// Prologue: allocate the frame, save x30 and the callee-saved registers
+	// in use, and give every parameter its home.
 	g.adjustSP(g.total)
-	g.emit(arm64.Inst{Op: arm64.STR, Size: 8, Rd: arm64.X30, Rn: arm64.SP, Imm: fr.size + 8})
+	if g.saveLR {
+		g.emit(arm64.Inst{Op: arm64.STR, Size: 8, Rd: arm64.X30, Rn: arm64.SP, Imm: g.total - 8})
+	}
+	for k, r := range g.saved {
+		g.emit(arm64.Inst{Op: arm64.STR, Size: 8, Rd: r, Rn: arm64.SP, Imm: fr.size + 8*int64(k)})
+	}
 	intIdx, fpIdx := 0, 0
 	for _, p := range f.Params {
+		var src arm64.Reg
+		sz := 8
 		if ir.IsFloat(p.Ty) {
 			if fpIdx >= len(armFPArgs) {
 				return fmt.Errorf("too many FP parameters")
 			}
-			sz := 8
-			if p.Ty.(*ir.FloatType).Bits == 32 {
-				sz = 4
-			}
-			g.slotAccess(arm64.STR, armFPArgs[fpIdx], sz, fr.slot[p])
+			src, sz = armFPArgs[fpIdx], fpSize(p.Ty)
 			fpIdx++
 		} else {
 			if intIdx >= len(armIntArgs) {
 				return fmt.Errorf("too many integer parameters")
 			}
-			g.slotAccess(arm64.STR, armIntArgs[intIdx], 8, fr.slot[p])
+			src = armIntArgs[intIdx]
 			intIdx++
+		}
+		switch h := g.homeOf(p); {
+		case h == arm64.RegNone:
+			g.slotAccess(arm64.STR, src, sz, g.slotOff(p))
+		case h.IsFP():
+			g.emit(arm64.Inst{Op: arm64.FMOV, Size: sz, Rd: h, Rn: src})
+		default:
+			g.emit(arm64.Inst{Op: arm64.ORR, Size: 8, Rd: h, Rn: arm64.XZR, Rm: src})
 		}
 	}
 
-	for _, b := range f.Blocks {
-		g.blockOff[b] = len(g.txt)
-		for _, phi := range b.Phis() {
-			g.slotAccess(arm64.LDR, sA, 8, g.fr.shadow[phi])
-			g.storeVal(phi, sA)
-		}
+	for bi, b := range f.Blocks {
+		g.labels[bi] = len(g.txt)
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi {
+			switch {
+			case in.Op == ir.OpPhi || fusedCmp(in, ra.reads):
 				continue
+			case in.Op == ir.OpBr:
+				g.phiMoves(b, in.Blocks[0])
+				g.jumpUnlessNext(bi, in.Blocks[0])
+			case in.Op == ir.OpCondBr:
+				g.genCondBr(bi, in)
+			default:
+				g.genInstr(in)
 			}
-			if in.IsTerminator() {
-				g.writePhiShadows(b)
-			}
-			g.genInstr(in)
 			if g.err != nil {
 				return fmt.Errorf("%s: %w", in, g.err)
 			}
 		}
 	}
+	for k := 0; k < len(g.stubs); k++ {
+		st := g.stubs[k]
+		g.labels = append(g.labels, len(g.txt))
+		g.phiMoves(st.from, st.to)
+		g.emitJump(arm64.B, 0, arm64.XZR, g.label(st.to))
+	}
+	if g.err != nil {
+		return g.err
+	}
 
 	for _, lf := range g.localFix {
-		off, ok := g.blockOff[lf.target]
-		if !ok {
-			return fmt.Errorf("branch to unemitted block %%%s", lf.target.Name)
-		}
-		rel := int64(off - lf.pos)
+		rel := int64(g.labels[lf.label] - lf.pos)
 		w := binary.LittleEndian.Uint32(g.txt[lf.pos:])
 		switch {
 		case w>>26 == 0x05: // B
@@ -375,17 +699,187 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 	return g.err
 }
 
-func (g *arm64gen) writePhiShadows(b *ir.Block) {
-	for _, succ := range b.Succs() {
-		for _, phi := range succ.Phis() {
-			for k, pred := range phi.Blocks {
-				if pred == b {
-					g.loadVal(phi.Args[k], sA)
-					g.slotAccess(arm64.STR, sA, 8, g.fr.shadow[phi])
-					break
-				}
+// label returns a block's label: its layout index.
+func (g *arm64gen) label(b *ir.Block) int {
+	bi, ok := g.blockIdx[b]
+	if !ok && g.err == nil {
+		g.err = fmt.Errorf("branch to unemitted block %%%s", b.Name)
+	}
+	return bi
+}
+
+// jumpUnlessNext branches to succ unless it is the next block in layout.
+func (g *arm64gen) jumpUnlessNext(bi int, succ *ir.Block) {
+	if si := g.label(succ); si != bi+1 {
+		g.emitJump(arm64.B, 0, arm64.XZR, si)
+	}
+}
+
+// genCondBr lowers a conditional branch. The phi moves of an edge into a
+// block with phis run on that edge only: inline on the fall-through path
+// when one edge needs them, and in an edge stub for the taken branch when
+// both do.
+func (g *arm64gen) genCondBr(bi int, in *ir.Instr) {
+	b := g.f.Blocks[bi]
+	t, f := in.Blocks[0], in.Blocks[1]
+	// branchIf emits a branch to label taken when the condition is want.
+	var branchIf func(want bool, label int)
+	if c, ok := in.Args[0].(*ir.Instr); ok && fusedCmp(c, g.ra.reads) {
+		cond := g.cmpFlags(c)
+		branchIf = func(want bool, label int) {
+			cc := cond
+			if !want {
+				cc = cc.Invert()
+			}
+			g.emitJump(arm64.BCOND, cc, arm64.XZR, label)
+		}
+	} else {
+		r := g.bit0(in.Args[0])
+		branchIf = func(want bool, label int) {
+			op := arm64.CBNZ
+			if !want {
+				op = arm64.CBZ
+			}
+			g.emitJump(op, 0, r, label)
+		}
+	}
+	needT, needF := hasPhis(t), hasPhis(f)
+	switch {
+	case needT && !needF:
+		branchIf(false, g.label(f))
+		g.phiMoves(b, t)
+		g.jumpUnlessNext(bi, t)
+	case !needT && !needF && g.label(t) == bi+1:
+		branchIf(false, g.label(f))
+	default:
+		if needT {
+			branchIf(true, len(g.f.Blocks)+len(g.stubs))
+			g.stubs = append(g.stubs, armStub{b, t})
+		} else {
+			branchIf(true, g.label(t))
+		}
+		if needF {
+			g.phiMoves(b, f)
+		}
+		g.jumpUnlessNext(bi, f)
+	}
+}
+
+func hasPhis(b *ir.Block) bool { return len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi }
+
+// phiMove is one copy of a parallel move: into phi dst from src, or from
+// the cycle temporary when src is nil.
+type phiMove struct {
+	dst *ir.Instr
+	src ir.Value
+}
+
+// phiMoves emits the parallel copy from block from into the phis of to as
+// a sequence: a move goes once no other pending move still reads its
+// destination, a cycle is broken by saving one destination in sA/fA, and
+// moves from constants go last since they read nothing.
+func (g *arm64gen) phiMoves(from, to *ir.Block) {
+	var pending, consts []phiMove
+	for _, phi := range to.Instrs {
+		if phi.Op != ir.OpPhi {
+			break
+		}
+		dk := g.locKey(phi)
+		if dk < 0 && g.ra.unused(phi) {
+			continue // nothing reads this phi
+		}
+		for k, pred := range phi.Blocks {
+			if pred != from {
+				continue
+			}
+			src := phi.Args[k]
+			switch sk := g.locKey(src); {
+			case sk < 0:
+				consts = append(consts, phiMove{phi, src})
+			case sk != dk:
+				pending = append(pending, phiMove{phi, src})
+			}
+			break
+		}
+	}
+	readBy := func(key int64, except int) bool {
+		for j, m := range pending {
+			if j != except && m.src != nil && g.locKey(m.src) == key {
+				return true
 			}
 		}
+		return false
+	}
+	for len(pending) > 0 {
+		ready := -1
+		for i, m := range pending {
+			if !readBy(g.locKey(m.dst), i) {
+				ready = i
+				break
+			}
+		}
+		if ready < 0 {
+			// Every pending move is on a cycle: save the first one's
+			// destination and let its readers take the temporary.
+			d := pending[0].dst
+			fp := valueClass(d.Ty) == classFloat
+			if fp {
+				g.loadFP(d, fA)
+			} else {
+				g.loadVal(d, sA)
+			}
+			dk := g.locKey(d)
+			for j := range pending {
+				if pending[j].src != nil && g.locKey(pending[j].src) == dk {
+					pending[j].src = nil
+				}
+			}
+			continue
+		}
+		g.phiMove(pending[ready])
+		pending = append(pending[:ready], pending[ready+1:]...)
+	}
+	for _, m := range consts {
+		g.phiMove(m)
+	}
+}
+
+// locKey names the location holding v for move ordering: its register, or
+// its slot offset past the register numbers; -1 for a value that lives
+// nowhere (constants, globals, functions, alloca addresses).
+func (g *arm64gen) locKey(v ir.Value) int64 {
+	if h := g.homeOf(v); h != arm64.RegNone {
+		return int64(h)
+	}
+	if in, ok := v.(*ir.Instr); ok && frameBase(in) != nil {
+		return -1
+	}
+	if off, ok := g.fr.slotOf(v); ok {
+		return int64(arm64.D31) + 1 + off
+	}
+	return -1
+}
+
+// phiMove emits one move into a phi's home.
+func (g *arm64gen) phiMove(m phiMove) {
+	if valueClass(m.dst.Ty) == classFloat {
+		switch {
+		case m.src == nil:
+			g.storeFP(m.dst, fA)
+		case g.homeOf(m.dst).IsFP():
+			g.loadFP(m.src, g.homeOf(m.dst))
+		default:
+			g.storeFP(m.dst, g.useFP(m.src, fB))
+		}
+		return
+	}
+	switch h := g.homeOf(m.dst); {
+	case m.src == nil:
+		g.storeVal(m.dst, sA)
+	case h != arm64.RegNone:
+		g.loadVal(m.src, h)
+	default:
+		g.storeVal(m.dst, g.use(m.src, sB))
 	}
 }
 
@@ -398,40 +892,44 @@ var armCondOf = map[ir.Pred]arm64.Cond{
 }
 
 func (g *arm64gen) genInstr(in *ir.Instr) {
+	if frameBase(in) != nil {
+		return // recomputed from SP where used
+	}
 	switch in.Op {
-	case ir.OpAlloca:
-		off := g.fr.bulk[in]
-		if off <= 4095 {
-			g.emit(arm64.Inst{Op: arm64.ADDI, Size: 8, Rd: sA, Rn: arm64.SP, Imm: off})
-		} else {
-			g.loadConst(off, sA)
-			// add sA, sp, sA: ADD shifted-register cannot use SP; go through a mov.
-			g.emit(arm64.Inst{Op: arm64.ADDI, Size: 8, Rd: sB, Rn: arm64.SP, Imm: 0})
-			g.emit(arm64.Inst{Op: arm64.ADD, Size: 8, Rd: sA, Rn: sB, Rm: sA})
-		}
-		g.storeVal(in, sA)
-
 	case ir.OpLoad:
-		g.loadVal(in.Args[0], sA)
+		a := g.use(in.Args[0], sA)
 		w := width(in.Ty)
+		if h := g.homeOf(in); h.IsFP() && in.Order != ir.Acquire {
+			g.emit(arm64.Inst{Op: arm64.LDR, Size: w, Rd: h, Rn: a, Imm: 0})
+			return
+		}
+		d := g.dst(in, sB)
 		if in.Order == ir.Acquire {
 			// Weak lowering: an acquire load is its own ordering — LDAR
-			// instead of LDR;DMB ISHLD. The integer scratch register carries
-			// raw bits, so FP-typed loads work unchanged.
-			g.emit(arm64.Inst{Op: arm64.LDAR, Size: w, Rd: sB, Rn: sA})
+			// instead of LDR;DMB ISHLD. The integer register carries raw
+			// bits, so FP-typed loads work unchanged.
+			g.emit(arm64.Inst{Op: arm64.LDAR, Size: w, Rd: d, Rn: a})
 		} else {
-			g.emit(arm64.Inst{Op: arm64.LDR, Size: w, Rd: sB, Rn: sA, Imm: 0})
+			g.emit(arm64.Inst{Op: arm64.LDR, Size: w, Rd: d, Rn: a, Imm: 0})
 		}
-		g.storeVal(in, sB)
+		g.storeVal(in, d)
 
 	case ir.OpStore:
-		g.loadVal(in.Args[0], sB)
-		g.loadVal(in.Args[1], sA)
 		w := width(in.Args[0].Type())
+		if h := g.homeOf(in.Args[0]); h.IsFP() && in.Order != ir.Release {
+			a := g.use(in.Args[1], sA)
+			g.emit(arm64.Inst{Op: arm64.STR, Size: w, Rd: h, Rn: a, Imm: 0})
+			return
+		}
+		v := arm64.XZR
+		if c, ok := ir.ConstIntValue(in.Args[0]); !ok || c != 0 {
+			v = g.use(in.Args[0], sB)
+		}
+		a := g.use(in.Args[1], sA)
 		if in.Order == ir.Release {
-			g.emit(arm64.Inst{Op: arm64.STLR, Size: w, Rd: sB, Rn: sA})
+			g.emit(arm64.Inst{Op: arm64.STLR, Size: w, Rd: v, Rn: a})
 		} else {
-			g.emit(arm64.Inst{Op: arm64.STR, Size: w, Rd: sB, Rn: sA, Imm: 0})
+			g.emit(arm64.Inst{Op: arm64.STR, Size: w, Rd: v, Rn: a, Imm: 0})
 		}
 
 	case ir.OpFence:
@@ -452,48 +950,26 @@ func (g *arm64gen) genInstr(in *ir.Instr) {
 		g.genCmpXchg(in)
 
 	case ir.OpGEP:
-		g.loadVal(in.Args[0], sA)
-		elem := in.Elem
-		for k, idx := range in.Args[1:] {
-			es := int64(elem.Size())
-			if k > 0 {
-				at, ok := elem.(*ir.ArrayType)
-				if !ok {
-					g.err = fmt.Errorf("GEP through non-array")
-					return
-				}
-				elem = at.Elem
-				es = int64(elem.Size())
-			}
-			if c, ok := ir.ConstIntValue(idx); ok {
-				if c != 0 {
-					g.loadConst(c*es, sB)
-					g.emit(arm64.Inst{Op: arm64.ADD, Size: 8, Rd: sA, Rn: sA, Rm: sB})
-				}
-				continue
-			}
-			g.loadValSext(idx, sB)
-			if es != 1 {
-				g.loadConst(es, sC)
-				g.emit(arm64.Inst{Op: arm64.MADD, Size: 8, Rd: sB, Rn: sB, Rm: sC, Ra: arm64.XZR})
-			}
-			g.emit(arm64.Inst{Op: arm64.ADD, Size: 8, Rd: sA, Rn: sA, Rm: sB})
-		}
-		g.storeVal(in, sA)
+		g.genGEP(in)
 
 	case ir.OpICmp:
-		g.genICmp(in)
+		cond := g.cmpFlags(in)
+		// cset = csinc rd, xzr, xzr, inverted cond
+		d := g.dst(in, sA)
+		g.emit(arm64.Inst{Op: arm64.CSINC, Size: 8, Cond: cond.Invert(), Rd: d, Rn: arm64.XZR, Rm: arm64.XZR})
+		g.storeVal(in, d)
 
 	case ir.OpFCmp:
 		g.genFCmp(in)
 
 	case ir.OpSelect:
-		g.testBit0(in.Args[0], sA)
-		g.loadVal(in.Args[1], sB)
-		g.loadVal(in.Args[2], sC)
-		g.emit(arm64.Inst{Op: arm64.SUBSI, Size: 8, Rd: arm64.XZR, Rn: sA, Imm: 0})
-		g.emit(arm64.Inst{Op: arm64.CSEL, Size: 8, Cond: arm64.NE, Rd: sA, Rn: sB, Rm: sC})
-		g.storeVal(in, sA)
+		c := g.bit0(in.Args[0])
+		g.emit(arm64.Inst{Op: arm64.SUBSI, Size: 8, Rd: arm64.XZR, Rn: c, Imm: 0})
+		t := g.use(in.Args[1], sB)
+		f := g.use(in.Args[2], sC)
+		d := g.dst(in, sA)
+		g.emit(arm64.Inst{Op: arm64.CSEL, Size: 8, Cond: arm64.NE, Rd: d, Rn: t, Rm: f})
+		g.storeVal(in, d)
 
 	case ir.OpCall:
 		g.genCall(in)
@@ -506,17 +982,14 @@ func (g *arm64gen) genInstr(in *ir.Instr) {
 				g.loadVal(in.Args[0], arm64.X0)
 			}
 		}
-		g.emit(arm64.Inst{Op: arm64.LDR, Size: 8, Rd: arm64.X30, Rn: arm64.SP, Imm: g.fr.size + 8})
+		for k, r := range g.saved {
+			g.emit(arm64.Inst{Op: arm64.LDR, Size: 8, Rd: r, Rn: arm64.SP, Imm: g.fr.size + 8*int64(k)})
+		}
+		if g.saveLR {
+			g.emit(arm64.Inst{Op: arm64.LDR, Size: 8, Rd: arm64.X30, Rn: arm64.SP, Imm: g.total - 8})
+		}
 		g.adjustSP(-g.total)
 		g.emit(arm64.Inst{Op: arm64.RET, Rn: arm64.X30})
-
-	case ir.OpBr:
-		g.emitJump(arm64.B, 0, arm64.XZR, in.Blocks[0])
-
-	case ir.OpCondBr:
-		g.testBit0(in.Args[0], sA)
-		g.emitJump(arm64.CBNZ, 0, sA, in.Blocks[0])
-		g.emitJump(arm64.B, 0, arm64.XZR, in.Blocks[1])
 
 	case ir.OpUnreachable:
 		// Branch-to-self; the simulator traps on it.
@@ -532,6 +1005,51 @@ func (g *arm64gen) genInstr(in *ir.Instr) {
 			g.err = fmt.Errorf("arm64 backend: unhandled op %s", in.Op)
 		}
 	}
+}
+
+// genGEP sums the base, each variable index times its element size, and
+// the constant indices' offsets folded into one immediate; only the last
+// instruction writes the result register.
+func (g *arm64gen) genGEP(in *ir.Instr) {
+	off, vars, ok := gepConstOffset(in)
+	if !ok {
+		g.err = fmt.Errorf("GEP through non-array")
+		return
+	}
+	cur := g.use(in.Args[0], sA)
+	d := g.dst(in, sA)
+	for k, x := range vars {
+		r := g.sext(x.v, sB)
+		switch {
+		case x.es == 1:
+		case x.es&(x.es-1) == 0:
+			g.emit(arm64.Inst{Op: arm64.LSLI, Size: 8, Rd: sB, Rn: r, Imm: int64(bits.TrailingZeros64(uint64(x.es)))})
+			r = sB
+		default:
+			g.loadConst(x.es, sC)
+			g.emit(arm64.Inst{Op: arm64.MADD, Size: 8, Rd: sB, Rn: r, Rm: sC, Ra: arm64.XZR})
+			r = sB
+		}
+		next := sA
+		if k == len(vars)-1 && off == 0 {
+			next = d
+		}
+		g.emit(arm64.Inst{Op: arm64.ADD, Size: 8, Rd: next, Rn: cur, Rm: r})
+		cur = next
+	}
+	switch {
+	case off > 0 && off <= 4095:
+		g.emit(arm64.Inst{Op: arm64.ADDI, Size: 8, Rd: d, Rn: cur, Imm: off})
+		cur = d
+	case off < 0 && off >= -4095:
+		g.emit(arm64.Inst{Op: arm64.SUBI, Size: 8, Rd: d, Rn: cur, Imm: -off})
+		cur = d
+	case off != 0:
+		g.loadConst(off, sB)
+		g.emit(arm64.Inst{Op: arm64.ADD, Size: 8, Rd: d, Rn: cur, Rm: sB})
+		cur = d
+	}
+	g.storeVal(in, cur)
 }
 
 // genRMW implements the Fig. 8b RMWsc mapping: DMBFF; LL/SC loop; DMBFF.
@@ -589,190 +1107,209 @@ func (g *arm64gen) emitLoopBack(op arm64.Op, r arm64.Reg, pos int) {
 	g.emit(arm64.Inst{Op: op, Size: 8, Rd: r, Imm: rel})
 }
 
-func (g *arm64gen) genICmp(in *ir.Instr) {
-	w := width(in.Args[0].Type())
+// cmpFlags sets the flags for an integer compare and returns the condition
+// that holds when the compare is true.
+// Narrower operands compare at 64 bits after extending both.
+func (g *arm64gen) cmpFlags(in *ir.Instr) arm64.Cond {
+	x, y := in.Args[0], in.Args[1]
+	w := width(x.Type())
 	signed := in.Pred == ir.PredSLT || in.Pred == ir.PredSLE || in.Pred == ir.PredSGT || in.Pred == ir.PredSGE
-	if w >= 4 {
-		g.loadVal(in.Args[0], sA)
-		g.loadVal(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.SUBS, Size: w, Rd: arm64.XZR, Rn: sA, Rm: sB})
-	} else if signed {
-		g.loadValSext(in.Args[0], sA)
-		g.loadValSext(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.SUBS, Size: 8, Rd: arm64.XZR, Rn: sA, Rm: sB})
-	} else {
-		g.loadValZext(in.Args[0], sA)
-		g.loadValZext(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.SUBS, Size: 8, Rd: arm64.XZR, Rn: sA, Rm: sB})
+	// operand returns v ready to compare; c is y's constant, extended alike.
+	size := max(w, 4)
+	c, isConst := ir.ConstIntValue(y)
+	operand := func(v ir.Value, scratch arm64.Reg) arm64.Reg { return g.use(v, scratch) }
+	switch {
+	case w == 4:
+		c = int64(uint32(c))
+	case w < 4 && signed:
+		size, operand = 8, g.sext
+		c = c << (64 - 8*w) >> (64 - 8*w)
+	case w < 4:
+		size, operand = 8, g.zext
+		c &= 1<<(8*w) - 1
 	}
-	// cset = csinc rd, xzr, xzr, inverted cond
-	g.emit(arm64.Inst{Op: arm64.CSINC, Size: 8, Cond: armCondOf[in.Pred].Invert(), Rd: sA, Rn: arm64.XZR, Rm: arm64.XZR})
-	g.storeVal(in, sA)
+	a := operand(x, sA)
+	if isConst && c >= 0 && c <= 4095 {
+		g.emit(arm64.Inst{Op: arm64.SUBSI, Size: size, Rd: arm64.XZR, Rn: a, Imm: c})
+	} else {
+		g.emit(arm64.Inst{Op: arm64.SUBS, Size: size, Rd: arm64.XZR, Rn: a, Rm: operand(y, sB)})
+	}
+	return armCondOf[in.Pred]
 }
 
 func (g *arm64gen) genFCmp(in *ir.Instr) {
-	sz := 8
-	if in.Args[0].Type().(*ir.FloatType).Bits == 32 {
-		sz = 4
-	}
-	g.loadFP(in.Args[0], fA)
-	g.loadFP(in.Args[1], fB)
-	g.emit(arm64.Inst{Op: arm64.FCMP, Size: sz, Rn: fA, Rm: fB})
+	sz := fpSize(in.Args[0].Type())
+	a := g.useFP(in.Args[0], fA)
+	b := g.useFP(in.Args[1], fB)
+	g.emit(arm64.Inst{Op: arm64.FCMP, Size: sz, Rn: a, Rm: b})
+	d := g.dst(in, sA)
 	cset := func(c arm64.Cond, r arm64.Reg) {
 		g.emit(arm64.Inst{Op: arm64.CSINC, Size: 8, Cond: c.Invert(), Rd: r, Rn: arm64.XZR, Rm: arm64.XZR})
 	}
 	switch in.Pred {
 	case ir.PredOEQ:
-		cset(arm64.EQ, sA)
+		cset(arm64.EQ, d)
 	case ir.PredONE:
 		// ordered and not equal: MI (less) or GT (greater).
 		cset(arm64.MI, sA)
 		cset(arm64.GT, sB)
-		g.emit(arm64.Inst{Op: arm64.ORR, Size: 8, Rd: sA, Rn: sA, Rm: sB})
+		g.emit(arm64.Inst{Op: arm64.ORR, Size: 8, Rd: d, Rn: sA, Rm: sB})
 	case ir.PredOLT:
-		cset(arm64.MI, sA)
+		cset(arm64.MI, d)
 	case ir.PredOLE:
-		cset(arm64.LS, sA)
+		cset(arm64.LS, d)
 	case ir.PredOGT:
-		cset(arm64.GT, sA)
+		cset(arm64.GT, d)
 	case ir.PredOGE:
-		cset(arm64.GE, sA)
+		cset(arm64.GE, d)
 	case ir.PredUNO:
-		cset(arm64.VS, sA)
+		cset(arm64.VS, d)
 	default:
 		g.err = fmt.Errorf("unhandled fcmp pred %s", in.Pred)
 		return
 	}
-	g.storeVal(in, sA)
+	g.storeVal(in, d)
+}
+
+var armBinOp = map[ir.Op]arm64.Op{
+	ir.OpAdd: arm64.ADD, ir.OpSub: arm64.SUB, ir.OpAnd: arm64.AND, ir.OpOr: arm64.ORR, ir.OpXor: arm64.EOR,
+	ir.OpFAdd: arm64.FADD, ir.OpFSub: arm64.FSUB, ir.OpFMul: arm64.FMUL, ir.OpFDiv: arm64.FDIV,
 }
 
 func (g *arm64gen) genBinary(in *ir.Instr) {
 	if ir.IsFloat(in.Ty) {
-		sz := 8
-		if in.Ty.(*ir.FloatType).Bits == 32 {
-			sz = 4
-		}
-		op := map[ir.Op]arm64.Op{ir.OpFAdd: arm64.FADD, ir.OpFSub: arm64.FSUB, ir.OpFMul: arm64.FMUL, ir.OpFDiv: arm64.FDIV}[in.Op]
-		g.loadFP(in.Args[0], fA)
-		g.loadFP(in.Args[1], fB)
-		g.emit(arm64.Inst{Op: op, Size: sz, Rd: fA, Rn: fA, Rm: fB})
-		g.storeFP(in, fA)
+		a := g.useFP(in.Args[0], fA)
+		b := g.useFP(in.Args[1], fB)
+		d := g.dstFP(in, fA)
+		g.emit(arm64.Inst{Op: armBinOp[in.Op], Size: fpSize(in.Ty), Rd: d, Rn: a, Rm: b})
+		g.storeFP(in, d)
 		return
 	}
 
 	w := width(in.Ty)
-	ow := w
-	if ow < 4 {
-		ow = 4
+	ow := max(w, 4)
+	// shiftImm is a constant shift amount an immediate form can encode.
+	shiftImm := func(limit int) (int64, bool) {
+		c, ok := ir.ConstIntValue(in.Args[1])
+		return c, ok && c > 0 && c < int64(limit)
 	}
+	var d arm64.Reg
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor:
-		op := map[ir.Op]arm64.Op{ir.OpAdd: arm64.ADD, ir.OpSub: arm64.SUB, ir.OpAnd: arm64.AND, ir.OpOr: arm64.ORR, ir.OpXor: arm64.EOR}[in.Op]
-		g.loadVal(in.Args[0], sA)
+		a := g.use(in.Args[0], sA)
+		d = g.dst(in, sA)
 		if c, ok := ir.ConstIntValue(in.Args[1]); ok && c >= 0 && c <= 4095 && (in.Op == ir.OpAdd || in.Op == ir.OpSub) {
 			iop := arm64.ADDI
 			if in.Op == ir.OpSub {
 				iop = arm64.SUBI
 			}
-			g.emit(arm64.Inst{Op: iop, Size: ow, Rd: sA, Rn: sA, Imm: c})
+			g.emit(arm64.Inst{Op: iop, Size: ow, Rd: d, Rn: a, Imm: c})
 		} else {
-			g.loadVal(in.Args[1], sB)
-			g.emit(arm64.Inst{Op: op, Size: ow, Rd: sA, Rn: sA, Rm: sB})
+			b := g.use(in.Args[1], sB)
+			g.emit(arm64.Inst{Op: armBinOp[in.Op], Size: ow, Rd: d, Rn: a, Rm: b})
 		}
-		g.storeVal(in, sA)
 
 	case ir.OpMul:
-		g.loadVal(in.Args[0], sA)
-		g.loadVal(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.MADD, Size: ow, Rd: sA, Rn: sA, Rm: sB, Ra: arm64.XZR})
-		g.storeVal(in, sA)
-
-	case ir.OpSDiv, ir.OpSRem:
-		if w >= 4 {
-			g.loadVal(in.Args[0], sA)
-			g.loadVal(in.Args[1], sB)
-		} else {
-			g.loadValSext(in.Args[0], sA)
-			g.loadValSext(in.Args[1], sB)
+		a := g.use(in.Args[0], sA)
+		d = g.dst(in, sA)
+		if c, ok := ir.ConstIntValue(in.Args[1]); ok && c > 1 && c&(c-1) == 0 && bits.TrailingZeros64(uint64(c)) < ow*8 {
+			g.emit(arm64.Inst{Op: arm64.LSLI, Size: ow, Rd: d, Rn: a, Imm: int64(bits.TrailingZeros64(uint64(c)))})
+			break
 		}
-		g.emit(arm64.Inst{Op: arm64.SDIV, Size: ow, Rd: sC, Rn: sA, Rm: sB})
-		if in.Op == ir.OpSDiv {
-			g.storeVal(in, sC)
+		b := g.use(in.Args[1], sB)
+		g.emit(arm64.Inst{Op: arm64.MADD, Size: ow, Rd: d, Rn: a, Rm: b, Ra: arm64.XZR})
+
+	case ir.OpSDiv, ir.OpSRem, ir.OpUDiv, ir.OpURem:
+		var a, b arm64.Reg
+		op := arm64.UDIV
+		switch {
+		case in.Op == ir.OpUDiv || in.Op == ir.OpURem:
+			a, b = g.zext(in.Args[0], sA), g.zext(in.Args[1], sB)
+		case w >= 4:
+			a, b, op = g.use(in.Args[0], sA), g.use(in.Args[1], sB), arm64.SDIV
+		default:
+			a, b, op = g.sext(in.Args[0], sA), g.sext(in.Args[1], sB), arm64.SDIV
+		}
+		d = g.dst(in, sC)
+		if in.Op == ir.OpSDiv || in.Op == ir.OpUDiv {
+			g.emit(arm64.Inst{Op: op, Size: ow, Rd: d, Rn: a, Rm: b})
 		} else {
 			// rem = a - (a/b)*b
-			g.emit(arm64.Inst{Op: arm64.MSUB, Size: ow, Rd: sC, Rn: sC, Rm: sB, Ra: sA})
-			g.storeVal(in, sC)
-		}
-
-	case ir.OpUDiv, ir.OpURem:
-		g.loadValZext(in.Args[0], sA)
-		g.loadValZext(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.UDIV, Size: ow, Rd: sC, Rn: sA, Rm: sB})
-		if in.Op == ir.OpUDiv {
-			g.storeVal(in, sC)
-		} else {
-			g.emit(arm64.Inst{Op: arm64.MSUB, Size: ow, Rd: sC, Rn: sC, Rm: sB, Ra: sA})
-			g.storeVal(in, sC)
+			g.emit(arm64.Inst{Op: op, Size: ow, Rd: sC, Rn: a, Rm: b})
+			g.emit(arm64.Inst{Op: arm64.MSUB, Size: ow, Rd: d, Rn: sC, Rm: b, Ra: a})
 		}
 
 	case ir.OpShl:
-		g.loadVal(in.Args[0], sA)
-		g.loadVal(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.LSLV, Size: ow, Rd: sA, Rn: sA, Rm: sB})
-		g.storeVal(in, sA)
+		a := g.use(in.Args[0], sA)
+		d = g.dst(in, sA)
+		if c, ok := shiftImm(ow * 8); ok {
+			g.emit(arm64.Inst{Op: arm64.LSLI, Size: ow, Rd: d, Rn: a, Imm: c})
+		} else {
+			b := g.use(in.Args[1], sB)
+			g.emit(arm64.Inst{Op: arm64.LSLV, Size: ow, Rd: d, Rn: a, Rm: b})
+		}
 
 	case ir.OpLShr:
-		g.loadValZext(in.Args[0], sA)
-		g.loadVal(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.LSRV, Size: ow, Rd: sA, Rn: sA, Rm: sB})
-		g.storeVal(in, sA)
+		a := g.zext(in.Args[0], sA)
+		d = g.dst(in, sA)
+		if c, ok := shiftImm(ow * 8); ok {
+			g.emit(arm64.Inst{Op: arm64.LSRI, Size: ow, Rd: d, Rn: a, Imm: c})
+		} else {
+			b := g.use(in.Args[1], sB)
+			g.emit(arm64.Inst{Op: arm64.LSRV, Size: ow, Rd: d, Rn: a, Rm: b})
+		}
 
 	case ir.OpAShr:
-		g.loadValSext(in.Args[0], sA)
-		g.loadVal(in.Args[1], sB)
-		g.emit(arm64.Inst{Op: arm64.ASRV, Size: 8, Rd: sA, Rn: sA, Rm: sB})
-		g.storeVal(in, sA)
+		a := g.sext(in.Args[0], sA)
+		d = g.dst(in, sA)
+		if c, ok := shiftImm(64); ok {
+			g.emit(arm64.Inst{Op: arm64.ASRI, Size: 8, Rd: d, Rn: a, Imm: c})
+		} else {
+			b := g.use(in.Args[1], sB)
+			g.emit(arm64.Inst{Op: arm64.ASRV, Size: 8, Rd: d, Rn: a, Rm: b})
+		}
 
 	default:
 		g.err = fmt.Errorf("unhandled binary op %s", in.Op)
+		return
 	}
+	g.storeVal(in, d)
 }
 
 func (g *arm64gen) genCast(in *ir.Instr) {
 	switch in.Op {
 	case ir.OpTrunc, ir.OpBitcast, ir.OpIntToPtr, ir.OpPtrToInt:
-		g.loadVal(in.Args[0], sA)
-		g.storeVal(in, sA)
+		d := g.dst(in, sA)
+		g.loadVal(in.Args[0], d)
+		g.storeVal(in, d)
 	case ir.OpZext:
-		g.loadValZext(in.Args[0], sA)
-		g.storeVal(in, sA)
+		d := g.dst(in, sA)
+		g.loadValZext(in.Args[0], d)
+		g.storeVal(in, d)
 	case ir.OpSext:
-		g.loadValSext(in.Args[0], sA)
-		g.storeVal(in, sA)
+		d := g.dst(in, sA)
+		g.loadValSext(in.Args[0], d)
+		g.storeVal(in, d)
 	case ir.OpSIToFP:
-		g.loadValSext(in.Args[0], sA)
-		sz := 8
-		if in.Ty.(*ir.FloatType).Bits == 32 {
-			sz = 4
-		}
-		g.emit(arm64.Inst{Op: arm64.SCVTF, Size: sz, Rd: fA, Rn: sA})
-		g.storeFP(in, fA)
+		r := g.sext(in.Args[0], sA)
+		d := g.dstFP(in, fA)
+		g.emit(arm64.Inst{Op: arm64.SCVTF, Size: fpSize(in.Ty), Rd: d, Rn: r})
+		g.storeFP(in, d)
 	case ir.OpFPToSI:
-		sz := 8
-		if in.Args[0].Type().(*ir.FloatType).Bits == 32 {
-			sz = 4
-		}
-		g.loadFP(in.Args[0], fA)
-		g.emit(arm64.Inst{Op: arm64.FCVTZS, Size: sz, Rd: sA, Rn: fA})
-		g.storeVal(in, sA)
+		a := g.useFP(in.Args[0], fA)
+		d := g.dst(in, sA)
+		g.emit(arm64.Inst{Op: arm64.FCVTZS, Size: fpSize(in.Args[0].Type()), Rd: d, Rn: a})
+		g.storeVal(in, d)
 	case ir.OpFPExt:
-		g.loadFP(in.Args[0], fA)
-		g.emit(arm64.Inst{Op: arm64.FCVTDS, Size: 8, Rd: fA, Rn: fA})
-		g.storeFP(in, fA)
+		a := g.useFP(in.Args[0], fA)
+		d := g.dstFP(in, fA)
+		g.emit(arm64.Inst{Op: arm64.FCVTDS, Size: 8, Rd: d, Rn: a})
+		g.storeFP(in, d)
 	case ir.OpFPTrunc:
-		g.loadFP(in.Args[0], fA)
-		g.emit(arm64.Inst{Op: arm64.FCVTSD, Size: 4, Rd: fA, Rn: fA})
-		g.storeFP(in, fA)
+		a := g.useFP(in.Args[0], fA)
+		d := g.dstFP(in, fA)
+		g.emit(arm64.Inst{Op: arm64.FCVTSD, Size: 4, Rd: d, Rn: a})
+		g.storeFP(in, d)
 	default:
 		g.err = fmt.Errorf("unhandled cast %s", in.Op)
 	}

@@ -9,11 +9,23 @@
 //     (Fig. 8b): Frm→DMB ISHLD, Fww→DMB ISHST, Fsc→DMB ISH, and
 //     RMWsc→DMB ISH; LL/SC loop; DMB ISH.
 //
-// Code generation uses write-through stack slots: every IR value has a
+// The x86-64 target uses write-through stack slots: every IR value has a
 // frame slot, instructions load operands from slots into scratch registers
-// and store results back. Phi nodes get an additional shadow slot written
-// by predecessors and committed at block entry, giving correct parallel-copy
-// semantics.
+// and store results back, and each phi gets a shadow slot written by its
+// predecessors and committed at block entry (a correct parallel copy). It
+// builds the translator's input binaries, so its bytes stay fixed.
+//
+// The Arm64 target allocates registers (regalloc.go): block liveness, one
+// conservative interval per value over the block layout, and a linear scan
+// over the callee-saved registers X19-X28 and D8-D15, so values survive
+// calls and never meet argument setup, results or scratch registers. A
+// value that gets no register keeps a frame slot. Frame addresses (allocas
+// and constant offsets from them) are recomputed from SP at each use, and
+// a compare that only feeds the branch after it stays in the flags. Phis
+// become parallel moves at the end of each predecessor, with an edge stub
+// when both successors of a conditional branch have phis. The prologue
+// saves only the callee-saved registers the function uses, and x30 only
+// when it calls.
 package backend
 
 import (
@@ -41,37 +53,62 @@ type dataLayout struct {
 	data []byte
 }
 
+// layoutGlobals places each global at the next 16-byte boundary. The image
+// is sized first and allocated once; it ends where the last global does.
 func layoutGlobals(m *ir.Module) *dataLayout {
-	dl := &dataLayout{addr: make(map[string]uint64)}
-	off := 0
+	dl := &dataLayout{addr: make(map[string]uint64, len(m.Globals))}
+	off, end := 0, 0
 	for _, g := range m.Globals {
 		off = (off + 15) &^ 15
 		dl.addr[g.Name] = obj.DataBase + uint64(off)
-		size := g.Elem.Size()
-		for len(dl.data) < off+size {
-			dl.data = append(dl.data, 0)
-		}
-		copy(dl.data[off:], g.Init)
-		off += size
+		off += g.Elem.Size()
+		end = max(end, off)
+	}
+	if end > 0 {
+		dl.data = make([]byte, end)
+	}
+	for _, g := range m.Globals {
+		at := int(dl.addr[g.Name] - obj.DataBase)
+		copy(dl.data[at:at+g.Elem.Size()], g.Init)
 	}
 	return dl
 }
 
 // frameInfo assigns frame offsets. Offsets are relative to the frame base
 // (low address of the frame region) and 8-byte aligned; alloca storage is
-// 16-byte aligned.
+// 16-byte aligned. The tables are indexed by value ID (valueIDs); -1 means
+// the value has no such storage.
 type frameInfo struct {
-	slot   map[ir.Value]int64 // result slot of values
-	shadow map[*ir.Instr]int64
-	bulk   map[*ir.Instr]int64 // alloca storage
+	ids    valueIDs
+	slot   []int64 // result slot of values
+	shadow []int64 // phi shadow slot (x86-64 only)
+	bulk   []int64 // alloca storage
 	size   int64
 }
 
-func buildFrame(f *ir.Func) (*frameInfo, error) {
-	fr := &frameInfo{
-		slot:   make(map[ir.Value]int64),
-		shadow: make(map[*ir.Instr]int64),
-		bulk:   make(map[*ir.Instr]int64),
+// slotOf returns v's result slot.
+func (fr *frameInfo) slotOf(v ir.Value) (int64, bool) {
+	if id := fr.ids.of(v); id >= 0 && fr.slot[id] >= 0 {
+		return fr.slot[id], true
+	}
+	return 0, false
+}
+
+// buildFrame lays out f's frame. With ra nil (the x86-64 target) every
+// value gets a slot and every phi a shadow slot. Otherwise only the values
+// ra left without a register get one: spilled values and unused
+// parameters. Alloca results never do; the target recomputes them.
+func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
+	ids := newValueIDs(f)
+	fr := &frameInfo{ids: ids, slot: make([]int64, ids.n()), bulk: make([]int64, ids.n())}
+	for i := range fr.slot {
+		fr.slot[i], fr.bulk[i] = -1, -1
+	}
+	if ra == nil {
+		fr.shadow = make([]int64, ids.n())
+		for i := range fr.shadow {
+			fr.shadow[i] = -1
+		}
 	}
 	off := int64(0)
 	take := func(n int64, align int64) int64 {
@@ -80,18 +117,29 @@ func buildFrame(f *ir.Func) (*frameInfo, error) {
 		off += n
 		return a
 	}
+	needSlot := func(v ir.Value) bool {
+		return ra == nil || ra.regOf(v) < 0 && (!ra.unused(v) || isParam(v))
+	}
 	for _, p := range f.Params {
-		fr.slot[p] = take(8, 8)
+		if needSlot(p) {
+			fr.slot[ids.of(p)] = take(8, 8)
+		}
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			id := ids.of(in)
 			if !ir.IsVoid(in.Ty) {
 				if ir.IsVector(in.Ty) {
 					return nil, fmt.Errorf("backend: vector value %s reaches codegen (run scalarization)", in.Ref())
 				}
-				fr.slot[in] = take(8, 8)
-				if in.Op == ir.OpPhi {
-					fr.shadow[in] = take(8, 8)
+				if id < 0 {
+					return nil, fmt.Errorf("backend: value %s has no valid ID", in.Ref())
+				}
+				if ra == nil || in.Op != ir.OpAlloca && needSlot(in) {
+					fr.slot[id] = take(8, 8)
+				}
+				if in.Op == ir.OpPhi && ra == nil {
+					fr.shadow[id] = take(8, 8)
 				}
 			}
 			if in.Op == ir.OpAlloca {
@@ -103,12 +151,17 @@ func buildFrame(f *ir.Func) (*frameInfo, error) {
 					}
 					n = c
 				}
-				fr.bulk[in] = take(n*int64(in.Elem.Size()), 16)
+				fr.bulk[id] = take(n*int64(in.Elem.Size()), 16)
 			}
 		}
 	}
 	fr.size = (off + 15) &^ 15
 	return fr, nil
+}
+
+func isParam(v ir.Value) bool {
+	_, ok := v.(*ir.Param)
+	return ok
 }
 
 // fixupKind identifies how a recorded fixup patches the image.
