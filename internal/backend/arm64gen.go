@@ -212,7 +212,7 @@ func (g *arm64gen) slotOff(v ir.Value) int64 {
 
 // homeOf returns the register allocated to v, or RegNone.
 func (g *arm64gen) homeOf(v ir.Value) arm64.Reg {
-	if id := g.fr.ids.of(v); id >= 0 {
+	if id := g.fr.ids.Of(v); id >= 0 {
 		return g.home[id]
 	}
 	return arm64.RegNone
@@ -312,7 +312,7 @@ func (g *arm64gen) frameOff(v ir.Value) (int64, bool) {
 			off += c
 		}
 	}
-	return off + g.fr.bulk[g.fr.ids.of(in)], true
+	return off + g.fr.bulk[g.fr.ids.Of(in)], true
 }
 
 // gepConstOffset sums a GEP's constant indices times their element sizes,

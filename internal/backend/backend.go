@@ -76,10 +76,10 @@ func layoutGlobals(m *ir.Module) *dataLayout {
 
 // frameInfo assigns frame offsets. Offsets are relative to the frame base
 // (low address of the frame region) and 8-byte aligned; alloca storage is
-// 16-byte aligned. The tables are indexed by value ID (valueIDs); -1 means
-// the value has no such storage.
+// 16-byte aligned. The tables are indexed by value ID (ir.ValueIDs); -1
+// means the value has no such storage.
 type frameInfo struct {
-	ids    valueIDs
+	ids    ir.ValueIDs
 	slot   []int64 // result slot of values
 	shadow []int64 // phi shadow slot (x86-64 only)
 	bulk   []int64 // alloca storage
@@ -88,7 +88,7 @@ type frameInfo struct {
 
 // slotOf returns v's result slot.
 func (fr *frameInfo) slotOf(v ir.Value) (int64, bool) {
-	if id := fr.ids.of(v); id >= 0 && fr.slot[id] >= 0 {
+	if id := fr.ids.Of(v); id >= 0 && fr.slot[id] >= 0 {
 		return fr.slot[id], true
 	}
 	return 0, false
@@ -96,16 +96,15 @@ func (fr *frameInfo) slotOf(v ir.Value) (int64, bool) {
 
 // buildFrame lays out f's frame. With ra nil (the x86-64 target) every
 // value gets a slot and every phi a shadow slot. Otherwise only the values
-// ra left without a register get one: spilled values and unused
-// parameters. Alloca results never do; the target recomputes them.
+// ra marks get one: spilled values and unused parameters.
 func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
-	ids := newValueIDs(f)
-	fr := &frameInfo{ids: ids, slot: make([]int64, ids.n()), bulk: make([]int64, ids.n())}
+	ids := ir.NewValueIDs(f)
+	fr := &frameInfo{ids: ids, slot: make([]int64, ids.N()), bulk: make([]int64, ids.N())}
 	for i := range fr.slot {
 		fr.slot[i], fr.bulk[i] = -1, -1
 	}
 	if ra == nil {
-		fr.shadow = make([]int64, ids.n())
+		fr.shadow = make([]int64, ids.N())
 		for i := range fr.shadow {
 			fr.shadow[i] = -1
 		}
@@ -117,17 +116,15 @@ func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
 		off += n
 		return a
 	}
-	needSlot := func(v ir.Value) bool {
-		return ra == nil || ra.regOf(v) < 0 && (!ra.unused(v) || isParam(v))
-	}
+	needSlot := func(id int) bool { return ra == nil || ra.slot[id] }
 	for _, p := range f.Params {
-		if needSlot(p) {
-			fr.slot[ids.of(p)] = take(8, 8)
+		if needSlot(ids.Of(p)) {
+			fr.slot[ids.Of(p)] = take(8, 8)
 		}
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			id := ids.of(in)
+			id := ids.Of(in)
 			if !ir.IsVoid(in.Ty) {
 				if ir.IsVector(in.Ty) {
 					return nil, fmt.Errorf("backend: vector value %s reaches codegen (run scalarization)", in.Ref())
@@ -135,7 +132,7 @@ func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
 				if id < 0 {
 					return nil, fmt.Errorf("backend: value %s has no valid ID", in.Ref())
 				}
-				if ra == nil || in.Op != ir.OpAlloca && needSlot(in) {
+				if needSlot(id) {
 					fr.slot[id] = take(8, 8)
 				}
 				if in.Op == ir.OpPhi && ra == nil {
@@ -157,11 +154,6 @@ func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
 	}
 	fr.size = (off + 15) &^ 15
 	return fr, nil
-}
-
-func isParam(v ir.Value) bool {
-	_, ok := v.(*ir.Param)
-	return ok
 }
 
 // fixupKind identifies how a recorded fixup patches the image.

@@ -37,36 +37,9 @@ func valueClass(t ir.Type) int {
 	return classInt
 }
 
-// valueIDs numbers a function's values the way ir.Uses does: instruction
-// results by Instr.ID, parameters after IDBound.
-type valueIDs struct {
-	bound  int
-	params []*ir.Param
-}
-
-func newValueIDs(f *ir.Func) valueIDs { return valueIDs{bound: f.IDBound(), params: f.Params} }
-
-// n is the size of a table indexed by value ID.
-func (ids valueIDs) n() int { return ids.bound + 1 + len(ids.params) }
-
-// of returns v's ID, or -1 for constants, globals and functions.
-func (ids valueIDs) of(v ir.Value) int {
-	switch v := v.(type) {
-	case *ir.Instr:
-		if v.ID > 0 && v.ID <= ids.bound {
-			return v.ID
-		}
-	case *ir.Param:
-		if v.Idx >= 0 && v.Idx < len(ids.params) && ids.params[v.Idx] == v {
-			return ids.bound + 1 + v.Idx
-		}
-	}
-	return -1
-}
-
-// allocation is the result of allocate, indexed by value ID.
+// allocation is the result of allocate, indexed by value ID (ir.ValueIDs).
 type allocation struct {
-	ids valueIDs
+	ids ir.ValueIDs
 	// reg is the register index within the pool of the value's class, or
 	// -1 when the value has no register (a frame slot, or no home at all).
 	reg []int8
@@ -76,17 +49,20 @@ type allocation struct {
 	used [numClasses]uint32
 	// reads counts each value's operand uses.
 	reads []int32
+	// slot marks the values that need a frame slot: spilled ones, and
+	// parameters nothing reads (they are still stored on entry).
+	slot []bool
 }
 
 // unused reports whether nothing reads v.
 func (a *allocation) unused(v ir.Value) bool {
-	id := a.ids.of(v)
+	id := a.ids.Of(v)
 	return id >= 0 && a.reads[id] == 0
 }
 
 // regOf returns v's register index in its class pool, or -1.
 func (a *allocation) regOf(v ir.Value) int {
-	if id := a.ids.of(v); id >= 0 {
+	if id := a.ids.Of(v); id >= 0 {
 		return int(a.reg[id])
 	}
 	return -1
@@ -103,15 +79,16 @@ func (s bitset) add(i int32)      { s[i>>6] |= 1 << (uint(i) & 63) }
 // take no register because the target computes them where they are used;
 // their uses do not make them live.
 func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []int32) bool) (*allocation, error) {
-	ids := newValueIDs(f)
-	a := &allocation{ids: ids, reg: make([]int8, ids.n()), class: make([]uint8, ids.n()), reads: make([]int32, ids.n())}
+	ids := ir.NewValueIDs(f)
+	a := &allocation{ids: ids, reg: make([]int8, ids.N()), class: make([]uint8, ids.N()),
+		reads: make([]int32, ids.N()), slot: make([]bool, ids.N())}
 	for i := range a.reg {
 		a.reg[i] = -1
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, arg := range in.Args {
-				if id := ids.of(arg); id >= 0 {
+				if id := ids.Of(arg); id >= 0 {
 					a.reads[id]++
 				}
 			}
@@ -120,13 +97,13 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 
 	// Dense numbering of the allocation candidates: parameters, then
 	// non-void results in layout order.
-	num := make([]int32, ids.n())
+	num := make([]int32, ids.N())
 	for i := range num {
 		num[i] = -1
 	}
 	var vals []ir.Value
 	number := func(v ir.Value) error {
-		id := ids.of(v)
+		id := ids.Of(v)
 		if id < 0 || num[id] >= 0 {
 			return fmt.Errorf("value %s has an invalid or duplicate ID", v.Ref())
 		}
@@ -152,7 +129,7 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 	}
 	n := int32(len(vals))
 	dense := func(v ir.Value) int32 {
-		if id := ids.of(v); id >= 0 {
+		if id := ids.Of(v); id >= 0 {
 			return num[id]
 		}
 		return -1
@@ -318,17 +295,17 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 		var free uint32 = 1<<uint(pool[c]) - 1
 		var active []int32 // by ascending end
 		for _, d := range order {
-			if int(a.class[ids.of(vals[d])]) != c {
+			if int(a.class[ids.Of(vals[d])]) != c {
 				continue
 			}
 			// Expire intervals that ended before this one starts.
 			k := 0
 			for k < len(active) && end[active[k]] < start[d] {
-				free |= 1 << uint(a.reg[ids.of(vals[active[k]])])
+				free |= 1 << uint(a.reg[ids.Of(vals[active[k]])])
 				k++
 			}
 			active = active[k:]
-			id := ids.of(vals[d])
+			id := ids.Of(vals[d])
 			if free != 0 {
 				r := bits.TrailingZeros32(free)
 				free &^= 1 << uint(r)
@@ -340,7 +317,7 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 					continue
 				}
 				last := active[len(active)-1]
-				lid := ids.of(vals[last])
+				lid := ids.Of(vals[last])
 				a.reg[id], a.reg[lid] = a.reg[lid], -1
 				active = active[:len(active)-1]
 			}
@@ -351,6 +328,11 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 			active[at] = d
 			a.used[c] |= 1 << uint(a.reg[id])
 		}
+	}
+	for _, v := range vals {
+		id := ids.Of(v)
+		_, param := v.(*ir.Param)
+		a.slot[id] = a.reg[id] < 0 && (a.reads[id] > 0 || param)
 	}
 	return a, nil
 }

@@ -113,7 +113,7 @@ func (g *x86gen) slotMem(v ir.Value) x86.Operand {
 }
 
 func (g *x86gen) shadowMem(phi *ir.Instr) x86.Operand {
-	return x86.MemOp(x86.RBP, int32(g.fr.shadow[g.fr.ids.of(phi)]-g.fr.size))
+	return x86.MemOp(x86.RBP, int32(g.fr.shadow[g.fr.ids.Of(phi)]-g.fr.size))
 }
 
 // loadVal places v's 64-bit payload into GP register r.
@@ -322,7 +322,7 @@ var x86CondOf = map[ir.Pred]x86.Cond{
 func (g *x86gen) genInstr(in *ir.Instr) {
 	switch in.Op {
 	case ir.OpAlloca:
-		off := g.fr.bulk[g.fr.ids.of(in)] - g.fr.size
+		off := g.fr.bulk[g.fr.ids.Of(in)] - g.fr.size
 		g.emit(x86.NewInst(x86.LEA, 8, x86.RegOp(x86.R10), x86.MemOp(x86.RBP, int32(off))))
 		g.storeVal(in, x86.R10)
 

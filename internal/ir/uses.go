@@ -6,15 +6,43 @@ package ir
 // pass builds it at most once per invocation and keeps it only while its
 // own rewrites leave the entries it reads intact.
 //
-// The lists are indexed by value number: instruction results by Instr.ID
-// (unique, in 1..IDBound, which the verifier checks) and parameters by
-// Param.Idx after them. All lists share one backing slice, so building the
-// index is two scans of the function and three allocations.
+// The lists are indexed by ValueIDs. All lists share one backing slice, so
+// building the index is two scans of the function and three allocations.
 type Uses struct {
+	ids   ValueIDs // numbering when the index was built
+	start []int32  // users of slot s are users[start[s]:start[s+1]]
+	users []*Instr
+}
+
+// ValueIDs numbers a function's values densely: instruction results by
+// Instr.ID (unique, in 1..IDBound, which the verifier checks) and
+// parameters by Param.Idx after them.
+type ValueIDs struct {
+	bound  int // IDBound when the numbering was taken
 	params []*Param
-	bound  int     // IDBound when the index was built
-	start  []int32 // users of slot s are users[start[s]:start[s+1]]
-	users  []*Instr
+}
+
+// NewValueIDs numbers f's values as they stand.
+func NewValueIDs(f *Func) ValueIDs { return ValueIDs{bound: f.IDBound(), params: f.Params} }
+
+// N is the size of a table indexed by value ID.
+func (ids ValueIDs) N() int { return ids.bound + 1 + len(ids.params) }
+
+// Of returns v's ID, or -1 for values that have none (constants, globals,
+// functions, another function's parameters, and instructions numbered
+// after the numbering was taken).
+func (ids ValueIDs) Of(v Value) int {
+	switch v := v.(type) {
+	case *Instr:
+		if v.ID > 0 && v.ID <= ids.bound {
+			return v.ID
+		}
+	case *Param:
+		if v.Idx >= 0 && v.Idx < len(ids.params) && ids.params[v.Idx] == v {
+			return ids.bound + 1 + v.Idx
+		}
+	}
+	return -1
 }
 
 // ComputeUses scans the function and builds the use index. Only *Instr and
@@ -22,8 +50,8 @@ type Uses struct {
 // looked up. Instructions already detached from their block (Parent nil, as
 // a batched pass leaves them until DropDetached) are not users.
 func ComputeUses(f *Func) *Uses {
-	u := &Uses{params: f.Params, bound: f.IDBound()}
-	slots := u.bound + 1 + len(f.Params)
+	u := &Uses{ids: NewValueIDs(f)}
+	slots := u.ids.N()
 	u.start = make([]int32, slots+1)
 	// Count into start[s+1], prefix-sum, then fill through a cursor per
 	// slot (start[s] itself, restored afterwards by shifting).
@@ -33,7 +61,7 @@ func ComputeUses(f *Func) *Uses {
 				continue
 			}
 			for _, a := range in.Args {
-				if s := u.slot(a); s >= 0 {
+				if s := u.ids.Of(a); s >= 0 {
 					u.start[s+1]++
 				}
 			}
@@ -49,7 +77,7 @@ func ComputeUses(f *Func) *Uses {
 				continue
 			}
 			for _, a := range in.Args {
-				if s := u.slot(a); s >= 0 {
+				if s := u.ids.Of(a); s >= 0 {
 					u.users[u.start[s]] = in
 					u.start[s]++
 				}
@@ -61,27 +89,10 @@ func ComputeUses(f *Func) *Uses {
 	return u
 }
 
-// slot returns v's index, or -1 for values that have no use list
-// (constants, globals, functions, another function's parameters, and
-// instructions numbered after the index was built).
-func (u *Uses) slot(v Value) int {
-	switch v := v.(type) {
-	case *Instr:
-		if v.ID > 0 && v.ID <= u.bound {
-			return v.ID
-		}
-	case *Param:
-		if v.Idx >= 0 && v.Idx < len(u.params) && u.params[v.Idx] == v {
-			return u.bound + 1 + v.Idx
-		}
-	}
-	return -1
-}
-
 // Of returns the instructions using v, in block and instruction order. The
 // slice aliases the index and must not be modified.
 func (u *Uses) Of(v Value) []*Instr {
-	s := u.slot(v)
+	s := u.ids.Of(v)
 	if s < 0 {
 		return nil
 	}
