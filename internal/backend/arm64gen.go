@@ -399,8 +399,8 @@ func (g *arm64gen) dstFP(in *ir.Instr, scratch arm64.Reg) arm64.Reg {
 func (g *arm64gen) storeVal(v *ir.Instr, r arm64.Reg) {
 	switch h := g.homeOf(v); {
 	case h == arm64.RegNone:
-		if !g.ra.unused(v) {
-			g.slotAccess(arm64.STR, r, 8, g.slotOff(v))
+		if off, ok := g.fr.slotOf(v); ok {
+			g.slotAccess(arm64.STR, r, 8, off)
 		}
 	case h.IsFP():
 		g.emit(arm64.Inst{Op: arm64.FMOVTOF, Size: fpSize(v.Ty), Rd: h, Rn: r})
@@ -512,8 +512,8 @@ func (g *arm64gen) storeFP(v *ir.Instr, r arm64.Reg) {
 	sz := fpSize(v.Ty)
 	switch h := g.homeOf(v); {
 	case h == arm64.RegNone:
-		if !g.ra.unused(v) {
-			g.slotAccess(arm64.STR, r, sz, g.slotOff(v))
+		if off, ok := g.fr.slotOf(v); ok {
+			g.slotAccess(arm64.STR, r, sz, off)
 		}
 	case !h.IsFP():
 		g.emit(arm64.Inst{Op: arm64.FMOVTOG, Size: sz, Rd: h, Rn: r})
@@ -785,8 +785,8 @@ func (g *arm64gen) phiMoves(from, to *ir.Block) {
 			break
 		}
 		dk := g.locKey(phi)
-		if dk < 0 && g.ra.unused(phi) {
-			continue // nothing reads this phi
+		if dk < 0 {
+			continue // nothing reads this phi, so it has no home
 		}
 		for k, pred := range phi.Blocks {
 			if pred != from {

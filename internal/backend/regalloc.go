@@ -54,20 +54,6 @@ type allocation struct {
 	slot []bool
 }
 
-// unused reports whether nothing reads v.
-func (a *allocation) unused(v ir.Value) bool {
-	id := a.ids.Of(v)
-	return id >= 0 && a.reads[id] == 0
-}
-
-// regOf returns v's register index in its class pool, or -1.
-func (a *allocation) regOf(v ir.Value) int {
-	if id := a.ids.Of(v); id >= 0 {
-		return int(a.reg[id])
-	}
-	return -1
-}
-
 // bitset is a fixed-size set of dense value numbers.
 type bitset []uint64
 
@@ -280,7 +266,7 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 	// dense number.
 	order := make([]int32, 0, n)
 	for d := int32(0); d < n; d++ {
-		if !a.unused(vals[d]) {
+		if a.reads[ids.Of(vals[d])] > 0 {
 			order = append(order, d)
 		}
 	}

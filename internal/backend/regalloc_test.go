@@ -85,7 +85,7 @@ func TestRegAllocSpillAcrossCall(t *testing.T) {
 	}
 	spilled := 0
 	for _, v := range vs {
-		if ra.regOf(v) < 0 {
+		if ra.reg[ra.ids.Of(v)] < 0 {
 			spilled++
 		}
 	}
