@@ -270,39 +270,39 @@ func (g *arm64gen) loadVal(v ir.Value, r arm64.Reg) {
 	}
 }
 
-// maxFrameChain bounds the bitcast/GEP chain frameBase follows.
+// maxFrameChain bounds the bitcast/GEP chain isFrameAddr follows.
 const maxFrameChain = 16
 
-// frameBase returns the alloca a frame address is derived from: in itself
-// when it is an alloca, or the root of a chain of bitcasts and GEPs with
-// constant indices. Such values are SP plus a constant and take no
-// register or slot; every use recomputes them.
-func frameBase(in *ir.Instr) *ir.Instr {
+// isFrameAddr reports whether in is a frame address: an alloca, or a chain
+// of bitcasts and GEPs with constant indices rooted at one. Such values are
+// SP plus a constant and take no register or slot; every use recomputes
+// them.
+func isFrameAddr(in *ir.Instr) bool {
 	for k := 0; k < maxFrameChain; k++ {
 		switch in.Op {
 		case ir.OpAlloca:
-			return in
+			return true
 		case ir.OpBitcast:
 		case ir.OpGEP:
 			if _, vars, ok := gepConstOffset(in); !ok || len(vars) > 0 {
-				return nil
+				return false
 			}
 		default:
-			return nil
+			return false
 		}
 		base, ok := in.Args[0].(*ir.Instr)
 		if !ok {
-			return nil
+			return false
 		}
 		in = base
 	}
-	return nil
+	return false
 }
 
 // frameOff returns v's offset from SP when v is a frame address.
 func (g *arm64gen) frameOff(v ir.Value) (int64, bool) {
 	in, ok := v.(*ir.Instr)
-	if !ok || frameBase(in) == nil {
+	if !ok || !isFrameAddr(in) {
 		return 0, false
 	}
 	var off int64
@@ -566,7 +566,7 @@ func fusedCmp(in *ir.Instr, reads []int32) bool {
 // noRegister reports the values the allocator leaves out: frame
 // addresses, recomputed from SP at each use, and fused compares.
 func noRegister(in *ir.Instr, reads []int32) bool {
-	return frameBase(in) != nil || fusedCmp(in, reads)
+	return isFrameAddr(in) || fusedCmp(in, reads)
 }
 
 func (g *arm64gen) genFunc(f *ir.Func) error {
@@ -851,7 +851,7 @@ func (g *arm64gen) locKey(v ir.Value) int64 {
 	if h := g.homeOf(v); h != arm64.RegNone {
 		return int64(h)
 	}
-	if in, ok := v.(*ir.Instr); ok && frameBase(in) != nil {
+	if in, ok := v.(*ir.Instr); ok && isFrameAddr(in) {
 		return -1
 	}
 	if off, ok := g.fr.slotOf(v); ok {
@@ -892,7 +892,7 @@ var armCondOf = map[ir.Pred]arm64.Cond{
 }
 
 func (g *arm64gen) genInstr(in *ir.Instr) {
-	if frameBase(in) != nil {
+	if isFrameAddr(in) {
 		return // recomputed from SP where used
 	}
 	switch in.Op {
