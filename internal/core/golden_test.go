@@ -20,14 +20,14 @@ import (
 // fence placement or a backend now emits different code. A change that is
 // meant to alter output updates this value in the same commit and says why;
 // a pure performance change must leave it alone.
-const goldenSHA256 = "af3dac6562d3259b246ad09fe21a3ad8d4ccc7b14af9296174e6612010d5bbcf"
+const goldenSHA256 = "3095257dbe1387dea0d0d0e1f42ebddd1f0702dff2c9f4afe5aa1477ff191a47"
 
 // goldenModuleKeyVersion is the moduleKeyVersion goldenSHA256 was recorded
 // under. Module records replay whole objects, backend output included, so
 // an output change that keeps moduleKeyVersion would let a daemon with an
 // existing disk cache serve stale objects: re-recording the hash means
 // bumping both.
-const goldenModuleKeyVersion = "core-module-v2"
+const goldenModuleKeyVersion = "core-module-v3"
 
 // goldenSeeds is how many GenProgram programs the golden hash covers.
 const goldenSeeds = 300
@@ -96,7 +96,7 @@ func hashObj(h hash.Hash, label string, f *obj.File) {
 // the build of every suite kernel and of GenProgram seeds 0..299. Figs.
 // 13, 14 and 16 measure translations of exactly these bytes, so a change
 // to the Arm64 backend must leave this hash alone.
-const x86InputSHA256 = "924b5a41deee19127fe233284e2d4230e4f2ef1cbe8e6665e11c987be85e282a"
+const x86InputSHA256 = "5c7fb394e161a76350cd4a59eccd7b5e85d3a92ad418ff3f67ee14e62df53345"
 
 // TestX86InputGolden hashes the x86-64 builds the translator consumes.
 func TestX86InputGolden(t *testing.T) {

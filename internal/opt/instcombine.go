@@ -391,6 +391,19 @@ func simplifyICmp(in *ir.Instr) ir.Value {
 		in.Args[0] = ai.Args[0]
 		in.Args[1] = ir.IntConst(ai.Args[0].Type().(*ir.IntType), 0)
 	}
+	// A boolean compared against false, as minic's conditions arrive after
+	// the rule above: icmp ne c, false -> c, and icmp eq (icmp p x, y),
+	// false -> icmp !p x, y. The second rewrites the outer compare in place,
+	// so the inner one is left to its other users or to DCE.
+	if c, ok := ir.ConstIntValue(in.Args[1]); ok && c == 0 && ir.IntBits(in.Args[0].Type()) == 1 {
+		switch inner, _ := in.Args[0].(*ir.Instr); {
+		case in.Pred == ir.PredNE:
+			return in.Args[0]
+		case in.Pred == ir.PredEQ && inner != nil && inner.Op == ir.OpICmp:
+			in.Pred = inner.Pred.Negate()
+			in.Args[0], in.Args[1] = inner.Args[0], inner.Args[1]
+		}
+	}
 	return nil
 }
 

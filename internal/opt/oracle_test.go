@@ -440,3 +440,43 @@ func TestInstCombineResolvesTwoLevels(t *testing.T) {
 		t.Fatalf("InstCombine did not fold the r block to ret %%p0:\n%s", f)
 	}
 }
+
+// TestInstCombineFoldsBooleanRoundTrip pins the fold of minic's condition
+// lowering, icmp; zext; icmp ne/eq 0; br, back to one compare feeding the
+// branch: ne keeps the inner predicate, eq inverts it. Both forms must
+// match the rewrite-at-a-time reference and keep the function's results.
+func TestInstCombineFoldsBooleanRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		outer, want ir.Pred
+	}{{ir.PredNE, ir.PredSLT}, {ir.PredEQ, ir.PredSGE}} {
+		m := ir.NewModule("t")
+		f := m.NewFunc("f", ir.Signature(ir.I64, ir.I64))
+		entry, yes, no := f.NewBlock("entry"), f.NewBlock("yes"), f.NewBlock("no")
+		b := ir.NewBuilder(entry)
+		c := b.ICmp(ir.PredSLT, f.Params[0], ir.I64Const(10))
+		cond := b.ICmp(tc.outer, b.Zext(c, ir.I64), ir.I64Const(0))
+		b.CondBr(cond, yes, no)
+		b.SetBlock(yes)
+		b.Ret(ir.I64Const(1))
+		b.SetBlock(no)
+		b.Ret(ir.I64Const(2))
+		where := "icmp " + tc.outer.String() + " of a zext"
+		checkBatched(t, where, f, "instcombine")
+		want := map[uint64]uint64{}
+		for _, x := range []uint64{1<<64 - 3, 9, 10, 11} {
+			want[x], _ = ir.NewInterp(m).Run("f", x)
+		}
+		opt.InstCombine(f)
+		br := entry.Instrs[len(entry.Instrs)-1]
+		cmp, ok := br.Args[0].(*ir.Instr)
+		if len(entry.Instrs) != 2 || !ok || cmp.Op != ir.OpICmp || cmp.Pred != tc.want ||
+			cmp.Args[0] != ir.Value(f.Params[0]) {
+			t.Fatalf("%s: want one icmp %s on %%p0 feeding the branch:\n%s", where, tc.want, f)
+		}
+		for x, w := range want {
+			if got, _ := ir.NewInterp(m).Run("f", x); got != w {
+				t.Fatalf("%s: f(%d) = %d after the fold, %d before", where, x, got, w)
+			}
+		}
+	}
+}
