@@ -483,15 +483,8 @@ func referenceSCCP(f *ir.Func) bool {
 				setVal(in, lattice{state: latOver})
 				return
 			}
-			if folded := sccpFold(in, get); folded != nil {
-				setVal(in, lattice{state: latConst, val: folded})
-				return
-			}
-			for _, a := range in.Args {
-				if get(a).state == latOver {
-					setVal(in, lattice{state: latOver})
-					return
-				}
+			if l, ok := sccpEval(in, get); ok {
+				setVal(in, l)
 			}
 		}
 	}

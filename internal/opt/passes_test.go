@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -152,6 +153,36 @@ func TestSCCPFoldsBranch(t *testing.T) {
 	}
 	if got := interpRun(t, m); got != 42 {
 		t.Fatalf("got %d", got)
+	}
+}
+
+// TestSCCPUnfoldableConstantOperands runs a loop whose carried value goes
+// through a bitcast SCCP cannot fold, as lifted x86 code carries a double
+// in an integer register. The bitcast's operand is constant on the first
+// visit, so it must become overdefined there: left unknown, the phi would
+// keep its entry constant and the loop's updates would be lost.
+func TestSCCPUnfoldableConstantOperands(t *testing.T) {
+	m := ir.NewModule("t")
+	f := m.NewFunc("main", ir.Signature(ir.I64))
+	entry, loop, body, exit := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("body"), f.NewBlock("exit")
+	b := ir.NewBuilder(entry)
+	b.Br(loop)
+	b.SetBlock(loop)
+	i := b.Phi(ir.I64)
+	bits := b.Phi(ir.I64)
+	ir.AddIncoming(i, ir.I64Const(0), entry)
+	ir.AddIncoming(bits, ir.I64Const(int64(math.Float64bits(17))), entry)
+	b.CondBr(b.ICmp(ir.PredSLT, i, ir.I64Const(3)), body, exit)
+	b.SetBlock(body)
+	d := b.Bin(ir.OpFAdd, b.Bitcast(bits, ir.F64), ir.FloatConst(ir.F64, 0.5))
+	ir.AddIncoming(bits, b.Bitcast(d, ir.I64), body)
+	ir.AddIncoming(i, b.Add(i, ir.I64Const(1)), body)
+	b.Br(loop)
+	b.SetBlock(exit)
+	b.Ret(b.FPToSI(b.Bin(ir.OpFMul, b.Bitcast(bits, ir.F64), ir.FloatConst(ir.F64, 2)), ir.I64))
+	SCCP(f)
+	if got := interpRun(t, m); got != 37 {
+		t.Fatalf("main() = %d after SCCP, want 37:\n%s", got, f)
 	}
 }
 

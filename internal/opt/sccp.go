@@ -119,15 +119,8 @@ func SCCP(f *ir.Func) bool {
 				setVal(in, lattice{state: latOver})
 				return
 			}
-			if folded := sccpFold(in, get); folded != nil {
-				setVal(in, lattice{state: latConst, val: folded})
-				return
-			}
-			for _, a := range in.Args {
-				if get(a).state == latOver {
-					setVal(in, lattice{state: latOver})
-					return
-				}
+			if l, ok := sccpEval(in, get); ok {
+				setVal(in, l)
 			}
 		}
 	}
@@ -194,6 +187,27 @@ func sameConst(a, b ir.Value) bool {
 		return ok
 	}
 	return false
+}
+
+// sccpEval is the lattice value of a pure instruction given its
+// operands': a constant when they all are and the instruction folds,
+// overdefined when one is overdefined or when they all are constant but
+// the instruction does not fold (a bitcast from an integer to a float,
+// say), and nothing yet (ok false) while an operand is still unknown.
+func sccpEval(in *ir.Instr, get func(ir.Value) lattice) (l lattice, ok bool) {
+	if folded := sccpFold(in, get); folded != nil {
+		return lattice{state: latConst, val: folded}, true
+	}
+	unknown := false
+	for _, a := range in.Args {
+		switch get(a).state {
+		case latOver:
+			return lattice{state: latOver}, true
+		case latUnknown:
+			unknown = true
+		}
+	}
+	return lattice{state: latOver}, !unknown
 }
 
 // sccpFold folds an instruction whose lattice operands are all constants by
