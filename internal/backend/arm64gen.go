@@ -44,12 +44,6 @@ type armFixup struct {
 	label int
 }
 
-// armStub is an edge stub: the phi moves of one edge, then a jump to its
-// target.
-type armStub struct {
-	from, to *ir.Block
-}
-
 type arm64gen struct {
 	m   *ir.Module
 	dl  *dataLayout
@@ -69,7 +63,7 @@ type arm64gen struct {
 	blockIdx map[*ir.Block]int
 	labels   []int // byte offset of each label
 	localFix []armFixup
-	stubs    []armStub
+	stubs    []edgeStub
 	err      error
 }
 
@@ -255,7 +249,7 @@ func (g *arm64gen) loadVal(v ir.Value, r arm64.Reg) {
 		g.fix = append(g.fix, fixup{pos: len(g.txt) - 12, kind: fixMovSeq, target: c.Name})
 		return
 	case *ir.Instr:
-		if off, ok := g.frameOff(c); ok {
+		if off, ok := g.fr.frameOff(c); ok {
 			g.frameAddr(off, r)
 			return
 		}
@@ -297,22 +291,6 @@ func isFrameAddr(in *ir.Instr) bool {
 		in = base
 	}
 	return false
-}
-
-// frameOff returns v's offset from SP when v is a frame address.
-func (g *arm64gen) frameOff(v ir.Value) (int64, bool) {
-	in, ok := v.(*ir.Instr)
-	if !ok || !isFrameAddr(in) {
-		return 0, false
-	}
-	var off int64
-	for ; in.Op != ir.OpAlloca; in = in.Args[0].(*ir.Instr) {
-		if in.Op == ir.OpGEP {
-			c, _, _ := gepConstOffset(in)
-			off += c
-		}
-	}
-	return off + g.fr.bulk[g.fr.ids.Of(in)], true
 }
 
 // gepConstOffset sums a GEP's constant indices times their element sizes,
@@ -570,7 +548,7 @@ func noRegister(in *ir.Instr, reads []int32) bool {
 }
 
 func (g *arm64gen) genFunc(f *ir.Func) error {
-	ra, err := allocate(f, [numClasses]int{len(armPools[classInt]), len(armPools[classFloat])}, noRegister)
+	ra, err := allocate(f, [numClasses]int{len(armPools[classInt]), len(armPools[classFloat])}, [numClasses]bool{}, noRegister)
 	if err != nil {
 		return err
 	}
@@ -754,7 +732,7 @@ func (g *arm64gen) genCondBr(bi int, in *ir.Instr) {
 	default:
 		if needT {
 			branchIf(true, len(g.f.Blocks)+len(g.stubs))
-			g.stubs = append(g.stubs, armStub{b, t})
+			g.stubs = append(g.stubs, edgeStub{b, t})
 		} else {
 			branchIf(true, g.label(t))
 		}
@@ -765,82 +743,15 @@ func (g *arm64gen) genCondBr(bi int, in *ir.Instr) {
 	}
 }
 
-func hasPhis(b *ir.Block) bool { return len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi }
+// phiMoves emits the parallel copy from block from into the phis of to.
+func (g *arm64gen) phiMoves(from, to *ir.Block) { sequencePhiMoves(g, from, to) }
 
-// phiMove is one copy of a parallel move: into phi dst from src, or from
-// the cycle temporary when src is nil.
-type phiMove struct {
-	dst *ir.Instr
-	src ir.Value
-}
-
-// phiMoves emits the parallel copy from block from into the phis of to as
-// a sequence: a move goes once no other pending move still reads its
-// destination, a cycle is broken by saving one destination in sA/fA, and
-// moves from constants go last since they read nothing.
-func (g *arm64gen) phiMoves(from, to *ir.Block) {
-	var pending, consts []phiMove
-	for _, phi := range to.Instrs {
-		if phi.Op != ir.OpPhi {
-			break
-		}
-		dk := g.locKey(phi)
-		if dk < 0 {
-			continue // nothing reads this phi, so it has no home
-		}
-		for k, pred := range phi.Blocks {
-			if pred != from {
-				continue
-			}
-			src := phi.Args[k]
-			switch sk := g.locKey(src); {
-			case sk < 0:
-				consts = append(consts, phiMove{phi, src})
-			case sk != dk:
-				pending = append(pending, phiMove{phi, src})
-			}
-			break
-		}
-	}
-	readBy := func(key int64, except int) bool {
-		for j, m := range pending {
-			if j != except && m.src != nil && g.locKey(m.src) == key {
-				return true
-			}
-		}
-		return false
-	}
-	for len(pending) > 0 {
-		ready := -1
-		for i, m := range pending {
-			if !readBy(g.locKey(m.dst), i) {
-				ready = i
-				break
-			}
-		}
-		if ready < 0 {
-			// Every pending move is on a cycle: save the first one's
-			// destination and let its readers take the temporary.
-			d := pending[0].dst
-			fp := valueClass(d.Ty) == classFloat
-			if fp {
-				g.loadFP(d, fA)
-			} else {
-				g.loadVal(d, sA)
-			}
-			dk := g.locKey(d)
-			for j := range pending {
-				if pending[j].src != nil && g.locKey(pending[j].src) == dk {
-					pending[j].src = nil
-				}
-			}
-			continue
-		}
-		g.phiMove(pending[ready])
-		pending = append(pending[:ready], pending[ready+1:]...)
-	}
-	for _, m := range consts {
-		g.phiMove(m)
+// saveCycle saves a phi's home in the cycle temporary sA/fA.
+func (g *arm64gen) saveCycle(d *ir.Instr) {
+	if valueClass(d.Ty) == classFloat {
+		g.loadFP(d, fA)
+	} else {
+		g.loadVal(d, sA)
 	}
 }
 

@@ -9,23 +9,22 @@
 //     (Fig. 8b): Frm→DMB ISHLD, Fww→DMB ISHST, Fsc→DMB ISH, and
 //     RMWsc→DMB ISH; LL/SC loop; DMB ISH.
 //
-// The x86-64 target uses write-through stack slots: every IR value has a
-// frame slot, instructions load operands from slots into scratch registers
-// and store results back, and each phi gets a shadow slot written by its
-// predecessors and committed at block entry (a correct parallel copy). It
-// builds the translator's input binaries, so its bytes stay fixed.
-//
-// The Arm64 target allocates registers (regalloc.go): block liveness, one
-// conservative interval per value over the block layout, and a linear scan
-// over the callee-saved registers X19-X28 and D8-D15, so values survive
-// calls and never meet argument setup, results or scratch registers. A
-// value that gets no register keeps a frame slot. Frame addresses (allocas
-// and constant offsets from them) are recomputed from SP at each use, and
-// a compare that only feeds the branch after it stays in the flags. Phis
-// become parallel moves at the end of each predecessor, with an edge stub
-// when both successors of a conditional branch have phis. The prologue
-// saves only the callee-saved registers the function uses, and x30 only
-// when it calls.
+// Both targets allocate registers with one linear scan (regalloc.go):
+// block liveness, one conservative interval per value over the block
+// layout, and a pool per register class. The pools hold callee-saved
+// registers, so values survive calls and never meet argument setup,
+// results or scratch registers: Arm64 uses X19-X28 and D8-D15, x86-64 RBX
+// and R12-R15. System V saves no XMM register, so x86-64 FP values take
+// XMM8-XMM15 only when their interval contains no call. A value that gets
+// no register
+// keeps a frame slot. Frame addresses (allocas and constant offsets from
+// them) are recomputed from SP or RBP at each use, and a compare that only
+// feeds the branch after it stays in the flags. Phis become parallel moves
+// at the end of each predecessor, with an edge stub when both successors
+// of a conditional branch have phis, and a branch to the next block falls
+// through. The prologue saves only the callee-saved registers the function
+// uses (on Arm64 x30 too, when it calls) and gives every parameter a home,
+// so a lifter still sees each argument register read at entry.
 package backend
 
 import (
@@ -79,11 +78,10 @@ func layoutGlobals(m *ir.Module) *dataLayout {
 // 16-byte aligned. The tables are indexed by value ID (ir.ValueIDs); -1
 // means the value has no such storage.
 type frameInfo struct {
-	ids    ir.ValueIDs
-	slot   []int64 // result slot of values
-	shadow []int64 // phi shadow slot (x86-64 only)
-	bulk   []int64 // alloca storage
-	size   int64
+	ids  ir.ValueIDs
+	slot []int64 // result slot of values
+	bulk []int64 // alloca storage
+	size int64
 }
 
 // slotOf returns v's result slot.
@@ -94,20 +92,30 @@ func (fr *frameInfo) slotOf(v ir.Value) (int64, bool) {
 	return 0, false
 }
 
-// buildFrame lays out f's frame. With ra nil (the x86-64 target) every
-// value gets a slot and every phi a shadow slot. Otherwise only the values
-// ra marks get one: spilled values and unused parameters.
+// frameOff returns v's offset from the frame base when v is a frame
+// address.
+func (fr *frameInfo) frameOff(v ir.Value) (int64, bool) {
+	in, ok := v.(*ir.Instr)
+	if !ok || !isFrameAddr(in) {
+		return 0, false
+	}
+	var off int64
+	for ; in.Op != ir.OpAlloca; in = in.Args[0].(*ir.Instr) {
+		if in.Op == ir.OpGEP {
+			c, _, _ := gepConstOffset(in)
+			off += c
+		}
+	}
+	return off + fr.bulk[fr.ids.Of(in)], true
+}
+
+// buildFrame lays out f's frame: a slot for each value ra marks (spilled
+// values and unused parameters) and the storage of each alloca.
 func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
 	ids := ir.NewValueIDs(f)
 	fr := &frameInfo{ids: ids, slot: make([]int64, ids.N()), bulk: make([]int64, ids.N())}
 	for i := range fr.slot {
 		fr.slot[i], fr.bulk[i] = -1, -1
-	}
-	if ra == nil {
-		fr.shadow = make([]int64, ids.N())
-		for i := range fr.shadow {
-			fr.shadow[i] = -1
-		}
 	}
 	off := int64(0)
 	take := func(n int64, align int64) int64 {
@@ -116,9 +124,8 @@ func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
 		off += n
 		return a
 	}
-	needSlot := func(id int) bool { return ra == nil || ra.slot[id] }
 	for _, p := range f.Params {
-		if needSlot(ids.Of(p)) {
+		if ra.slot[ids.Of(p)] {
 			fr.slot[ids.Of(p)] = take(8, 8)
 		}
 	}
@@ -132,11 +139,8 @@ func buildFrame(f *ir.Func, ra *allocation) (*frameInfo, error) {
 				if id < 0 {
 					return nil, fmt.Errorf("backend: value %s has no valid ID", in.Ref())
 				}
-				if needSlot(id) {
+				if ra.slot[id] {
 					fr.slot[id] = take(8, 8)
-				}
-				if in.Op == ir.OpPhi && ra == nil {
-					fr.shadow[id] = take(8, 8)
 				}
 			}
 			if in.Op == ir.OpAlloca {

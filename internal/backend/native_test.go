@@ -6,6 +6,8 @@ import (
 	"lasagne/internal/backend"
 	"lasagne/internal/core"
 	"lasagne/internal/ir"
+	"lasagne/internal/lifter"
+	"lasagne/internal/mc"
 	"lasagne/internal/minic"
 	"lasagne/internal/obj"
 	"lasagne/internal/opt"
@@ -13,6 +15,7 @@ import (
 	"lasagne/internal/rt"
 	"lasagne/internal/sim"
 	"lasagne/internal/validate"
+	"lasagne/internal/x86"
 )
 
 func run(t *testing.T, what string, bin *obj.File) string {
@@ -28,10 +31,11 @@ func run(t *testing.T, what string, bin *obj.File) string {
 }
 
 // TestRegAllocUnusedFirstParam calls a function whose first parameter is
-// never read. Its home is still written in the prologue, so the Arm
-// lifter, which reads the parameter count off the argument registers read
-// at entry, sees both parameters: the Arm→x86 translation and the
-// differential against the x86-64 build agree with the native run.
+// never read. Both backends still write its home in the prologue, so
+// each lifter, which reads the parameter count off the argument registers
+// read at entry, sees both parameters: the lifted x86-64 signature has
+// two, and the translations in both directions and the differential
+// against the x86-64 build agree with the native run.
 func TestRegAllocUnusedFirstParam(t *testing.T) {
 	m := ir.NewModule("t")
 	rt.Declare(m)
@@ -62,6 +66,20 @@ func TestRegAllocUnusedFirstParam(t *testing.T) {
 	}
 	if got := run(t, "arm64", arm); got != want {
 		t.Fatalf("arm64 output %q, want %q", got, want)
+	}
+	lifted, err := lifter.Lift(x86)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(lifted.Func("second").Sig.Params); n != 2 {
+		t.Fatalf("lifted x86-64 @second has %d parameters, want 2", n)
+	}
+	fwd, _, _, err := core.Translate(x86, core.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(t, "x86→Arm", fwd); got != want {
+		t.Fatalf("x86→Arm output %q, want %q", got, want)
 	}
 	back, _, _, err := core.TranslateArmToX86(arm, core.Default())
 	if err != nil {
@@ -111,6 +129,50 @@ func TestNativeArmMatchesX86(t *testing.T) {
 		check("gen", validate.GenProgram(seed))
 		if t.Failed() {
 			t.Fatalf("GenProgram(%d)", seed)
+		}
+	}
+}
+
+// TestX86BranchesFollowTheirCompare requires every conditional jump in the
+// suite's x86-64 builds to come right after the cmp or test that sets its
+// flags, so no flag is ever read across a block boundary.
+func TestX86BranchesFollowTheirCompare(t *testing.T) {
+	for _, b := range append(phoenix.All(), phoenix.LockFree()...) {
+		m, err := minic.Compile(b.Name, b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Optimize(m); err != nil {
+			t.Fatal(err)
+		}
+		bin, err := backend.Compile(m, "x86-64")
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		streams, err := mc.Disassemble(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jccs := 0
+		for _, s := range streams {
+			for i, in := range s.Insts {
+				if in.Op != x86.JCC {
+					continue
+				}
+				jccs++
+				if i == 0 {
+					t.Errorf("%s @%s: jcc at %#x starts the function", b.Name, s.Sym.Name, in.Addr)
+					continue
+				}
+				switch prev := s.Insts[i-1]; prev.Op {
+				case x86.CMP, x86.TEST:
+				default:
+					t.Errorf("%s @%s: jcc at %#x follows %s", b.Name, s.Sym.Name, in.Addr, prev.String())
+				}
+			}
+		}
+		if jccs == 0 {
+			t.Errorf("%s: no conditional jump", b.Name)
 		}
 	}
 }

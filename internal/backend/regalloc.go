@@ -61,10 +61,12 @@ func (s bitset) has(i int32) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (s bitset) add(i int32)      { s[i>>6] |= 1 << (uint(i) & 63) }
 
 // allocate assigns registers to f's values. pool[c] is the number of
-// registers of class c. skip, given the read counts, reports values that
-// take no register because the target computes them where they are used;
-// their uses do not make them live.
-func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []int32) bool) (*allocation, error) {
+// registers of class c; clobbered[c] reports that calls destroy them, so
+// a value of that class whose interval spans a call gets none. skip,
+// given the read counts, reports values that take no register because the
+// target computes them where they are used; their uses do not make them
+// live.
+func allocate(f *ir.Func, pool [numClasses]int, clobbered [numClasses]bool, skip func(in *ir.Instr, reads []int32) bool) (*allocation, error) {
 	ids := ir.NewValueIDs(f)
 	a := &allocation{ids: ids, reg: make([]int8, ids.N()), class: make([]uint8, ids.N()),
 		reads: make([]int32, ids.N()), slot: make([]bool, ids.N())}
@@ -234,6 +236,7 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 			}
 		}
 	}
+	var calls []int32 // positions of the calls, ascending
 	pos := int32(1)
 	for bi, b := range f.Blocks {
 		bstart := pos
@@ -254,11 +257,21 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 			if d := dense(in); d >= 0 {
 				extend(d, pos+1)
 			}
+			if in.Op == ir.OpCall {
+				calls = append(calls, pos)
+			}
 			pos += 2
 		}
 		bend := pos
 		forEach(set(sOut, bi), func(d int32) { extend(d, bend) })
 		pos++
+	}
+
+	// spansCall reports a call that reads its operands inside d's
+	// interval and writes its result there too: d lives across it.
+	spansCall := func(d int32) bool {
+		k := sort.Search(len(calls), func(i int) bool { return calls[i] >= start[d] })
+		return k < len(calls) && calls[k] < end[d]
 	}
 
 	// Linear scan, one pass per class. Values never read get no register
@@ -292,6 +305,9 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 			}
 			active = active[k:]
 			id := ids.Of(vals[d])
+			if clobbered[c] && spansCall(d) {
+				continue
+			}
 			if free != 0 {
 				r := bits.TrailingZeros32(free)
 				free &^= 1 << uint(r)
@@ -321,4 +337,98 @@ func allocate(f *ir.Func, pool [numClasses]int, skip func(in *ir.Instr, reads []
 		a.slot[id] = a.reg[id] < 0 && (a.reads[id] > 0 || param)
 	}
 	return a, nil
+}
+
+// hasPhis reports whether b starts with a phi.
+func hasPhis(b *ir.Block) bool { return len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi }
+
+// edgeStub is the phi moves of one edge, then a jump to its target, laid
+// out after a function's last block.
+type edgeStub struct {
+	from, to *ir.Block
+}
+
+// phiMove is one copy of a parallel move: into phi dst from src, or from
+// the cycle temporary when src is nil.
+type phiMove struct {
+	dst *ir.Instr
+	src ir.Value
+}
+
+// phiMover is what a target supplies to sequence an edge's phi moves.
+type phiMover interface {
+	// locKey names the location holding v (its register or slot), or -1
+	// for a value that lives nowhere (constants, globals, functions,
+	// frame addresses).
+	locKey(v ir.Value) int64
+	// saveCycle copies phi d's home into the class's cycle temporary.
+	saveCycle(d *ir.Instr)
+	// phiMove emits one move into a phi's home.
+	phiMove(m phiMove)
+}
+
+// sequencePhiMoves emits the parallel copy from block from into the phis
+// of to as a sequence: a move goes once no other pending move still reads
+// its destination, a cycle is broken by saving one destination in the
+// cycle temporary, and moves from constants go last since they read
+// nothing.
+func sequencePhiMoves(g phiMover, from, to *ir.Block) {
+	var pending, consts []phiMove
+	for _, phi := range to.Instrs {
+		if phi.Op != ir.OpPhi {
+			break
+		}
+		dk := g.locKey(phi)
+		if dk < 0 {
+			continue // nothing reads this phi, so it has no home
+		}
+		for k, pred := range phi.Blocks {
+			if pred != from {
+				continue
+			}
+			src := phi.Args[k]
+			switch sk := g.locKey(src); {
+			case sk < 0:
+				consts = append(consts, phiMove{phi, src})
+			case sk != dk:
+				pending = append(pending, phiMove{phi, src})
+			}
+			break
+		}
+	}
+	readBy := func(key int64, except int) bool {
+		for j, m := range pending {
+			if j != except && m.src != nil && g.locKey(m.src) == key {
+				return true
+			}
+		}
+		return false
+	}
+	for len(pending) > 0 {
+		ready := -1
+		for i, m := range pending {
+			if !readBy(g.locKey(m.dst), i) {
+				ready = i
+				break
+			}
+		}
+		if ready < 0 {
+			// Every pending move is on a cycle: save the first one's
+			// destination and let its readers take the temporary.
+			d := pending[0].dst
+			g.saveCycle(d)
+			dk := g.locKey(d)
+			for j := range pending {
+				if pending[j].src != nil && g.locKey(pending[j].src) == dk {
+					pending[j].src = nil
+				}
+			}
+			continue
+		}
+		g.phiMove(pending[ready])
+		pending = append(pending[:ready], pending[ready+1:]...)
+	}
+	for _, m := range consts {
+		g.phiMove(m)
+	}
 }

@@ -6,7 +6,9 @@ import (
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
+	"lasagne/internal/mc"
 	"lasagne/internal/obj"
+	"lasagne/internal/x86"
 )
 
 // TestRegAllocPhiSwap runs a loop whose two phis trade values every
@@ -79,19 +81,40 @@ func TestRegAllocSpillAcrossCall(t *testing.T) {
 	b.Ret(nil)
 	runAllWorlds(t, m)
 
-	ra, err := allocate(f, [numClasses]int{len(armPools[classInt]), len(armPools[classFloat])}, noRegister)
+	for _, tg := range targets {
+		ra := tg.allocate(t, f)
+		spilled := 0
+		for _, v := range vs {
+			if ra.reg[ra.ids.Of(v)] < 0 {
+				spilled++
+			}
+		}
+		if spilled == 0 || ra.used[classInt] != 1<<tg.pool[classInt]-1 {
+			t.Errorf("%s: want spills and the whole pool in use; %d spilled, used %#x", tg.arch, spilled, ra.used[classInt])
+		}
+	}
+}
+
+// target is one backend's register allocator configuration.
+type target struct {
+	arch      string
+	pool      [numClasses]int
+	clobbered [numClasses]bool
+}
+
+var targets = []target{
+	{"arm64", [numClasses]int{len(armPools[classInt]), len(armPools[classFloat])}, [numClasses]bool{}},
+	{"x86-64", [numClasses]int{len(x86Pools[classInt]), len(x86Pools[classFloat])}, x86CallClobbered},
+}
+
+// allocate runs the allocator on f as tg's backend does.
+func (tg target) allocate(t *testing.T, f *ir.Func) *allocation {
+	t.Helper()
+	ra, err := allocate(f, tg.pool, tg.clobbered, noRegister)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled := 0
-	for _, v := range vs {
-		if ra.reg[ra.ids.Of(v)] < 0 {
-			spilled++
-		}
-	}
-	if spilled == 0 || ra.used[classInt] != 1<<len(armPools[classInt])-1 {
-		t.Errorf("want spills and the whole pool in use; %d spilled, used %#x", spilled, ra.used[classInt])
-	}
+	return ra
 }
 
 // TestRegAllocFloatAcrossCall keeps more FP values live across a call than
@@ -124,6 +147,20 @@ func TestRegAllocFloatAcrossCall(t *testing.T) {
 	printFloat(b, m, vs[0])
 	b.Ret(nil)
 	runAllWorlds(t, m)
+
+	// System V saves no XMM register across a call: on x86-64 every value
+	// live across one keeps a slot, while the callee's values, which
+	// cross none, take XMM8-XMM15.
+	x86 := targets[1]
+	ra := x86.allocate(t, f)
+	for k, v := range vs {
+		if r := ra.reg[ra.ids.Of(v)]; r >= 0 {
+			t.Errorf("x86-64: value %d lives across a call in %s", k, x86Pools[classFloat][r])
+		}
+	}
+	if ra := x86.allocate(t, scale); ra.used[classFloat] == 0 {
+		t.Errorf("x86-64: no FP value of @scale got a register")
+	}
 }
 
 // TestRegAllocCriticalEdge branches from two-successor blocks into phi
@@ -227,6 +264,72 @@ func TestRegAllocLoopHasNoSlotTraffic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestX86RegAllocLoopHasNoSlotTraffic is TestRegAllocLoopHasNoSlotTraffic
+// for the x86-64 backend: no instruction between the loop header and its
+// latch addresses the frame through RBP or RSP.
+func TestX86RegAllocLoopHasNoSlotTraffic(t *testing.T) {
+	m := newModule()
+	f := m.NewFunc("main", ir.Signature(ir.Void))
+	entry, loop, exit := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("exit")
+	b := ir.NewBuilder(entry)
+	b.Br(loop)
+	b.SetBlock(loop)
+	i := b.Phi(ir.I64)
+	acc := b.Phi(ir.I64)
+	ir.AddIncoming(i, ir.I64Const(0), entry)
+	ir.AddIncoming(acc, ir.I64Const(0), entry)
+	acc2 := b.Add(acc, b.Mul(i, i))
+	i2 := b.Add(i, ir.I64Const(1))
+	ir.AddIncoming(i, i2, loop)
+	ir.AddIncoming(acc, acc2, loop)
+	b.CondBr(b.ICmp(ir.PredSLT, i2, ir.I64Const(1000)), loop, exit)
+	b.SetBlock(exit)
+	printInt(b, m, acc2)
+	b.Ret(nil)
+	runAllWorlds(t, m)
+
+	bin, err := Compile(m, "x86-64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := x86Insts(t, bin, "main")
+	lo, hi := uint64(0), uint64(0)
+	for _, in := range insts {
+		if tgt, ok := in.BranchTarget(); ok && in.Op != x86.CALL && tgt <= in.Addr {
+			lo, hi = tgt, in.Addr
+		}
+	}
+	if hi == 0 {
+		t.Fatal("no backward branch in main")
+	}
+	for _, in := range insts {
+		if in.Addr < lo || in.Addr > hi {
+			continue
+		}
+		for _, o := range in.Ops {
+			if o.Kind == x86.KindMem && (o.Mem.Base == x86.RBP || o.Mem.Base == x86.RSP) {
+				t.Errorf("slot access in the loop at %#x: %s", in.Addr, in.String())
+			}
+		}
+	}
+}
+
+// x86Insts decodes one function of an x86-64 object.
+func x86Insts(t *testing.T, bin *obj.File, name string) []x86.Inst {
+	t.Helper()
+	streams, err := mc.Disassemble(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range streams {
+		if s.Sym.Name == name {
+			return s.Insts
+		}
+	}
+	t.Fatalf("no function %s", name)
+	return nil
 }
 
 // funcInsts decodes one function of an object.

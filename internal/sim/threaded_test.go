@@ -93,8 +93,8 @@ func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
 // programs' observable behavior across commits, which the engine
 // differential alone cannot.
 const (
-	programsDigest      = "c87b9a95e9cbc70460555409da50843532f09cc56450c8b23ad13d9f0d35107a"
-	programsDigestShort = "bd9b7567bd622fb79ccea53bafb6fccf8272bca4e865e7bcea742bd339bf850e"
+	programsDigest      = "61c2d4420a0fbb728b19cac1585d71d08bbb58ecbcd4e1b4f87596472b641c94"
+	programsDigestShort = "43b4ccf9b150d2d2e16938d254e743b84a9639f03bcc02048b745943ea601af7"
 )
 
 // TestThreadedMatchesReference is the engine differential: the threaded
