@@ -37,13 +37,6 @@ const (
 	fB = arm64.D17
 )
 
-// armFixup is a branch to a label: a block by layout index, or an edge
-// stub after the last block.
-type armFixup struct {
-	pos   int
-	label int
-}
-
 type arm64gen struct {
 	m   *ir.Module
 	dl  *dataLayout
@@ -62,7 +55,7 @@ type arm64gen struct {
 	saveLR   bool        // the function calls, so x30 needs a save
 	blockIdx map[*ir.Block]int
 	labels   []int // byte offset of each label
-	localFix []armFixup
+	localFix []labelFixup
 	stubs    []edgeStub
 	err      error
 }
@@ -131,7 +124,7 @@ func (g *arm64gen) emit(in arm64.Inst) {
 // out.
 func (g *arm64gen) emitJump(op arm64.Op, cond arm64.Cond, reg arm64.Reg, label int) {
 	g.emit(arm64.Inst{Op: op, Cond: cond, Rd: reg, Size: 8, Imm: 0})
-	g.localFix = append(g.localFix, armFixup{len(g.txt) - 4, label})
+	g.localFix = append(g.localFix, labelFixup{len(g.txt) - 4, label})
 }
 
 func (g *arm64gen) emitCallSym(name string) {

@@ -170,6 +170,14 @@ const (
 	fixMovSeq                  // arm64 movz/movk/movk 48-bit address at words pos, pos+4, pos+8
 )
 
+// labelFixup is a branch within a function to a label: a block by layout
+// index, or an edge stub after the last block. pos is the byte offset of
+// the branch (Arm64) or of its rel32 field (x86-64).
+type labelFixup struct {
+	pos   int
+	label int
+}
+
 // fixup records an unresolved symbol reference in the encoded image.
 type fixup struct {
 	pos    int // byte offset within .text

@@ -40,13 +40,6 @@ const (
 	xfT = x86.XMM2 // the FP phi-cycle temporary
 )
 
-// x86Fixup is a rel32 branch to a label: a block by layout index, or an
-// edge stub after the last block.
-type x86Fixup struct {
-	pos   int // offset of the rel32 field
-	label int
-}
-
 type x86gen struct {
 	m   *ir.Module
 	dl  *dataLayout
@@ -66,7 +59,7 @@ type x86gen struct {
 	base     int64     // distance from RBP down to the frame base
 	blockIdx map[*ir.Block]int
 	labels   []int // byte offset of each label
-	localFix []x86Fixup
+	localFix []labelFixup
 	stubs    []edgeStub
 	err      error
 }
@@ -128,7 +121,7 @@ func (g *x86gen) emit(in x86.Inst) {
 // out.
 func (g *x86gen) emitJump(op x86.Op, cond x86.Cond, label int) {
 	g.emit(x86.Inst{Op: op, Cond: cond, Ops: []x86.Operand{x86.ImmOp(0)}})
-	g.localFix = append(g.localFix, x86Fixup{len(g.txt) - 4, label})
+	g.localFix = append(g.localFix, labelFixup{len(g.txt) - 4, label})
 }
 
 // emitCallSym emits a direct call with a symbol fixup.
