@@ -632,7 +632,7 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 			case in.Op == ir.OpPhi || fusedCmp(in, ra.reads):
 				continue
 			case in.Op == ir.OpBr:
-				g.phiMoves(b, in.Blocks[0])
+				sequencePhiMoves(g, b, in.Blocks[0])
 				g.jumpUnlessNext(bi, in.Blocks[0])
 			case in.Op == ir.OpCondBr:
 				g.genCondBr(bi, in)
@@ -647,7 +647,7 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 	for k := 0; k < len(g.stubs); k++ {
 		st := g.stubs[k]
 		g.labels = append(g.labels, len(g.txt))
-		g.phiMoves(st.from, st.to)
+		sequencePhiMoves(g, st.from, st.to)
 		g.emitJump(arm64.B, 0, arm64.XZR, g.label(st.to))
 	}
 	if g.err != nil {
@@ -718,7 +718,7 @@ func (g *arm64gen) genCondBr(bi int, in *ir.Instr) {
 	switch {
 	case needT && !needF:
 		branchIf(false, g.label(f))
-		g.phiMoves(b, t)
+		sequencePhiMoves(g, b, t)
 		g.jumpUnlessNext(bi, t)
 	case !needT && !needF && g.label(t) == bi+1:
 		branchIf(false, g.label(f))
@@ -730,14 +730,11 @@ func (g *arm64gen) genCondBr(bi int, in *ir.Instr) {
 			branchIf(true, g.label(t))
 		}
 		if needF {
-			g.phiMoves(b, f)
+			sequencePhiMoves(g, b, f)
 		}
 		g.jumpUnlessNext(bi, f)
 	}
 }
-
-// phiMoves emits the parallel copy from block from into the phis of to.
-func (g *arm64gen) phiMoves(from, to *ir.Block) { sequencePhiMoves(g, from, to) }
 
 // saveCycle saves a phi's home in the cycle temporary sA/fA.
 func (g *arm64gen) saveCycle(d *ir.Instr) {

@@ -267,8 +267,9 @@ func allocate(f *ir.Func, pool [numClasses]int, clobbered [numClasses]bool, skip
 		pos++
 	}
 
-	// spansCall reports a call that reads its operands inside d's
-	// interval and writes its result there too: d lives across it.
+	// spansCall reports whether d lives across a call: a call reads its
+	// operands at position p and writes its result at p+1, and d's
+	// interval holds both.
 	spansCall := func(d int32) bool {
 		k := sort.Search(len(calls), func(i int) bool { return calls[i] >= start[d] })
 		return k < len(calls) && calls[k] < end[d]

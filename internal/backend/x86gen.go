@@ -479,7 +479,7 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 			case in.Op == ir.OpPhi || fusedCmp(in, ra.reads):
 				continue
 			case in.Op == ir.OpBr:
-				g.phiMoves(b, in.Blocks[0])
+				sequencePhiMoves(g, b, in.Blocks[0])
 				g.jumpUnlessNext(bi, in.Blocks[0])
 			case in.Op == ir.OpCondBr:
 				g.genCondBr(bi, in)
@@ -494,7 +494,7 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 	for k := 0; k < len(g.stubs); k++ {
 		st := g.stubs[k]
 		g.labels = append(g.labels, len(g.txt))
-		g.phiMoves(st.from, st.to)
+		sequencePhiMoves(g, st.from, st.to)
 		g.emitJump(x86.JMP, 0, g.label(st.to))
 	}
 	if g.err != nil {
@@ -552,7 +552,7 @@ func (g *x86gen) genCondBr(bi int, in *ir.Instr) {
 	switch {
 	case needT && !needF:
 		branchIf(false, g.label(f))
-		g.phiMoves(b, t)
+		sequencePhiMoves(g, b, t)
 		g.jumpUnlessNext(bi, t)
 	case !needT && !needF && g.label(t) == bi+1:
 		branchIf(false, g.label(f))
@@ -564,7 +564,7 @@ func (g *x86gen) genCondBr(bi int, in *ir.Instr) {
 			branchIf(true, g.label(t))
 		}
 		if needF {
-			g.phiMoves(b, f)
+			sequencePhiMoves(g, b, f)
 		}
 		g.jumpUnlessNext(bi, f)
 	}
@@ -574,9 +574,6 @@ func (g *x86gen) genCondBr(bi int, in *ir.Instr) {
 func (g *x86gen) testBit0(v ir.Value) {
 	g.emit(x86.NewInst(x86.TEST, 1, g.rm(v, xA), x86.ImmOp(1)))
 }
-
-// phiMoves emits the parallel copy from block from into the phis of to.
-func (g *x86gen) phiMoves(from, to *ir.Block) { sequencePhiMoves(g, from, to) }
 
 // saveCycle saves a phi's home in the cycle temporary xB/xfT.
 func (g *x86gen) saveCycle(d *ir.Instr) {
