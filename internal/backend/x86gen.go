@@ -449,27 +449,15 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 			if fpIdx >= len(x86FPArgs) {
 				return fmt.Errorf("too many FP parameters")
 			}
-			src := x86.RegOp(x86FPArgs[fpIdx])
+			g.emit(x86.NewInst(fpMove(p.Ty), 0, g.paramHome(p), x86.RegOp(x86FPArgs[fpIdx])))
 			fpIdx++
-			switch h := g.homeOf(p); {
-			case h == x86.RegNone:
-				g.emit(x86.NewInst(fpMove(p.Ty), 0, g.slotMem(p), src))
-			default:
-				g.emit(x86.NewInst(fpMove(p.Ty), 0, x86.RegOp(h), src))
-			}
 			continue
 		}
 		if intIdx >= len(x86IntArgs) {
 			return fmt.Errorf("too many integer parameters")
 		}
-		src := x86.RegOp(x86IntArgs[intIdx])
+		g.emit(x86.NewInst(x86.MOV, 8, g.paramHome(p), x86.RegOp(x86IntArgs[intIdx])))
 		intIdx++
-		switch h := g.homeOf(p); {
-		case h == x86.RegNone:
-			g.emit(x86.NewInst(x86.MOV, 8, g.slotMem(p), src))
-		default:
-			g.emit(x86.NewInst(x86.MOV, 8, x86.RegOp(h), src))
-		}
 	}
 
 	for bi, b := range f.Blocks {
@@ -508,6 +496,15 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 	g.funcOff[f.Name] = start
 	g.funcSize[f.Name] = len(g.txt) - start
 	return g.err
+}
+
+// paramHome returns the operand a parameter is stored to on entry: its
+// register, or its slot.
+func (g *x86gen) paramHome(p *ir.Param) x86.Operand {
+	if h := g.homeOf(p); h != x86.RegNone {
+		return x86.RegOp(h)
+	}
+	return g.slotMem(p)
 }
 
 // label returns a block's label: its layout index.
@@ -763,32 +760,26 @@ func (g *x86gen) genGEP(in *ir.Instr) {
 	} else {
 		m = x86.Mem{Base: g.use(in.Args[0], xA), Index: x86.RegNone, Scale: 1}
 	}
-	if disp := int64(m.Disp) + off; fitsI32(disp) {
-		m.Disp = int32(disp)
-	} else {
-		g.loadVal(ir.I64Const(off), xB)
-		g.emit(x86.NewInst(x86.LEA, 8, x86.RegOp(xA), x86.MemOp(m.Base, m.Disp)))
-		m = x86.Mem{Base: xA, Index: xB, Scale: 1}
+	disp := int64(m.Disp) + off
+	if !fitsI32(disp) {
+		g.err = fmt.Errorf("GEP offset %d out of range", off)
+		return
 	}
+	m.Disp = int32(disp)
 	for _, x := range vars {
 		if m.Index != x86.RegNone {
 			g.emit(x86.NewInst(x86.LEA, 8, x86.RegOp(xA), x86.Operand{Kind: x86.KindMem, Mem: m}))
 			m = x86.Mem{Base: xA, Index: x86.RegNone, Scale: 1}
 		}
 		idx, scale := g.sext(x.v, xB), x.es
-		switch scale {
-		case 1, 2, 4, 8:
-		default:
-			if fitsI32(scale) {
-				g.emit(x86.NewInst(x86.IMUL, 8, x86.RegOp(xB), x86.RegOp(idx), x86.ImmOp(scale)))
-			} else {
-				if idx != xB {
-					g.emit(x86.NewInst(x86.MOV, 8, x86.RegOp(xB), x86.RegOp(idx)))
-				}
-				g.loadVal(ir.I64Const(scale), xC)
-				g.emit(x86.NewInst(x86.IMUL, 8, x86.RegOp(xB), x86.RegOp(xC)))
-			}
+		switch {
+		case scale == 1 || scale == 2 || scale == 4 || scale == 8:
+		case fitsI32(scale):
+			g.emit(x86.NewInst(x86.IMUL, 8, x86.RegOp(xB), x86.RegOp(idx), x86.ImmOp(scale)))
 			idx, scale = xB, 1
+		default:
+			g.err = fmt.Errorf("GEP element size %d out of range", scale)
+			return
 		}
 		m.Index, m.Scale = idx, int(scale)
 	}
@@ -1020,10 +1011,6 @@ func (g *x86gen) genBinary(in *ir.Instr) {
 func (g *x86gen) genCast(in *ir.Instr) {
 	switch in.Op {
 	case ir.OpTrunc, ir.OpBitcast, ir.OpIntToPtr, ir.OpPtrToInt:
-		if h := g.homeOf(in); h.IsXMM() && ir.IsFloat(in.Args[0].Type()) {
-			g.loadFP(in.Args[0], h)
-			return
-		}
 		d := g.dst(in, xA)
 		g.loadVal(in.Args[0], d)
 		g.storeVal(in, d)
