@@ -483,8 +483,23 @@ func referenceSCCP(f *ir.Func) bool {
 				setVal(in, lattice{state: latOver})
 				return
 			}
-			if l, ok := sccpEval(in, get); ok {
-				setVal(in, l)
+			if folded := sccpFold(in, get); folded != nil {
+				setVal(in, lattice{state: latConst, val: folded})
+				return
+			}
+			allConst := true
+			for _, a := range in.Args {
+				switch get(a).state {
+				case latOver:
+					setVal(in, lattice{state: latOver})
+					return
+				case latUnknown:
+					allConst = false
+				}
+			}
+			if allConst {
+				// Constant operands that do not fold: overdefined.
+				setVal(in, lattice{state: latOver})
 			}
 		}
 	}
