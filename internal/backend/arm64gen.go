@@ -46,18 +46,14 @@ type arm64gen struct {
 	funcOff  map[string]int
 	funcSize map[string]int
 
-	f        *ir.Func
-	fr       *frameInfo
-	ra       *allocation
-	home     []arm64.Reg // by value ID: the value's register, or RegNone
-	saved    []arm64.Reg // callee-saved registers the function uses
-	total    int64       // frame size incl. saved registers and x30
-	saveLR   bool        // the function calls, so x30 needs a save
-	blockIdx map[*ir.Block]int
-	labels   []int // byte offset of each label
-	localFix []labelFixup
-	stubs    []edgeStub
-	err      error
+	fr     *frameInfo
+	ra     *allocation
+	home   []arm64.Reg // by value ID: the value's register, or RegNone
+	saved  []arm64.Reg // callee-saved registers the function uses
+	total  int64       // frame size incl. saved registers and x30
+	saveLR bool        // the function calls, so x30 needs a save
+	blockLabels
+	err error
 }
 
 func compileArm64(m *ir.Module) (*obj.File, error) {
@@ -66,7 +62,6 @@ func compileArm64(m *ir.Module) (*obj.File, error) {
 		dl:       layoutGlobals(m),
 		funcOff:  make(map[string]int),
 		funcSize: make(map[string]int),
-		blockIdx: make(map[*ir.Block]int),
 	}
 	for _, f := range m.Funcs {
 		if f.External {
@@ -518,28 +513,6 @@ func (g *arm64gen) bit0(v ir.Value) arm64.Reg {
 	return sA
 }
 
-// fusedCmp reports whether in is an integer compare whose only use is the
-// conditional branch right after it. Such a compare leaves its result in
-// the flags for that branch and has no value of its own.
-func fusedCmp(in *ir.Instr, reads []int32) bool {
-	if in.Op != ir.OpICmp || in.Parent == nil || in.ID <= 0 || in.ID >= len(reads) || reads[in.ID] != 1 {
-		return false
-	}
-	instrs := in.Parent.Instrs
-	n := len(instrs)
-	if n < 2 || instrs[n-2] != in {
-		return false
-	}
-	t := instrs[n-1]
-	return t.Op == ir.OpCondBr && len(t.Args) == 1 && t.Args[0] == in
-}
-
-// noRegister reports the values the allocator leaves out: frame
-// addresses, recomputed from SP at each use, and fused compares.
-func noRegister(in *ir.Instr, reads []int32) bool {
-	return isFrameAddr(in) || fusedCmp(in, reads)
-}
-
 func (g *arm64gen) genFunc(f *ir.Func) error {
 	ra, err := allocate(f, [numClasses]int{len(armPools[classInt]), len(armPools[classFloat])}, [numClasses]bool{}, noRegister)
 	if err != nil {
@@ -549,7 +522,7 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 	if err != nil {
 		return err
 	}
-	g.f, g.fr, g.ra, g.err = f, fr, ra, nil
+	g.fr, g.ra, g.err = fr, ra, nil
 	g.home = make([]arm64.Reg, len(ra.reg))
 	for id, r := range ra.reg {
 		g.home[id] = arm64.RegNone
@@ -568,9 +541,7 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 	// Frame: slots and alloca storage, the saved registers, x30 on top
 	// unless the function is a leaf.
 	g.saveLR = false
-	clear(g.blockIdx)
-	for bi, b := range f.Blocks {
-		g.blockIdx[b] = bi
+	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			g.saveLR = g.saveLR || in.Op == ir.OpCall
 		}
@@ -580,9 +551,6 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 		g.total += 8
 	}
 	g.total = (g.total + 15) &^ 15
-	g.labels = append(g.labels[:0], make([]int, len(f.Blocks))...)
-	g.localFix = g.localFix[:0]
-	g.stubs = g.stubs[:0]
 	start := len(g.txt)
 
 	if g.total-8 > 32760 {
@@ -625,33 +593,8 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 		}
 	}
 
-	for bi, b := range f.Blocks {
-		g.labels[bi] = len(g.txt)
-		for _, in := range b.Instrs {
-			switch {
-			case in.Op == ir.OpPhi || fusedCmp(in, ra.reads):
-				continue
-			case in.Op == ir.OpBr:
-				sequencePhiMoves(g, b, in.Blocks[0])
-				g.jumpUnlessNext(bi, in.Blocks[0])
-			case in.Op == ir.OpCondBr:
-				g.genCondBr(bi, in)
-			default:
-				g.genInstr(in)
-			}
-			if g.err != nil {
-				return fmt.Errorf("%s: %w", in, g.err)
-			}
-		}
-	}
-	for k := 0; k < len(g.stubs); k++ {
-		st := g.stubs[k]
-		g.labels = append(g.labels, len(g.txt))
-		sequencePhiMoves(g, st.from, st.to)
-		g.emitJump(arm64.B, 0, arm64.XZR, g.label(st.to))
-	}
-	if g.err != nil {
-		return g.err
+	if err := genBlocks(g, &g.blockLabels, f, ra.reads); err != nil {
+		return err
 	}
 
 	for _, lf := range g.localFix {
@@ -670,71 +613,32 @@ func (g *arm64gen) genFunc(f *ir.Func) error {
 	return g.err
 }
 
-// label returns a block's label: its layout index.
-func (g *arm64gen) label(b *ir.Block) int {
-	bi, ok := g.blockIdx[b]
-	if !ok && g.err == nil {
-		g.err = fmt.Errorf("branch to unemitted block %%%s", b.Name)
-	}
-	return bi
-}
-
-// jumpUnlessNext branches to succ unless it is the next block in layout.
-func (g *arm64gen) jumpUnlessNext(bi int, succ *ir.Block) {
-	if si := g.label(succ); si != bi+1 {
-		g.emitJump(arm64.B, 0, arm64.XZR, si)
-	}
-}
-
-// genCondBr lowers a conditional branch. The phi moves of an edge into a
-// block with phis run on that edge only: inline on the fall-through path
-// when one edge needs them, and in an edge stub for the taken branch when
-// both do.
-func (g *arm64gen) genCondBr(bi int, in *ir.Instr) {
-	b := g.f.Blocks[bi]
-	t, f := in.Blocks[0], in.Blocks[1]
-	// branchIf emits a branch to label taken when the condition is want.
-	var branchIf func(want bool, label int)
+// condJump sets up a conditional branch: a fused compare's cmp for a
+// b.cond, or the condition's low bit in a register for a cbz/cbnz.
+func (g *arm64gen) condJump(in *ir.Instr) func(want bool, label int) {
 	if c, ok := in.Args[0].(*ir.Instr); ok && fusedCmp(c, g.ra.reads) {
 		cond := g.cmpFlags(c)
-		branchIf = func(want bool, label int) {
+		return func(want bool, label int) {
 			cc := cond
 			if !want {
 				cc = cc.Invert()
 			}
 			g.emitJump(arm64.BCOND, cc, arm64.XZR, label)
 		}
-	} else {
-		r := g.bit0(in.Args[0])
-		branchIf = func(want bool, label int) {
-			op := arm64.CBNZ
-			if !want {
-				op = arm64.CBZ
-			}
-			g.emitJump(op, 0, r, label)
-		}
 	}
-	needT, needF := hasPhis(t), hasPhis(f)
-	switch {
-	case needT && !needF:
-		branchIf(false, g.label(f))
-		sequencePhiMoves(g, b, t)
-		g.jumpUnlessNext(bi, t)
-	case !needT && !needF && g.label(t) == bi+1:
-		branchIf(false, g.label(f))
-	default:
-		if needT {
-			branchIf(true, len(g.f.Blocks)+len(g.stubs))
-			g.stubs = append(g.stubs, edgeStub{b, t})
-		} else {
-			branchIf(true, g.label(t))
+	r := g.bit0(in.Args[0])
+	return func(want bool, label int) {
+		op := arm64.CBNZ
+		if !want {
+			op = arm64.CBZ
 		}
-		if needF {
-			sequencePhiMoves(g, b, f)
-		}
-		g.jumpUnlessNext(bi, f)
+		g.emitJump(op, 0, r, label)
 	}
 }
+
+func (g *arm64gen) jump(label int) { g.emitJump(arm64.B, 0, arm64.XZR, label) }
+func (g *arm64gen) offset() int    { return len(g.txt) }
+func (g *arm64gen) failed() error  { return g.err }
 
 // saveCycle saves a phi's home in the cycle temporary sA/fA.
 func (g *arm64gen) saveCycle(d *ir.Instr) {

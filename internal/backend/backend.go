@@ -16,8 +16,7 @@
 // results or scratch registers: Arm64 uses X19-X28 and D8-D15, x86-64 RBX
 // and R12-R15. System V saves no XMM register, so x86-64 FP values take
 // XMM8-XMM15 only when their interval contains no call. A value that gets
-// no register
-// keeps a frame slot. Frame addresses (allocas and constant offsets from
+// no register keeps a frame slot. Frame addresses (allocas and constant offsets from
 // them) are recomputed from SP or RBP at each use, and a compare that only
 // feeds the branch after it stays in the flags. Phis become parallel moves
 // at the end of each predecessor, with an edge stub when both successors
@@ -169,14 +168,6 @@ const (
 	fixBL                      // arm64 BL imm26 at the word at pos
 	fixMovSeq                  // arm64 movz/movk/movk 48-bit address at words pos, pos+4, pos+8
 )
-
-// labelFixup is a branch within a function to a label: a block by layout
-// index, or an edge stub after the last block. pos is the byte offset of
-// the branch (Arm64) or of its rel32 field (x86-64).
-type labelFixup struct {
-	pos   int
-	label int
-}
 
 // fixup records an unresolved symbol reference in the encoded image.
 type fixup struct {

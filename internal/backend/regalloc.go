@@ -340,15 +340,6 @@ func allocate(f *ir.Func, pool [numClasses]int, clobbered [numClasses]bool, skip
 	return a, nil
 }
 
-// hasPhis reports whether b starts with a phi.
-func hasPhis(b *ir.Block) bool { return len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi }
-
-// edgeStub is the phi moves of one edge, then a jump to its target, laid
-// out after a function's last block.
-type edgeStub struct {
-	from, to *ir.Block
-}
-
 // phiMove is one copy of a parallel move: into phi dst from src, or from
 // the cycle temporary when src is nil.
 type phiMove struct {

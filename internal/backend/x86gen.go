@@ -50,18 +50,14 @@ type x86gen struct {
 	funcSize map[string]int
 
 	// Per-function state.
-	f        *ir.Func
-	fr       *frameInfo
-	ra       *allocation
-	home     []x86.Reg // by value ID: the value's register, or RegNone
-	saved    []x86.Reg // callee-saved registers the function uses
-	sub      int64     // RSP adjustment below the saved registers
-	base     int64     // distance from RBP down to the frame base
-	blockIdx map[*ir.Block]int
-	labels   []int // byte offset of each label
-	localFix []labelFixup
-	stubs    []edgeStub
-	err      error
+	fr    *frameInfo
+	ra    *allocation
+	home  []x86.Reg // by value ID: the value's register, or RegNone
+	saved []x86.Reg // callee-saved registers the function uses
+	sub   int64     // RSP adjustment below the saved registers
+	base  int64     // distance from RBP down to the frame base
+	blockLabels
+	err error
 }
 
 func compileX86(m *ir.Module) (*obj.File, error) {
@@ -70,7 +66,6 @@ func compileX86(m *ir.Module) (*obj.File, error) {
 		dl:       layoutGlobals(m),
 		funcOff:  make(map[string]int),
 		funcSize: make(map[string]int),
-		blockIdx: make(map[*ir.Block]int),
 	}
 	for _, f := range m.Funcs {
 		if f.External {
@@ -403,7 +398,7 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 	if err != nil {
 		return err
 	}
-	g.f, g.fr, g.ra, g.err = f, fr, ra, nil
+	g.fr, g.ra, g.err = fr, ra, nil
 	g.home = make([]x86.Reg, len(ra.reg))
 	for id, r := range ra.reg {
 		g.home[id] = x86.RegNone
@@ -424,13 +419,6 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 	if g.base > math.MaxInt32 {
 		return fmt.Errorf("frame too large (%d bytes)", fr.size)
 	}
-	clear(g.blockIdx)
-	for bi, b := range f.Blocks {
-		g.blockIdx[b] = bi
-	}
-	g.labels = append(g.labels[:0], make([]int, len(f.Blocks))...)
-	g.localFix = g.localFix[:0]
-	g.stubs = g.stubs[:0]
 	start := len(g.txt)
 
 	// Prologue: save the callee-saved registers in use, allocate the
@@ -460,33 +448,8 @@ func (g *x86gen) genFunc(f *ir.Func) error {
 		intIdx++
 	}
 
-	for bi, b := range f.Blocks {
-		g.labels[bi] = len(g.txt)
-		for _, in := range b.Instrs {
-			switch {
-			case in.Op == ir.OpPhi || fusedCmp(in, ra.reads):
-				continue
-			case in.Op == ir.OpBr:
-				sequencePhiMoves(g, b, in.Blocks[0])
-				g.jumpUnlessNext(bi, in.Blocks[0])
-			case in.Op == ir.OpCondBr:
-				g.genCondBr(bi, in)
-			default:
-				g.genInstr(in)
-			}
-			if g.err != nil {
-				return fmt.Errorf("%s: %w", in, g.err)
-			}
-		}
-	}
-	for k := 0; k < len(g.stubs); k++ {
-		st := g.stubs[k]
-		g.labels = append(g.labels, len(g.txt))
-		sequencePhiMoves(g, st.from, st.to)
-		g.emitJump(x86.JMP, 0, g.label(st.to))
-	}
-	if g.err != nil {
-		return g.err
+	if err := genBlocks(g, &g.blockLabels, f, ra.reads); err != nil {
+		return err
 	}
 
 	for _, lf := range g.localFix {
@@ -507,65 +470,27 @@ func (g *x86gen) paramHome(p *ir.Param) x86.Operand {
 	return g.slotMem(p)
 }
 
-// label returns a block's label: its layout index.
-func (g *x86gen) label(b *ir.Block) int {
-	bi, ok := g.blockIdx[b]
-	if !ok && g.err == nil {
-		g.err = fmt.Errorf("branch to unemitted block %%%s", b.Name)
-	}
-	return bi
-}
-
-// jumpUnlessNext jumps to succ unless it is the next block in layout.
-func (g *x86gen) jumpUnlessNext(bi int, succ *ir.Block) {
-	if si := g.label(succ); si != bi+1 {
-		g.emitJump(x86.JMP, 0, si)
-	}
-}
-
-// genCondBr lowers a conditional branch: a fused compare's cmp, or a test
-// of the condition's low bit, right before its jcc. The phi moves of an
-// edge into a block with phis run on that edge only: inline on the
-// fall-through path when one edge needs them, and in an edge stub for the
-// taken branch when both do.
-func (g *x86gen) genCondBr(bi int, in *ir.Instr) {
-	b := g.f.Blocks[bi]
-	t, f := in.Blocks[0], in.Blocks[1]
+// condJump sets the flags for a conditional branch: a fused compare's
+// cmp, or a test of the condition's low bit, right before its jcc.
+func (g *x86gen) condJump(in *ir.Instr) func(want bool, label int) {
 	cond := x86.CondNE
 	if c, ok := in.Args[0].(*ir.Instr); ok && fusedCmp(c, g.ra.reads) {
 		cond = g.cmpFlags(c)
 	} else {
 		g.testBit0(in.Args[0])
 	}
-	// branchIf emits a branch to label taken when the condition is want.
-	branchIf := func(want bool, label int) {
+	return func(want bool, label int) {
 		cc := cond
 		if !want {
 			cc = cc.Negate()
 		}
 		g.emitJump(x86.JCC, cc, label)
 	}
-	needT, needF := hasPhis(t), hasPhis(f)
-	switch {
-	case needT && !needF:
-		branchIf(false, g.label(f))
-		sequencePhiMoves(g, b, t)
-		g.jumpUnlessNext(bi, t)
-	case !needT && !needF && g.label(t) == bi+1:
-		branchIf(false, g.label(f))
-	default:
-		if needT {
-			branchIf(true, len(g.f.Blocks)+len(g.stubs))
-			g.stubs = append(g.stubs, edgeStub{b, t})
-		} else {
-			branchIf(true, g.label(t))
-		}
-		if needF {
-			sequencePhiMoves(g, b, f)
-		}
-		g.jumpUnlessNext(bi, f)
-	}
 }
+
+func (g *x86gen) jump(label int) { g.emitJump(x86.JMP, 0, label) }
+func (g *x86gen) offset() int    { return len(g.txt) }
+func (g *x86gen) failed() error  { return g.err }
 
 // testBit0 sets ZF clear exactly when bit 0 of v is set.
 func (g *x86gen) testBit0(v ir.Value) {
