@@ -79,6 +79,30 @@ func TestTranslationGolden(t *testing.T) {
 	}
 }
 
+// reverseSHA256 pins the Arm→x86 translations of GenProgram seeds
+// 0..goldenSeeds-1 under the default configuration. TestTranslationGolden
+// covers the reverse direction only on the suite kernels, whose functions
+// all home their parameters in the prologue; the generated programs reach
+// far more of the Arm lifter's CFG and type-discovery cases.
+const reverseSHA256 = "4d393a202ca07e6757febcfc3a37f5965ba0bee2dd82cc40c3f04bb9cb14a3d2"
+
+// TestReverseTranslationGolden hashes TranslateArmToX86 of the Arm64 build
+// of every GenProgram seed the x86→Arm golden covers.
+func TestReverseTranslationGolden(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(0); seed < goldenSeeds; seed++ {
+		_, bin := buildBoth(t, "t", validate.GenProgram(seed))
+		out, _, _, err := TranslateArmToX86(bin, Default())
+		if err != nil {
+			t.Fatalf("GenProgram(%d): %v", seed, err)
+		}
+		hashObj(h, "GenProgram Arm→x86", out)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != reverseSHA256 {
+		t.Fatalf("Arm→x86 translation output changed:\n got  %s\n want %s", got, reverseSHA256)
+	}
+}
+
 // hashObj feeds a length-prefixed label and object encoding into h, so no
 // two different sequences of objects can hash alike by concatenation.
 func hashObj(h hash.Hash, label string, f *obj.File) {
