@@ -1,8 +1,11 @@
 // Package armlifter lifts Arm64 binaries to the IR — the Appendix B
-// direction of the paper (Arm → IR → x86). It mirrors the x86 lifter's
-// structure: CFG reconstruction with symbolic SP tracking, eager NZCV flag
-// materialization, per-register slots with block-local value caching, and
-// global/function rediscovery from composed MOVZ/MOVK constants.
+// direction of the paper (Arm → IR → x86). Decoding (internal/mc) and CFG
+// reconstruction, liveness and §4.1 type discovery (internal/machine) are
+// the layers the x86 lifter uses, driven by this package's AAPCS
+// description; the lifting itself has the x86 lifter's shape: symbolic SP
+// tracking, eager NZCV flag materialization, per-register slots with
+// block-local value caching, and global/function rediscovery from composed
+// MOVZ/MOVK constants.
 //
 // Arm's LL/SC read-modify-write loops (the canonical
 // `dmb; L: ldxr; op; stxr; cbnz L; dmb` sequence emitted by compilers) are
@@ -19,11 +22,12 @@ package armlifter
 
 import (
 	"fmt"
-	"sort"
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
 	"lasagne/internal/lifter"
+	"lasagne/internal/machine"
+	"lasagne/internal/mc"
 	"lasagne/internal/obj"
 )
 
@@ -58,7 +62,7 @@ func Lift(file *obj.File) (*ir.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range ml.syms {
+	for i := range ml.streams {
 		if err := ml.Declare(i); err != nil {
 			return nil, err
 		}
@@ -80,11 +84,10 @@ func Lift(file *obj.File) (*ir.Module, error) {
 // shell, Declare recognizes one function's atomic idioms and reconstructs
 // its CFG and signature, and LiftFunc translates one declared body.
 type ModuleLifter struct {
-	file  *obj.File
-	mod   *ir.Module
-	funcs map[string]*mfunc // declared functions
-	syms  []obj.Symbol      // decoded functions, object order
-	insts [][]arm64.Inst    // and their instructions
+	file    *obj.File
+	mod     *ir.Module
+	funcs   map[string]*machine.Function[unit] // declared functions
+	streams []mc.Stream[arm64.Inst]            // decoded functions, object order
 }
 
 // Begin decodes each function symbol of the object. When bad is non-nil, a
@@ -92,50 +95,15 @@ type ModuleLifter struct {
 // through bad and dropped instead of failing the whole object. Object-level
 // problems (wrong architecture, missing .text) still return an error.
 func Begin(file *obj.File, bad func(sym obj.Symbol, err error)) (*ModuleLifter, error) {
-	if file.Arch != "arm64" {
-		return nil, fmt.Errorf("armlifter: cannot lift %q binaries", file.Arch)
+	streams, err := mc.Decode(file, "arm64", arm64.DecodeAll, bad)
+	if err != nil {
+		return nil, err
 	}
-	text := file.Section(".text")
-	if text == nil {
-		return nil, fmt.Errorf("armlifter: no .text section")
-	}
-	var firstErr error
-	if bad == nil {
-		bad = func(_ obj.Symbol, err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	ml := &ModuleLifter{file: file, mod: lifter.Shell(file), funcs: map[string]*mfunc{}}
-	for _, sym := range file.FuncSymbols() {
-		if sym.Addr < text.Addr || sym.Addr+sym.Size > text.Addr+uint64(len(text.Data)) {
-			bad(sym, fmt.Errorf("armlifter: function %s outside .text", sym.Name))
-			continue
-		}
-		code := text.Data[sym.Addr-text.Addr : sym.Addr-text.Addr+sym.Size]
-		insts, err := arm64.DecodeAll(code, sym.Addr)
-		if err != nil {
-			bad(sym, fmt.Errorf("armlifter: %s: %w", sym.Name, err))
-			continue
-		}
-		ml.syms = append(ml.syms, sym)
-		ml.insts = append(ml.insts, insts)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return ml, nil
+	return &ModuleLifter{file: file, mod: lifter.Shell(file), funcs: map[string]*machine.Function[unit]{}, streams: streams}, nil
 }
 
 // Names returns the decoded functions in object order.
-func (ml *ModuleLifter) Names() []string {
-	names := make([]string, len(ml.syms))
-	for i, sym := range ml.syms {
-		names[i] = sym.Name
-	}
-	return names
-}
+func (ml *ModuleLifter) Names() []string { return mc.Names(ml.streams) }
 
 // Module returns the module under construction.
 func (ml *ModuleLifter) Module() *ir.Module { return ml.mod }
@@ -145,18 +113,17 @@ func (ml *ModuleLifter) Module() *ir.Module { return ml.mod }
 // function. All declarations must happen before any LiftFunc so calls can
 // resolve their callees.
 func (ml *ModuleLifter) Declare(i int) error {
-	sym := ml.syms[i]
-	units, err := recognizeAtomics(ml.insts[i])
+	sym := ml.streams[i].Sym
+	units, err := recognizeAtomics(ml.streams[i].Insts)
 	if err != nil {
 		return fmt.Errorf("armlifter: %s: %w", sym.Name, err)
 	}
-	mf, err := buildCFG(sym, units)
+	mf, err := machine.Build(isa, mc.Stream[unit]{Sym: sym, Insts: units})
 	if err != nil {
-		return fmt.Errorf("armlifter: %s: %w", sym.Name, err)
+		return err
 	}
-	discoverType(mf)
 	ml.funcs[sym.Name] = mf
-	ml.mod.NewFunc(sym.Name, mf.sig)
+	ml.mod.NewFunc(sym.Name, mf.Type())
 	return nil
 }
 
@@ -235,217 +202,121 @@ func recognizeAtomics(insts []arm64.Inst) ([]unit, error) {
 	return out, nil
 }
 
-// uaddr returns the address of a unit.
-func (u *unit) uaddr() uint64 {
-	if u.kind == unitInst {
-		return u.inst.Addr
-	}
-	return u.addr
-}
-
-func (u *unit) ulen() int {
-	if u.kind == unitInst {
-		return 4
-	}
-	return u.length
-}
-
-// mblock is a machine basic block of units.
-type mblock struct {
-	start uint64
-	units []unit
-	succs []*mblock
-}
-
-// mfunc is a reconstructed machine function.
-type mfunc struct {
-	sym    obj.Symbol
-	blocks []*mblock
-	sig    *ir.FuncType // i64 and f64 parameters; void, i64 or f64 result
-}
-
-func buildCFG(sym obj.Symbol, units []unit) (*mfunc, error) {
-	end := sym.Addr + sym.Size
-	leaders := map[uint64]bool{sym.Addr: true}
-	for _, u := range units {
+// isa describes Arm64 under the AAPCS to the shared machine layer. Register
+// numbers are the arm64.Reg values: X0-X30, XZR, SP, then D0-D31.
+var isa = &machine.ISA[unit]{
+	Span: func(u *unit) (uint64, int) {
+		if u.kind == unitInst {
+			return u.inst.Addr, 4
+		}
+		return u.addr, u.length
+	},
+	Flow: func(u *unit) (machine.Flow, uint64) {
 		if u.kind != unitInst {
-			continue
+			return machine.Next, 0
 		}
-		in := u.inst
-		if tgt, ok := in.BranchTarget(); ok && in.Op != arm64.BL {
-			if tgt < sym.Addr || tgt >= end {
-				return nil, fmt.Errorf("branch to %#x outside function", tgt)
-			}
-			leaders[tgt] = true
+		switch in := u.inst; in.Op {
+		case arm64.B:
+			return machine.Jump, uint64(in.Imm)
+		case arm64.BCOND, arm64.CBZ, arm64.CBNZ:
+			return machine.CondJump, uint64(in.Imm)
+		case arm64.BR:
+			return machine.Indirect, 0
+		case arm64.RET:
+			return machine.Return, 0
+		case arm64.BL:
+			return machine.Call, 0
 		}
-		if in.IsTerminator() {
-			leaders[in.Addr+4] = true
-		}
-	}
-	byStart := map[uint64]*mblock{}
-	mf := &mfunc{sym: sym}
-	var cur *mblock
-	for _, u := range units {
-		if leaders[u.uaddr()] || cur == nil {
-			cur = &mblock{start: u.uaddr()}
-			byStart[u.uaddr()] = cur
-			mf.blocks = append(mf.blocks, cur)
-		}
-		cur.units = append(cur.units, u)
-	}
-	for _, b := range mf.blocks {
-		// Successors: the branch target first, then the fall-through.
-		last := b.units[len(b.units)-1]
-		var succs []uint64
-		fall := true
-		if last.kind == unitInst {
-			switch in := last.inst; in.Op {
-			case arm64.RET, arm64.BR:
-				fall = false
-			case arm64.B:
-				succs, fall = []uint64{uint64(in.Imm)}, false
-			case arm64.BCOND, arm64.CBZ, arm64.CBNZ:
-				if in.Addr+4 >= end {
-					return nil, fmt.Errorf("conditional branch at %#x without fallthrough", in.Addr)
-				}
-				succs = []uint64{uint64(in.Imm)}
-			}
-		}
-		if next := last.uaddr() + uint64(last.ulen()); fall && next < end {
-			succs = append(succs, next)
-		}
-		for _, a := range succs {
-			s, ok := byStart[a]
-			if !ok {
-				return nil, fmt.Errorf("no block at %#x", a)
-			}
-			b.succs = append(b.succs, s)
-		}
-	}
-	sort.Slice(mf.blocks, func(i, j int) bool { return mf.blocks[i].start < mf.blocks[j].start })
-	return mf, nil
+		return machine.Next, 0
+	},
+	UseDef:    unitUseDef,
+	IntParams: regRange(arm64.X0, 8),
+	FPParams:  regRange(arm64.D0, 8),
+	IntRet:    machine.Reg(arm64.X0),
+	FPRet:     machine.Reg(arm64.D0),
 }
 
-// discoverType recovers parameters (X0-X7/D0-D7 live-in at entry) and the
-// return kind (X0/D0 defined before RET), mirroring §4.1 for the AAPCS.
-func discoverType(mf *mfunc) {
-	mf.sig = &ir.FuncType{Ret: ir.Void}
-	entry := mf.blocks[0]
-	usedBeforeDef := func(r arm64.Reg) bool {
-		defined := map[arm64.Reg]bool{}
-		for _, u := range entry.units {
-			uses, defs := unitUseDef(u)
-			for _, x := range uses {
-				if x == r && !defined[r] {
-					return true
-				}
-			}
-			for _, d := range defs {
-				defined[d] = true
-			}
-		}
-		return false
+func regRange(first arm64.Reg, n int) []machine.Reg {
+	out := make([]machine.Reg, n)
+	for i := range out {
+		out[i] = machine.Reg(first) + machine.Reg(i)
 	}
-	for i := 0; i < 8; i++ {
-		if !usedBeforeDef(arm64.X0 + arm64.Reg(i)) {
-			break
-		}
-		mf.sig.Params = append(mf.sig.Params, ir.I64)
-	}
-	for i := 0; i < 8; i++ {
-		if !usedBeforeDef(arm64.D0 + arm64.Reg(i)) {
-			break
-		}
-		mf.sig.Params = append(mf.sig.Params, ir.F64)
-	}
-	// Return kind: walk back from RET blocks looking for X0/D0 defs.
-	for _, b := range mf.blocks {
-		last := b.units[len(b.units)-1]
-		if last.kind != unitInst || last.inst.Op != arm64.RET {
-			continue
-		}
-	scan:
-		for i := len(b.units) - 2; i >= 0; i-- {
-			u := b.units[i]
-			if u.kind == unitInst && u.inst.Op == arm64.BL {
-				break
-			}
-			_, defs := unitUseDef(u)
-			for _, d := range defs {
-				if d == arm64.X0 {
-					mf.sig.Ret = ir.I64
-					break scan
-				}
-				if d == arm64.D0 {
-					mf.sig.Ret = ir.F64
-					break scan
-				}
-			}
-		}
-	}
+	return out
 }
 
-// unitUseDef returns registers read and written by a unit (approximate; SP
-// and XZR excluded).
-func unitUseDef(u unit) (uses, defs []arm64.Reg) {
-	norm := func(rs []arm64.Reg) []arm64.Reg {
-		var out []arm64.Reg
-		for _, r := range rs {
-			if r == arm64.XZR || r == arm64.SP || r == arm64.RegNone {
-				continue
-			}
-			out = append(out, r)
-		}
-		return out
+// unitUseDef returns the registers a unit reads and writes (approximate;
+// SP and XZR excluded).
+func unitUseDef(u *unit) (uses, defs machine.Regs) {
+	switch u.kind {
+	case unitCAS:
+		addRegs(&uses, u.addrReg, u.operand, u.expect)
+		addRegs(&defs, u.result)
+		return uses, defs
+	case unitRMW:
+		addRegs(&uses, u.addrReg, u.operand)
+		addRegs(&defs, u.result)
+		return uses, defs
 	}
-	if u.kind == unitCAS {
-		return norm([]arm64.Reg{u.addrReg, u.operand, u.expect}), norm([]arm64.Reg{u.result})
-	}
-	if u.kind == unitRMW {
-		return norm([]arm64.Reg{u.addrReg, u.operand}), norm([]arm64.Reg{u.result})
-	}
-	in := u.inst
+	in := &u.inst
 	switch in.Op {
 	case arm64.ADD, arm64.SUB, arm64.SUBS, arm64.AND, arm64.ORR, arm64.EOR,
 		arm64.SDIV, arm64.UDIV, arm64.LSLV, arm64.LSRV, arm64.ASRV,
 		arm64.FADD, arm64.FSUB, arm64.FMUL, arm64.FDIV, arm64.CSEL, arm64.CSINC:
-		return norm([]arm64.Reg{in.Rn, in.Rm}), norm([]arm64.Reg{in.Rd})
+		addRegs(&uses, in.Rn, in.Rm)
+		addRegs(&defs, in.Rd)
 	case arm64.ADDI, arm64.SUBI, arm64.SUBSI, arm64.LSLI, arm64.LSRI, arm64.ASRI,
 		arm64.SXTB, arm64.SXTH, arm64.SXTW, arm64.UXTB, arm64.UXTH,
 		arm64.FMOV, arm64.FMOVTOG, arm64.FMOVTOF, arm64.SCVTF, arm64.FCVTZS,
-		arm64.FCVTDS, arm64.FCVTSD, arm64.FSQRT:
-		return norm([]arm64.Reg{in.Rn}), norm([]arm64.Reg{in.Rd})
+		arm64.FCVTDS, arm64.FCVTSD, arm64.FSQRT,
+		arm64.LDR, arm64.LDUR, arm64.LDRSB, arm64.LDRSH, arm64.LDRSW:
+		addRegs(&uses, in.Rn)
+		addRegs(&defs, in.Rd)
 	case arm64.MADD, arm64.MSUB:
-		return norm([]arm64.Reg{in.Rn, in.Rm, in.Ra}), norm([]arm64.Reg{in.Rd})
+		addRegs(&uses, in.Rn, in.Rm, in.Ra)
+		addRegs(&defs, in.Rd)
 	case arm64.MOVZ, arm64.MOVN:
-		return nil, norm([]arm64.Reg{in.Rd})
+		addRegs(&defs, in.Rd)
 	case arm64.MOVK:
-		return norm([]arm64.Reg{in.Rd}), norm([]arm64.Reg{in.Rd})
-	case arm64.LDR, arm64.LDUR, arm64.LDRSB, arm64.LDRSH, arm64.LDRSW:
-		return norm([]arm64.Reg{in.Rn}), norm([]arm64.Reg{in.Rd})
+		addRegs(&uses, in.Rd)
+		addRegs(&defs, in.Rd)
 	case arm64.LDRR:
-		return norm([]arm64.Reg{in.Rn, in.Rm}), norm([]arm64.Reg{in.Rd})
+		addRegs(&uses, in.Rn, in.Rm)
+		addRegs(&defs, in.Rd)
 	case arm64.STR, arm64.STUR:
-		return norm([]arm64.Reg{in.Rd, in.Rn}), nil
+		addRegs(&uses, in.Rd, in.Rn)
 	case arm64.STRR:
-		return norm([]arm64.Reg{in.Rd, in.Rn, in.Rm}), nil
+		addRegs(&uses, in.Rd, in.Rn, in.Rm)
 	case arm64.FCMP:
-		return norm([]arm64.Reg{in.Rn, in.Rm}), nil
+		addRegs(&uses, in.Rn, in.Rm)
 	case arm64.CBZ, arm64.CBNZ:
-		return norm([]arm64.Reg{in.Rd}), nil
+		addRegs(&uses, in.Rd)
 	case arm64.BL:
 		// Calls clobber caller-saved registers; argument registers are
 		// read before the call (same approximation as the x86 lifter).
-		var defs []arm64.Reg
-		for r := arm64.X0; r <= arm64.X18; r++ {
-			defs = append(defs, r)
-		}
-		for r := arm64.D0; r <= arm64.D31; r++ {
-			defs = append(defs, r)
-		}
-		return nil, defs
+		defs = callerSaved
 	case arm64.BLR, arm64.BR:
-		return norm([]arm64.Reg{in.Rn}), nil
+		addRegs(&uses, in.Rn)
 	}
-	return nil, nil
+	return uses, defs
+}
+
+// callerSaved are the registers a call clobbers under the AAPCS, as the
+// lifter models it: X0-X18 and D0-D31.
+var callerSaved = func() machine.Regs {
+	var s machine.Regs
+	for r := arm64.X0; r <= arm64.X18; r++ {
+		s.Add(machine.Reg(r))
+	}
+	for r := arm64.D0; r <= arm64.D31; r++ {
+		s.Add(machine.Reg(r))
+	}
+	return s
+}()
+
+func addRegs(s *machine.Regs, rs ...arm64.Reg) {
+	for _, r := range rs {
+		if r != arm64.XZR && r != arm64.SP && r != arm64.RegNone {
+			s.Add(machine.Reg(r))
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
 	"lasagne/internal/lifter"
+	"lasagne/internal/machine"
 	"lasagne/internal/obj"
 )
 
@@ -20,7 +21,7 @@ const (
 
 type fnLifter struct {
 	l  *ModuleLifter
-	mf *mfunc
+	mf *machine.Function[unit]
 	f  *ir.Func
 	b  *ir.Builder
 
@@ -50,8 +51,8 @@ func (ml *ModuleLifter) LiftFunc(name string) error {
 
 	// Frame size: sum of prologue SP decrements plus slack.
 	var frame int64 = 64
-	for _, b := range mf.blocks {
-		for _, u := range b.units {
+	for _, b := range mf.Blocks {
+		for _, u := range b.Insts {
 			if u.kind == unitInst && u.inst.Op == arm64.SUBI && u.inst.Rd == arm64.SP && u.inst.Rn == arm64.SP {
 				frame += u.inst.Imm
 			}
@@ -73,26 +74,22 @@ func (ml *ModuleLifter) LiftFunc(name string) error {
 	fl.spKnown = true
 	fl.spOff = frame - 16
 
-	for _, mb := range mf.blocks {
-		fl.irBlocks[mb.start] = f.NewBlock(fmt.Sprintf("bb_%x", mb.start))
+	for _, mb := range mf.Blocks {
+		fl.irBlocks[mb.Start] = f.NewBlock(fmt.Sprintf("bb_%x", mb.Start))
 	}
 
 	fl.regVal = map[arm64.Reg]ir.Value{}
-	intIdx, fpIdx := 0, 0
-	for i, pt := range mf.sig.Params {
-		pv := f.Params[i]
-		if pt == ir.F64 {
-			fl.writeReg(arm64.D0+arm64.Reg(fpIdx), fl.b.Bitcast(pv, ir.I64))
-			fpIdx++
-		} else {
-			fl.writeReg(arm64.X0+arm64.Reg(intIdx), pv)
-			intIdx++
+	for i, p := range mf.Params {
+		var pv ir.Value = f.Params[i]
+		if p.Kind == machine.ParamF64 {
+			pv = fl.b.Bitcast(pv, ir.I64)
 		}
+		fl.writeReg(arm64.Reg(p.Reg), pv)
 	}
-	fl.b.Br(fl.irBlocks[mf.blocks[0].start])
+	fl.b.Br(fl.irBlocks[mf.Blocks[0].Start])
 
-	for i, mb := range mf.blocks {
-		fl.b = ir.NewBuilder(fl.irBlocks[mb.start])
+	for i, mb := range mf.Blocks {
+		fl.b = ir.NewBuilder(fl.irBlocks[mb.Start])
 		fl.regVal = map[arm64.Reg]ir.Value{}
 		if i > 0 {
 			fl.spKnown, fl.spOff = fl.snapKnown, fl.snapOff
@@ -245,24 +242,23 @@ func (fl *fnLifter) writeF64(r arm64.Reg, v ir.Value) {
 	fl.writeReg(r, fl.b.Bitcast(v, ir.I64))
 }
 
-func (fl *fnLifter) liftBlock(mb *mblock) error {
-	for i, u := range mb.units {
-		last := i == len(mb.units)-1
+// liftBlock translates one machine block into the corresponding IR block.
+// The machine layer has already rejected indirect jumps, conditional
+// branches without a fall-through and blocks that fall off the end.
+func (fl *fnLifter) liftBlock(mb *machine.Block[unit]) error {
+	for _, u := range mb.Insts {
 		if u.kind != unitInst {
 			fl.liftAtomic(u)
-			if last && len(mb.succs) == 1 {
-				fl.b.Br(fl.irBlocks[mb.succs[0].start])
-			}
 			continue
 		}
 		in := u.inst
 		switch in.Op {
 		case arm64.B:
-			fl.b.Br(fl.irBlocks[uint64(in.Imm)])
+			fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
 			return nil
 		case arm64.BCOND:
 			c := fl.cond(in.Cond)
-			fl.b.CondBr(c, fl.irBlocks[uint64(in.Imm)], fl.irBlocks[mb.succs[1].start])
+			fl.b.CondBr(c, fl.irBlocks[mb.Succs[0].Start], fl.irBlocks[mb.Succs[1].Start])
 			return nil
 		case arm64.CBZ, arm64.CBNZ:
 			v := fl.readRegW(in.Rd, widthOf(in.Size))
@@ -271,13 +267,13 @@ func (fl *fnLifter) liftBlock(mb *mblock) error {
 				pred = ir.PredNE
 			}
 			c := fl.b.ICmp(pred, v, ir.IntConst(lifter.IntType(widthOf(in.Size)), 0))
-			fl.b.CondBr(c, fl.irBlocks[uint64(in.Imm)], fl.irBlocks[mb.succs[1].start])
+			fl.b.CondBr(c, fl.irBlocks[mb.Succs[0].Start], fl.irBlocks[mb.Succs[1].Start])
 			return nil
 		case arm64.RET:
-			switch fl.mf.sig.Ret {
-			case ir.I64:
+			switch fl.mf.Ret {
+			case machine.RetInt:
 				fl.b.Ret(fl.readReg(arm64.X0))
-			case ir.F64:
+			case machine.RetF64:
 				fl.b.Ret(fl.readF64(arm64.D0))
 			default:
 				fl.b.Ret(nil)
@@ -288,13 +284,9 @@ func (fl *fnLifter) liftBlock(mb *mblock) error {
 				return fmt.Errorf("at %#x (%s): %w", in.Addr, in.String(), err)
 			}
 		}
-		if last {
-			if len(mb.succs) != 1 {
-				return fmt.Errorf("block at %#x falls off the end", mb.start)
-			}
-			fl.b.Br(fl.irBlocks[mb.succs[0].start])
-		}
 	}
+	// Fallthrough into the next block.
+	fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
 	return nil
 }
 

@@ -10,24 +10,17 @@ import (
 )
 
 // liftBlock translates one machine block into the corresponding IR block.
-func (fl *fnLifter) liftBlock(mb *machine.Block) error {
-	for i, in := range mb.Insts {
-		last := i == len(mb.Insts)-1
+// The machine layer has already rejected indirect jumps, conditional
+// branches without a fall-through and blocks that fall off the end.
+func (fl *fnLifter) liftBlock(mb *machine.Block[x86.Inst]) error {
+	for _, in := range mb.Insts {
 		switch in.Op {
 		case x86.JMP:
-			tgt, ok := in.BranchTarget()
-			if !ok {
-				return fmt.Errorf("indirect jump at %#x (dynamic jumps are unsupported, as in mctoll)", in.Addr)
-			}
-			fl.b.Br(fl.irBlocks[tgt])
+			fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
 			return nil
 		case x86.JCC:
-			tgt, _ := in.BranchTarget()
-			if len(mb.Succs) != 2 {
-				return fmt.Errorf("conditional branch at %#x without fallthrough", in.Addr)
-			}
 			c := fl.cond(in, in.Cond)
-			fl.b.CondBr(c, fl.irBlocks[tgt], fl.irBlocks[mb.Succs[1].Start])
+			fl.b.CondBr(c, fl.irBlocks[mb.Succs[0].Start], fl.irBlocks[mb.Succs[1].Start])
 			return nil
 		case x86.RET:
 			switch fl.mf.Ret {
@@ -47,14 +40,9 @@ func (fl *fnLifter) liftBlock(mb *machine.Block) error {
 				return fmt.Errorf("at %#x (%s): %w", in.Addr, in.String(), err)
 			}
 		}
-		if last {
-			// Fallthrough into the next block.
-			if len(mb.Succs) != 1 {
-				return fmt.Errorf("block at %#x falls off the end", mb.Start)
-			}
-			fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
-		}
 	}
+	// Fallthrough into the next block.
+	fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
 	return nil
 }
 

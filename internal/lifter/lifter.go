@@ -144,38 +144,26 @@ func Lift(file *obj.File) (*ir.Module, error) {
 // LiftFunc translates one body.
 type ModuleLifter struct {
 	l       *lifter
-	streams []mc.Stream
+	streams []mc.Stream[x86.Inst]
 }
 
 // BeginTolerant disassembles the object and prepares the module shell. When
 // bad is non-nil, a function with undecodable bytes is reported through bad
 // and dropped from the stream list instead of failing the whole object.
 func BeginTolerant(file *obj.File, bad func(sym obj.Symbol, err error)) (*ModuleLifter, error) {
-	var streams []mc.Stream
-	var err error
-	if bad == nil {
-		streams, err = mc.Disassemble(file)
-	} else {
-		streams, err = mc.DisassembleEach(file, bad)
-	}
+	streams, err := mc.Decode(file, "x86-64", x86.DecodeAll, bad)
 	if err != nil {
 		return nil, err
 	}
-	l := &lifter{file: file, mod: Shell(file), mfuncs: map[string]*machine.Function{}}
+	l := &lifter{file: file, mod: Shell(file), mfuncs: map[string]*machine.Function[x86.Inst]{}}
 	return &ModuleLifter{l: l, streams: streams}, nil
 }
 
 // Streams returns the per-function instruction streams in object order.
-func (ml *ModuleLifter) Streams() []mc.Stream { return ml.streams }
+func (ml *ModuleLifter) Streams() []mc.Stream[x86.Inst] { return ml.streams }
 
 // Names returns the streams' function names in object order.
-func (ml *ModuleLifter) Names() []string {
-	names := make([]string, len(ml.streams))
-	for i, s := range ml.streams {
-		names[i] = s.Sym.Name
-	}
-	return names
-}
+func (ml *ModuleLifter) Names() []string { return mc.Names(ml.streams) }
 
 // Declare is DeclareFunc for the i-th stream.
 func (ml *ModuleLifter) Declare(i int) error { return ml.DeclareFunc(ml.streams[i]) }
@@ -187,31 +175,13 @@ func (ml *ModuleLifter) Module() *ir.Module { return ml.l.mod }
 // discovery, creating the (still empty) IR function. All declarations must
 // happen before any LiftFunc so call instructions can resolve their
 // callees.
-func (ml *ModuleLifter) DeclareFunc(s mc.Stream) error {
-	mf, err := machine.Build(s)
+func (ml *ModuleLifter) DeclareFunc(s mc.Stream[x86.Inst]) error {
+	mf, err := machine.Build(ISA, s)
 	if err != nil {
 		return err
 	}
 	ml.l.mfuncs[mf.Name] = mf
-	var params []ir.Type
-	for _, p := range mf.Params {
-		switch p.Kind {
-		case machine.ParamInt:
-			params = append(params, ir.I64)
-		case machine.ParamF64:
-			params = append(params, ir.F64)
-		case machine.ParamF32:
-			params = append(params, ir.F32)
-		}
-	}
-	var ret ir.Type = ir.Void
-	switch mf.Ret {
-	case machine.RetInt:
-		ret = ir.I64
-	case machine.RetF64:
-		ret = ir.F64
-	}
-	ml.l.mod.NewFunc(mf.Name, &ir.FuncType{Ret: ret, Params: params})
+	ml.l.mod.NewFunc(mf.Name, mf.Type())
 	return nil
 }
 
@@ -229,7 +199,7 @@ func (ml *ModuleLifter) LiftFunc(name string) error {
 type lifter struct {
 	file   *obj.File
 	mod    *ir.Module
-	mfuncs map[string]*machine.Function
+	mfuncs map[string]*machine.Function[x86.Inst]
 }
 
 // Flag indices.
@@ -245,7 +215,7 @@ const (
 // fnLifter holds per-function lifting state.
 type fnLifter struct {
 	l  *lifter
-	mf *machine.Function
+	mf *machine.Function[x86.Inst]
 	f  *ir.Func
 	b  *ir.Builder
 
@@ -266,7 +236,7 @@ type fnLifter struct {
 	snapOff   map[x86.Reg]int64
 }
 
-func (l *lifter) liftFunc(mf *machine.Function) error {
+func (l *lifter) liftFunc(mf *machine.Function[x86.Inst]) error {
 	f := l.mod.Func(mf.Name)
 	fl := &fnLifter{
 		l: l, mf: mf, f: f,
@@ -315,15 +285,15 @@ func (l *lifter) liftFunc(mf *machine.Function) error {
 	// Parameters land in their conventional registers.
 	fl.regVal = map[x86.Reg]ir.Value{}
 	for i, p := range mf.Params {
-		pv := f.Params[i]
+		pv, r := f.Params[i], x86.Reg(p.Reg)
 		switch p.Kind {
 		case machine.ParamInt:
-			fl.writeReg64(p.Reg, pv)
+			fl.writeReg64(r, pv)
 		case machine.ParamF64:
-			fl.writeReg64(p.Reg, fl.b.Bitcast(pv, ir.I64))
+			fl.writeReg64(r, fl.b.Bitcast(pv, ir.I64))
 		case machine.ParamF32:
 			bits := fl.b.Bitcast(pv, &ir.IntType{Bits: 32})
-			fl.writeReg64(p.Reg, fl.b.Zext(bits, ir.I64))
+			fl.writeReg64(r, fl.b.Zext(bits, ir.I64))
 		}
 	}
 	fl.b.Br(fl.irBlocks[mf.Blocks[0].Start])

@@ -7,6 +7,7 @@ import (
 	"lasagne/internal/backend"
 	"lasagne/internal/ir"
 	"lasagne/internal/minic"
+	"lasagne/internal/obj"
 	"lasagne/internal/sim"
 )
 
@@ -273,4 +274,23 @@ int main() {
   print_int(acc);
   return 0;
 }`)
+}
+
+// A function that ends in a conditional branch has no fall-through block:
+// Lift reports it as an error when it declares the function, as the Arm64
+// lifter does.
+func TestLiftCondBranchAtEnd(t *testing.T) {
+	bin := &obj.File{Arch: "x86-64", Entry: "main",
+		Sections: []obj.Section{{Name: ".text", Addr: obj.TextBase, Data: []byte{0x0F, 0x84, 0xFA, 0xFF, 0xFF, 0xFF}}}, // je .
+		Symbols:  []obj.Symbol{{Name: "main", Kind: obj.SymFunc, Addr: obj.TextBase, Size: 6}}}
+	if _, err := Lift(bin); err == nil || !strings.Contains(err.Error(), "without fallthrough") {
+		t.Fatalf("err = %v, want a without-fallthrough error", err)
+	}
+	ml, err := BeginTolerant(bin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ml.Declare(0); err == nil {
+		t.Fatal("declaring a function with a trailing jcc succeeded")
+	}
 }

@@ -1,30 +1,78 @@
-// Package machine implements the MachineInstr lifting layer (Fig. 4): it
-// reconstructs control-flow graphs from decoded instruction streams and
-// performs the function-type discovery of §4.1 — live-register analysis
-// against the System-V calling convention to recover parameter lists and
-// return types that were erased by compilation.
+// Package machine implements the MachineInstr lifting layer (Fig. 4) for
+// both input ISAs: it reconstructs control-flow graphs from decoded
+// instruction streams, computes block liveness, and performs the
+// function-type discovery of §4.1 — live-register analysis against the
+// calling convention to recover parameter lists and return types that
+// were erased by compilation. The layer is generic over the instruction
+// type; each lifter describes its ISA with an ISA value (the x86-64 lifter
+// over x86.Inst under System V, the Arm64 lifter over its
+// instruction-or-LL/SC-idiom units under the AAPCS).
 package machine
 
 import (
 	"fmt"
 	"sort"
 
+	"lasagne/internal/ir"
 	"lasagne/internal/mc"
-	"lasagne/internal/x86"
 )
 
-// Block is one basic block of machine instructions.
-type Block struct {
-	Start uint64
-	Insts []x86.Inst
-	Succs []*Block
+// Reg is a dense register number: an ISA numbers the registers its UseDef
+// reports from 0 up to 127.
+type Reg uint8
 
-	// Liveness sets over registers (GP and XMM).
-	use, def map[x86.Reg]bool
-	in, out  map[x86.Reg]bool
+// Regs is a set of registers.
+type Regs [2]uint64
+
+// Add puts r in the set.
+func (s *Regs) Add(r Reg) { s[r>>6] |= 1 << (r & 63) }
+
+// Has reports whether r is in the set.
+func (s *Regs) Has(r Reg) bool { return s[r>>6]&(1<<(r&63)) != 0 }
+
+// Flow is how an instruction passes control on.
+type Flow int
+
+const (
+	Next     Flow = iota // falls through to the next instruction
+	Call                 // a call: falls through, clobbering what UseDef says
+	Jump                 // a direct jump to its target
+	CondJump             // a direct conditional branch: its target, else the next instruction
+	Indirect             // a jump through a register (unsupported, as in mctoll)
+	Return               // a return
+	Trap                 // ends its block with no successor (x86 ud2)
+)
+
+// ISA describes one instruction set to the shared layer; I is the unit the
+// lifter translates.
+type ISA[I any] struct {
+	// Span returns an instruction's address and length in bytes.
+	Span func(in *I) (addr uint64, n int)
+	// Flow classifies an instruction; target is the destination of a Jump
+	// or CondJump.
+	Flow func(in *I) (f Flow, target uint64)
+	// UseDef returns the registers an instruction reads and writes.
+	UseDef func(in *I) (uses, defs Regs)
+	// The calling convention: parameter registers in ABI order and the
+	// return registers.
+	IntParams, FPParams []Reg
+	IntRet, FPRet       Reg
+	// FPParam returns the kind of f's FP parameter r; nil makes every FP
+	// parameter an f64.
+	FPParam func(f *Function[I], r Reg) ParamKind
 }
 
-// ParamKind distinguishes integer/pointer parameters from SSE ones.
+// Block is one basic block of machine instructions.
+type Block[I any] struct {
+	Start uint64
+	Insts []I
+	// Succs lists the jump or branch target first, then the fall-through.
+	Succs []*Block[I]
+
+	use, def, in Regs // liveness: upward-exposed uses, definitions, live-in
+}
+
+// ParamKind distinguishes integer/pointer parameters from FP ones.
 type ParamKind int
 
 const (
@@ -35,7 +83,7 @@ const (
 
 // Param is one discovered parameter with its source register.
 type Param struct {
-	Reg  x86.Reg
+	Reg  Reg
 	Kind ParamKind
 }
 
@@ -49,362 +97,192 @@ const (
 )
 
 // Function is a machine function with a CFG and a discovered type.
-type Function struct {
+type Function[I any] struct {
 	Name   string
 	Entry  uint64
-	Blocks []*Block
+	Blocks []*Block[I] // in address order; the entry block first
 	Params []Param
 	Ret    RetKind
 }
 
-// System-V parameter registers in ABI order.
-var intParamRegs = []x86.Reg{x86.RDI, x86.RSI, x86.RDX, x86.RCX, x86.R8, x86.R9}
-var fpParamRegs = []x86.Reg{x86.XMM0, x86.XMM1, x86.XMM2, x86.XMM3, x86.XMM4, x86.XMM5, x86.XMM6, x86.XMM7}
-
-// Build reconstructs the CFG of a disassembled function and discovers its
-// type.
-func Build(s mc.Stream) (*Function, error) {
+// Build reconstructs the CFG of one decoded function, computes its block
+// liveness and discovers its type.
+func Build[I any](isa *ISA[I], s mc.Stream[I]) (*Function[I], error) {
 	if len(s.Insts) == 0 {
 		return nil, fmt.Errorf("machine: %s is empty", s.Sym.Name)
 	}
-	f := &Function{Name: s.Sym.Name, Entry: s.Sym.Addr}
-	if err := f.buildCFG(s); err != nil {
+	f := &Function[I]{Name: s.Sym.Name, Entry: s.Sym.Addr}
+	if err := f.buildCFG(isa, s); err != nil {
 		return nil, err
 	}
-	f.liveness()
-	f.discoverParams()
-	f.discoverReturn()
+	f.liveness(isa)
+	f.discoverParams(isa)
+	f.discoverReturn(isa)
 	return f, nil
 }
 
-func (f *Function) buildCFG(s mc.Stream) error {
+// Type returns the discovered signature.
+func (f *Function[I]) Type() *ir.FuncType {
+	sig := &ir.FuncType{Ret: ir.Void}
+	for _, p := range f.Params {
+		sig.Params = append(sig.Params, [...]ir.Type{ParamInt: ir.I64, ParamF64: ir.F64, ParamF32: ir.F32}[p.Kind])
+	}
+	switch f.Ret {
+	case RetInt:
+		sig.Ret = ir.I64
+	case RetF64:
+		sig.Ret = ir.F64
+	}
+	return sig
+}
+
+func (f *Function[I]) buildCFG(isa *ISA[I], s mc.Stream[I]) error {
+	insts := s.Insts
 	end := s.Sym.Addr + s.Sym.Size
-	// Leaders: entry, branch targets, instruction after each terminator.
-	leaders := map[uint64]bool{s.Sym.Addr: true}
-	for _, in := range s.Insts {
-		if tgt, ok := in.BranchTarget(); ok && in.Op != x86.CALL {
+	addr := func(i int) uint64 { a, _ := isa.Span(&insts[i]); return a }
+	// Leaders: the entry, every branch target, and the instruction after
+	// each one that ends a block. leader[len(insts)] closes the last block.
+	leader := make([]bool, len(insts)+1)
+	leader[0], leader[len(insts)] = true, true
+	for i := range insts {
+		switch fl, tgt := isa.Flow(&insts[i]); fl {
+		case Jump, CondJump:
 			if tgt < s.Sym.Addr || tgt >= end {
 				return fmt.Errorf("machine: %s: branch to %#x outside function", f.Name, tgt)
 			}
-			leaders[tgt] = true
-		}
-		if in.IsTerminator() {
-			leaders[in.Addr+uint64(in.Len)] = true
-		}
-	}
-	// Split into blocks.
-	byStart := map[uint64]*Block{}
-	var cur *Block
-	for _, in := range s.Insts {
-		if leaders[in.Addr] || cur == nil {
-			cur = &Block{Start: in.Addr}
-			byStart[in.Addr] = cur
-			f.Blocks = append(f.Blocks, cur)
-		}
-		cur.Insts = append(cur.Insts, in)
-	}
-	// Successor edges.
-	for _, b := range f.Blocks {
-		last := b.Insts[len(b.Insts)-1]
-		next := last.Addr + uint64(last.Len)
-		addSucc := func(addr uint64) error {
-			s, ok := byStart[addr]
-			if !ok {
-				return fmt.Errorf("machine: %s: no block at %#x", f.Name, addr)
+			j := sort.Search(len(insts), func(j int) bool { return addr(j) >= tgt })
+			if j == len(insts) || addr(j) != tgt {
+				return fmt.Errorf("machine: %s: no block at %#x", f.Name, tgt)
 			}
-			b.Succs = append(b.Succs, s)
-			return nil
-		}
-		switch last.Op {
-		case x86.RET, x86.UD2:
-		case x86.JMP:
-			tgt, ok := last.BranchTarget()
-			if !ok {
-				return fmt.Errorf("machine: %s: indirect jump at %#x unsupported", f.Name, last.Addr)
-			}
-			if err := addSucc(tgt); err != nil {
-				return err
-			}
-		case x86.JCC:
-			tgt, _ := last.BranchTarget()
-			if err := addSucc(tgt); err != nil {
-				return err
-			}
-			if next < end {
-				if err := addSucc(next); err != nil {
-					return err
-				}
-			}
-		default:
-			if next < end {
-				if err := addSucc(next); err != nil {
-					return err
-				}
-			}
+			leader[j], leader[i+1] = true, true
+		case Indirect:
+			return fmt.Errorf("machine: %s: indirect jump at %#x (dynamic jumps are unsupported, as in mctoll)", f.Name, addr(i))
+		case Return, Trap:
+			leader[i+1] = true
 		}
 	}
-	// Stable order by address.
-	sort.Slice(f.Blocks, func(i, j int) bool { return f.Blocks[i].Start < f.Blocks[j].Start })
+	// Split into blocks, which come out in address order.
+	n := 0
+	for _, l := range leader[:len(insts)] {
+		if l {
+			n++
+		}
+	}
+	blocks := make([]Block[I], 0, n)
+	for lo := 0; lo < len(insts); {
+		hi := lo + 1
+		for !leader[hi] {
+			hi++
+		}
+		blocks = append(blocks, Block[I]{Start: addr(lo), Insts: insts[lo:hi:hi]})
+		lo = hi
+	}
+	f.Blocks = make([]*Block[I], len(blocks))
+	for k := range blocks {
+		f.Blocks[k] = &blocks[k]
+	}
+	// Successor edges. Blocks tile the function, so a fall-through goes to
+	// the next block, and the last block has none.
+	edges := make([]*Block[I], 2*len(blocks))
+	for k, b := range f.Blocks {
+		last := &b.Insts[len(b.Insts)-1]
+		b.Succs = edges[2*k : 2*k : 2*k+2]
+		fl, tgt := isa.Flow(last)
+		if fl == Jump || fl == CondJump {
+			b.Succs = append(b.Succs, f.Blocks[sort.Search(len(blocks), func(j int) bool { return blocks[j].Start >= tgt })])
+		}
+		if fl == Jump || fl == Return || fl == Trap {
+			continue
+		}
+		if k+1 == len(blocks) {
+			if fl == CondJump {
+				a, _ := isa.Span(last)
+				return fmt.Errorf("machine: %s: conditional branch at %#x without fallthrough", f.Name, a)
+			}
+			return fmt.Errorf("machine: %s: block at %#x falls off the end", f.Name, b.Start)
+		}
+		b.Succs = append(b.Succs, f.Blocks[k+1])
+	}
 	return nil
 }
 
-// callerSaved are the registers clobbered by a call under System-V.
-var callerSaved = func() []x86.Reg {
-	regs := []x86.Reg{x86.RAX, x86.RCX, x86.RDX, x86.RSI, x86.RDI, x86.R8, x86.R9, x86.R10, x86.R11}
-	for r := x86.XMM0; r <= x86.XMM15; r++ {
-		regs = append(regs, r)
-	}
-	return regs
-}()
-
-// useDef returns the registers read and written by one instruction.
-// Memory operand base/index registers are always uses.
-func useDef(in x86.Inst) (uses, defs []x86.Reg) {
-	addMemUses := func(o x86.Operand) {
-		if o.Kind != x86.KindMem {
-			return
-		}
-		if o.Mem.Base != x86.RegNone && o.Mem.Base != x86.RIP {
-			uses = append(uses, o.Mem.Base)
-		}
-		if o.Mem.Index != x86.RegNone {
-			uses = append(uses, o.Mem.Index)
-		}
-	}
-	for _, o := range in.Ops {
-		addMemUses(o)
-	}
-	reg := func(i int) (x86.Reg, bool) {
-		if i < len(in.Ops) && in.Ops[i].Kind == x86.KindReg {
-			return in.Ops[i].Reg, true
-		}
-		return 0, false
-	}
-
-	switch in.Op {
-	case x86.MOV, x86.MOVZX, x86.MOVSX, x86.MOVSXD, x86.LEA,
-		x86.MOVSD_X, x86.MOVSS_X, x86.MOVQ, x86.MOVD, x86.MOVAPS, x86.MOVUPS,
-		x86.CVTSI2SD, x86.CVTTSD2SI, x86.CVTSS2SD, x86.CVTSD2SS, x86.SETCC:
-		// dst := f(src): dst written (if register), src read.
-		if r, ok := reg(0); ok {
-			defs = append(defs, r)
-		}
-		if r, ok := reg(1); ok {
-			uses = append(uses, r)
-		}
-	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR,
-		x86.SHL, x86.SHR, x86.SAR, x86.NEG, x86.NOT,
-		x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.SQRTSD,
-		x86.ADDSS, x86.SUBSS, x86.MULSS, x86.DIVSS,
-		x86.PXOR, x86.XORPS, x86.ADDPD, x86.MULPD, x86.ADDPS, x86.PADDD,
-		x86.CMOVCC:
-		// dst := dst op src. An xor/pxor of a register with itself is the
-		// conventional zeroing idiom: a pure definition, not a use.
-		zeroIdiom := (in.Op == x86.XOR || in.Op == x86.PXOR || in.Op == x86.XORPS) &&
-			len(in.Ops) == 2 && in.Ops[0].Kind == x86.KindReg && in.Ops[1].Kind == x86.KindReg &&
-			in.Ops[0].Reg == in.Ops[1].Reg
-		if r, ok := reg(0); ok {
-			defs = append(defs, r)
-			if !zeroIdiom {
-				uses = append(uses, r)
-			}
-		}
-		if r, ok := reg(1); ok && !zeroIdiom {
-			uses = append(uses, r)
-		}
-	case x86.CMP, x86.TEST, x86.UCOMISD:
-		for i := 0; i < 2; i++ {
-			if r, ok := reg(i); ok {
-				uses = append(uses, r)
-			}
-		}
-	case x86.IMUL:
-		if r, ok := reg(0); ok {
-			defs = append(defs, r)
-			if len(in.Ops) == 2 {
-				uses = append(uses, r)
-			}
-		}
-		if r, ok := reg(1); ok {
-			uses = append(uses, r)
-		}
-	case x86.IMUL1, x86.MUL1, x86.IDIV, x86.DIV:
-		uses = append(uses, x86.RAX, x86.RDX)
-		defs = append(defs, x86.RAX, x86.RDX)
-		if r, ok := reg(0); ok {
-			uses = append(uses, r)
-		}
-	case x86.CQO, x86.CDQ:
-		uses = append(uses, x86.RAX)
-		defs = append(defs, x86.RDX)
-	case x86.PUSH:
-		if r, ok := reg(0); ok {
-			uses = append(uses, r)
-		}
-		uses = append(uses, x86.RSP)
-		defs = append(defs, x86.RSP)
-	case x86.POP:
-		if r, ok := reg(0); ok {
-			defs = append(defs, r)
-		}
-		uses = append(uses, x86.RSP)
-		defs = append(defs, x86.RSP)
-	case x86.XCHG, x86.XADD:
-		if r, ok := reg(0); ok {
-			uses = append(uses, r)
-			defs = append(defs, r)
-		}
-		if r, ok := reg(1); ok {
-			uses = append(uses, r)
-			defs = append(defs, r)
-		}
-	case x86.CMPXCHG:
-		uses = append(uses, x86.RAX)
-		defs = append(defs, x86.RAX)
-		if r, ok := reg(0); ok {
-			uses = append(uses, r)
-			defs = append(defs, r)
-		}
-		if r, ok := reg(1); ok {
-			uses = append(uses, r)
-		}
-	case x86.CALL:
-		// Calls clobber all caller-saved registers. Argument registers are
-		// not modeled as uses here; parameter discovery relies on reads
-		// that occur before the call (mctoll behaves equivalently because
-		// compilers load argument registers immediately before calls).
-		defs = append(defs, callerSaved...)
-		if r, ok := reg(0); ok {
-			uses = append(uses, r)
-		}
-	}
-	// Shift by CL reads RCX.
-	if (in.Op == x86.SHL || in.Op == x86.SHR || in.Op == x86.SAR) &&
-		len(in.Ops) == 2 && in.Ops[1].Kind == x86.KindReg {
-		uses = append(uses, x86.RCX)
-	}
-	return uses, defs
-}
-
-// liveness computes per-block live-in/live-out register sets.
-func (f *Function) liveness() {
+// liveness computes each block's live-in registers by the usual backward
+// fixpoint over bitsets.
+func (f *Function[I]) liveness(isa *ISA[I]) {
 	for _, b := range f.Blocks {
-		b.use = map[x86.Reg]bool{}
-		b.def = map[x86.Reg]bool{}
-		b.in = map[x86.Reg]bool{}
-		b.out = map[x86.Reg]bool{}
-		for _, in := range b.Insts {
-			uses, defs := useDef(in)
-			for _, r := range uses {
-				if !b.def[r] {
-					b.use[r] = true
-				}
-			}
-			for _, r := range defs {
-				b.def[r] = true
+		for i := range b.Insts {
+			uses, defs := isa.UseDef(&b.Insts[i])
+			for w := range uses {
+				b.use[w] |= uses[w] &^ b.def[w]
+				b.def[w] |= defs[w]
 			}
 		}
 	}
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
 			b := f.Blocks[i]
+			var out Regs
 			for _, s := range b.Succs {
-				for r := range s.in {
-					if !b.out[r] {
-						b.out[r] = true
-						changed = true
-					}
+				for w := range out {
+					out[w] |= s.in[w]
 				}
 			}
-			for r := range b.use {
-				if !b.in[r] {
-					b.in[r] = true
-					changed = true
-				}
-			}
-			for r := range b.out {
-				if !b.def[r] && !b.in[r] {
-					b.in[r] = true
-					changed = true
+			for w := range out {
+				if in := b.use[w] | out[w]&^b.def[w]; in != b.in[w] {
+					b.in[w], changed = in, true
 				}
 			}
 		}
 	}
 }
 
-// discoverParams applies §4.1: a conventional parameter register that is
-// live-in at the entry block is a parameter. The System-V prefix property
-// holds (a compiler never passes an argument in RSI without also using
-// RDI), so discovery stops at the first non-live register.
-func (f *Function) discoverParams() {
-	entry := f.Blocks[0]
-	for _, r := range intParamRegs {
-		if !entry.in[r] {
+// discoverParams applies §4.1: a parameter register that is live-in at the
+// entry block is a parameter. The ABIs' prefix property holds (a compiler
+// never passes an argument in the second register without also using the
+// first), so discovery stops at the first register that is not live.
+func (f *Function[I]) discoverParams(isa *ISA[I]) {
+	live := &f.Blocks[0].in
+	for _, r := range isa.IntParams {
+		if !live.Has(r) {
 			break
 		}
 		f.Params = append(f.Params, Param{Reg: r, Kind: ParamInt})
 	}
-	for _, r := range fpParamRegs {
-		if !entry.in[r] {
+	for _, r := range isa.FPParams {
+		if !live.Has(r) {
 			break
 		}
 		kind := ParamF64
-		if f.firstXMMUseIsF32(r) {
-			kind = ParamF32
+		if isa.FPParam != nil {
+			kind = isa.FPParam(f, r)
 		}
 		f.Params = append(f.Params, Param{Reg: r, Kind: kind})
 	}
 }
 
-// firstXMMUseIsF32 inspects the instructions using an XMM register to derive
-// its type (§4.1: scalar instructions determine float vs double).
-func (f *Function) firstXMMUseIsF32(r x86.Reg) bool {
+// discoverReturn applies the §4.1 heuristic: walk backwards from each
+// return; a definition of the integer (or FP) return register before any
+// call indicates a return value.
+func (f *Function[I]) discoverReturn(isa *ISA[I]) {
 	for _, b := range f.Blocks {
-		for _, in := range b.Insts {
-			for _, o := range in.Ops {
-				if o.Kind == x86.KindReg && o.Reg == r {
-					switch in.Op {
-					case x86.MOVSS_X, x86.ADDSS, x86.SUBSS, x86.MULSS, x86.DIVSS, x86.CVTSS2SD:
-						return true
-					case x86.MOVSD_X, x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.UCOMISD, x86.CVTSD2SS:
-						return false
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// discoverReturn applies the §4.1 heuristic: walk backwards from each RET;
-// a definition of RAX (or XMM0) before any call indicates a return value.
-func (f *Function) discoverReturn() {
-	ret := RetVoid
-	for _, b := range f.Blocks {
-		last := b.Insts[len(b.Insts)-1]
-		if last.Op != x86.RET {
+		if fl, _ := isa.Flow(&b.Insts[len(b.Insts)-1]); fl != Return {
 			continue
 		}
-	scan:
 		for i := len(b.Insts) - 2; i >= 0; i-- {
-			in := b.Insts[i]
-			if in.Op == x86.CALL {
+			in := &b.Insts[i]
+			if fl, _ := isa.Flow(in); fl == Call {
 				break
 			}
-			_, defs := useDef(in)
-			for _, d := range defs {
-				if d == x86.RAX {
-					ret = RetInt
-					break scan
-				}
-				if d == x86.XMM0 {
-					ret = RetF64
-					break scan
-				}
+			_, defs := isa.UseDef(in)
+			if defs.Has(isa.IntRet) {
+				f.Ret = RetInt
+				break
+			}
+			if defs.Has(isa.FPRet) {
+				f.Ret = RetF64
+				break
 			}
 		}
 	}
-	f.Ret = ret
 }

@@ -1,9 +1,11 @@
-package machine
+package machine_test
 
 import (
 	"testing"
 
 	"lasagne/internal/backend"
+	"lasagne/internal/lifter"
+	"lasagne/internal/machine"
 	"lasagne/internal/mc"
 	"lasagne/internal/minic"
 	"lasagne/internal/opt"
@@ -11,7 +13,7 @@ import (
 )
 
 // buildStreams compiles minic source and disassembles the resulting binary.
-func buildStreams(t *testing.T, src string) []mc.Stream {
+func buildStreams(t *testing.T, src string) []mc.Stream[x86.Inst] {
 	t.Helper()
 	m, err := minic.Compile("t", src)
 	if err != nil {
@@ -31,11 +33,11 @@ func buildStreams(t *testing.T, src string) []mc.Stream {
 	return streams
 }
 
-func findFunc(t *testing.T, streams []mc.Stream, name string) *Function {
+func findFunc(t *testing.T, streams []mc.Stream[x86.Inst], name string) *machine.Function[x86.Inst] {
 	t.Helper()
 	for _, s := range streams {
 		if s.Sym.Name == name {
-			f, err := Build(s)
+			f, err := machine.Build(lifter.ISA, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +78,7 @@ func TestCFGReconstruction(t *testing.T) {
 	if f.Blocks[0].Start != f.Entry {
 		t.Fatal("first block is not the entry")
 	}
-	seen := map[*Block]bool{}
+	seen := map[*machine.Block[x86.Inst]]bool{}
 	for _, b := range f.Blocks {
 		seen[b] = true
 	}
@@ -100,11 +102,11 @@ func TestParamDiscovery(t *testing.T) {
 		t.Fatalf("add3: %d params discovered, want 3 (%v)", len(add3.Params), add3.Params)
 	}
 	for i, r := range []x86.Reg{x86.RDI, x86.RSI, x86.RDX} {
-		if add3.Params[i].Reg != r || add3.Params[i].Kind != ParamInt {
+		if add3.Params[i].Reg != machine.Reg(r) || add3.Params[i].Kind != machine.ParamInt {
 			t.Fatalf("add3 param %d = %+v", i, add3.Params[i])
 		}
 	}
-	if add3.Ret != RetInt {
+	if add3.Ret != machine.RetInt {
 		t.Fatalf("add3 return %v, want int", add3.Ret)
 	}
 }
@@ -114,7 +116,7 @@ func TestSSEParamDiscovery(t *testing.T) {
 	scale := findFunc(t, streams, "scale")
 	var ints, fps int
 	for _, p := range scale.Params {
-		if p.Kind == ParamInt {
+		if p.Kind == machine.ParamInt {
 			ints++
 		} else {
 			fps++
@@ -123,7 +125,7 @@ func TestSSEParamDiscovery(t *testing.T) {
 	if ints != 1 || fps != 1 {
 		t.Fatalf("scale params: %d int, %d fp (want 1/1): %+v", ints, fps, scale.Params)
 	}
-	if scale.Ret != RetF64 {
+	if scale.Ret != machine.RetF64 {
 		t.Fatalf("scale return %v, want double", scale.Ret)
 	}
 }
@@ -131,7 +133,7 @@ func TestSSEParamDiscovery(t *testing.T) {
 func TestVoidReturnDiscovery(t *testing.T) {
 	streams := buildStreams(t, testSrc)
 	sink := findFunc(t, streams, "sink")
-	if sink.Ret != RetVoid {
+	if sink.Ret != machine.RetVoid {
 		t.Fatalf("sink return %v, want void", sink.Ret)
 	}
 }
