@@ -268,7 +268,7 @@ func unitUseDef(u *unit) (uses, defs machine.Regs) {
 		arm64.SXTB, arm64.SXTH, arm64.SXTW, arm64.UXTB, arm64.UXTH,
 		arm64.FMOV, arm64.FMOVTOG, arm64.FMOVTOF, arm64.SCVTF, arm64.FCVTZS,
 		arm64.FCVTDS, arm64.FCVTSD, arm64.FSQRT,
-		arm64.LDR, arm64.LDUR, arm64.LDRSB, arm64.LDRSH, arm64.LDRSW:
+		arm64.LDR, arm64.LDUR, arm64.LDRSB, arm64.LDRSH, arm64.LDRSW, arm64.LDAR:
 		addRegs(&uses, in.Rn)
 		addRegs(&defs, in.Rd)
 	case arm64.MADD, arm64.MSUB:
@@ -282,7 +282,7 @@ func unitUseDef(u *unit) (uses, defs machine.Regs) {
 	case arm64.LDRR:
 		addRegs(&uses, in.Rn, in.Rm)
 		addRegs(&defs, in.Rd)
-	case arm64.STR, arm64.STUR:
+	case arm64.STR, arm64.STUR, arm64.STLR:
 		addRegs(&uses, in.Rd, in.Rn)
 	case arm64.STRR:
 		addRegs(&uses, in.Rd, in.Rn, in.Rm)

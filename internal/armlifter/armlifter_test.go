@@ -241,3 +241,36 @@ func TestArmLiftIdiomRecognition(t *testing.T) {
 		t.Fatal("expected rejection of an unmatched ldxr")
 	}
 }
+
+// The weak fence lowering emits LDAR and STLR, so a translated Arm object
+// can start a function with them: their address and value registers are
+// reads and an LDAR's destination is a write, or type discovery drops the
+// parameters and the result.
+func TestArmLiftAcquireReleaseTypes(t *testing.T) {
+	for _, tc := range []struct {
+		in   arm64.Inst
+		want string
+	}{
+		{arm64.Inst{Op: arm64.LDAR, Size: 8, Rd: arm64.X0, Rn: arm64.X0}, "i64 (i64)"},
+		{arm64.Inst{Op: arm64.STLR, Size: 8, Rd: arm64.X1, Rn: arm64.X0}, "void (i64, i64)"},
+	} {
+		var text []byte
+		for _, in := range []arm64.Inst{tc.in, {Op: arm64.RET}} {
+			w, err := arm64.Encode(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text = append(text, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
+		}
+		bin := &obj.File{Arch: "arm64", Entry: "f",
+			Sections: []obj.Section{{Name: ".text", Addr: obj.TextBase, Data: text}},
+			Symbols:  []obj.Symbol{{Name: "f", Kind: obj.SymFunc, Addr: obj.TextBase, Size: uint64(len(text))}}}
+		m, err := Lift(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Func("f").Sig.String(); got != tc.want {
+			t.Errorf("%s: lifted signature %s, want %s", tc.in.Op, got, tc.want)
+		}
+	}
+}

@@ -120,6 +120,8 @@ func TestLateReadParameter(t *testing.T) {
 
 // TestCFGErrors: the shared CFG builder rejects the shapes neither lifter
 // can translate with one message per case, whichever ISA they come from.
+// The third case, a conditional branch without a fall-through, has a test
+// in each lifter (TestLiftCondBranchAtEnd, TestArmLiftCondBranchAtEnd).
 func TestCFGErrors(t *testing.T) {
 	ret := x86.NewInst(x86.RET, 0)
 	for _, tc := range []struct {
@@ -127,12 +129,6 @@ func TestCFGErrors(t *testing.T) {
 		bin  *obj.File
 		want string
 	}{
-		{"x86-64 jcc at end", x86Obj(t,
-			x86.NewInst(x86.TEST, 8, x86.RegOp(x86.RDI), x86.RegOp(x86.RDI)),
-			jcc(x86.CondE, 0)), "conditional branch at 0x400003 without fallthrough"},
-		{"arm64 b.cond at end", armObj(t,
-			arm64.Inst{Op: arm64.SUBSI, Size: 8, Rd: arm64.XZR, Rn: arm64.X0},
-			arm64.Inst{Op: arm64.BCOND, Cond: arm64.EQ, Imm: 0}), "conditional branch at 0x400004 without fallthrough"},
 		{"x86-64 jmp rax", x86Obj(t,
 			x86.NewInst(x86.JMP, 0, x86.RegOp(x86.RAX)), ret), "indirect jump at 0x400000"},
 		{"arm64 br x16", armObj(t,
