@@ -13,8 +13,8 @@ import (
 )
 
 // Hand-encoded one-function objects for the checks that must hold for both
-// ISAs. In both encoders' input a direct branch's Imm names the index of
-// its target instruction; the helpers turn it into the real offset.
+// ISAs. In the helpers' input a conditional branch's Imm names the index of
+// its target instruction; they turn it into the real offset.
 
 func x86Obj(t *testing.T, insts ...x86.Inst) *obj.File {
 	t.Helper()
@@ -33,7 +33,7 @@ func x86Obj(t *testing.T, insts ...x86.Inst) *obj.File {
 	}
 	var text []byte
 	for i, in := range insts {
-		if in.Op == x86.JCC || (in.Op == x86.JMP && in.Ops[0].Kind == x86.KindImm) {
+		if in.Op == x86.JCC {
 			in.Ops = []x86.Operand{x86.ImmOp(addr[in.Ops[0].Imm] - addr[i+1])}
 		}
 		text = append(text, encode(in)...)
@@ -45,7 +45,7 @@ func armObj(t *testing.T, insts ...arm64.Inst) *obj.File {
 	t.Helper()
 	var text []byte
 	for i, in := range insts {
-		if in.Op == arm64.B || in.Op == arm64.BCOND || in.Op == arm64.CBZ || in.Op == arm64.CBNZ {
+		if in.Op == arm64.CBZ || in.Op == arm64.CBNZ {
 			in.Imm = (in.Imm - int64(i)) * 4
 		}
 		w, err := arm64.Encode(in)
