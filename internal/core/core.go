@@ -74,7 +74,7 @@ import (
 // for cache keying: any change to fence placement, fence merging or the
 // standard optimization pipeline must be reflected here (bump the prefix or
 // let the pass list change do it), or stale cache entries would replay.
-var PipelineVersion = "core-v4;opt=" + strings.Join(opt.StandardPipeline, ",")
+var PipelineVersion = "core-v5;opt=" + strings.Join(opt.StandardPipeline, ",")
 
 // Config selects pipeline stages. The zero value is the bare correct
 // translation (the paper's "Lifted" variant); Default() enables everything

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"lasagne/internal/backend"
+	"lasagne/internal/ir"
 	"lasagne/internal/minic"
 	"lasagne/internal/obj"
 	"lasagne/internal/opt"
@@ -170,5 +174,52 @@ func TestTranslateArmToX86(t *testing.T) {
 	}
 	if xm.Out.String() != want {
 		t.Fatalf("x86 output %q, want %q", xm.Out.String(), want)
+	}
+}
+
+// TestTranslatedLoopHeadersEndInOneCompare pins the shape InstCombine's
+// condition fold gives translated loops: in both directions, every loop
+// header of every suite kernel's optimised IR (Default()) ends in one icmp
+// feeding its conditional branch, and holds no i1 xor/or/and of flags. A
+// header is the target of a back edge: a predecessor it dominates.
+func TestTranslatedLoopHeadersEndInOneCompare(t *testing.T) {
+	names, x86, arm := kernelSuite(t)
+	for i, name := range names {
+		for _, dir := range []struct {
+			d   direction
+			bin *obj.File
+		}{{x86ToArm, x86[i]}, {armToX86, arm[i]}} {
+			m, _, _, _, err := dir.d.toIR(context.Background(), dir.bin, Default(), false)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, dir.d.arch, err)
+			}
+			headers := 0
+			for _, f := range m.Funcs {
+				if f.External {
+					continue
+				}
+				dt := ir.ComputeDomTree(f)
+				for _, b := range f.Blocks {
+					if !slices.ContainsFunc(b.Preds(), func(p *ir.Block) bool { return dt.Dominates(b, p) }) {
+						continue
+					}
+					headers++
+					where := fmt.Sprintf("%s from %s: @%s loop header %s", name, dir.d.arch, f.Name, b.Name)
+					n := len(b.Instrs)
+					br := b.Instrs[n-1]
+					if n < 2 || br.Op != ir.OpCondBr || br.Args[0] != ir.Value(b.Instrs[n-2]) || b.Instrs[n-2].Op != ir.OpICmp {
+						t.Errorf("%s does not end in icmp; br:\n%s", where, f)
+					}
+					for _, in := range b.Instrs {
+						if (in.Op == ir.OpXor || in.Op == ir.OpOr || in.Op == ir.OpAnd) && ir.IntBits(in.Ty) == 1 {
+							t.Errorf("%s keeps an i1 %s:\n%s", where, in.Op, f)
+						}
+					}
+				}
+			}
+			if headers == 0 {
+				t.Errorf("%s from %s: no loop header", name, dir.d.arch)
+			}
+		}
 	}
 }

@@ -20,14 +20,14 @@ import (
 // fence placement or a backend now emits different code. A change that is
 // meant to alter output updates this value in the same commit and says why;
 // a pure performance change must leave it alone.
-const goldenSHA256 = "5215d079c6776bea62fffe446dbbca351e7ea8b2525fbb3b8fc4cf81fd10d53c"
+const goldenSHA256 = "7a09b02385566e8ad0853a22ea9568772b96e5a957ffe39ac65c635c38bec68b"
 
 // goldenModuleKeyVersion is the moduleKeyVersion goldenSHA256 was recorded
 // under. Module records replay whole objects, backend output included, so
 // an output change that keeps moduleKeyVersion would let a daemon with an
 // existing disk cache serve stale objects: re-recording the hash means
 // bumping both.
-const goldenModuleKeyVersion = "core-module-v3"
+const goldenModuleKeyVersion = "core-module-v4"
 
 // goldenSeeds is how many GenProgram programs the golden hash covers.
 const goldenSeeds = 300
@@ -84,7 +84,7 @@ func TestTranslationGolden(t *testing.T) {
 // covers the reverse direction only on the suite kernels, whose functions
 // all home their parameters in the prologue; the generated programs reach
 // far more of the Arm lifter's CFG and type-discovery cases.
-const reverseSHA256 = "4d393a202ca07e6757febcfc3a37f5965ba0bee2dd82cc40c3f04bb9cb14a3d2"
+const reverseSHA256 = "d26d246a691a8b8f969c3fd336b10d60c231c84a6ac85141d5d1f18079d34da6"
 
 // TestReverseTranslationGolden hashes TranslateArmToX86 of the Arm64 build
 // of every GenProgram seed the x86→Arm golden covers.

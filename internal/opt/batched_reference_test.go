@@ -557,9 +557,12 @@ func referenceInstCombine(f *ir.Func) bool {
 				if in.Parent == nil {
 					continue
 				}
+				op := in.Op
 				if v := simplify(in); v != nil {
 					replaceAllUses(f, in, v)
 					b.Remove(in)
+					n++
+				} else if in.Op != op {
 					n++
 				}
 			}

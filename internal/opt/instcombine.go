@@ -7,7 +7,16 @@ import (
 )
 
 // InstCombine performs peephole simplification: constant folding, algebraic
-// identities and cast-chain collapsing. It iterates to a fixpoint.
+// identities, cast-chain collapsing and condition-network folding. It
+// iterates to a fixpoint.
+//
+// Condition-network folding (foldCondition) undoes the lifters' eager
+// flags: both lift a compare into flag slots and a condition code into an
+// i1 xor/or/and of those flags, so once mem2reg has forwarded the slots a
+// translated loop header tests x86 SF^OF or Arm N^V through seven
+// instructions where the input had one cmp. Each rule rewrites the outer
+// xor/or/and in place into the single icmp it computes, leaving its
+// operands to other users or to DCE.
 //
 // Replacements are batched: visiting an instruction resolves its operands,
 // and its operands' operands — simplify looks one instruction deep — so each
@@ -29,9 +38,12 @@ func InstCombine(f *ir.Func) bool {
 						r.ResolveOperands(ai)
 					}
 				}
+				op := in.Op
 				if v := simplify(in); v != nil {
 					r.Replace(in, v)
 					in.Parent = nil
+					n++
+				} else if in.Op != op {
 					n++
 				}
 			}
@@ -51,11 +63,17 @@ func InstCombine(f *ir.Func) bool {
 	return changed
 }
 
-// simplify returns a replacement value for in, or nil.
+// simplify returns a replacement value for in, or nil. A rule that rewrites
+// in in place into another operation also returns nil; callers see the
+// changed Op.
 func simplify(in *ir.Instr) ir.Value {
 	switch {
 	case ir.IsBinaryOp(in.Op):
-		return simplifyBinary(in)
+		if v := simplifyBinary(in); v != nil {
+			return v
+		}
+		foldCondition(in)
+		return nil
 	case ir.IsCast(in.Op):
 		return simplifyCast(in)
 	}
@@ -405,6 +423,155 @@ func simplifyICmp(in *ir.Instr) ir.Value {
 		}
 	}
 	return nil
+}
+
+// foldCondition rewrites an i1 xor/or/and that computes one comparison
+// into that icmp, in place:
+//
+//	xor (icmp p a, b), true                   -> icmp !p a, b
+//	xor (icmp slt r, 0), (icmp slt m, 0)      -> icmp slt a, b
+//	    where r = sub a, b and m = and (xor a, b), (xor a, r)
+//	or  (icmp eq a, b), (icmp slt a, b)       -> icmp sle a, b (likewise ult, sgt, ugt)
+//	and (icmp ne a, b), (icmp sge a, b)       -> icmp sgt a, b (likewise uge, sle, ule)
+//
+// The second is SF^OF (x86) or N^V (Arm) of a compare: the sign of a-b
+// differs from its overflow exactly when a <s b. Every binary operand order
+// is accepted, and b may be a constant. TestConditionFoldProof checks each
+// rule exhaustively over i8 operands.
+func foldCondition(in *ir.Instr) {
+	if it, ok := in.Ty.(*ir.IntType); !ok || it.Bits != 1 {
+		return
+	}
+	x, _ := in.Args[0].(*ir.Instr)
+	y, _ := in.Args[1].(*ir.Instr)
+	if x == nil {
+		return
+	}
+	switch in.Op {
+	case ir.OpXor:
+		if c, ok := ir.ConstIntValue(in.Args[1]); ok && c&1 != 0 && x.Op == ir.OpICmp {
+			setICmp(in, x.Pred.Negate(), x.Args[0], x.Args[1])
+			return
+		}
+		if y == nil {
+			return
+		}
+		for _, p := range [2][2]*ir.Instr{{x, y}, {y, x}} {
+			if a, b, ok := signedLess(p[0], p[1]); ok {
+				setICmp(in, ir.PredSLT, a, b)
+				return
+			}
+		}
+	case ir.OpOr, ir.OpAnd:
+		eq := ir.PredEQ
+		if in.Op == ir.OpAnd {
+			eq = ir.PredNE
+		}
+		if y == nil {
+			return
+		}
+		for _, p := range [2][2]*ir.Instr{{x, y}, {y, x}} {
+			e, o := p[0], p[1]
+			if e.Op != ir.OpICmp || e.Pred != eq || o.Op != ir.OpICmp || !samePair(e, o) {
+				continue
+			}
+			// or eq turns a strict order non-strict; and ne the reverse.
+			if q, strict := toggleStrict(o.Pred); q != o.Pred && strict == (in.Op == ir.OpOr) {
+				setICmp(in, q, o.Args[0], o.Args[1])
+				return
+			}
+		}
+	}
+}
+
+// setICmp turns in into icmp p a, b.
+func setICmp(in *ir.Instr, p ir.Pred, a, b ir.Value) {
+	in.Op, in.Pred = ir.OpICmp, p
+	in.Args[0], in.Args[1] = a, b
+}
+
+// signedLess matches s = icmp slt r, 0 and o = icmp slt (and (xor a, b),
+// (xor a, r)), 0 with r = sub a, b, in any operand order of the and and the
+// xors, and returns a and b.
+func signedLess(s, o *ir.Instr) (a, b ir.Value, ok bool) {
+	r := belowZero(s)
+	m := belowZero(o)
+	if r == nil || r.Op != ir.OpSub || m == nil || m.Op != ir.OpAnd {
+		return nil, nil, false
+	}
+	a, b = r.Args[0], r.Args[1]
+	for _, p := range [2][2]ir.Value{{m.Args[0], m.Args[1]}, {m.Args[1], m.Args[0]}} {
+		if isXorOf(p[0], a, b) && isXorOf(p[1], a, r) {
+			return a, b, true
+		}
+	}
+	return nil, nil, false
+}
+
+// belowZero returns x when in is icmp slt x, 0 and x is an instruction.
+func belowZero(in *ir.Instr) *ir.Instr {
+	if in.Op != ir.OpICmp || in.Pred != ir.PredSLT {
+		return nil
+	}
+	if c, ok := ir.ConstIntValue(in.Args[1]); !ok || c != 0 {
+		return nil
+	}
+	x, _ := in.Args[0].(*ir.Instr)
+	return x
+}
+
+// isXorOf reports whether v is xor p, q or xor q, p.
+func isXorOf(v, p, q ir.Value) bool {
+	x, ok := v.(*ir.Instr)
+	return ok && x.Op == ir.OpXor && hasArgs(x, p, q)
+}
+
+// samePair reports whether two compares read the same operands. The first
+// is eq or ne, which is symmetric, so a swapped pair counts too.
+func samePair(e, o *ir.Instr) bool { return hasArgs(e, o.Args[0], o.Args[1]) }
+
+// hasArgs reports whether x's two operands are p and q, in either order.
+func hasArgs(x *ir.Instr, p, q ir.Value) bool {
+	return sameValue(x.Args[0], p) && sameValue(x.Args[1], q) ||
+		sameValue(x.Args[0], q) && sameValue(x.Args[1], p)
+}
+
+// sameValue reports whether u and v are the same value: the same
+// instruction, argument or global, or integer constants of one width and
+// value (the lifters build a fresh constant at each use).
+func sameValue(u, v ir.Value) bool {
+	if u == v {
+		return true
+	}
+	cu, ok1 := u.(*ir.ConstInt)
+	cv, ok2 := v.(*ir.ConstInt)
+	return ok1 && ok2 && cu.Ty.Bits == cv.Ty.Bits &&
+		signExt(uint64(cu.V), cu.Ty.Bits) == signExt(uint64(cv.V), cv.Ty.Bits)
+}
+
+// toggleStrict maps an ordering predicate to its strict or non-strict
+// partner (slt <-> sle, ...) and reports whether p itself is strict. Any
+// other predicate comes back unchanged.
+func toggleStrict(p ir.Pred) (ir.Pred, bool) {
+	switch p {
+	case ir.PredSLT:
+		return ir.PredSLE, true
+	case ir.PredSGT:
+		return ir.PredSGE, true
+	case ir.PredULT:
+		return ir.PredULE, true
+	case ir.PredUGT:
+		return ir.PredUGE, true
+	case ir.PredSLE:
+		return ir.PredSLT, false
+	case ir.PredSGE:
+		return ir.PredSGT, false
+	case ir.PredULE:
+		return ir.PredULT, false
+	case ir.PredUGE:
+		return ir.PredUGT, false
+	}
+	return p, false
 }
 
 func evalPred(p ir.Pred, a, b int64, bits int) bool {

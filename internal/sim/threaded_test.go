@@ -93,8 +93,8 @@ func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
 // programs' observable behavior across commits, which the engine
 // differential alone cannot.
 const (
-	programsDigest      = "61c2d4420a0fbb728b19cac1585d71d08bbb58ecbcd4e1b4f87596472b641c94"
-	programsDigestShort = "43b4ccf9b150d2d2e16938d254e743b84a9639f03bcc02048b745943ea601af7"
+	programsDigest      = "d9a4dae83864deadc53c90bea9ec36cd5e76f5fb77c2969ccb343617c8632989"
+	programsDigestShort = "d9d0948c9376e4c9695e17d947695c74423298a9b42a2464f84de603202c78b6"
 )
 
 // TestThreadedMatchesReference is the engine differential: the threaded
