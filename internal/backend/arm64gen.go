@@ -1084,6 +1084,11 @@ func (g *arm64gen) genBinary(in *ir.Instr) {
 func (g *arm64gen) genCast(in *ir.Instr) {
 	switch in.Op {
 	case ir.OpTrunc, ir.OpBitcast, ir.OpIntToPtr, ir.OpPtrToInt:
+		if h := g.homeOf(in); h.IsFP() && !ir.IsFloat(in.Args[0].Type()) {
+			// GP bits to an FP register: one fmov from the value's home.
+			g.emit(arm64.Inst{Op: arm64.FMOVTOF, Size: fpSize(in.Ty), Rd: h, Rn: g.use(in.Args[0], sA)})
+			return
+		}
 		d := g.dst(in, sA)
 		g.loadVal(in.Args[0], d)
 		g.storeVal(in, d)

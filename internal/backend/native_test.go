@@ -3,6 +3,7 @@ package backend_test
 import (
 	"testing"
 
+	"lasagne/internal/arm64"
 	"lasagne/internal/backend"
 	"lasagne/internal/core"
 	"lasagne/internal/ir"
@@ -173,6 +174,72 @@ func TestX86BranchesFollowTheirCompare(t *testing.T) {
 		}
 		if jccs == 0 {
 			t.Errorf("%s: no conditional jump", b.Name)
+		}
+	}
+}
+
+// TestTranslatedInnerLoopLength counts the instructions of the innermost
+// loop of matrix_multiply's translated worker (x86→Arm, Default()). The
+// lifters keep XMM/D registers as i64 slots, so the loop carries its
+// double accumulator in a GP register and bitcasts it each way per
+// iteration; each bitcast must be one fmov between the value's register
+// and the result's, with no GP copy in front of it.
+func TestTranslatedInnerLoopLength(t *testing.T) {
+	b := phoenix.Get("matrix_multiply")
+	m, err := minic.Compile(b.Name, b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Optimize(m); err != nil {
+		t.Fatal(err)
+	}
+	x86Bin, err := backend.Compile(m, "x86-64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, _, err := core.Translate(x86Bin, core.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := out.Section(".text")
+	var insts []arm64.Inst
+	for _, s := range out.FuncSymbols() {
+		if s.Name == "worker" {
+			insts, err = arm64.DecodeAll(text.Data[s.Addr-text.Addr:s.Addr-text.Addr+s.Size], s.Addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The innermost loop is the shortest backward branch's range.
+	lo, hi := uint64(0), uint64(0)
+	for _, in := range insts {
+		tgt, ok := in.BranchTarget()
+		if ok && in.Op != arm64.BL && tgt <= in.Addr && (hi == 0 || in.Addr-tgt < hi-lo) {
+			lo, hi = tgt, in.Addr
+		}
+	}
+	if hi == 0 {
+		t.Fatal("no loop in worker")
+	}
+	var loop []arm64.Inst
+	for _, in := range insts {
+		if in.Addr >= lo && in.Addr <= hi {
+			loop = append(loop, in)
+		}
+	}
+	const maxLen = 21
+	if len(loop) > maxLen {
+		t.Errorf("inner loop runs %d instructions, want at most %d", len(loop), maxLen)
+	}
+	for i, in := range loop[1:] {
+		if prev := loop[i]; in.Op == arm64.FMOVTOF && prev.Op == arm64.ORR && prev.Rn == arm64.XZR && prev.Rd == in.Rn {
+			t.Errorf("fmov at %#x reads a copy made by the mov before it", in.Addr)
+		}
+	}
+	if t.Failed() {
+		for _, in := range loop {
+			t.Logf("%#x  %s", in.Addr, in.String())
 		}
 	}
 }

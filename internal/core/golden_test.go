@@ -20,14 +20,14 @@ import (
 // fence placement or a backend now emits different code. A change that is
 // meant to alter output updates this value in the same commit and says why;
 // a pure performance change must leave it alone.
-const goldenSHA256 = "7a09b02385566e8ad0853a22ea9568772b96e5a957ffe39ac65c635c38bec68b"
+const goldenSHA256 = "9a684cf025600a6dba5385f5cbefcc7152722fc91a184f340000b9e43d18fcbf"
 
 // goldenModuleKeyVersion is the moduleKeyVersion goldenSHA256 was recorded
 // under. Module records replay whole objects, backend output included, so
 // an output change that keeps moduleKeyVersion would let a daemon with an
 // existing disk cache serve stale objects: re-recording the hash means
 // bumping both.
-const goldenModuleKeyVersion = "core-module-v4"
+const goldenModuleKeyVersion = "core-module-v5"
 
 // goldenSeeds is how many GenProgram programs the golden hash covers.
 const goldenSeeds = 300

@@ -33,7 +33,7 @@ import (
 // change to what they emit for a given input must bump it, or stale module
 // records would replay. (Changes to the suffix roll PipelineVersion, which
 // the module key also hashes.)
-const moduleKeyVersion = "core-module-v4"
+const moduleKeyVersion = "core-module-v5"
 
 // direction is one translation direction, and the only place that names a
 // direction's lifter, fence placement and backend; everything else — the

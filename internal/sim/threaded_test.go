@@ -93,7 +93,7 @@ func buildPair(t *testing.T, name, src string) (*obj.File, *obj.File) {
 // programs' observable behavior across commits, which the engine
 // differential alone cannot.
 const (
-	programsDigest      = "d9a4dae83864deadc53c90bea9ec36cd5e76f5fb77c2969ccb343617c8632989"
+	programsDigest      = "2b7e1b944bb35bf0aa02ecadedfa0df9dd9ac188a692af47fc046b884599ee41"
 	programsDigestShort = "d9d0948c9376e4c9695e17d947695c74423298a9b42a2464f84de603202c78b6"
 )
 
