@@ -99,11 +99,15 @@ func genRandomProgram(rng *rand.Rand, variant int, name string) *Program {
 // produce exactly the behavior sets of the retained reference engine, under
 // all four models and both observation modes.
 func TestBitsetEngineMatchesReference(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(0x1a5a97e))
 	models := []Model{SC, X86, Arm, LIMM}
 	const programs = 80
-	for i := 0; i < programs; i++ {
-		p := genRandomProgram(rng, i, fmt.Sprintf("rand_%d", i))
+	progs := make([]*Program, programs)
+	for i := range progs {
+		progs[i] = genRandomProgram(rng, i, fmt.Sprintf("rand_%d", i))
+	}
+	checkInParallel(t, progs, func(t *testing.T, p *Program) {
 		for _, m := range models {
 			for _, withReads := range []bool{true, false} {
 				want := referenceBehaviors(p, m, withReads)
@@ -120,15 +124,42 @@ func TestBitsetEngineMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// checkInParallel runs check on every program, spread over parallelParts
+// parallel subtests. Callers generate the programs before calling it, so
+// the split never changes which inputs are checked. These oracles compute
+// without shared state; running them side by side is what keeps the
+// package inside the race detector's time on a small machine.
+func checkInParallel(t *testing.T, progs []*Program, check func(*testing.T, *Program)) {
+	for k := 0; k < parallelParts; k++ {
+		lo, hi := k*len(progs)/parallelParts, (k+1)*len(progs)/parallelParts
+		if lo == hi {
+			continue
+		}
+		t.Run(fmt.Sprintf("%d-%d", lo, hi-1), func(t *testing.T) {
+			t.Parallel()
+			for _, p := range progs[lo:hi] {
+				check(t, p)
+			}
+		})
 	}
 }
+
+// parallelParts is how many parallel subtests checkInParallel makes.
+const parallelParts = 8
 
 // TestBitsetEngineMatchesReferenceParallel spot-checks the parallel fold
 // against the reference on a smaller seeded stream.
 func TestBitsetEngineMatchesReferenceParallel(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(0xd1ff))
-	for i := 0; i < 12; i++ {
-		p := genRandomProgram(rng, i, fmt.Sprintf("randpar_%d", i))
+	progs := make([]*Program, 12)
+	for i := range progs {
+		progs[i] = genRandomProgram(rng, i, fmt.Sprintf("randpar_%d", i))
+	}
+	checkInParallel(t, progs, func(t *testing.T, p *Program) {
 		for _, m := range []Model{SC, X86, Arm, LIMM} {
 			want := referenceBehaviors(p, m, true)
 			got := BehaviorsOfParallel(p, m, true, 4)
@@ -142,5 +173,5 @@ func TestBitsetEngineMatchesReferenceParallel(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }

@@ -69,6 +69,7 @@ func sameKeys(got map[string]Behavior, want map[string]bool) string {
 // and both serially and across four workers, it folds exactly the behavior
 // set of the unpruned leaf-only reference.
 func TestPrunedFoldMatchesFullWalk(t *testing.T) {
+	t.Parallel()
 	progs := prunedFoldPrograms()
 	if testing.Short() {
 		var sample []*Program
@@ -77,7 +78,7 @@ func TestPrunedFoldMatchesFullWalk(t *testing.T) {
 		}
 		progs = sample
 	}
-	for _, p := range progs {
+	checkInParallel(t, progs, func(t *testing.T, p *Program) {
 		for _, m := range []Model{X86, Arm, LIMM, SC} {
 			wantReads, wantFinals := referenceKeys(p, m)
 			for _, withReads := range []bool{true, false} {
@@ -97,7 +98,7 @@ func TestPrunedFoldMatchesFullWalk(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestPartialCheckMonotone is the property the pruning rests on: every
@@ -105,12 +106,13 @@ func TestPrunedFoldMatchesFullWalk(t *testing.T) {
 // is checked both from scratch (check) and by the incremental chain the
 // fold walks (check at depth 0, then extend read by read).
 func TestPartialCheckMonotone(t *testing.T) {
+	t.Parallel()
 	progs := ClassicTests()
 	rng := rand.New(rand.NewSource(0xd1ff))
 	for i := 0; i < 40; i++ {
 		progs = append(progs, genRandomProgram(rng, i, fmt.Sprintf("randmono_%d", i)))
 	}
-	for _, p := range progs {
+	checkInParallel(t, progs, func(t *testing.T, p *Program) {
 		for _, m := range []Model{X86, Arm, LIMM, SC} {
 			var buf *rels
 			VisitExecutions(p, func(x *Execution) {
@@ -140,7 +142,7 @@ func TestPartialCheckMonotone(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
 
 // prunedWalkChecks counts the consistency checks the pruned walk makes on

@@ -80,17 +80,18 @@ func TestWeakMappingExhaustive(t *testing.T) {
 // fence merger rewrites Frm/Fww into Fsc before lowering runs. This
 // enumeration includes every fence kind and RMWs.
 func TestWeakMappingIRExhaustive(t *testing.T) {
+	t.Parallel()
 	max := 3
 	if testing.Short() {
 		max = 2
 	}
 	progs := GenerateIRPrograms(max)
 	t.Logf("checking %d generated IR programs", len(progs))
-	for _, p := range progs {
+	checkInParallel(t, progs, func(t *testing.T, p *Program) {
 		if err := CheckMapping(p, LIMM, MapIRToArmWeak, Arm); err != nil {
 			t.Fatalf("%v", err)
 		}
-	}
+	})
 }
 
 // Exhaustive proof of the escape-elimination rule: fences for locations
