@@ -319,15 +319,6 @@ type Inst struct {
 	Len  int
 }
 
-// IsTerminator reports whether the instruction ends a basic block.
-func (i *Inst) IsTerminator() bool {
-	switch i.Op {
-	case B, BCOND, RET, BR, CBZ, CBNZ:
-		return true
-	}
-	return false
-}
-
 // BranchTarget returns the absolute target of a direct branch (set by the
 // decoder) or the raw immediate.
 func (i *Inst) BranchTarget() (uint64, bool) {

@@ -366,15 +366,6 @@ func NewInst(op Op, size int, ops ...Operand) Inst {
 	return Inst{Op: op, Size: size, Ops: ops}
 }
 
-// IsTerminator reports whether the instruction ends a basic block.
-func (i *Inst) IsTerminator() bool {
-	switch i.Op {
-	case JMP, JCC, RET, UD2:
-		return true
-	}
-	return false
-}
-
 // BranchTarget returns the target address of a direct branch. The decoder
 // stores targets as absolute addresses in the immediate operand.
 func (i *Inst) BranchTarget() (uint64, bool) {
