@@ -382,7 +382,7 @@ func (g *arm64gen) loadValSext(v ir.Value, r arm64.Reg) {
 		return
 	}
 	w := width(v.Type())
-	if w == 8 {
+	if w == 8 || ir.IsConst(v) { // undef and null load as zero
 		g.loadVal(v, r)
 		return
 	}
@@ -418,7 +418,7 @@ func (g *arm64gen) loadValZext(v ir.Value, r arm64.Reg) {
 		return
 	}
 	w := width(v.Type())
-	if w == 8 {
+	if w == 8 || ir.IsConst(v) { // undef and null load as zero
 		g.loadVal(v, r)
 		return
 	}
