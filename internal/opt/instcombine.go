@@ -447,35 +447,29 @@ func foldCondition(in *ir.Instr) {
 	if x == nil {
 		return
 	}
-	switch in.Op {
-	case ir.OpXor:
-		if c, ok := ir.ConstIntValue(in.Args[1]); ok && c&1 != 0 && x.Op == ir.OpICmp {
-			setICmp(in, x.Pred.Negate(), x.Args[0], x.Args[1])
-			return
-		}
-		if y == nil {
-			return
-		}
-		for _, p := range [2][2]*ir.Instr{{x, y}, {y, x}} {
-			if a, b, ok := signedLess(p[0], p[1]); ok {
+	if c, ok := ir.ConstIntValue(in.Args[1]); ok && c&1 != 0 && in.Op == ir.OpXor && x.Op == ir.OpICmp {
+		setICmp(in, x.Pred.Negate(), x.Args[0], x.Args[1])
+		return
+	}
+	if y == nil {
+		return
+	}
+	for _, p := range [2][2]*ir.Instr{{x, y}, {y, x}} {
+		switch e, o := p[0], p[1]; in.Op {
+		case ir.OpXor:
+			if a, b, ok := signedLess(e, o); ok {
 				setICmp(in, ir.PredSLT, a, b)
 				return
 			}
-		}
-	case ir.OpOr, ir.OpAnd:
-		eq := ir.PredEQ
-		if in.Op == ir.OpAnd {
-			eq = ir.PredNE
-		}
-		if y == nil {
-			return
-		}
-		for _, p := range [2][2]*ir.Instr{{x, y}, {y, x}} {
-			e, o := p[0], p[1]
-			if e.Op != ir.OpICmp || e.Pred != eq || o.Op != ir.OpICmp || !samePair(e, o) {
+		case ir.OpOr, ir.OpAnd:
+			// or eq turns a strict order non-strict; and ne the reverse.
+			eq := ir.PredEQ
+			if in.Op == ir.OpAnd {
+				eq = ir.PredNE
+			}
+			if e.Op != ir.OpICmp || e.Pred != eq || o.Op != ir.OpICmp || !hasArgs(e, o.Args[0], o.Args[1]) {
 				continue
 			}
-			// or eq turns a strict order non-strict; and ne the reverse.
 			if q, strict := toggleStrict(o.Pred); q != o.Pred && strict == (in.Op == ir.OpOr) {
 				setICmp(in, q, o.Args[0], o.Args[1])
 				return
@@ -526,11 +520,8 @@ func isXorOf(v, p, q ir.Value) bool {
 	return ok && x.Op == ir.OpXor && hasArgs(x, p, q)
 }
 
-// samePair reports whether two compares read the same operands. The first
-// is eq or ne, which is symmetric, so a swapped pair counts too.
-func samePair(e, o *ir.Instr) bool { return hasArgs(e, o.Args[0], o.Args[1]) }
-
-// hasArgs reports whether x's two operands are p and q, in either order.
+// hasArgs reports whether x's two operands are p and q, in either order
+// (for an eq/ne compare, which is symmetric, as for an xor).
 func hasArgs(x *ir.Instr, p, q ir.Value) bool {
 	return sameValue(x.Args[0], p) && sameValue(x.Args[1], q) ||
 		sameValue(x.Args[0], q) && sameValue(x.Args[1], p)
