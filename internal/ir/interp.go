@@ -1,10 +1,11 @@
 package ir
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
+
+	"lasagne/internal/addrspace"
 )
 
 // ExternFn implements an external function for the interpreter. Arguments
@@ -15,8 +16,10 @@ type ExternFn func(ip *Interp, args []uint64) uint64
 // for differential testing: the same program is run through the interpreter,
 // the x86 pipeline and the Arm64 pipeline and the outputs are compared.
 type Interp struct {
-	M   *Module
-	Mem []byte
+	M *Module
+	// mem is the interpreter's address space: zero until written, with
+	// pages allocated on first store.
+	mem addrspace.Space
 
 	Externs  map[string]ExternFn
 	Out      *strings.Builder
@@ -28,9 +31,8 @@ type Interp struct {
 	heapTop    uint64
 }
 
-// Memory layout of the interpreter address space.
+// Memory layout of the interpreter address space (addrspace.Size bytes).
 const (
-	interpMemSize  = 64 << 20
 	interpGlobBase = 0x1000
 	interpStackTop = 48 << 20 // stack grows down from here
 	interpHeapBase = 48 << 20 // heap grows up from here
@@ -40,7 +42,6 @@ const (
 func NewInterp(m *Module) *Interp {
 	ip := &Interp{
 		M:          m,
-		Mem:        make([]byte, interpMemSize),
 		Externs:    make(map[string]ExternFn),
 		Out:        &strings.Builder{},
 		MaxSteps:   500_000_000,
@@ -52,7 +53,9 @@ func NewInterp(m *Module) *Interp {
 	for _, g := range m.Globals {
 		addr = (addr + 15) &^ 15
 		ip.globalAddr[g.Name] = addr
-		copy(ip.Mem[addr:], g.Init)
+		if !ip.mem.Write(addr, g.Init) {
+			panic(fmt.Sprintf("ir interp: global @%s does not fit in memory", g.Name))
+		}
 		addr += uint64(g.Elem.Size())
 	}
 	ip.installBuiltins()
@@ -66,7 +69,7 @@ func (ip *Interp) GlobalAddr(name string) uint64 { return ip.globalAddr[name] }
 func (ip *Interp) Alloc(n uint64) uint64 {
 	a := (ip.heapTop + 15) &^ 15
 	ip.heapTop = a + n
-	if ip.heapTop >= uint64(len(ip.Mem)) {
+	if ip.heapTop >= addrspace.Size {
 		panic("ir interp: out of heap")
 	}
 	return a
@@ -131,35 +134,24 @@ func (ip *Interp) Run(name string, args ...uint64) (uint64, error) {
 }
 
 func (ip *Interp) load(addr uint64, size int) uint64 {
-	if addr >= uint64(len(ip.Mem)) || uint64(size) > uint64(len(ip.Mem))-addr {
+	if !addrspace.InBounds(addr, size) {
 		panic(fmt.Sprintf("ir interp: load out of bounds at %#x", addr))
 	}
 	switch size {
-	case 1:
-		return uint64(ip.Mem[addr])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(ip.Mem[addr:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(ip.Mem[addr:]))
-	case 8:
-		return binary.LittleEndian.Uint64(ip.Mem[addr:])
+	case 1, 2, 4, 8:
+		v, _ := ip.mem.Load(addr, size)
+		return v
 	}
 	panic(fmt.Sprintf("ir interp: load size %d", size))
 }
 
 func (ip *Interp) store(addr uint64, size int, v uint64) {
-	if addr >= uint64(len(ip.Mem)) || uint64(size) > uint64(len(ip.Mem))-addr {
+	if !addrspace.InBounds(addr, size) {
 		panic(fmt.Sprintf("ir interp: store out of bounds at %#x", addr))
 	}
 	switch size {
-	case 1:
-		ip.Mem[addr] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(ip.Mem[addr:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(ip.Mem[addr:], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(ip.Mem[addr:], v)
+	case 1, 2, 4, 8:
+		ip.mem.Store(addr, size, v)
 	default:
 		panic(fmt.Sprintf("ir interp: store size %d", size))
 	}

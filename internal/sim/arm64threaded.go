@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -412,14 +411,17 @@ func compileArmUop(in arm64.Inst) armUop {
 			return func(c *arm64CPU) error {
 				c.icount++
 				addr := c.x[b] + imm
-				if addr <= MemSize-8 {
-					c.x[d] = binary.LittleEndian.Uint64(c.m.Mem[addr:])
-					c.pc = next
-					c.clock += CostMem
-					return nil
+				v, ok := c.m.Mem.Load8(addr)
+				if !ok {
+					var err error
+					if v, err = c.m.load(addr, 8); err != nil {
+						return err
+					}
 				}
-				_, err := c.m.load(addr, 8)
-				return err
+				c.x[d] = v
+				c.pc = next
+				c.clock += CostMem
+				return nil
 			}
 		}
 		if in.Rn == arm64.SP && plainX(in.Rd) && in.Size == 8 {
@@ -427,14 +429,17 @@ func compileArmUop(in arm64.Inst) armUop {
 			return func(c *arm64CPU) error {
 				c.icount++
 				addr := c.sp + imm
-				if addr <= MemSize-8 {
-					c.x[d] = binary.LittleEndian.Uint64(c.m.Mem[addr:])
-					c.pc = next
-					c.clock += CostMem
-					return nil
+				v, ok := c.m.Mem.Load8(addr)
+				if !ok {
+					var err error
+					if v, err = c.m.load(addr, 8); err != nil {
+						return err
+					}
 				}
-				_, err := c.m.load(addr, 8)
-				return err
+				c.x[d] = v
+				c.pc = next
+				c.clock += CostMem
+				return nil
 			}
 		}
 		base := armRdF(in.Rn, 8)
@@ -482,16 +487,17 @@ func compileArmUop(in arm64.Inst) armUop {
 			return func(c *arm64CPU) error {
 				c.icount++
 				addr := c.sp + imm
-				if addr <= MemSize-8 {
-					binary.LittleEndian.PutUint64(c.m.Mem[addr:], c.x[d])
-					if c.m.monitors != 0 {
-						c.m.invalidateMonitors(addr, 8, c)
+				if !c.m.Mem.Store8(addr, c.x[d]) {
+					if err := c.m.store(addr, 8, c.x[d]); err != nil {
+						return err
 					}
-					c.pc = next
-					c.clock += CostMem
-					return nil
 				}
-				return c.m.store(addr, 8, c.x[d])
+				if c.m.monitors != 0 {
+					c.m.invalidateMonitors(addr, 8, c)
+				}
+				c.pc = next
+				c.clock += CostMem
+				return nil
 			}
 		}
 		return func(c *arm64CPU) error {

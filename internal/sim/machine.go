@@ -14,11 +14,11 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
 
+	"lasagne/internal/addrspace"
 	"lasagne/internal/diag"
 	"lasagne/internal/obj"
 	"lasagne/internal/rt"
@@ -44,7 +44,7 @@ const (
 
 // Address-space layout of the simulated machine.
 const (
-	MemSize   = 64 << 20
+	MemSize   = addrspace.Size
 	HeapBase  = 0x1000000
 	StackBase = 0x2000000 // thread k's stack occupies [StackBase+k*StackSize, ...)
 	StackSize = 1 << 20
@@ -71,8 +71,10 @@ type cpu interface {
 // Machine is a simulated multicore with shared memory.
 type Machine struct {
 	File *obj.File
-	Mem  []byte
-	Out  *strings.Builder
+	// Mem is the shared memory: MemSize bytes, zero until written, with
+	// pages allocated on first store.
+	Mem addrspace.Space
+	Out *strings.Builder
 
 	// NThreads is the value returned by the __nthreads builtin.
 	NThreads int
@@ -117,7 +119,6 @@ const ctxCheckInterval = 1024
 func NewMachine(f *obj.File) (*Machine, error) {
 	m := &Machine{
 		File:     f,
-		Mem:      make([]byte, MemSize),
 		Out:      &strings.Builder{},
 		NThreads: 4,
 		MaxSteps: DefaultMaxSteps,
@@ -129,10 +130,9 @@ func NewMachine(f *obj.File) (*Machine, error) {
 		return nil, fmt.Errorf("sim: .text [%#x, %#x) overlaps the PLT at %#x", s.Addr, s.Addr+uint64(len(s.Data)), obj.PLTBase)
 	}
 	for _, s := range f.Sections {
-		if s.Addr+uint64(len(s.Data)) > MemSize {
+		if !m.Mem.Write(s.Addr, s.Data) {
 			return nil, fmt.Errorf("sim: section %s does not fit", s.Name)
 		}
-		copy(m.Mem[s.Addr:], s.Data)
 	}
 	m.compile()
 	return m, nil
@@ -368,105 +368,93 @@ func (m *Machine) callBuiltin(idx int, clock int64, intArgs []uint64, fpArgs []u
 	return 0, 0, false, false, fmt.Errorf("sim: unknown builtin %d", idx)
 }
 
-// Memory accessors with bounds checks.
+// Memory accessors with bounds checks. The generic load and store are the
+// slow path: they fault out-of-bounds accesses and otherwise serve any
+// access through the address space's exact Load/Store (page straddles,
+// pages never written).
 
 func (m *Machine) load(addr uint64, size int) (uint64, error) {
-	if addr >= uint64(len(m.Mem)) || uint64(size) > uint64(len(m.Mem))-addr {
+	if !addrspace.InBounds(addr, size) {
 		return 0, fmt.Errorf("sim: load of %d bytes at %#x out of bounds", size, addr)
 	}
 	switch size {
-	case 1:
-		return uint64(m.Mem[addr]), nil
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(m.Mem[addr:])), nil
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(m.Mem[addr:])), nil
-	case 8:
-		return binary.LittleEndian.Uint64(m.Mem[addr:]), nil
+	case 1, 2, 4, 8:
+		v, _ := m.Mem.Load(addr, size)
+		return v, nil
 	}
 	return 0, fmt.Errorf("sim: bad load size %d", size)
 }
 
-// Size-specialized accessors for the threaded engine's hot paths: one
-// bounds compare, then a direct little-endian access. The error path
-// delegates to the generic accessors so the message construction (and its
-// allocations) stay off the fast path.
+// Size-specialized accessors for both engines' hot paths: the address
+// space's inlined fast path (one page-index compare, one page-table load,
+// an in-page check, a direct little-endian access), then the generic
+// accessor, which keeps the message construction (and its allocations)
+// and page allocation off the fast path.
 
 func (m *Machine) load8(addr uint64) (uint64, error) {
-	if addr <= MemSize-8 {
-		return binary.LittleEndian.Uint64(m.Mem[addr:]), nil
+	if v, ok := m.Mem.Load8(addr); ok {
+		return v, nil
 	}
 	return m.load(addr, 8)
 }
 
 func (m *Machine) load4(addr uint64) (uint64, error) {
-	if addr <= MemSize-4 {
-		return uint64(binary.LittleEndian.Uint32(m.Mem[addr:])), nil
+	if v, ok := m.Mem.Load4(addr); ok {
+		return v, nil
 	}
 	return m.load(addr, 4)
 }
 
 func (m *Machine) load2(addr uint64) (uint64, error) {
-	if addr <= MemSize-2 {
-		return uint64(binary.LittleEndian.Uint16(m.Mem[addr:])), nil
+	if v, ok := m.Mem.Load2(addr); ok {
+		return v, nil
 	}
 	return m.load(addr, 2)
 }
 
 func (m *Machine) load1(addr uint64) (uint64, error) {
-	if addr < MemSize {
-		return uint64(m.Mem[addr]), nil
+	if v, ok := m.Mem.Load1(addr); ok {
+		return v, nil
 	}
 	return m.load(addr, 1)
 }
 
 func (m *Machine) store8(addr uint64, v uint64) error {
-	if addr <= MemSize-8 {
-		binary.LittleEndian.PutUint64(m.Mem[addr:], v)
+	if m.Mem.Store8(addr, v) {
 		return nil
 	}
 	return m.store(addr, 8, v)
 }
 
 func (m *Machine) store4(addr uint64, v uint64) error {
-	if addr <= MemSize-4 {
-		binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
+	if m.Mem.Store4(addr, v) {
 		return nil
 	}
 	return m.store(addr, 4, v)
 }
 
 func (m *Machine) store2(addr uint64, v uint64) error {
-	if addr <= MemSize-2 {
-		binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(v))
+	if m.Mem.Store2(addr, v) {
 		return nil
 	}
 	return m.store(addr, 2, v)
 }
 
 func (m *Machine) store1(addr uint64, v uint64) error {
-	if addr < MemSize {
-		m.Mem[addr] = byte(v)
+	if m.Mem.Store1(addr, v) {
 		return nil
 	}
 	return m.store(addr, 1, v)
 }
 
 func (m *Machine) store(addr uint64, size int, v uint64) error {
-	if addr >= uint64(len(m.Mem)) || uint64(size) > uint64(len(m.Mem))-addr {
+	if !addrspace.InBounds(addr, size) {
 		return fmt.Errorf("sim: store of %d bytes at %#x out of bounds", size, addr)
 	}
 	switch size {
-	case 1:
-		m.Mem[addr] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(m.Mem[addr:], v)
-	default:
-		return fmt.Errorf("sim: bad store size %d", size)
+	case 1, 2, 4, 8:
+		m.Mem.Store(addr, size, v)
+		return nil
 	}
-	return nil
+	return fmt.Errorf("sim: bad store size %d", size)
 }

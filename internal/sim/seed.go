@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 
+	"lasagne/internal/addrspace"
 	"lasagne/internal/obj"
 )
 
@@ -23,14 +24,15 @@ func (m *Machine) SeedDataSymbols(seed int64) {
 		if s.Kind != obj.SymData || s.Size == 0 {
 			continue
 		}
-		if s.Addr+s.Size > uint64(len(m.Mem)) {
+		if !addrspace.InBounds(s.Addr, int(s.Size)) {
 			continue
 		}
 		rng := rand.New(rand.NewSource(symbolSeed(seed, s.Name)))
-		buf := m.Mem[s.Addr : s.Addr+s.Size]
+		buf := make([]byte, s.Size)
 		for i := range buf {
 			buf[i] = byte(rng.Intn(256))
 		}
+		m.Mem.Write(s.Addr, buf)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"lasagne/internal/backend"
@@ -347,6 +348,41 @@ func TestThreadedSteadyStateAllocFree(t *testing.T) {
 			}
 			if instrs < 150_000 {
 				t.Fatalf("%s/%s: only %d instructions — workload too small to pin the hot loop", b, arch, instrs)
+			}
+		}
+	}
+}
+
+// TestMachineAllocBound pins what a machine costs: NewMachine plus Run of
+// each suite kernel's three sim-suite builds (x86 input, Lasagne
+// translation, native Arm) allocates under 2 MB, where a flat image alone
+// was 64 MB. Memory is paged and a page is allocated on its first store,
+// so the bytes are the compiled program plus the pages the kernel writes.
+func TestMachineAllocBound(t *testing.T) {
+	const bound = 2 << 20
+	kernels := append(phoenix.All(), phoenix.LockFree()...)
+	if testing.Short() {
+		kernels = []phoenix.Benchmark{*phoenix.Get("HT"), *phoenix.Get("SR")}
+	}
+	for _, b := range kernels {
+		xbin, abin := buildPair(t, b.Name, b.Source)
+		builds := []*obj.File{xbin, abin, buildNative(t, b.Name, b.Source)}
+		for i, build := range []string{"x86", "translated", "native"} {
+			bin := builds[i]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			mach, err := sim.NewMachine(bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mach.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n >= bound {
+				t.Errorf("%s (%s): NewMachine+Run allocated %d bytes, bound %d", b.Name, build, n, bound)
+			} else {
+				t.Logf("%s (%s): %d KiB, %d pages", b.Name, build, n>>10, mach.Mem.Pages())
 			}
 		}
 	}

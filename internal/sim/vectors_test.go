@@ -219,30 +219,40 @@ func vecStates(arm bool) []vecState {
 	return out
 }
 
-// vecMachine loads one form's code at obj.TextBase into a machine that
-// shares mem with every other form.
-func vecMachine(arch string, code, mem []byte) *Machine {
-	f := &obj.File{Arch: arch, Entry: "main", Sections: []obj.Section{
+// vecMachine returns a fresh machine running one form's code.
+func vecMachine(arch string, code []byte) *Machine {
+	m := &Machine{Out: &strings.Builder{}, NThreads: 4, MaxSteps: DefaultMaxSteps, heapTop: HeapBase}
+	loadForm(m, arch, code)
+	return m
+}
+
+// loadForm loads one form's code at obj.TextBase into m, clearing what an
+// earlier form left there, and compiles it.
+func loadForm(m *Machine, arch string, code []byte) {
+	m.File = &obj.File{Arch: arch, Entry: "main", Sections: []obj.Section{
 		{Name: ".text", Addr: obj.TextBase, Data: code},
 	}}
-	clear(mem[obj.TextBase : obj.TextBase+64])
-	copy(mem[obj.TextBase:], code)
-	m := &Machine{File: f, Mem: mem, Out: &strings.Builder{}, NThreads: 4, MaxSteps: DefaultMaxSteps, heapTop: HeapBase}
+	var text [64]byte
+	copy(text[:], code)
+	m.Mem.Write(obj.TextBase, text[:])
 	m.compile()
-	return m
 }
 
 var vecZeroTop [vecTop]byte
 
 // resetMem loads s's window and clears the top span.
 func resetMem(m *Machine, s *vecState) {
-	copy(m.Mem, s.mem)
-	copy(m.Mem[MemSize-vecTop:], vecZeroTop[:])
+	m.Mem.Write(0, s.mem)
+	m.Mem.Write(MemSize-vecTop, vecZeroTop[:])
 }
 
 // memDiff lists the bytes that changed in both observed spans.
 func memDiff(m *Machine, s *vecState) string {
-	return spanDiff(m.Mem[:vecWindow], s.mem, 0) + spanDiff(m.Mem[MemSize-vecTop:], vecZeroTop[:], MemSize-vecTop)
+	var win [vecWindow]byte
+	var top [vecTop]byte
+	m.Mem.Read(0, win[:])
+	m.Mem.Read(MemSize-vecTop, top[:])
+	return spanDiff(win[:], s.mem, 0) + spanDiff(top[:], vecZeroTop[:], MemSize-vecTop)
 }
 
 func spanDiff(got, want []byte, base int) string {
@@ -354,10 +364,14 @@ func canonNaN(fp *[32][2]uint64, w int) {
 	}
 }
 
-// vecDigest runs every state through both engines, reports the first
-// disagreement, and returns the digest of the reference observations.
-func vecDigest(t *testing.T, f vecForm, states []vecState, mem []byte) string {
-	m := vecMachine(f.arch, f.code, mem)
+// vecDigest runs every state through both engines on m, the machine every
+// form shares, reports the first disagreement, and returns the digest of
+// the reference observations. Stray stores — outside the observed spans —
+// must leave the canary spans next to them zero and allocate no page.
+func vecDigest(t *testing.T, f vecForm, states []vecState, m *Machine, canary []byte) string {
+	loadForm(m, f.arch, f.code)
+	resetMem(m, &states[0])
+	pages := m.Mem.Pages()
 	step := stepX86
 	if f.arch == "arm64" {
 		step = stepArm
@@ -378,7 +392,10 @@ func vecDigest(t *testing.T, f vecForm, states []vecState, mem []byte) string {
 		buf = ref.appendTo(buf[:0])
 		h.Write(buf)
 	}
-	if !isZero(mem[vecWindow:vecCanary]) || !isZero(mem[MemSize-vecCanary:MemSize-vecTop]) {
+	low, high := canary[:vecCanary-vecWindow], canary[:vecCanary-vecTop]
+	m.Mem.Read(vecWindow, low)
+	m.Mem.Read(MemSize-vecCanary, high)
+	if !isZero(low) || !isZero(high) || m.Mem.Pages() != pages {
 		t.Fatalf("%s: a store landed outside the observed windows", f.name)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -850,7 +867,7 @@ func readVectorGolden(t *testing.T) map[string]string {
 func TestInstructionVectors(t *testing.T) {
 	forms := append(armForms(t), x86Forms(t)...)
 	armStates, x86States := vecStates(true), vecStates(false)
-	mem := make([]byte, MemSize)
+	m, canary := vecMachine("arm64", nil), make([]byte, vecCanary)
 
 	// Float-to-integer conversions of NaN and out-of-range values are
 	// implementation-defined in Go; the table records amd64's results.
@@ -869,7 +886,7 @@ func TestInstructionVectors(t *testing.T) {
 		if f.arch == "arm64" {
 			states = armStates
 		}
-		d := vecDigest(t, f, states, mem)
+		d := vecDigest(t, f, states, m, canary)
 		if d == "" {
 			continue
 		}

@@ -655,8 +655,10 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				c.icount++
 				v := c.regs[r] // read first: PUSH RSP stores the old value
 				c.regs[x86.RSP] -= 8
-				if err := c.m.store8(c.regs[x86.RSP], v); err != nil {
-					return err
+				if !c.m.Mem.Store8(c.regs[x86.RSP], v) {
+					if err := c.m.store(c.regs[x86.RSP], 8, v); err != nil {
+						return err
+					}
 				}
 				c.rip = next
 				c.clock += CostMem
@@ -668,8 +670,10 @@ func compileX86Uop(in x86.Inst) x86Uop {
 			return func(c *x86CPU) error {
 				c.icount++
 				c.regs[x86.RSP] -= 8
-				if err := c.m.store8(c.regs[x86.RSP], v); err != nil {
-					return err
+				if !c.m.Mem.Store8(c.regs[x86.RSP], v) {
+					if err := c.m.store(c.regs[x86.RSP], 8, v); err != nil {
+						return err
+					}
 				}
 				c.rip = next
 				c.clock += CostMem
@@ -684,8 +688,10 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return err
 			}
 			c.regs[x86.RSP] -= 8
-			if err := c.m.store8(c.regs[x86.RSP], v); err != nil {
-				return err
+			if !c.m.Mem.Store8(c.regs[x86.RSP], v) {
+				if err := c.m.store(c.regs[x86.RSP], 8, v); err != nil {
+					return err
+				}
 			}
 			c.rip = next
 			c.clock += CostMem
@@ -829,8 +835,10 @@ func compileX86Uop(in x86.Inst) x86Uop {
 			return func(c *x86CPU) error {
 				c.icount++
 				c.regs[x86.RSP] -= 8
-				if err := c.m.store8(c.regs[x86.RSP], next); err != nil {
-					return err
+				if !c.m.Mem.Store8(c.regs[x86.RSP], next) {
+					if err := c.m.store(c.regs[x86.RSP], 8, next); err != nil {
+						return err
+					}
 				}
 				c.rip = target
 				c.clock += CostCall
@@ -843,8 +851,10 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				c.icount++
 				target := c.regs[r]
 				c.regs[x86.RSP] -= 8
-				if err := c.m.store8(c.regs[x86.RSP], next); err != nil {
-					return err
+				if !c.m.Mem.Store8(c.regs[x86.RSP], next) {
+					if err := c.m.store(c.regs[x86.RSP], 8, next); err != nil {
+						return err
+					}
 				}
 				c.rip = target
 				c.clock += CostCall
@@ -859,8 +869,10 @@ func compileX86Uop(in x86.Inst) x86Uop {
 				return err
 			}
 			c.regs[x86.RSP] -= 8
-			if err := c.m.store8(c.regs[x86.RSP], next); err != nil {
-				return err
+			if !c.m.Mem.Store8(c.regs[x86.RSP], next) {
+				if err := c.m.store(c.regs[x86.RSP], 8, next); err != nil {
+					return err
+				}
 			}
 			c.rip = target
 			c.clock += CostCall
@@ -1311,11 +1323,15 @@ func compileX86SSEGeneral(in x86.Inst, next uint64, cost int64) x86Uop {
 		return func(c *x86CPU) error {
 			c.icount++
 			a, v := ea(c), c.xmm[s]
-			if err := c.m.store8(a, v[0]); err != nil {
-				return err
+			if !c.m.Mem.Store8(a, v[0]) {
+				if err := c.m.store(a, 8, v[0]); err != nil {
+					return err
+				}
 			}
-			if err := c.m.store8(a+8, v[1]); err != nil {
-				return err
+			if !c.m.Mem.Store8(a+8, v[1]) {
+				if err := c.m.store(a+8, 8, v[1]); err != nil {
+					return err
+				}
 			}
 			c.rip = next
 			c.clock += cost
