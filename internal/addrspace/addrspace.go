@@ -152,19 +152,19 @@ func (s *Space) Store1(addr, v uint64) bool {
 // false when the access is out of bounds. Bytes of pages never written
 // read as zero; nothing is allocated.
 func (s *Space) Load(addr uint64, n int) (uint64, bool) {
-	if n < 1 || n > 8 || !InBounds(addr, n) {
+	if n < 1 || n > 8 {
 		return 0, false
 	}
 	var b [8]byte
-	s.Read(addr, b[:n])
-	return binary.LittleEndian.Uint64(b[:]), true
+	ok := s.Read(addr, b[:n])
+	return binary.LittleEndian.Uint64(b[:]), ok
 }
 
 // Store writes the low n bytes (1 ≤ n ≤ 8) of v little-endian at addr,
 // allocating the pages it touches, or reports false, writing nothing,
 // when the access is out of bounds.
 func (s *Space) Store(addr uint64, n int, v uint64) bool {
-	if n < 1 || n > 8 || !InBounds(addr, n) {
+	if n < 1 || n > 8 {
 		return false
 	}
 	var b [8]byte
