@@ -13,6 +13,30 @@ import (
 
 var allModels = []memmodel.Model{memmodel.SC, memmodel.X86, memmodel.Arm, memmodel.LIMM}
 
+// actionLocs lists the action's location bijection densely: element i is
+// the original location renamed to the i-th canonical location.
+func actionLocs(act Action) []string {
+	out := make([]string, len(act.Locs))
+	for orig, cn := range act.Locs {
+		for i := range out {
+			if canonLoc(i) == cn {
+				out[i] = orig
+			}
+		}
+	}
+	return out
+}
+
+// actionVals lists the action's value bijection densely: element v is the
+// original value renamed to canonical value v (element 0 is always 0).
+func actionVals(act Action) []int {
+	out := make([]int, len(act.Vals))
+	for orig, cv := range act.Vals {
+		out[cv] = orig
+	}
+	return out
+}
+
 // renameBehavior transports one behavior across an orbit action: locations
 // and values through the recorded bijections, thread ids through the
 // recorded permutation. Read-slot ordinals are per-(thread, location) read
