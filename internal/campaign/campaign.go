@@ -90,13 +90,6 @@ func (r *Result) PruneFactor() float64 {
 	return float64(r.Generated) / float64(r.Orbits)
 }
 
-// TotalPrograms returns the size of the generated family at the bound:
-// skeleton pairs (i, j) with i <= j.
-func TotalPrograms(bound int) int64 {
-	n := int64(len(memmodel.X86ThreadSkeletons(bound)))
-	return n * (n + 1) / 2
-}
-
 // Run executes one campaign: stream the bound's program family, prune by
 // canonical fingerprint, check each new orbit representative under the
 // default x86→IR→Arm chain, and (with a state dir) persist every verdict.
@@ -184,8 +177,8 @@ func run(ctx context.Context, opts Options, store *Store) (*Result, error) {
 			}
 			generated.Add(1)
 			threads[1] = skels[j]
-			canon, _ := w.canon.Canonical(threads[:])
-			fp := w.canon.Fingerprint(canon)
+			w.canon.canonicalize(threads[:])
+			fp := w.canon.fingerprint()
 			claim, _ := store.ClaimFP(fp)
 			switch claim {
 			case ClaimDup:
@@ -204,7 +197,7 @@ func run(ctx context.Context, opts Options, store *Store) (*Result, error) {
 				stopped.Store(true)
 				return
 			}
-			p := ownedProgram(fp, canon)
+			p := ownedProgram(fp, w.canon.threads())
 			b := memmodel.Budget{Ctx: ctx, MaxVisits: opts.MaxVisitsPerCheck}
 			err := memmodel.CheckMappingScratch(p, memmodel.X86, mapX86ToArm, memmodel.Arm, b, w.sc)
 			switch {
@@ -284,5 +277,5 @@ func bytesLess(a, b Fingerprint) bool {
 // the canonicalizer is not reused until the check returns, so sharing the
 // storage is safe and saves a copy per new orbit.
 func ownedProgram(fp Fingerprint, canon [][]Op) *memmodel.Program {
-	return &memmodel.Program{Name: "c" + fp.String()[:12], Threads: canon}
+	return &memmodel.Program{Name: fp.programName(), Threads: canon}
 }

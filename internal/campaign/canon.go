@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 
 	"lasagne/internal/memmodel"
@@ -38,21 +39,39 @@ const fpVersion = "lcp1"
 // SHA-256 over the versioned canonical encoding, truncated to 16 bytes.
 type Fingerprint [16]byte
 
-func (f Fingerprint) String() string { return fmt.Sprintf("%x", f[:]) }
+func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// programName is the name of the canonical program with this fingerprint:
+// "c" and the first 12 hex digits.
+func (f Fingerprint) programName() string {
+	var b [13]byte
+	b[0] = 'c'
+	hex.Encode(b[1:], f[:6])
+	return string(b[:])
+}
+
+// fingerprintOf hashes a versioned encoding (fpVersion ‖ encoding).
+func fingerprintOf(enc []byte) Fingerprint {
+	sum := sha256.Sum256(enc)
+	return Fingerprint(sum[:16])
+}
 
 // Action records how a program was moved onto its canonical representative:
 // which original threads survive (and in what order), and the location and
-// value bijections applied. Tests use it to transport behavior sets between
-// orbit members.
+// value bijections applied, each indexed by canonical position. Tests use it
+// to transport behavior sets between orbit members. Its slices share the
+// canonicalizer's buffers and are only valid until the next Canonical or
+// CanonicalProgram call.
 type Action struct {
 	// Threads[i] is the original index of the thread placed at canonical
 	// position i. Threads that normalize to empty are dropped and absent.
 	Threads []int
-	// Locs maps each original location to its canonical name.
-	Locs map[string]string
-	// Vals maps each original written/expected value to its canonical
-	// value. The initial value 0 is always fixed: Vals[0] == 0.
-	Vals map[int]int
+	// Locs[i] is the original location renamed to the i-th canonical
+	// location (X, Y, Z, ...).
+	Locs []string
+	// Vals[v] is the original written/expected value renamed to canonical
+	// value v. The initial value 0 is always fixed: Vals[0] == 0.
+	Vals []int
 }
 
 // canonLocNames are the canonical location names, assigned in order of
@@ -68,18 +87,30 @@ func canonLoc(i int) string {
 
 // Canonicalizer computes canonical forms and fingerprints. It holds
 // reusable scratch buffers, so one canonicalizer per worker makes
-// steady-state canonicalization allocation-free. Not safe for concurrent
+// steady-state canonicalization allocation-free (pinned by
+// TestCanonicalizeAllocatesNothing). Not safe for concurrent
 // use.
 type Canonicalizer struct {
 	norm    [][]Op // normalized threads (buffers reused)
 	normBuf [][]Op // backing storage for norm's threads
+	kept    []int  // kept[i] is the original index of norm[i]
 	perm    []int
-	enc     []byte
-	best    []byte
-	bestP   []int
-	locID   map[string]uint64
-	valID   map[int]uint64
-	h       [sha256.Size]byte
+	// The first-appearance renaming of the order being encoded: locs[i] is
+	// the original location with canonical id i, vals[v] the original value
+	// with canonical value v (vals[0] == 0). A bound-3 program has at most
+	// six accesses, so a linear search beats a map.
+	locs []string
+	vals []int
+	enc  []byte // fpVersion ‖ encoding of the order being tried
+	// The least encoding so far, with its order and renaming; each
+	// improvement swaps buffers with the ones above rather than copying.
+	best     []byte
+	bestP    []int
+	bestLocs []string
+	bestVals []int
+	out      [][]Op // canonical threads, in the winning order
+	outOps   []Op   // backing storage for out's threads
+	act      Action // the action's reused buffers
 }
 
 // Op aliases the memmodel op type for brevity.
@@ -87,12 +118,7 @@ type Op = memmodel.Op
 
 // NewCanonicalizer returns an empty canonicalizer; buffers grow on first
 // use and are reused afterwards.
-func NewCanonicalizer() *Canonicalizer {
-	return &Canonicalizer{
-		locID: make(map[string]uint64, 8),
-		valID: make(map[int]uint64, 8),
-	}
-}
+func NewCanonicalizer() *Canonicalizer { return &Canonicalizer{} }
 
 // inertFence reports whether op i of thread t is dropped by fence
 // normalization: fences before the first access or after the last access of
@@ -131,12 +157,12 @@ func inertFence(t []Op, i int) bool {
 }
 
 // normalize applies the per-thread op-order invariants, writing the surviving
-// threads into c.norm and returning, per surviving thread, its original
-// index.
-func (c *Canonicalizer) normalize(threads [][]Op) []int {
+// threads into c.norm and, per surviving thread, its original index into
+// c.kept.
+func (c *Canonicalizer) normalize(threads [][]Op) {
 	c.norm = c.norm[:0]
 	c.normBuf = c.normBuf[:0]
-	var kept []int
+	c.kept = c.kept[:0]
 	for ti, t := range threads {
 		var nt []Op
 		if len(c.normBuf) < cap(c.normBuf) {
@@ -153,75 +179,98 @@ func (c *Canonicalizer) normalize(threads [][]Op) []int {
 		c.normBuf[len(c.normBuf)-1] = nt
 		if len(nt) > 0 {
 			c.norm = append(c.norm, nt)
-			kept = append(kept, ti)
+			c.kept = append(c.kept, ti)
 		}
 	}
-	return kept
 }
 
-// encodePerm serializes c.norm under the given thread order with greedy
-// first-appearance location and value numbering, into c.enc. The encoding
-// is injective on (thread sequence, op fields): every op starts with a kind
-// tag, threads end with a separator tag, and all ids are uvarints.
-func (c *Canonicalizer) encodePerm(perm []int) []byte {
-	enc := c.enc[:0]
-	clear(c.locID)
-	clear(c.valID)
-	c.valID[0] = 0 // the initial value is a fixed point of the orbit action
-	nextLoc, nextVal := uint64(0), uint64(1)
-	loc := func(l string) uint64 {
-		id, ok := c.locID[l]
-		if !ok {
-			id = nextLoc
-			c.locID[l] = id
-			nextLoc++
-		}
-		return id
+// resetNames starts a fresh first-appearance renaming, with the initial
+// value 0 a fixed point of the orbit action.
+func (c *Canonicalizer) resetNames() {
+	c.locs = c.locs[:0]
+	c.vals = append(c.vals[:0], 0)
+}
+
+// locID returns l's canonical id, numbering it next on first appearance.
+func (c *Canonicalizer) locID(l string) int {
+	if i := indexLoc(c.locs, l); i >= 0 {
+		return i
 	}
-	val := func(v int) uint64 {
-		id, ok := c.valID[v]
-		if !ok {
-			id = nextVal
-			c.valID[v] = id
-			nextVal++
-		}
-		return id
+	c.locs = append(c.locs, l)
+	return len(c.locs) - 1
+}
+
+// valID returns v's canonical value, numbering it next on first appearance.
+func (c *Canonicalizer) valID(v int) int {
+	if i := indexVal(c.vals, v); i >= 0 {
+		return i
 	}
-	flags := func(o Op) uint64 {
-		var f uint64
-		if o.SC {
-			f |= 1
+	c.vals = append(c.vals, v)
+	return len(c.vals) - 1
+}
+
+func indexLoc(locs []string, l string) int {
+	for i, x := range locs {
+		if x == l {
+			return i
 		}
-		if o.Acq {
-			f |= 2
-		}
-		if o.Rel {
-			f |= 4
-		}
-		if o.HasExp {
-			f |= 8
-		}
-		return f
 	}
+	return -1
+}
+
+func indexVal(vals []int, v int) int {
+	for i, x := range vals {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
+func opFlags(o Op) uint64 {
+	var f uint64
+	if o.SC {
+		f |= 1
+	}
+	if o.Acq {
+		f |= 2
+	}
+	if o.Rel {
+		f |= 4
+	}
+	if o.HasExp {
+		f |= 8
+	}
+	return f
+}
+
+// encode serializes threads under the given order with greedy
+// first-appearance location and value numbering, into c.enc after the
+// fpVersion prefix. The encoding is injective on (thread sequence, op
+// fields): every op starts with a kind tag, threads end with a separator
+// tag, and all ids are uvarints.
+func (c *Canonicalizer) encode(threads [][]Op, perm []int) []byte {
+	enc := append(c.enc[:0], fpVersion...)
+	c.resetNames()
 	for _, ti := range perm {
-		for _, o := range c.norm[ti] {
+		for _, o := range threads[ti] {
 			enc = append(enc, byte(o.Kind)+1) // 0 is the thread separator
 			switch o.Kind {
 			case memmodel.OpFence:
 				enc = binary.AppendUvarint(enc, uint64(o.Fence))
 			case memmodel.OpLoad:
-				enc = binary.AppendUvarint(enc, loc(o.Loc))
-				enc = binary.AppendUvarint(enc, flags(o))
+				enc = binary.AppendUvarint(enc, uint64(c.locID(o.Loc)))
+				enc = binary.AppendUvarint(enc, opFlags(o))
 			case memmodel.OpStore:
-				enc = binary.AppendUvarint(enc, loc(o.Loc))
-				enc = binary.AppendUvarint(enc, val(o.Val))
-				enc = binary.AppendUvarint(enc, flags(o))
+				enc = binary.AppendUvarint(enc, uint64(c.locID(o.Loc)))
+				enc = binary.AppendUvarint(enc, uint64(c.valID(o.Val)))
+				enc = binary.AppendUvarint(enc, opFlags(o))
 			case memmodel.OpRMW:
-				enc = binary.AppendUvarint(enc, loc(o.Loc))
-				enc = binary.AppendUvarint(enc, val(o.Val))
-				enc = binary.AppendUvarint(enc, flags(o))
+				enc = binary.AppendUvarint(enc, uint64(c.locID(o.Loc)))
+				enc = binary.AppendUvarint(enc, uint64(c.valID(o.Val)))
+				enc = binary.AppendUvarint(enc, opFlags(o))
 				if o.HasExp {
-					enc = binary.AppendUvarint(enc, val(o.Exp))
+					enc = binary.AppendUvarint(enc, uint64(c.valID(o.Exp)))
 				}
 			}
 		}
@@ -231,116 +280,122 @@ func (c *Canonicalizer) encodePerm(perm []int) []byte {
 	return enc
 }
 
-// Canonical computes the canonical representative of threads' orbit and the
-// action mapping the input onto it: fence normalization, then the
-// lexicographically least encoding over all orders of the surviving
-// threads, with locations and values renamed by first appearance. The
-// returned thread slices share the canonicalizer's buffers and are only
-// valid until the next call; callers needing a persistent program use
-// CanonicalProgram.
-func (c *Canonicalizer) Canonical(threads [][]Op) ([][]Op, Action) {
-	kept := c.normalize(threads)
-	n := len(c.norm)
+// permute walks every order of c.perm[:k] by Heap's algorithm, keeping the
+// least encoding in c.best, with its order and renaming. Ties keep the
+// first order visited.
+func (c *Canonicalizer) permute(k int) {
+	if k <= 1 {
+		enc := c.encode(c.norm, c.perm)
+		if len(c.best) == 0 || bytes.Compare(enc, c.best) < 0 {
+			c.enc, c.best = c.best, enc
+			c.locs, c.bestLocs = c.bestLocs, c.locs
+			c.vals, c.bestVals = c.bestVals, c.vals
+			c.bestP = append(c.bestP[:0], c.perm...)
+		}
+		return
+	}
+	for i := 0; i < k; i++ {
+		c.permute(k - 1)
+		if k%2 == 0 {
+			c.perm[i], c.perm[k-1] = c.perm[k-1], c.perm[i]
+		} else {
+			c.perm[0], c.perm[k-1] = c.perm[k-1], c.perm[0]
+		}
+	}
+}
 
-	// Minimize over thread permutations (Heap's algorithm). The greedy
-	// renaming is recomputed per order, so every orbit member explores the
-	// same candidate set and the minimum is a true canonical form.
+// canonicalize finds the canonical representative of threads' orbit: fence
+// normalization, then the lexicographically least encoding over all orders
+// of the surviving threads, with locations and values renamed by first
+// appearance. The greedy renaming is recomputed per order, so every orbit
+// member explores the same candidate set and the minimum is a true
+// canonical form. It leaves the winning encoding, order and renaming in
+// the canonicalizer, for fingerprint, threads and action to read.
+func (c *Canonicalizer) canonicalize(threads [][]Op) {
+	c.normalize(threads)
 	c.perm = c.perm[:0]
-	for i := 0; i < n; i++ {
+	for i := range c.norm {
 		c.perm = append(c.perm, i)
 	}
-	c.best = append(c.best[:0], c.encodePerm(c.perm)...)
-	c.bestP = append(c.bestP[:0], c.perm...)
-	var heap func(k int)
-	heap = func(k int) {
-		if k <= 1 {
-			if bytes.Compare(c.encodePerm(c.perm), c.best) < 0 {
-				c.best = append(c.best[:0], c.enc...)
-				c.bestP = append(c.bestP[:0], c.perm...)
-			}
-			return
-		}
-		for i := 0; i < k; i++ {
-			heap(k - 1)
-			if k%2 == 0 {
-				c.perm[i], c.perm[k-1] = c.perm[k-1], c.perm[i]
-			} else {
-				c.perm[0], c.perm[k-1] = c.perm[k-1], c.perm[0]
-			}
-		}
-	}
-	if n > 1 {
-		heap(n)
-	}
+	c.best = c.best[:0]
+	c.permute(len(c.perm))
+}
 
-	// Rebuild the winning renaming and apply it.
-	act := Action{Locs: map[string]string{}, Vals: map[int]int{0: 0}}
-	clear(c.locID)
-	clear(c.valID)
-	c.valID[0] = 0
-	nextLoc, nextVal := 0, 1
-	out := c.norm[:0:0] // fresh header; thread storage is still c.normBuf's
+// fingerprint is the last canonicalize call's fingerprint, hashed from the
+// winning encoding: the canonical threads re-encode to exactly those bytes,
+// so no second encoding is needed.
+func (c *Canonicalizer) fingerprint() Fingerprint { return fingerprintOf(c.best) }
+
+// threads applies the last canonicalize call's winning order and renaming
+// to the normalized threads. The result shares the canonicalizer's buffers
+// and is only valid until its next canonicalize call.
+func (c *Canonicalizer) threads() [][]Op {
+	c.out = c.out[:0]
+	c.outOps = c.outOps[:0]
 	for _, ti := range c.bestP {
-		act.Threads = append(act.Threads, kept[ti])
-		t := c.norm[ti]
-		for i, o := range t {
-			if o.Kind == memmodel.OpFence {
-				continue
-			}
-			if _, ok := c.locID[o.Loc]; !ok {
-				c.locID[o.Loc] = uint64(nextLoc)
-				act.Locs[o.Loc] = canonLoc(nextLoc)
-				nextLoc++
-			}
-			o.Loc = act.Locs[o.Loc]
-			ren := func(v int) int {
-				if _, ok := c.valID[v]; !ok {
-					c.valID[v] = uint64(nextVal)
-					act.Vals[v] = nextVal
-					nextVal++
+		start := len(c.outOps)
+		for _, o := range c.norm[ti] {
+			if o.Kind != memmodel.OpFence {
+				o.Loc = canonLoc(indexLoc(c.bestLocs, o.Loc))
+				if o.Kind == memmodel.OpStore || o.Kind == memmodel.OpRMW {
+					o.Val = indexVal(c.bestVals, o.Val)
 				}
-				return act.Vals[v]
+				if o.HasExp {
+					o.Exp = indexVal(c.bestVals, o.Exp)
+				}
 			}
-			if o.Kind == memmodel.OpStore || o.Kind == memmodel.OpRMW {
-				o.Val = ren(o.Val)
-			}
-			if o.HasExp {
-				o.Exp = ren(o.Exp)
-			}
-			t[i] = o
+			c.outOps = append(c.outOps, o)
 		}
-		out = append(out, t)
+		c.out = append(c.out, c.outOps[start:len(c.outOps):len(c.outOps)])
 	}
-	return out, act
+	return c.out
+}
+
+// action is the last canonicalize call's action, in c.act's buffers.
+func (c *Canonicalizer) action() Action {
+	c.act.Threads = c.act.Threads[:0]
+	for _, ti := range c.bestP {
+		c.act.Threads = append(c.act.Threads, c.kept[ti])
+	}
+	c.act.Locs = append(c.act.Locs[:0], c.bestLocs...)
+	c.act.Vals = append(c.act.Vals[:0], c.bestVals...)
+	return c.act
+}
+
+// Canonical computes the canonical representative of threads' orbit and the
+// action mapping the input onto it (see canonicalize). The returned thread
+// slices and action share the canonicalizer's buffers and are only valid
+// until the next call; callers needing a persistent program use
+// CanonicalProgram.
+func (c *Canonicalizer) Canonical(threads [][]Op) ([][]Op, Action) {
+	c.canonicalize(threads)
+	return c.threads(), c.action()
 }
 
 // Fingerprint hashes the canonical encoding of the given canonical threads.
 // It must be called on Canonical's output (it re-encodes in identity order
 // without re-minimizing).
 func (c *Canonicalizer) Fingerprint(canon [][]Op) Fingerprint {
-	c.norm = append(c.norm[:0], canon...)
 	c.perm = c.perm[:0]
 	for i := range canon {
 		c.perm = append(c.perm, i)
 	}
-	enc := c.encodePerm(c.perm)
-	h := sha256.New()
-	h.Write([]byte(fpVersion))
-	h.Write(enc)
-	h.Sum(c.h[:0])
-	var fp Fingerprint
-	copy(fp[:], c.h[:16])
-	return fp
+	return fingerprintOf(c.encode(canon, c.perm))
 }
 
 // CanonicalProgram canonicalizes threads into a standalone Program named
 // after its fingerprint, with deep-copied thread storage safe to retain.
+// The action, as Canonical's, is only valid until the next call.
 func (c *Canonicalizer) CanonicalProgram(threads [][]Op) (*memmodel.Program, Fingerprint, Action) {
-	canon, act := c.Canonical(threads)
-	fp := c.Fingerprint(canon)
+	c.canonicalize(threads)
+	fp := c.fingerprint()
+	canon := c.threads()
+	ops := append([]Op(nil), c.outOps...)
 	own := make([][]Op, len(canon))
+	start := 0
 	for i, t := range canon {
-		own[i] = append([]Op(nil), t...)
+		own[i] = ops[start : start+len(t) : start+len(t)]
+		start += len(t)
 	}
-	return &memmodel.Program{Name: "c" + fp.String()[:12], Threads: own}, fp, act
+	return &memmodel.Program{Name: fp.programName(), Threads: own}, fp, c.action()
 }

@@ -13,29 +13,11 @@ import (
 
 var allModels = []memmodel.Model{memmodel.SC, memmodel.X86, memmodel.Arm, memmodel.LIMM}
 
-// actionLocs lists the action's location bijection densely: element i is
-// the original location renamed to the i-th canonical location.
-func actionLocs(act Action) []string {
-	out := make([]string, len(act.Locs))
-	for orig, cn := range act.Locs {
-		for i := range out {
-			if canonLoc(i) == cn {
-				out[i] = orig
-			}
-		}
-	}
-	return out
-}
-
-// actionVals lists the action's value bijection densely: element v is the
-// original value renamed to canonical value v (element 0 is always 0).
-func actionVals(act Action) []int {
-	out := make([]int, len(act.Vals))
-	for orig, cv := range act.Vals {
-		out[cv] = orig
-	}
-	return out
-}
+// actionLocs and actionVals list the action's location and value
+// bijections: element i is the original renamed to canonical location i,
+// or to canonical value i.
+func actionLocs(act Action) []string { return act.Locs }
+func actionVals(act Action) []int    { return act.Vals }
 
 // renameBehavior transports one behavior across an orbit action: locations
 // and values through the recorded bijections, thread ids through the
@@ -46,6 +28,14 @@ func renameBehavior(b memmodel.Behavior, act Action) memmodel.Behavior {
 	for pos, orig := range act.Threads {
 		threadPos[orig] = pos
 	}
+	locs := map[string]string{}
+	for i, orig := range act.Locs {
+		locs[orig] = canonLoc(i)
+	}
+	vals := map[int]int{}
+	for v, orig := range act.Vals {
+		vals[orig] = v
+	}
 	type fin struct {
 		loc string
 		val int
@@ -55,7 +45,7 @@ func renameBehavior(b memmodel.Behavior, act Action) memmodel.Behavior {
 		for _, part := range strings.Split(b.Finals, ";") {
 			lv := strings.SplitN(part, "=", 2)
 			v, _ := strconv.Atoi(lv[1])
-			finals = append(finals, fin{act.Locs[lv[0]], act.Vals[v]})
+			finals = append(finals, fin{locs[lv[0]], vals[v]})
 		}
 	}
 	sort.Slice(finals, func(i, j int) bool { return finals[i].loc < finals[j].loc })
@@ -70,7 +60,7 @@ func renameBehavior(b memmodel.Behavior, act Action) memmodel.Behavior {
 	for k, v := range b.Reads {
 		parts := strings.SplitN(k, ".", 3)
 		tid, _ := strconv.Atoi(strings.TrimPrefix(parts[0], "t"))
-		out.Reads[fmt.Sprintf("t%d.%s.%s", threadPos[tid], act.Locs[parts[1]], parts[2])] = act.Vals[v]
+		out.Reads[fmt.Sprintf("t%d.%s.%s", threadPos[tid], locs[parts[1]], parts[2])] = vals[v]
 	}
 	return out
 }
@@ -279,5 +269,56 @@ func TestBound2VerdictPreservation(t *testing.T) {
 			t.Fatalf("%s: member verdict sound=%v but canonical %s sound=%v\nmember=%v\ncanon=%v",
 				p.Name, memSound, fp, repSound, p.Threads, canonP.Threads)
 		}
+	}
+}
+
+// TestFingerprintFromWinningEncoding checks, over the bound-2 family in both
+// thread orders, that the fingerprint the campaign takes from the
+// minimization's winning encoding equals Fingerprint's re-encoding of the
+// canonical threads.
+func TestFingerprintFromWinningEncoding(t *testing.T) {
+	c := NewCanonicalizer()
+	for _, p := range memmodel.GenerateX86Programs(2) {
+		for _, threads := range [][][]Op{p.Threads, {p.Threads[1], p.Threads[0]}} {
+			c.canonicalize(threads)
+			fp := c.fingerprint()
+			canon := c.threads()
+			if re := c.Fingerprint(canon); re != fp {
+				t.Fatalf("%s %v: winning encoding fingerprints to %s, canonical threads %v to %s",
+					p.Name, threads, fp, canon, re)
+			}
+		}
+	}
+}
+
+// TestCanonicalizeAllocatesNothing pins the campaign's per-program cost:
+// once a canonicalizer's buffers have grown, canonicalizing, fingerprinting
+// and renaming the whole bound-3 family, in the order run visits it,
+// allocates nothing at all.
+func TestCanonicalizeAllocatesNothing(t *testing.T) {
+	skels := memmodel.X86ThreadSkeletons(3)
+	c := NewCanonicalizer()
+	var fp Fingerprint
+	family := func() {
+		for i := range skels {
+			threads := [2][]Op{skels[i], nil}
+			for j := i; j < len(skels); j++ {
+				threads[1] = skels[j]
+				c.canonicalize(threads[:])
+				fp = c.fingerprint()
+				c.threads()
+			}
+		}
+	}
+	// AllocsPerRun warms up with one call, then counts the next.
+	if n := testing.AllocsPerRun(1, family); n != 0 {
+		t.Fatalf("canonicalizing the bound-3 family allocates %.0f times after warm-up, want 0", n)
+	}
+	_ = fp
+	// CanonicalProgram allocates only what it hands out: the program, its
+	// name, its thread headers and one op array.
+	threads := [][]Op{skels[17], skels[len(skels)-1]}
+	if n := testing.AllocsPerRun(100, func() { c.CanonicalProgram(threads) }); n > 4 {
+		t.Fatalf("CanonicalProgram allocates %.1f times per call, want at most 4", n)
 	}
 }
