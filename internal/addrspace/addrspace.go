@@ -15,7 +15,10 @@
 // exact Load/Store slow path.
 package addrspace
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 const (
 	// Size is the number of addressable bytes.
@@ -35,6 +38,9 @@ const (
 )
 
 type page = [PageSize]byte
+
+// zeroPage is what a page that was never written holds.
+var zeroPage page
 
 // Space is one address space. The zero value is an empty space (all zero,
 // no page allocated) ready to use. A Space must not be copied after first
@@ -209,6 +215,28 @@ func (s *Space) Write(addr uint64, src []byte) bool {
 		}
 		copy(p[o:], src[:n])
 		src, addr = src[n:], addr+n
+	}
+	return true
+}
+
+// Equal reports whether the len(b) bytes at addr all lie below Size and
+// equal b. It compares in place, page by page, a page never written
+// comparing as zeros; it copies and allocates nothing.
+func (s *Space) Equal(addr uint64, b []byte) bool {
+	if !InBounds(addr, len(b)) {
+		return false
+	}
+	for len(b) > 0 {
+		o := addr & pageMask
+		n := min(uint64(len(b)), PageSize-o)
+		p := s.pages[addr>>PageBits]
+		if p == nil {
+			p = &zeroPage
+		}
+		if !bytes.Equal(p[o:o+n], b[:n]) {
+			return false
+		}
+		b, addr = b[n:], addr+n
 	}
 	return true
 }

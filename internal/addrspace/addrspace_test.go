@@ -8,10 +8,10 @@ import (
 )
 
 // TestMatchesFlatMemory drives a Space and a flat Size-byte slice with the
-// same random mix of sized loads and stores (fast and slow paths) and
-// bulk reads and writes, clustered around page boundaries and the top of
-// memory, and requires the same values, the same faults and the same
-// bytes.
+// same random mix of sized loads and stores (fast and slow paths), bulk
+// reads and writes and in-place comparisons, clustered around page
+// boundaries and the top of memory, and requires the same values, the
+// same faults, the same comparisons and the same bytes.
 func TestMatchesFlatMemory(t *testing.T) {
 	var s Space
 	flat := make([]byte, Size)
@@ -38,7 +38,7 @@ func TestMatchesFlatMemory(t *testing.T) {
 			copy(b[:], flat[a:a+uint64(n)])
 			want = binary.LittleEndian.Uint64(b[:])
 		}
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
 		case 0:
 			if got, gok := s.Load(a, n); gok != ok || got != want {
 				t.Fatalf("Load(%#x, %d) = %#x, %v; want %#x, %v", a, n, got, gok, want, ok)
@@ -80,6 +80,20 @@ func TestMatchesFlatMemory(t *testing.T) {
 			if ok {
 				copy(flat[a:], buf)
 			}
+		case 5:
+			// A span equal to the flat bytes, or differing in one byte.
+			buf := make([]byte, rng.Intn(3*PageSize))
+			ok := a < Size && uint64(len(buf)) <= Size-a
+			if ok {
+				copy(buf, flat[a:])
+			}
+			if len(buf) > 0 && rng.Intn(2) == 0 {
+				buf[rng.Intn(len(buf))] ^= byte(1 + rng.Intn(255))
+				ok = false
+			}
+			if s.Equal(a, buf) != ok {
+				t.Fatalf("Equal(%#x, %d bytes) = %v, want %v", a, len(buf), !ok, ok)
+			}
 		}
 	}
 	// Every allocated page holds exactly the flat bytes; every other page
@@ -94,7 +108,8 @@ func TestMatchesFlatMemory(t *testing.T) {
 }
 
 // TestReadsAllocateNothing reads every size across a fresh space's page
-// boundaries: each read returns zero and allocates no page and no memory.
+// boundaries and compares a span across one: each read returns zero, and
+// nothing allocates a page or any memory.
 func TestReadsAllocateNothing(t *testing.T) {
 	var s Space
 	buf, zero := make([]byte, 2*PageSize), make([]byte, 2*PageSize)
@@ -108,6 +123,9 @@ func TestReadsAllocateNothing(t *testing.T) {
 		}
 		if !s.Read(PageSize/2, buf) || !bytes.Equal(buf, zero) {
 			t.Fatal("Read of unwritten pages is not zero")
+		}
+		if !s.Equal(PageSize/2, zero) {
+			t.Fatal("unwritten pages do not compare equal to zero")
 		}
 	})
 	if allocs != 0 || s.Pages() != 0 {

@@ -248,22 +248,31 @@ func resetMem(m *Machine, s *vecState) {
 
 // memDiff lists the bytes that changed in both observed spans.
 func memDiff(m *Machine, s *vecState) string {
-	var win [vecWindow]byte
-	var top [vecTop]byte
-	m.Mem.Read(0, win[:])
-	m.Mem.Read(MemSize-vecTop, top[:])
-	return spanDiff(win[:], s.mem, 0) + spanDiff(top[:], vecZeroTop[:], MemSize-vecTop)
+	return spanDiff(m, 0, s.mem) + spanDiff(m, MemSize-vecTop, vecZeroTop[:])
 }
 
-func spanDiff(got, want []byte, base int) string {
-	if bytes.Equal(got, want) {
+// spanDiff lists the bytes of the span at base that differ from want, as
+// address and new value. Most steps store nothing there, so the span is
+// first compared in place, and a changed span is scanned 64 bytes at a
+// time.
+func spanDiff(m *Machine, base int, want []byte) string {
+	if m.Mem.Equal(uint64(base), want) {
 		return ""
 	}
+	var buf [vecWindow]byte
+	got := buf[:len(want)]
+	m.Mem.Read(uint64(base), got)
 	var b []byte
-	for i := range got {
-		if got[i] != want[i] {
-			b = binary.LittleEndian.AppendUint32(b, uint32(base+i))
-			b = append(b, got[i])
+	for lo := 0; lo < len(got); lo += 64 {
+		hi := min(lo+64, len(got))
+		if bytes.Equal(got[lo:hi], want[lo:hi]) {
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			if got[i] != want[i] {
+				b = binary.LittleEndian.AppendUint32(b, uint32(base+i))
+				b = append(b, got[i])
+			}
 		}
 	}
 	return string(b)
@@ -392,24 +401,13 @@ func vecDigest(t *testing.T, f vecForm, states []vecState, m *Machine, canary []
 		buf = ref.appendTo(buf[:0])
 		h.Write(buf)
 	}
-	low := canary[:vecCanary-vecWindow]
-	m.Mem.Read(vecWindow, low)
-	stray := !isZero(low)
-	high := canary[:vecCanary-vecTop]
-	m.Mem.Read(MemSize-vecCanary, high)
-	if stray || !isZero(high) || m.Mem.Pages() != pages {
+	// canary is all zero; both spans are compared with it in place.
+	low := m.Mem.Equal(vecWindow, canary[:vecCanary-vecWindow])
+	high := m.Mem.Equal(MemSize-vecCanary, canary[:vecCanary-vecTop])
+	if !low || !high || m.Mem.Pages() != pages {
 		t.Fatalf("%s: a store landed outside the observed windows", f.name)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func isZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Arm64 forms.
