@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"lasagne/internal/memmodel"
 )
@@ -88,8 +89,7 @@ func canonLoc(i int) string {
 // Canonicalizer computes canonical forms and fingerprints. It holds
 // reusable scratch buffers, so one canonicalizer per worker makes
 // steady-state canonicalization allocation-free (pinned by
-// TestCanonicalizeAllocatesNothing). Not safe for concurrent
-// use.
+// TestCanonicalizeAllocatesNothing). Not safe for concurrent use.
 type Canonicalizer struct {
 	norm    [][]Op // normalized threads (buffers reused)
 	normBuf [][]Op // backing storage for norm's threads
@@ -184,16 +184,9 @@ func (c *Canonicalizer) normalize(threads [][]Op) {
 	}
 }
 
-// resetNames starts a fresh first-appearance renaming, with the initial
-// value 0 a fixed point of the orbit action.
-func (c *Canonicalizer) resetNames() {
-	c.locs = c.locs[:0]
-	c.vals = append(c.vals[:0], 0)
-}
-
 // locID returns l's canonical id, numbering it next on first appearance.
 func (c *Canonicalizer) locID(l string) int {
-	if i := indexLoc(c.locs, l); i >= 0 {
+	if i := slices.Index(c.locs, l); i >= 0 {
 		return i
 	}
 	c.locs = append(c.locs, l)
@@ -202,29 +195,11 @@ func (c *Canonicalizer) locID(l string) int {
 
 // valID returns v's canonical value, numbering it next on first appearance.
 func (c *Canonicalizer) valID(v int) int {
-	if i := indexVal(c.vals, v); i >= 0 {
+	if i := slices.Index(c.vals, v); i >= 0 {
 		return i
 	}
 	c.vals = append(c.vals, v)
 	return len(c.vals) - 1
-}
-
-func indexLoc(locs []string, l string) int {
-	for i, x := range locs {
-		if x == l {
-			return i
-		}
-	}
-	return -1
-}
-
-func indexVal(vals []int, v int) int {
-	for i, x := range vals {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 func opFlags(o Op) uint64 {
@@ -251,7 +226,8 @@ func opFlags(o Op) uint64 {
 // tag, and all ids are uvarints.
 func (c *Canonicalizer) encode(threads [][]Op, perm []int) []byte {
 	enc := append(c.enc[:0], fpVersion...)
-	c.resetNames()
+	c.locs = c.locs[:0]
+	c.vals = append(c.vals[:0], 0) // the initial value is a fixed point of the orbit action
 	for _, ti := range perm {
 		for _, o := range threads[ti] {
 			enc = append(enc, byte(o.Kind)+1) // 0 is the thread separator
@@ -336,12 +312,12 @@ func (c *Canonicalizer) threads() [][]Op {
 		start := len(c.outOps)
 		for _, o := range c.norm[ti] {
 			if o.Kind != memmodel.OpFence {
-				o.Loc = canonLoc(indexLoc(c.bestLocs, o.Loc))
+				o.Loc = canonLoc(slices.Index(c.bestLocs, o.Loc))
 				if o.Kind == memmodel.OpStore || o.Kind == memmodel.OpRMW {
-					o.Val = indexVal(c.bestVals, o.Val)
+					o.Val = slices.Index(c.bestVals, o.Val)
 				}
 				if o.HasExp {
-					o.Exp = indexVal(c.bestVals, o.Exp)
+					o.Exp = slices.Index(c.bestVals, o.Exp)
 				}
 			}
 			c.outOps = append(c.outOps, o)
