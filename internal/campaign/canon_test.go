@@ -15,7 +15,9 @@ var allModels = []memmodel.Model{memmodel.SC, memmodel.X86, memmodel.Arm, memmod
 
 // actionLocs and actionVals list the action's location and value
 // bijections: element i is the original renamed to canonical location i,
-// or to canonical value i.
+// or to canonical value i. TestCanonicalFamilyGolden reads the action only
+// through them, so its hash does not depend on how Action stores the
+// bijections.
 func actionLocs(act Action) []string { return act.Locs }
 func actionVals(act Action) []int    { return act.Vals }
 
