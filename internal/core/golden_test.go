@@ -7,7 +7,10 @@ import (
 	"hash"
 	"testing"
 
+	"lasagne/internal/armlifter"
 	"lasagne/internal/backend"
+	"lasagne/internal/ir"
+	"lasagne/internal/lifter"
 	"lasagne/internal/minic"
 	"lasagne/internal/obj"
 	"lasagne/internal/opt"
@@ -103,10 +106,52 @@ func TestReverseTranslationGolden(t *testing.T) {
 	}
 }
 
+// liftedIRSHA256 pins the IR both lifters emit before any refinement or
+// optimization: slot names and their order, the flag slots, block names and
+// every lifted instruction. The translation goldens hash only optimized
+// output, which hides all of these.
+const liftedIRSHA256 = "c001facf79e5804b46419cf0ed58d4cf5cd7522d8f80014c68f9631d7968a569"
+
+// TestLiftedIRGolden hashes lifter.Lift of the x86-64 build and
+// armlifter.Lift of the Arm64 build of every suite kernel and of GenProgram
+// seeds 0..goldenSeeds-1.
+func TestLiftedIRGolden(t *testing.T) {
+	h := sha256.New()
+	hashLifts := func(name string, x86, arm *obj.File) {
+		t.Helper()
+		for _, l := range []struct {
+			label string
+			lift  func(*obj.File) (*ir.Module, error)
+			bin   *obj.File
+		}{{" x86-64", lifter.Lift, x86}, {" arm64", armlifter.Lift, arm}} {
+			m, err := l.lift(l.bin)
+			if err != nil {
+				t.Fatalf("lift %s%s: %v", name, l.label, err)
+			}
+			hashBytes(h, "lifted "+name+l.label, []byte(m.String()))
+		}
+	}
+	names, x86, arm := kernelSuite(t)
+	for i, name := range names {
+		hashLifts(name, x86[i], arm[i])
+	}
+	for seed := int64(0); seed < goldenSeeds; seed++ {
+		x, a := buildBoth(t, "t", validate.GenProgram(seed))
+		hashLifts("GenProgram", x, a)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != liftedIRSHA256 {
+		t.Fatalf("lifted IR changed:\n got  %s\n want %s", got, liftedIRSHA256)
+	}
+}
+
 // hashObj feeds a length-prefixed label and object encoding into h, so no
 // two different sequences of objects can hash alike by concatenation.
 func hashObj(h hash.Hash, label string, f *obj.File) {
-	b := f.Marshal()
+	hashBytes(h, label, f.Marshal())
+}
+
+// hashBytes feeds a length-prefixed label and byte string into h.
+func hashBytes(h hash.Hash, label string, b []byte) {
 	var n [8]byte
 	binary.LittleEndian.PutUint64(n[:], uint64(len(label)))
 	h.Write(n[:])
