@@ -1,11 +1,11 @@
 // Package armlifter lifts Arm64 binaries to the IR — the Appendix B
-// direction of the paper (Arm → IR → x86). Decoding (internal/mc) and CFG
-// reconstruction, liveness and §4.1 type discovery (internal/machine) are
-// the layers the x86 lifter uses, driven by this package's AAPCS
-// description; the lifting itself has the x86 lifter's shape: symbolic SP
-// tracking, eager NZCV flag materialization, per-register slots with
-// block-local value caching, and global/function rediscovery from composed
-// MOVZ/MOVK constants.
+// direction of the paper (Arm → IR → x86). Decoding (internal/mc), CFG
+// reconstruction, liveness, §4.1 type discovery and the function-lifting
+// frame (internal/machine: symbolic SP tracking, per-register slots with
+// block-local value caching, terminators, call marshalling) are the layers
+// the x86 lifter uses, driven by this package's AAPCS description. This
+// package adds the A64 semantics: eager NZCV flag materialization, XZR,
+// and global/function rediscovery from composed MOVZ/MOVK constants.
 //
 // Arm's LL/SC read-modify-write loops (the canonical
 // `dmb; L: ldxr; op; stxr; cbnz L; dmb` sequence emitted by compilers) are
@@ -25,9 +25,7 @@ import (
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
-	"lasagne/internal/lifter"
 	"lasagne/internal/machine"
-	"lasagne/internal/mc"
 	"lasagne/internal/obj"
 )
 
@@ -56,75 +54,44 @@ const (
 	unitCAS
 )
 
-// Lift translates an entire Arm64 object file into an IR module.
-func Lift(file *obj.File) (*ir.Module, error) {
-	ml, err := Begin(file, nil)
-	if err != nil {
-		return nil, err
-	}
-	for i := range ml.streams {
-		if err := ml.Declare(i); err != nil {
-			return nil, err
+// frontend is the Arm64 lifter as the shared lifting frame drives it.
+var frontend = &machine.Frontend[arm64.Inst, unit]{
+	Name:   "armlifter",
+	Arch:   "arm64",
+	Decode: arm64.DecodeAll,
+	Units:  recognizeAtomics,
+	ISA:    isa,
+	LiftInst: func(fr *machine.Frame[unit], u *unit) error {
+		if u.kind != unitInst {
+			fnLifter{fr}.liftAtomic(*u)
+			return nil
 		}
-	}
-	for _, name := range ml.Names() {
-		if err := ml.LiftFunc(name); err != nil {
-			return nil, fmt.Errorf("armlifter: @%s: %w", name, err)
-		}
-	}
-	if err := ir.Verify(ml.Module()); err != nil {
-		return nil, fmt.Errorf("armlifter: produced invalid IR: %w", err)
-	}
-	return ml.Module(), nil
+		return fnLifter{fr}.liftInst(u.inst)
+	},
+	BranchCond: func(fr *machine.Frame[unit], u *unit) ir.Value { return fnLifter{fr}.branchCond(u.inst) },
 }
 
-// ModuleLifter lifts one object in stages, as lifter.ModuleLifter does for
-// x86-64, so the fault-tolerant pipeline can wrap each function in its own
-// recover boundary: Begin decodes every function and builds the module
-// shell, Declare recognizes one function's atomic idioms and reconstructs
-// its CFG and signature, and LiftFunc translates one declared body.
-type ModuleLifter struct {
-	file    *obj.File
-	mod     *ir.Module
-	funcs   map[string]*machine.Function[unit] // declared functions
-	streams []mc.Stream[arm64.Inst]            // decoded functions, object order
-}
+// Lift translates an entire Arm64 object file into an IR module.
+func Lift(file *obj.File) (*ir.Module, error) { return machine.Lift(frontend, file) }
+
+// ModuleLifter lifts one Arm64 object in stages (see machine.ModuleLifter);
+// declaring a function first collapses its atomic idioms into units.
+type ModuleLifter = machine.ModuleLifter[arm64.Inst, unit]
 
 // Begin decodes each function symbol of the object. When bad is non-nil, a
 // function that sits outside .text or holds an undecodable word is reported
 // through bad and dropped instead of failing the whole object. Object-level
 // problems (wrong architecture, missing .text) still return an error.
 func Begin(file *obj.File, bad func(sym obj.Symbol, err error)) (*ModuleLifter, error) {
-	streams, err := mc.Decode(file, "arm64", arm64.DecodeAll, bad)
-	if err != nil {
-		return nil, err
-	}
-	return &ModuleLifter{file: file, mod: lifter.Shell(file), funcs: map[string]*machine.Function[unit]{}, streams: streams}, nil
+	return machine.Begin(frontend, file, bad)
 }
 
-// Names returns the decoded functions in object order.
-func (ml *ModuleLifter) Names() []string { return mc.Names(ml.streams) }
-
-// Module returns the module under construction.
-func (ml *ModuleLifter) Module() *ir.Module { return ml.mod }
-
-// Declare prepares the i-th decoded function: atomic idiom recognition,
-// CFG reconstruction and type discovery, creating the (still empty) IR
-// function. All declarations must happen before any LiftFunc so calls can
-// resolve their callees.
-func (ml *ModuleLifter) Declare(i int) error {
-	sym := ml.streams[i].Sym
-	units, err := recognizeAtomics(ml.streams[i].Insts)
-	if err != nil {
-		return fmt.Errorf("armlifter: %s: %w", sym.Name, err)
+// String prints a plain instruction in assembly syntax.
+func (u unit) String() string {
+	if u.kind != unitInst {
+		return "ldxr/stxr idiom"
 	}
-	mf, err := machine.Build(isa, mc.Stream[unit]{Sym: sym, Insts: units})
-	if err != nil {
-		return err
-	}
-	ml.funcs[sym.Name] = mf
-	ml.mod.NewFunc(sym.Name, mf.Type())
-	return nil
+	return u.inst.String()
 }
 
 // recognizeAtomics scans the instruction stream for the canonical LL/SC
@@ -133,7 +100,7 @@ func (ml *ModuleLifter) Declare(i int) error {
 //	RMW:  DMBFF; L: ldxr Rb,[Ra]; <op> Rc,...; stxr We,Rc,[Ra]; cbnz We,L; DMBFF
 //	CAS:  DMBFF; L: ldxr Rb,[Ra]; subs zr,Rb,Rc; b.ne +12; stxr We,Rd,[Ra]; cbnz We,L; DMBFF
 func recognizeAtomics(insts []arm64.Inst) ([]unit, error) {
-	var out []unit
+	out := make([]unit, 0, len(insts))
 	for i := 0; i < len(insts); i++ {
 		in := insts[i]
 		if in.Op != arm64.LDXR && in.Op != arm64.LDAXR {
@@ -234,6 +201,15 @@ var isa = &machine.ISA[unit]{
 	FPParams:  regRange(arm64.D0, 8),
 	IntRet:    machine.Reg(arm64.X0),
 	FPRet:     machine.Reg(arm64.D0),
+	RegNames:  machine.RegNames[arm64.Reg](int(arm64.D31) + 1),
+	SP:        machine.Reg(arm64.SP),
+	Flags:     []string{"nf", "zf", "cf", "vf"},
+	Reserves: func(u *unit) int64 {
+		if in := &u.inst; u.kind == unitInst && in.Op == arm64.SUBI && in.Rd == arm64.SP && in.Rn == arm64.SP {
+			return in.Imm
+		}
+		return 0
+	},
 }
 
 func regRange(first arm64.Reg, n int) []machine.Reg {

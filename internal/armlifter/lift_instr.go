@@ -5,297 +5,133 @@ import (
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/ir"
-	"lasagne/internal/lifter"
 	"lasagne/internal/machine"
-	"lasagne/internal/obj"
 )
 
-// NZCV flag indices.
+// NZCV flag indices, in the order of isa.Flags.
 const (
 	fN = iota
 	fZ
 	fC
 	fV
-	numFlags
 )
 
-type fnLifter struct {
-	l  *ModuleLifter
-	mf *machine.Function[unit]
-	f  *ir.Func
-	b  *ir.Builder
-
-	irBlocks map[uint64]*ir.Block
-	regSlot  map[arm64.Reg]*ir.Instr
-	flagSlot [numFlags]*ir.Instr
-	stack    *ir.Instr
-	stackTop ir.Value
-
-	regVal map[arm64.Reg]ir.Value
-
-	spKnown   bool
-	spOff     int64
-	snapKnown bool
-	snapOff   int64
-}
-
-// LiftFunc translates one declared function's body. Functions may be
-// lifted concurrently: each only writes its own IR function.
-func (ml *ModuleLifter) LiftFunc(name string) error {
-	mf := ml.funcs[name]
-	if mf == nil {
-		return fmt.Errorf("armlifter: function %q was never declared", name)
-	}
-	f := ml.mod.Func(name)
-	fl := &fnLifter{l: ml, mf: mf, f: f, irBlocks: map[uint64]*ir.Block{}, regSlot: map[arm64.Reg]*ir.Instr{}}
-
-	// Frame size: sum of prologue SP decrements plus slack.
-	var frame int64 = 64
-	for _, b := range mf.Blocks {
-		for _, u := range b.Insts {
-			if u.kind == unitInst && u.inst.Op == arm64.SUBI && u.inst.Rd == arm64.SP && u.inst.Rn == arm64.SP {
-				frame += u.inst.Imm
-			}
-		}
-	}
-	frame = (frame + 15) &^ 15
-
-	entry := f.NewBlock("entry")
-	fl.b = ir.NewBuilder(entry)
-	fl.stack = fl.b.Alloca(ir.ArrayOf(ir.I8, int(frame)))
-	fl.stack.Nam = "stack"
-	fl.stackTop = fl.b.Bitcast(fl.stack, ir.PointerTo(ir.I8))
-	fl.stackTop.(*ir.Instr).Nam = "stacktop"
-	for i := 0; i < numFlags; i++ {
-		fl.flagSlot[i] = fl.b.Alloca(ir.I1)
-	}
-	fl.flagSlot[fN].Nam, fl.flagSlot[fZ].Nam = "nf", "zf"
-	fl.flagSlot[fC].Nam, fl.flagSlot[fV].Nam = "cf", "vf"
-	fl.spKnown = true
-	fl.spOff = frame - 16
-
-	for _, mb := range mf.Blocks {
-		fl.irBlocks[mb.Start] = f.NewBlock(fmt.Sprintf("bb_%x", mb.Start))
-	}
-
-	fl.regVal = map[arm64.Reg]ir.Value{}
-	for i, p := range mf.Params {
-		var pv ir.Value = f.Params[i]
-		if p.Kind == machine.ParamF64 {
-			pv = fl.b.Bitcast(pv, ir.I64)
-		}
-		fl.writeReg(arm64.Reg(p.Reg), pv)
-	}
-	fl.b.Br(fl.irBlocks[mf.Blocks[0].Start])
-
-	for i, mb := range mf.Blocks {
-		fl.b = ir.NewBuilder(fl.irBlocks[mb.Start])
-		fl.regVal = map[arm64.Reg]ir.Value{}
-		if i > 0 {
-			fl.spKnown, fl.spOff = fl.snapKnown, fl.snapOff
-		}
-		if err := fl.liftBlock(mb); err != nil {
-			return err
-		}
-		if i == 0 {
-			fl.snapKnown, fl.snapOff = fl.spKnown, fl.spOff
-		}
-	}
-	return nil
-}
-
-func (fl *fnLifter) slot(r arm64.Reg) *ir.Instr {
-	if s, ok := fl.regSlot[r]; ok {
-		return s
-	}
-	entry := fl.f.Entry()
-	s := &ir.Instr{Op: ir.OpAlloca, Ty: ir.PointerTo(ir.I64), Elem: ir.I64, Nam: r.String()}
-	entry.InsertBefore(s, entry.Instrs[0])
-	fl.regSlot[r] = s
-	return s
-}
+// fnLifter gives the Arm64 semantics their view of the lifting frame.
+type fnLifter struct{ *machine.Frame[unit] }
 
 // readReg returns the 64-bit value of a register (XZR reads zero).
-func (fl *fnLifter) readReg(r arm64.Reg) ir.Value {
+func (fl fnLifter) readReg(r arm64.Reg) ir.Value {
 	if r == arm64.XZR {
 		return ir.I64Const(0)
 	}
-	if r == arm64.SP {
-		if fl.spKnown {
-			return fl.frameAddr(fl.spOff)
-		}
-		// fall through to a slot (never written in our binaries)
-	}
-	if v, ok := fl.regVal[r]; ok {
-		return v
-	}
-	v := fl.b.Load(fl.slot(r))
-	fl.regVal[r] = v
-	return v
+	return fl.Read(machine.Reg(r))
 }
 
 // readRegW reads the low w bytes.
-func (fl *fnLifter) readRegW(r arm64.Reg, w int) ir.Value {
-	v := fl.readReg(r)
-	if w == 8 {
-		return v
-	}
-	return fl.b.Trunc(v, lifter.IntType(w))
-}
+func (fl fnLifter) readRegW(r arm64.Reg, w int) ir.Value { return fl.TruncTo(fl.readReg(r), w) }
 
-func (fl *fnLifter) writeReg(r arm64.Reg, v ir.Value) {
+// writeReg assigns a register; writes to XZR are dropped. Constants (those
+// composed by MOVZ/MOVK sequences) are rediscovered as global/function
+// references.
+func (fl fnLifter) writeReg(r arm64.Reg, v ir.Value) {
 	if r == arm64.XZR {
 		return
 	}
-	fl.regVal[r] = fl.maybeSymbolize(v)
-	fl.b.Store(fl.regVal[r], fl.slot(r))
+	if c, ok := v.(*ir.ConstInt); ok {
+		if p := fl.SymbolRef(c.V); p != nil {
+			v = p
+		}
+	}
+	fl.Write(machine.Reg(r), v)
 }
 
 // writeRegW writes an iW value zero-extended (A64 semantics: 32-bit results
 // zero the upper half; byte/half writes only occur via loads which also
 // zero-extend).
-func (fl *fnLifter) writeRegW(r arm64.Reg, w int, v ir.Value) {
+func (fl fnLifter) writeRegW(r arm64.Reg, w int, v ir.Value) {
 	if w == 8 {
 		fl.writeReg(r, v)
 		return
 	}
-	fl.writeReg(r, fl.b.Zext(v, ir.I64))
+	fl.writeReg(r, fl.B.Zext(v, ir.I64))
 }
 
-func (fl *fnLifter) frameAddr(off int64) ir.Value {
-	tos := fl.b.PtrToInt(fl.stackTop, ir.I64)
-	if off == 0 {
-		return tos
-	}
-	return fl.b.Add(tos, ir.I64Const(off))
-}
+// D registers' slots hold raw bits as i64.
 
-// maybeSymbolize rediscovers global/function references in constants that
-// were composed by MOVZ/MOVK sequences.
-func (fl *fnLifter) maybeSymbolize(v ir.Value) ir.Value {
-	if c, ok := v.(*ir.ConstInt); ok {
-		if p := lifter.SymbolRef(fl.b, fl.l.mod, fl.l.file, c.V); p != nil {
-			return p
-		}
-	}
-	return v
-}
+func (fl fnLifter) readFP(r arm64.Reg, w int) ir.Value     { return fl.ReadFP(machine.Reg(r), w) }
+func (fl fnLifter) writeFP(r arm64.Reg, w int, v ir.Value) { fl.WriteFP(machine.Reg(r), w, v) }
 
-func (fl *fnLifter) setFlag(i int, v ir.Value) { fl.b.Store(v, fl.flagSlot[i]) }
-func (fl *fnLifter) getFlag(i int) ir.Value    { return fl.b.Load(fl.flagSlot[i]) }
+// fpArith is the IR operation of each FP arithmetic instruction.
+var fpArith = map[arm64.Op]ir.Op{arm64.FADD: ir.OpFAdd, arm64.FSUB: ir.OpFSub, arm64.FMUL: ir.OpFMul, arm64.FDIV: ir.OpFDiv}
 
 // flagsSub materializes NZCV for a-b at width w.
-func (fl *fnLifter) flagsSub(a, b ir.Value) {
+func (fl fnLifter) flagsSub(a, b ir.Value) {
 	ty := a.Type().(*ir.IntType)
 	zero := ir.IntConst(ty, 0)
-	r := fl.b.Sub(a, b)
-	fl.setFlag(fN, fl.b.ICmp(ir.PredSLT, r, zero))
-	fl.setFlag(fZ, fl.b.ICmp(ir.PredEQ, a, b))
-	fl.setFlag(fC, fl.b.ICmp(ir.PredUGE, a, b))
-	x1 := fl.b.Xor(a, b)
-	x2 := fl.b.Xor(a, r)
-	fl.setFlag(fV, fl.b.ICmp(ir.PredSLT, fl.b.And(x1, x2), zero))
+	r := fl.B.Sub(a, b)
+	fl.SetFlag(fN, fl.B.ICmp(ir.PredSLT, r, zero))
+	fl.SetFlag(fZ, fl.B.ICmp(ir.PredEQ, a, b))
+	fl.SetFlag(fC, fl.B.ICmp(ir.PredUGE, a, b))
+	x1 := fl.B.Xor(a, b)
+	x2 := fl.B.Xor(a, r)
+	fl.SetFlag(fV, fl.B.ICmp(ir.PredSLT, fl.B.And(x1, x2), zero))
 }
 
 // cond materializes an i1 for an A64 condition from the flag slots.
-func (fl *fnLifter) cond(cc arm64.Cond) ir.Value {
-	not := func(v ir.Value) ir.Value { return fl.b.Xor(v, ir.I1Const(true)) }
+func (fl fnLifter) cond(cc arm64.Cond) ir.Value {
+	not := func(v ir.Value) ir.Value { return fl.B.Xor(v, ir.I1Const(true)) }
 	switch cc {
 	case arm64.EQ:
-		return fl.getFlag(fZ)
+		return fl.Flag(fZ)
 	case arm64.NE:
-		return not(fl.getFlag(fZ))
+		return not(fl.Flag(fZ))
 	case arm64.HS:
-		return fl.getFlag(fC)
+		return fl.Flag(fC)
 	case arm64.LO:
-		return not(fl.getFlag(fC))
+		return not(fl.Flag(fC))
 	case arm64.MI:
-		return fl.getFlag(fN)
+		return fl.Flag(fN)
 	case arm64.PL:
-		return not(fl.getFlag(fN))
+		return not(fl.Flag(fN))
 	case arm64.VS:
-		return fl.getFlag(fV)
+		return fl.Flag(fV)
 	case arm64.VC:
-		return not(fl.getFlag(fV))
+		return not(fl.Flag(fV))
 	case arm64.HI:
-		return fl.b.And(fl.getFlag(fC), not(fl.getFlag(fZ)))
+		return fl.B.And(fl.Flag(fC), not(fl.Flag(fZ)))
 	case arm64.LS:
-		return fl.b.Or(not(fl.getFlag(fC)), fl.getFlag(fZ))
+		return fl.B.Or(not(fl.Flag(fC)), fl.Flag(fZ))
 	case arm64.GE:
-		return not(fl.b.Xor(fl.getFlag(fN), fl.getFlag(fV)))
+		return not(fl.B.Xor(fl.Flag(fN), fl.Flag(fV)))
 	case arm64.LT:
-		return fl.b.Xor(fl.getFlag(fN), fl.getFlag(fV))
+		return fl.B.Xor(fl.Flag(fN), fl.Flag(fV))
 	case arm64.GT:
-		return fl.b.And(not(fl.getFlag(fZ)), not(fl.b.Xor(fl.getFlag(fN), fl.getFlag(fV))))
+		return fl.B.And(not(fl.Flag(fZ)), not(fl.B.Xor(fl.Flag(fN), fl.Flag(fV))))
 	case arm64.LE:
-		return fl.b.Or(fl.getFlag(fZ), fl.b.Xor(fl.getFlag(fN), fl.getFlag(fV)))
+		return fl.B.Or(fl.Flag(fZ), fl.B.Xor(fl.Flag(fN), fl.Flag(fV)))
 	}
 	return ir.I1Const(true)
 }
 
-// FP helpers: D-register slots hold raw bits as i64.
-func (fl *fnLifter) readF64(r arm64.Reg) ir.Value {
-	return fl.b.Bitcast(fl.readReg(r), ir.F64)
-}
-
-func (fl *fnLifter) writeF64(r arm64.Reg, v ir.Value) {
-	fl.writeReg(r, fl.b.Bitcast(v, ir.I64))
-}
-
-// liftBlock translates one machine block into the corresponding IR block.
-// The machine layer has already rejected indirect jumps, conditional
-// branches without a fall-through and blocks that fall off the end.
-func (fl *fnLifter) liftBlock(mb *machine.Block[unit]) error {
-	for _, u := range mb.Insts {
-		if u.kind != unitInst {
-			fl.liftAtomic(u)
-			continue
-		}
-		in := u.inst
-		switch in.Op {
-		case arm64.B:
-			fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
-			return nil
-		case arm64.BCOND:
-			c := fl.cond(in.Cond)
-			fl.b.CondBr(c, fl.irBlocks[mb.Succs[0].Start], fl.irBlocks[mb.Succs[1].Start])
-			return nil
-		case arm64.CBZ, arm64.CBNZ:
-			v := fl.readRegW(in.Rd, widthOf(in.Size))
-			pred := ir.PredEQ
-			if in.Op == arm64.CBNZ {
-				pred = ir.PredNE
-			}
-			c := fl.b.ICmp(pred, v, ir.IntConst(lifter.IntType(widthOf(in.Size)), 0))
-			fl.b.CondBr(c, fl.irBlocks[mb.Succs[0].Start], fl.irBlocks[mb.Succs[1].Start])
-			return nil
-		case arm64.RET:
-			switch fl.mf.Ret {
-			case machine.RetInt:
-				fl.b.Ret(fl.readReg(arm64.X0))
-			case machine.RetF64:
-				fl.b.Ret(fl.readF64(arm64.D0))
-			default:
-				fl.b.Ret(nil)
-			}
-			return nil
-		default:
-			if err := fl.liftInst(in); err != nil {
-				return fmt.Errorf("at %#x (%s): %w", in.Addr, in.String(), err)
-			}
-		}
+// branchCond is the condition a conditional branch takes its target on.
+func (fl fnLifter) branchCond(in arm64.Inst) ir.Value {
+	if in.Op == arm64.BCOND {
+		return fl.cond(in.Cond)
 	}
-	// Fallthrough into the next block.
-	fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
-	return nil
+	v := fl.readRegW(in.Rd, widthOf(in.Size))
+	pred := ir.PredEQ
+	if in.Op == arm64.CBNZ {
+		pred = ir.PredNE
+	}
+	return fl.B.ICmp(pred, v, ir.IntConst(machine.IntType(widthOf(in.Size)), 0))
 }
 
 // liftAtomic lowers a recognized LL/SC idiom to a seq_cst atomic.
-func (fl *fnLifter) liftAtomic(u unit) {
-	b := fl.b
+func (fl fnLifter) liftAtomic(u unit) {
+	b := fl.B
 	addr := fl.readReg(u.addrReg)
 	w := widthOf(u.size)
-	p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(w)))
+	p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(w)))
 	switch u.kind {
 	case unitRMW:
 		operand := fl.readRegW(u.operand, w)
@@ -317,8 +153,8 @@ func widthOf(size int) int {
 	return size
 }
 
-func (fl *fnLifter) liftInst(in arm64.Inst) error {
-	b := fl.b
+func (fl fnLifter) liftInst(in arm64.Inst) error {
+	b := fl.B
 	w := widthOf(in.Size)
 
 	switch in.Op {
@@ -361,16 +197,16 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 
 	case arm64.ADDI, arm64.SUBI, arm64.SUBSI:
 		// Symbolic SP adjustment.
-		if in.Rd == arm64.SP && in.Rn == arm64.SP && fl.spKnown && in.Op != arm64.SUBSI {
+		if off, ok := fl.Known(machine.Reg(arm64.SP)); in.Rd == arm64.SP && in.Rn == arm64.SP && ok && in.Op != arm64.SUBSI {
 			if in.Op == arm64.ADDI {
-				fl.spOff += in.Imm
+				fl.SetKnown(machine.Reg(arm64.SP), off+in.Imm)
 			} else {
-				fl.spOff -= in.Imm
+				fl.SetKnown(machine.Reg(arm64.SP), off-in.Imm)
 			}
 			return nil
 		}
 		a := fl.readRegW(in.Rn, w)
-		c := ir.IntConst(lifter.IntType(w), in.Imm)
+		c := ir.IntConst(machine.IntType(w), in.Imm)
 		switch in.Op {
 		case arm64.ADDI:
 			fl.writeRegW(in.Rd, w, b.Add(a, c))
@@ -402,9 +238,9 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 			op = ir.OpUDiv
 		}
 		// A64 division by zero yields 0: guard with a select.
-		zero := ir.IntConst(lifter.IntType(w), 0)
+		zero := ir.IntConst(machine.IntType(w), 0)
 		isZero := b.ICmp(ir.PredEQ, c, zero)
-		safe := b.Select(isZero, ir.IntConst(lifter.IntType(w), 1), c)
+		safe := b.Select(isZero, ir.IntConst(machine.IntType(w), 1), c)
 		q := b.Bin(op, a, safe)
 		fl.writeRegW(in.Rd, w, b.Select(isZero, zero, q))
 		return nil
@@ -414,9 +250,9 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		var cnt ir.Value
 		switch in.Op {
 		case arm64.LSLI, arm64.LSRI, arm64.ASRI:
-			cnt = ir.IntConst(lifter.IntType(w), in.Imm)
+			cnt = ir.IntConst(machine.IntType(w), in.Imm)
 		default:
-			cnt = b.And(fl.readRegW(in.Rm, w), ir.IntConst(lifter.IntType(w), int64(w*8-1)))
+			cnt = b.And(fl.readRegW(in.Rm, w), ir.IntConst(machine.IntType(w), int64(w*8-1)))
 		}
 		var r ir.Value
 		switch in.Op {
@@ -468,7 +304,7 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		a := fl.readRegW(in.Rn, w)
 		d := fl.readRegW(in.Rm, w)
 		if in.Op == arm64.CSINC {
-			d = b.Add(d, ir.IntConst(lifter.IntType(w), 1))
+			d = b.Add(d, ir.IntConst(machine.IntType(w), 1))
 		}
 		fl.writeRegW(in.Rd, w, b.Select(c, a, d))
 		return nil
@@ -476,21 +312,11 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 	case arm64.LDR, arm64.LDUR, arm64.LDRR:
 		addr := fl.loadStoreAddr(in)
 		if in.Rd.IsFP() {
-			ty := ir.Type(ir.F64)
-			if in.Size == 4 {
-				ty = ir.F32
-			}
-			p := b.IntToPtr(addr, ir.PointerTo(ty))
-			v := b.Load(p)
-			if in.Size == 4 {
-				bits := b.Bitcast(v, &ir.IntType{Bits: 32})
-				fl.writeReg(in.Rd, b.Zext(bits, ir.I64))
-			} else {
-				fl.writeF64(in.Rd, v)
-			}
+			p := b.IntToPtr(addr, ir.PointerTo(machine.FloatType(in.Size)))
+			fl.writeFP(in.Rd, in.Size, b.Load(p))
 			return nil
 		}
-		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(in.Size)))
 		v := b.Load(p)
 		fl.writeRegW(in.Rd, in.Size, v)
 		return nil
@@ -498,24 +324,24 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 	case arm64.STR, arm64.STUR, arm64.STRR:
 		addr := fl.loadStoreAddr(in)
 		if in.Rd.IsFP() {
+			// The widths order the value and the address differently; the
+			// lifted-IR golden pins both orders.
 			if in.Size == 4 {
-				bits := b.Trunc(fl.readReg(in.Rd), &ir.IntType{Bits: 32})
-				v := b.Bitcast(bits, ir.F32)
-				p := b.IntToPtr(addr, ir.PointerTo(ir.F32))
-				b.Store(v, p)
+				v := fl.readFP(in.Rd, 4)
+				b.Store(v, b.IntToPtr(addr, ir.PointerTo(ir.F32)))
 			} else {
 				p := b.IntToPtr(addr, ir.PointerTo(ir.F64))
-				b.Store(fl.readF64(in.Rd), p)
+				b.Store(fl.readFP(in.Rd, 8), p)
 			}
 			return nil
 		}
-		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(in.Size)))
 		b.Store(fl.readRegW(in.Rd, in.Size), p)
 		return nil
 
 	case arm64.LDRSB, arm64.LDRSH, arm64.LDRSW:
 		addr := fl.loadStoreAddr(in)
-		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(in.Size)))
 		v := b.Load(p)
 		fl.writeReg(in.Rd, b.Sext(v, ir.I64))
 		return nil
@@ -525,48 +351,36 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		// its ordering through a re-translation instead of degrading to a
 		// plain access.
 		addr := fl.readReg(in.Rn)
-		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(in.Size)))
 		v := b.LoadAtomic(p, ir.Acquire)
 		fl.writeRegW(in.Rd, in.Size, v)
 		return nil
 
 	case arm64.STLR:
 		addr := fl.readReg(in.Rn)
-		p := b.IntToPtr(addr, ir.PointerTo(lifter.IntType(in.Size)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(in.Size)))
 		b.StoreAtomic(fl.readRegW(in.Rd, in.Size), p, ir.Release)
 		return nil
 
 	case arm64.BL:
-		return fl.liftCall(in)
+		return fl.Call(uint64(in.Imm))
 
 	case arm64.FADD, arm64.FSUB, arm64.FMUL, arm64.FDIV:
-		op := map[arm64.Op]ir.Op{arm64.FADD: ir.OpFAdd, arm64.FSUB: ir.OpFSub, arm64.FMUL: ir.OpFMul, arm64.FDIV: ir.OpFDiv}[in.Op]
-		if in.Size == 4 {
-			a := fl.readF32(in.Rn)
-			c := fl.readF32(in.Rm)
-			fl.writeF32(in.Rd, b.Bin(op, a, c))
-			return nil
-		}
-		fl.writeF64(in.Rd, b.Bin(op, fl.readF64(in.Rn), fl.readF64(in.Rm)))
+		fl.writeFP(in.Rd, in.Size, b.Bin(fpArith[in.Op], fl.readFP(in.Rn, in.Size), fl.readFP(in.Rm, in.Size)))
 		return nil
 
 	case arm64.FCMP:
-		var a, c ir.Value
-		if in.Size == 4 {
-			a, c = fl.readF32(in.Rn), fl.readF32(in.Rm)
-		} else {
-			a, c = fl.readF64(in.Rn), fl.readF64(in.Rm)
-		}
+		a, c := fl.readFP(in.Rn, in.Size), fl.readFP(in.Rm, in.Size)
 		// NZCV per A64 FCMP: see the simulator's table.
 		olt := b.FCmp(ir.PredOLT, a, c)
 		oeq := b.FCmp(ir.PredOEQ, a, c)
 		uno := b.FCmp(ir.PredUNO, a, c)
-		fl.setFlag(fN, olt)
-		fl.setFlag(fZ, oeq)
+		fl.SetFlag(fN, olt)
+		fl.SetFlag(fZ, oeq)
 		// C = a >= c or unordered.
 		oge := b.FCmp(ir.PredOGE, a, c)
-		fl.setFlag(fC, b.Or(oge, uno))
-		fl.setFlag(fV, uno)
+		fl.SetFlag(fC, b.Or(oge, uno))
+		fl.SetFlag(fV, uno)
 		return nil
 
 	case arm64.FMOV:
@@ -585,47 +399,26 @@ func (fl *fnLifter) liftInst(in arm64.Inst) error {
 		return nil
 
 	case arm64.SCVTF:
-		v := fl.readReg(in.Rn)
-		if in.Size == 4 {
-			fl.writeF32(in.Rd, b.SIToFP(v, ir.F32))
-		} else {
-			fl.writeF64(in.Rd, b.SIToFP(v, ir.F64))
-		}
+		fl.writeFP(in.Rd, in.Size, b.SIToFP(fl.readReg(in.Rn), machine.FloatType(in.Size)))
 		return nil
 	case arm64.FCVTZS:
-		var v ir.Value
-		if in.Size == 4 {
-			v = fl.readF32(in.Rn)
-		} else {
-			v = fl.readF64(in.Rn)
-		}
-		fl.writeReg(in.Rd, b.FPToSI(v, ir.I64))
+		fl.writeReg(in.Rd, b.FPToSI(fl.readFP(in.Rn, in.Size), ir.I64))
 		return nil
 	case arm64.FCVTDS:
-		fl.writeF64(in.Rd, b.Cast(ir.OpFPExt, fl.readF32(in.Rn), ir.F64))
+		fl.writeFP(in.Rd, 8, b.Cast(ir.OpFPExt, fl.readFP(in.Rn, 4), ir.F64))
 		return nil
 	case arm64.FCVTSD:
-		fl.writeF32(in.Rd, b.Cast(ir.OpFPTrunc, fl.readF64(in.Rn), ir.F32))
+		fl.writeFP(in.Rd, 4, b.Cast(ir.OpFPTrunc, fl.readFP(in.Rn, 8), ir.F32))
 		return nil
 	}
 	return fmt.Errorf("unsupported instruction %s", in.Op)
 }
 
-func (fl *fnLifter) readF32(r arm64.Reg) ir.Value {
-	bits := fl.b.Trunc(fl.readReg(r), &ir.IntType{Bits: 32})
-	return fl.b.Bitcast(bits, ir.F32)
-}
-
-func (fl *fnLifter) writeF32(r arm64.Reg, v ir.Value) {
-	bits := fl.b.Bitcast(v, &ir.IntType{Bits: 32})
-	fl.writeReg(r, fl.b.Zext(bits, ir.I64))
-}
-
 // loadStoreAddr computes the effective address of a load/store unit.
-func (fl *fnLifter) loadStoreAddr(in arm64.Inst) ir.Value {
-	b := fl.b
-	if in.Rn == arm64.SP && fl.spKnown && in.Op != arm64.LDRR && in.Op != arm64.STRR {
-		return fl.frameAddr(fl.spOff + in.Imm)
+func (fl fnLifter) loadStoreAddr(in arm64.Inst) ir.Value {
+	b := fl.B
+	if off, ok := fl.Known(machine.Reg(arm64.SP)); in.Rn == arm64.SP && ok && in.Op != arm64.LDRR && in.Op != arm64.STRR {
+		return fl.FrameAddr(off + in.Imm)
 	}
 	base := fl.readReg(in.Rn)
 	switch in.Op {
@@ -653,56 +446,4 @@ func shiftFor(size int) int {
 		return 3
 	}
 	return 0
-}
-
-// liftCall translates a BL using the callee's discovered or runtime
-// signature.
-func (fl *fnLifter) liftCall(in arm64.Inst) error {
-	sym := fl.l.file.SymbolAt(uint64(in.Imm))
-	if sym == nil || (sym.Kind != obj.SymFunc && sym.Kind != obj.SymExtern) {
-		return fmt.Errorf("call to unknown target %#x", uint64(in.Imm))
-	}
-	callee := fl.l.mod.Func(sym.Name)
-	if callee == nil {
-		return fmt.Errorf("call to unlifted function %q", sym.Name)
-	}
-	b := fl.b
-	intIdx, fpIdx := 0, 0
-	var args []ir.Value
-	for _, pt := range callee.Sig.Params {
-		switch t := pt.(type) {
-		case *ir.FloatType:
-			if t.Bits == 32 {
-				args = append(args, fl.readF32(arm64.D0+arm64.Reg(fpIdx)))
-			} else {
-				args = append(args, fl.readF64(arm64.D0+arm64.Reg(fpIdx)))
-			}
-			fpIdx++
-		case *ir.PtrType:
-			raw := fl.readReg(arm64.X0 + arm64.Reg(intIdx))
-			args = append(args, b.IntToPtr(raw, t))
-			intIdx++
-		default:
-			args = append(args, fl.readReg(arm64.X0+arm64.Reg(intIdx)))
-			intIdx++
-		}
-	}
-	res := b.Call(callee, args...)
-	switch rt := callee.Sig.Ret.(type) {
-	case *ir.IntType:
-		v := ir.Value(res)
-		if rt.Bits < 64 {
-			v = b.Zext(res, ir.I64)
-		}
-		fl.writeReg(arm64.X0, v)
-	case *ir.FloatType:
-		if rt.Bits == 32 {
-			fl.writeF32(arm64.D0, res)
-		} else {
-			fl.writeF64(arm64.D0, res)
-		}
-	case *ir.PtrType:
-		fl.writeReg(arm64.X0, b.PtrToInt(res, ir.I64))
-	}
-	return nil
 }

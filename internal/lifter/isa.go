@@ -34,6 +34,22 @@ var ISA = &machine.ISA[x86.Inst]{
 	IntRet:    machine.Reg(x86.RAX),
 	FPRet:     machine.Reg(x86.XMM0),
 	FPParam:   sseParamKind,
+	RegNames:  machine.RegNames[x86.Reg](int(x86.XMM15) + 1),
+	SP:        machine.Reg(x86.RSP),
+	Flags:     []string{"zf", "sf", "cf", "of", "pf"},
+	Reserves:  reserves,
+}
+
+// reserves returns the stack bytes a static "sub rsp, imm" or a push
+// reserves.
+func reserves(in *x86.Inst) int64 {
+	switch {
+	case in.Op == x86.SUB && in.Ops[0].Kind == x86.KindReg && in.Ops[0].Reg == x86.RSP && in.Ops[1].Kind == x86.KindImm:
+		return in.Ops[1].Imm
+	case in.Op == x86.PUSH:
+		return 8
+	}
+	return 0
 }
 
 func regs(rs ...x86.Reg) []machine.Reg {

@@ -5,73 +5,32 @@ import (
 
 	"lasagne/internal/ir"
 	"lasagne/internal/machine"
-	"lasagne/internal/obj"
 	"lasagne/internal/x86"
 )
 
-// liftBlock translates one machine block into the corresponding IR block.
-// The machine layer has already rejected indirect jumps, conditional
-// branches without a fall-through and blocks that fall off the end.
-func (fl *fnLifter) liftBlock(mb *machine.Block[x86.Inst]) error {
-	for _, in := range mb.Insts {
-		switch in.Op {
-		case x86.JMP:
-			fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
-			return nil
-		case x86.JCC:
-			c := fl.cond(in, in.Cond)
-			fl.b.CondBr(c, fl.irBlocks[mb.Succs[0].Start], fl.irBlocks[mb.Succs[1].Start])
-			return nil
-		case x86.RET:
-			switch fl.mf.Ret {
-			case machine.RetInt:
-				fl.b.Ret(fl.readReg64(x86.RAX))
-			case machine.RetF64:
-				fl.b.Ret(fl.readXMMF64(x86.XMM0))
-			default:
-				fl.b.Ret(nil)
-			}
-			return nil
-		case x86.UD2:
-			fl.b.Unreachable()
-			return nil
-		default:
-			if err := fl.liftInst(in); err != nil {
-				return fmt.Errorf("at %#x (%s): %w", in.Addr, in.String(), err)
-			}
-		}
+// frameRegImmArith handles add/sub of an immediate on a register that holds
+// a known frame offset (RSP, RBP): it moves the offset and emits nothing.
+func (fl fnLifter) frameRegImmArith(in x86.Inst) bool {
+	if (in.Op != x86.ADD && in.Op != x86.SUB) || len(in.Ops) != 2 || in.Ops[0].Kind != x86.KindReg || in.Ops[1].Kind != x86.KindImm {
+		return false
 	}
-	// Fallthrough into the next block.
-	fl.b.Br(fl.irBlocks[mb.Succs[0].Start])
-	return nil
+	r, imm := in.Ops[0].Reg, in.Ops[1].Imm
+	off, ok := fl.known(r)
+	if in.Op == x86.SUB {
+		imm = -imm
+	}
+	if ok {
+		fl.SetKnown(machine.Reg(r), off+imm)
+	}
+	return ok
 }
 
-// frameRegImmArith handles add/sub on a symbolically tracked RSP/RBP.
-func (fl *fnLifter) frameRegImmArith(in x86.Inst) bool {
-	if len(in.Ops) != 2 || in.Ops[0].Kind != x86.KindReg || in.Ops[1].Kind != x86.KindImm {
-		return false
-	}
-	r := in.Ops[0].Reg
-	if !fl.spKnown[r] {
-		return false
-	}
-	switch in.Op {
-	case x86.ADD:
-		fl.spOff[r] += in.Ops[1].Imm
-	case x86.SUB:
-		fl.spOff[r] -= in.Ops[1].Imm
-	default:
-		return false
-	}
-	return true
-}
-
-func (fl *fnLifter) liftInst(in x86.Inst) error {
+func (fl fnLifter) liftInst(in x86.Inst) error {
 	w := in.Size
 	if w == 0 {
 		w = 8
 	}
-	b := fl.b
+	b := fl.B
 
 	switch in.Op {
 	case x86.NOP:
@@ -84,10 +43,8 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 	case x86.MOV:
 		dst, src := in.Ops[0], in.Ops[1]
 		// Frame-register moves stay symbolic.
-		if w == 8 && dst.Kind == x86.KindReg && src.Kind == x86.KindReg && fl.spKnown[src.Reg] {
-			fl.spKnown[dst.Reg] = true
-			fl.spOff[dst.Reg] = fl.spOff[src.Reg]
-			delete(fl.regVal, dst.Reg)
+		if off, ok := fl.known(src.Reg); ok && w == 8 && dst.Kind == x86.KindReg && src.Kind == x86.KindReg {
+			fl.SetKnown(machine.Reg(dst.Reg), off)
 			return nil
 		}
 		v := fl.readOp(in, src, w)
@@ -96,7 +53,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.LEA:
 		addr := fl.memAddr(in, in.Ops[1].Mem)
-		fl.writeRegW(in.Ops[0].Reg, w, fl.truncTo(addr, w))
+		fl.writeRegW(in.Ops[0].Reg, w, fl.TruncTo(addr, w))
 		return nil
 
 	case x86.ADD, x86.SUB, x86.AND, x86.OR, x86.XOR:
@@ -106,7 +63,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		dst, src := in.Ops[0], in.Ops[1]
 		// xor r, r zeroing idiom.
 		if in.Op == x86.XOR && dst.Kind == x86.KindReg && src.Kind == x86.KindReg && dst.Reg == src.Reg {
-			zero := ir.IntConst(IntType(w), 0)
+			zero := ir.IntConst(machine.IntType(w), 0)
 			fl.writeRegW(dst.Reg, w, zero)
 			fl.flagsLogic(zero)
 			return nil
@@ -156,7 +113,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 			fl.writeRegW(in.Ops[0].Reg, w, r)
 		case 3:
 			c := fl.readOp(in, in.Ops[1], w)
-			r := b.Mul(c, ir.IntConst(IntType(w), in.Ops[2].Imm))
+			r := b.Mul(c, ir.IntConst(machine.IntType(w), in.Ops[2].Imm))
 			fl.flagsLogic(r)
 			fl.writeRegW(in.Ops[0].Reg, w, r)
 		}
@@ -187,12 +144,12 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		a := fl.readRegW(x86.RAX, w)
 		d := fl.readOp(in, in.Ops[0], w)
 		fl.writeRegW(x86.RAX, w, b.Mul(a, d))
-		fl.writeRegW(x86.RDX, w, ir.IntConst(IntType(w), 0))
+		fl.writeRegW(x86.RDX, w, ir.IntConst(machine.IntType(w), 0))
 		return nil
 
 	case x86.NEG:
 		a := fl.readOp(in, in.Ops[0], w)
-		zero := ir.IntConst(IntType(w), 0)
+		zero := ir.IntConst(machine.IntType(w), 0)
 		r := b.Sub(zero, a)
 		fl.flagsSub(zero, a, r)
 		fl.writeOp(in, in.Ops[0], w, r)
@@ -200,27 +157,27 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.NOT:
 		a := fl.readOp(in, in.Ops[0], w)
-		fl.writeOp(in, in.Ops[0], w, b.Xor(a, ir.IntConst(IntType(w), -1)))
+		fl.writeOp(in, in.Ops[0], w, b.Xor(a, ir.IntConst(machine.IntType(w), -1)))
 		return nil
 
 	case x86.SHL, x86.SHR, x86.SAR:
 		a := fl.readOp(in, in.Ops[0], w)
 		var cnt ir.Value
 		if in.Ops[1].Kind == x86.KindImm {
-			cnt = ir.IntConst(IntType(w), in.Ops[1].Imm)
+			cnt = ir.IntConst(machine.IntType(w), in.Ops[1].Imm)
 		} else {
 			c8 := fl.readRegW(x86.RCX, 1)
 			if w == 1 {
 				cnt = c8
 			} else {
-				cnt = b.Zext(c8, IntType(w))
+				cnt = b.Zext(c8, machine.IntType(w))
 			}
 		}
 		mask := int64(31)
 		if w == 8 {
 			mask = 63
 		}
-		cnt = b.And(cnt, ir.IntConst(IntType(w), mask))
+		cnt = b.And(cnt, ir.IntConst(machine.IntType(w), mask))
 		var r *ir.Instr
 		switch in.Op {
 		case x86.SHL:
@@ -244,18 +201,18 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.MOVZX:
 		v := fl.readOp(in, in.Ops[1], in.SrcSize)
-		fl.writeRegW(in.Ops[0].Reg, w, b.Zext(v, IntType(w)))
+		fl.writeRegW(in.Ops[0].Reg, w, b.Zext(v, machine.IntType(w)))
 		return nil
 	case x86.MOVSX, x86.MOVSXD:
 		v := fl.readOp(in, in.Ops[1], in.SrcSize)
-		fl.writeRegW(in.Ops[0].Reg, w, b.Sext(v, IntType(w)))
+		fl.writeRegW(in.Ops[0].Reg, w, b.Sext(v, machine.IntType(w)))
 		return nil
 
 	case x86.PUSH:
-		if fl.spKnown[x86.RSP] {
-			fl.spOff[x86.RSP] -= 8
+		if off, ok := fl.known(x86.RSP); ok {
+			fl.SetKnown(machine.Reg(x86.RSP), off-8)
 			v := fl.readOp(in, in.Ops[0], 8)
-			addr := fl.frameAddr(fl.spOff[x86.RSP])
+			addr := fl.FrameAddr(off - 8)
 			p := b.IntToPtr(addr, ir.PointerTo(ir.I64))
 			b.Store(v, p)
 			return nil
@@ -263,11 +220,11 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		return fmt.Errorf("push with unknown stack pointer")
 
 	case x86.POP:
-		if fl.spKnown[x86.RSP] {
-			addr := fl.frameAddr(fl.spOff[x86.RSP])
+		if off, ok := fl.known(x86.RSP); ok {
+			addr := fl.FrameAddr(off)
 			p := b.IntToPtr(addr, ir.PointerTo(ir.I64))
 			v := b.Load(p)
-			fl.spOff[x86.RSP] += 8
+			fl.SetKnown(machine.Reg(x86.RSP), off+8)
 			fl.writeReg64(in.Ops[0].Reg, v)
 			return nil
 		}
@@ -286,13 +243,16 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 		return nil
 
 	case x86.CALL:
-		return fl.liftCall(in)
+		if in.Ops[0].Kind != x86.KindImm {
+			return fmt.Errorf("indirect call (unsupported, as in mctoll)")
+		}
+		return fl.Call(uint64(in.Ops[0].Imm))
 
 	case x86.XCHG:
 		dst, src := in.Ops[0], in.Ops[1]
 		if dst.Kind == x86.KindMem {
 			addr := fl.memAddr(in, dst.Mem)
-			p := b.IntToPtr(addr, ir.PointerTo(IntType(w)))
+			p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(w)))
 			v := fl.readRegW(src.Reg, w)
 			old := b.RMW(ir.RMWXchg, p, v)
 			fl.writeRegW(src.Reg, w, old)
@@ -306,7 +266,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.CMPXCHG:
 		addr := fl.memAddr(in, in.Ops[0].Mem)
-		p := b.IntToPtr(addr, ir.PointerTo(IntType(w)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(w)))
 		expected := fl.readRegW(x86.RAX, w)
 		newV := fl.readRegW(in.Ops[1].Reg, w)
 		old := b.CmpXchg(p, expected, newV)
@@ -316,7 +276,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	case x86.XADD:
 		addr := fl.memAddr(in, in.Ops[0].Mem)
-		p := b.IntToPtr(addr, ir.PointerTo(IntType(w)))
+		p := b.IntToPtr(addr, ir.PointerTo(machine.IntType(w)))
 		v := fl.readRegW(in.Ops[1].Reg, w)
 		old := b.RMW(ir.RMWAdd, p, v)
 		fl.flagsAdd(old, v, b.Add(old, v))
@@ -325,23 +285,15 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 
 	// --- SSE (§4.2.2) ---
 
-	case x86.MOVSD_X:
-		dst, src := in.Ops[0], in.Ops[1]
-		switch {
-		case dst.Kind == x86.KindReg && src.Kind == x86.KindReg:
-			fl.writeReg64(dst.Reg, fl.readReg64(src.Reg))
-		case dst.Kind == x86.KindReg:
-			fl.writeXMMF64(dst.Reg, fl.readFPOp(in, src, false))
-		default:
-			addr := fl.memAddr(in, dst.Mem)
-			p := b.IntToPtr(addr, ir.PointerTo(ir.F64))
-			b.Store(fl.readXMMF64(src.Reg), p)
+	case x86.MOVSD_X, x86.MOVSS_X:
+		fw := 8
+		if in.Op == x86.MOVSS_X {
+			fw = 4
 		}
-		return nil
-
-	case x86.MOVSS_X:
 		dst, src := in.Ops[0], in.Ops[1]
 		switch {
+		case dst.Kind == x86.KindReg && src.Kind == x86.KindReg && fw == 8:
+			fl.writeReg64(dst.Reg, fl.readReg64(src.Reg))
 		case dst.Kind == x86.KindReg && src.Kind == x86.KindReg:
 			// Merge the low 32 bits.
 			old := fl.readReg64(dst.Reg)
@@ -349,58 +301,50 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 			low := b.Zext(b.Trunc(fl.readReg64(src.Reg), ir.I32), ir.I64)
 			fl.writeReg64(dst.Reg, b.Or(cleared, low))
 		case dst.Kind == x86.KindReg:
-			fl.writeXMMF32(dst.Reg, fl.readFPOp(in, src, true))
+			fl.writeXMM(dst.Reg, fw, fl.readFPOp(in, src, fw))
 		default:
-			addr := fl.memAddr(in, dst.Mem)
-			p := b.IntToPtr(addr, ir.PointerTo(ir.F32))
-			b.Store(fl.readXMMF32(src.Reg), p)
+			p := b.IntToPtr(fl.memAddr(in, dst.Mem), ir.PointerTo(machine.FloatType(fw)))
+			b.Store(fl.readXMM(src.Reg, fw), p)
 		}
 		return nil
 
-	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD:
-		a := fl.readXMMF64(in.Ops[0].Reg)
-		c := fl.readFPOp(in, in.Ops[1], false)
-		op := map[x86.Op]ir.Op{x86.ADDSD: ir.OpFAdd, x86.SUBSD: ir.OpFSub, x86.MULSD: ir.OpFMul, x86.DIVSD: ir.OpFDiv}[in.Op]
-		fl.writeXMMF64(in.Ops[0].Reg, b.Bin(op, a, c))
-		return nil
-
-	case x86.ADDSS, x86.SUBSS, x86.MULSS, x86.DIVSS:
-		a := fl.readXMMF32(in.Ops[0].Reg)
-		c := fl.readFPOp(in, in.Ops[1], true)
-		op := map[x86.Op]ir.Op{x86.ADDSS: ir.OpFAdd, x86.SUBSS: ir.OpFSub, x86.MULSS: ir.OpFMul, x86.DIVSS: ir.OpFDiv}[in.Op]
-		fl.writeXMMF32(in.Ops[0].Reg, b.Bin(op, a, c))
+	case x86.ADDSD, x86.SUBSD, x86.MULSD, x86.DIVSD, x86.ADDSS, x86.SUBSS, x86.MULSS, x86.DIVSS:
+		op := sseArith[in.Op]
+		a := fl.readXMM(in.Ops[0].Reg, op.w)
+		c := fl.readFPOp(in, in.Ops[1], op.w)
+		fl.writeXMM(in.Ops[0].Reg, op.w, b.Bin(op.op, a, c))
 		return nil
 
 	case x86.UCOMISD:
-		a := fl.readXMMF64(in.Ops[0].Reg)
-		c := fl.readFPOp(in, in.Ops[1], false)
+		a := fl.readXMM(in.Ops[0].Reg, 8)
+		c := fl.readFPOp(in, in.Ops[1], 8)
 		one := b.FCmp(ir.PredONE, a, c)
-		fl.setFlag(fZF, b.Xor(one, ir.I1Const(true))) // equal or unordered
-		fl.setFlag(fPF, b.FCmp(ir.PredUNO, a, c))
+		fl.SetFlag(fZF, b.Xor(one, ir.I1Const(true))) // equal or unordered
+		fl.SetFlag(fPF, b.FCmp(ir.PredUNO, a, c))
 		oge := b.FCmp(ir.PredOGE, a, c)
-		fl.setFlag(fCF, b.Xor(oge, ir.I1Const(true))) // less or unordered
-		fl.setFlag(fSF, ir.I1Const(false))
-		fl.setFlag(fOF, ir.I1Const(false))
+		fl.SetFlag(fCF, b.Xor(oge, ir.I1Const(true))) // less or unordered
+		fl.SetFlag(fSF, ir.I1Const(false))
+		fl.SetFlag(fOF, ir.I1Const(false))
 		return nil
 
 	case x86.CVTSI2SD:
 		v := fl.readOp(in, in.Ops[1], w)
-		fl.writeXMMF64(in.Ops[0].Reg, b.SIToFP(v, ir.F64))
+		fl.writeXMM(in.Ops[0].Reg, 8, b.SIToFP(v, ir.F64))
 		return nil
 
 	case x86.CVTTSD2SI:
-		v := fl.readFPOp(in, in.Ops[1], false)
-		fl.writeRegW(in.Ops[0].Reg, w, b.FPToSI(v, IntType(w)))
+		v := fl.readFPOp(in, in.Ops[1], 8)
+		fl.writeRegW(in.Ops[0].Reg, w, b.FPToSI(v, machine.IntType(w)))
 		return nil
 
 	case x86.CVTSS2SD:
-		v := fl.readFPOp(in, in.Ops[1], true)
-		fl.writeXMMF64(in.Ops[0].Reg, b.Cast(ir.OpFPExt, v, ir.F64))
+		v := fl.readFPOp(in, in.Ops[1], 4)
+		fl.writeXMM(in.Ops[0].Reg, 8, b.Cast(ir.OpFPExt, v, ir.F64))
 		return nil
 
 	case x86.CVTSD2SS:
-		v := fl.readFPOp(in, in.Ops[1], false)
-		fl.writeXMMF32(in.Ops[0].Reg, b.Cast(ir.OpFPTrunc, v, ir.F32))
+		v := fl.readFPOp(in, in.Ops[1], 8)
+		fl.writeXMM(in.Ops[0].Reg, 4, b.Cast(ir.OpFPTrunc, v, ir.F32))
 		return nil
 
 	case x86.MOVQ, x86.MOVD:
@@ -418,7 +362,7 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 			return nil
 		}
 		v := fl.readReg64(src.Reg)
-		fl.writeOp(in, dst, sz, fl.truncTo(v, sz))
+		fl.writeOp(in, dst, sz, fl.TruncTo(v, sz))
 		return nil
 
 	case x86.PXOR, x86.XORPS:
@@ -432,72 +376,12 @@ func (fl *fnLifter) liftInst(in x86.Inst) error {
 	return fmt.Errorf("unsupported instruction %s", in.Op)
 }
 
-// truncTo narrows v to w bytes if needed.
-func (fl *fnLifter) truncTo(v ir.Value, w int) ir.Value {
-	if w == 8 {
-		return v
-	}
-	return fl.b.Trunc(v, IntType(w))
-}
-
-// liftCall translates a direct call using the discovered or runtime-provided
-// callee signature (§4.2.1).
-func (fl *fnLifter) liftCall(in x86.Inst) error {
-	if in.Ops[0].Kind != x86.KindImm {
-		return fmt.Errorf("indirect call (unsupported, as in mctoll)")
-	}
-	target := uint64(in.Ops[0].Imm)
-	sym := fl.l.file.SymbolAt(target)
-	if sym == nil || (sym.Kind != obj.SymFunc && sym.Kind != obj.SymExtern) {
-		return fmt.Errorf("call to unknown target %#x", target)
-	}
-	callee := fl.l.mod.Func(sym.Name)
-	if callee == nil {
-		return fmt.Errorf("call to unlifted function %q", sym.Name)
-	}
-	b := fl.b
-
-	intRegs := []x86.Reg{x86.RDI, x86.RSI, x86.RDX, x86.RCX, x86.R8, x86.R9}
-	fpRegs := []x86.Reg{x86.XMM0, x86.XMM1, x86.XMM2, x86.XMM3, x86.XMM4, x86.XMM5, x86.XMM6, x86.XMM7}
-	intIdx, fpIdx := 0, 0
-	var args []ir.Value
-	for _, pt := range callee.Sig.Params {
-		switch t := pt.(type) {
-		case *ir.FloatType:
-			if t.Bits == 32 {
-				args = append(args, fl.readXMMF32(fpRegs[fpIdx]))
-			} else {
-				args = append(args, fl.readXMMF64(fpRegs[fpIdx]))
-			}
-			fpIdx++
-		case *ir.PtrType:
-			raw := fl.readReg64(intRegs[intIdx])
-			args = append(args, b.IntToPtr(raw, t))
-			intIdx++
-		default:
-			args = append(args, fl.readReg64(intRegs[intIdx]))
-			intIdx++
-		}
-		if intIdx > len(intRegs) || fpIdx > len(fpRegs) {
-			return fmt.Errorf("call to %s exceeds register arguments", sym.Name)
-		}
-	}
-	res := b.Call(callee, args...)
-	switch rt := callee.Sig.Ret.(type) {
-	case *ir.IntType:
-		v := ir.Value(res)
-		if rt.Bits < 64 {
-			v = b.Zext(res, ir.I64)
-		}
-		fl.writeReg64(x86.RAX, v)
-	case *ir.FloatType:
-		if rt.Bits == 32 {
-			fl.writeXMMF32(x86.XMM0, res)
-		} else {
-			fl.writeXMMF64(x86.XMM0, res)
-		}
-	case *ir.PtrType:
-		fl.writeReg64(x86.RAX, b.PtrToInt(res, ir.I64))
-	}
-	return nil
+// sseArith is the IR operation and operand width of each scalar SSE
+// arithmetic instruction.
+var sseArith = map[x86.Op]struct {
+	op ir.Op
+	w  int
+}{
+	x86.ADDSD: {ir.OpFAdd, 8}, x86.SUBSD: {ir.OpFSub, 8}, x86.MULSD: {ir.OpFMul, 8}, x86.DIVSD: {ir.OpFDiv, 8},
+	x86.ADDSS: {ir.OpFAdd, 4}, x86.SUBSS: {ir.OpFSub, 4}, x86.MULSS: {ir.OpFMul, 4}, x86.DIVSS: {ir.OpFDiv, 4},
 }

@@ -6,6 +6,7 @@ import (
 
 	"lasagne/internal/arm64"
 	"lasagne/internal/armlifter"
+	"lasagne/internal/diag"
 	"lasagne/internal/ir"
 	"lasagne/internal/lifter"
 	"lasagne/internal/obj"
@@ -149,6 +150,38 @@ func TestCFGErrors(t *testing.T) {
 			_, err := lifts[tc.bin.Arch](tc.bin)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLiftErrorsCarryAddress: an instruction a lifter cannot translate fails
+// the lift with an error that names the instruction's address to
+// diag.AddrOf, in both directions. Each function starts with a nop, so the
+// address is not the function's.
+func TestLiftErrorsCarryAddress(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bin  *obj.File
+		addr uint64
+		want string
+	}{
+		{"x86-64 call rax", x86Obj(t,
+			x86.NewInst(x86.NOP, 0),
+			x86.NewInst(x86.CALL, 0, x86.RegOp(x86.RAX)),
+			x86.NewInst(x86.RET, 0)), obj.TextBase + 1, "indirect call"},
+		{"arm64 blr x6", armObj(t,
+			arm64.Inst{Op: arm64.NOP},
+			arm64.Inst{Op: arm64.BLR, Rn: arm64.X6},
+			arm64.Inst{Op: arm64.RET}), obj.TextBase + 4, "unsupported instruction blr"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := lifts[tc.bin.Arch](tc.bin)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			if got := diag.AddrOf(err); got != tc.addr {
+				t.Fatalf("diag.AddrOf(%q) = %#x, want %#x", err, got, tc.addr)
 			}
 		})
 	}

@@ -3,8 +3,11 @@
 // instruction streams, computes block liveness, and performs the
 // function-type discovery of §4.1 — live-register analysis against the
 // calling convention to recover parameter lists and return types that
-// were erased by compilation. The layer is generic over the instruction
-// type; each lifter describes its ISA with an ISA value (the x86-64 lifter
+// were erased by compilation. It also holds the function-lifting frame
+// (lift.go) that turns a machine function into an IR body, and the staged
+// module lifter both lifters drive it through. The layer is generic over
+// the instruction type; each lifter describes its ISA with an ISA value
+// and supplies its instruction semantics in a Frontend (the x86-64 lifter
 // over x86.Inst under System V, the Arm64 lifter over its
 // instruction-or-LL/SC-idiom units under the AAPCS).
 package machine
@@ -60,6 +63,14 @@ type ISA[I any] struct {
 	// FPParam returns the kind of f's FP parameter r; nil makes every FP
 	// parameter an f64.
 	FPParam func(f *Function[I], r Reg) ParamKind
+
+	// What the lifting frame needs: each register's slot name (the length
+	// is the register count), the stack pointer, the flag slots' names in
+	// allocation order, and the stack bytes an instruction reserves.
+	RegNames []string
+	SP       Reg
+	Flags    []string
+	Reserves func(in *I) int64
 }
 
 // Block is one basic block of machine instructions.
@@ -69,6 +80,7 @@ type Block[I any] struct {
 	// Succs lists the jump or branch target first, then the fall-through.
 	Succs []*Block[I]
 
+	index        int  // position in Function.Blocks
 	use, def, in Regs // liveness: upward-exposed uses, definitions, live-in
 }
 
@@ -174,7 +186,7 @@ func (f *Function[I]) buildCFG(isa *ISA[I], s mc.Stream[I]) error {
 		for !leader[hi] {
 			hi++
 		}
-		blocks = append(blocks, Block[I]{Start: addr(lo), Insts: insts[lo:hi:hi]})
+		blocks = append(blocks, Block[I]{Start: addr(lo), Insts: insts[lo:hi:hi], index: len(blocks)})
 		lo = hi
 	}
 	f.Blocks = make([]*Block[I], len(blocks))
