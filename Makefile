@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate profile-sim
+.PHONY: build test verify deadcode fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate profile-sim
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ test:
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/diag/... ./internal/core/... ./internal/serve/...
+
+# deadcode builds every cmd/*, examples/* and perfbench binary into a
+# temporary directory and fails on a function under internal/ that none of
+# them links, unless cmd/deadcode/allowlist.txt names it with a reason, and
+# on an allowlist entry that is linked again or no longer exists.
+deadcode:
+	$(GO) run ./cmd/deadcode
 
 # fuzz runs the FuzzTranslate target for 30s (the fault-tolerance contract:
 # no escaped panics, every failure yields a diagnostic).

@@ -385,7 +385,7 @@ func BenchmarkEvalPipelineParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := r.RunAll(); err != nil {
+		if err := r.RunAllContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,9 +82,6 @@ const (
 	RegNone Reg = -1
 )
 
-// IsGP reports whether r is a general-purpose register (including XZR/SP).
-func (r Reg) IsGP() bool { return r >= X0 && r <= SP }
-
 // IsFP reports whether r is an FP register.
 func (r Reg) IsFP() bool { return r >= D0 && r <= D31 }
 

@@ -267,7 +267,13 @@ func (fl fnLifter) liftInst(in arm64.Inst) error {
 		return nil
 
 	case arm64.SXTB, arm64.SXTH, arm64.SXTW:
-		srcW := map[arm64.Op]int{arm64.SXTB: 1, arm64.SXTH: 2, arm64.SXTW: 4}[in.Op]
+		srcW := 4
+		switch in.Op {
+		case arm64.SXTB:
+			srcW = 1
+		case arm64.SXTH:
+			srcW = 2
+		}
 		v := fl.readRegW(in.Rn, srcW)
 		fl.writeReg(in.Rd, b.Sext(v, ir.I64))
 		return nil

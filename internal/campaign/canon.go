@@ -338,27 +338,6 @@ func (c *Canonicalizer) action() Action {
 	return c.act
 }
 
-// Canonical computes the canonical representative of threads' orbit and the
-// action mapping the input onto it (see canonicalize). The returned thread
-// slices and action share the canonicalizer's buffers and are only valid
-// until the next call; callers needing a persistent program use
-// CanonicalProgram.
-func (c *Canonicalizer) Canonical(threads [][]Op) ([][]Op, Action) {
-	c.canonicalize(threads)
-	return c.threads(), c.action()
-}
-
-// Fingerprint hashes the canonical encoding of the given canonical threads.
-// It must be called on Canonical's output (it re-encodes in identity order
-// without re-minimizing).
-func (c *Canonicalizer) Fingerprint(canon [][]Op) Fingerprint {
-	c.perm = c.perm[:0]
-	for i := range canon {
-		c.perm = append(c.perm, i)
-	}
-	return fingerprintOf(c.encode(canon, c.perm))
-}
-
 // CanonicalProgram canonicalizes threads into a standalone Program named
 // after its fingerprint, with deep-copied thread storage safe to retain.
 // The action, as Canonical's, is only valid until the next call.

@@ -324,3 +324,24 @@ func TestCanonicalizeAllocatesNothing(t *testing.T) {
 		t.Fatalf("CanonicalProgram allocates %.1f times per call, want at most 4", n)
 	}
 }
+
+// Canonical computes the canonical representative of threads' orbit and the
+// action mapping the input onto it (see canonicalize). The returned thread
+// slices and action share the canonicalizer's buffers and are only valid
+// until the next call; callers needing a persistent program use
+// CanonicalProgram.
+func (c *Canonicalizer) Canonical(threads [][]Op) ([][]Op, Action) {
+	c.canonicalize(threads)
+	return c.threads(), c.action()
+}
+
+// Fingerprint hashes the canonical encoding of the given canonical threads.
+// It must be called on Canonical's output (it re-encodes in identity order
+// without re-minimizing).
+func (c *Canonicalizer) Fingerprint(canon [][]Op) Fingerprint {
+	c.perm = c.perm[:0]
+	for i := range canon {
+		c.perm = append(c.perm, i)
+	}
+	return fingerprintOf(c.encode(canon, c.perm))
+}

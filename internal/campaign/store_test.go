@@ -220,3 +220,27 @@ func TestMemoryOnlyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Message returns the stored counterexample for an unsound fingerprint.
+func (s *Store) Message(fp Fingerprint) string {
+	sh := s.shardOf(fp)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.msgs[fp]
+}
+
+// Len reports how many verdicts the store holds (recorded, not pending).
+func (s *Store) Len() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.m {
+			if !e.pending {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}

@@ -243,11 +243,6 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Stats returns the cumulative hit and miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
 // Health is a point-in-time snapshot of the cache's counters, exposed by
 // the daemon's health endpoints.
 type Health struct {

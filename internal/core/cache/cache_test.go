@@ -290,3 +290,8 @@ func TestModuleShapeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Stats returns the cumulative hit and miss counts.
+func (c *Cache) Stats() (hits, misses int64) {
+	return c.hits.Load(), c.misses.Load()
+}

@@ -188,14 +188,9 @@ func (r *Result) liftedVariant(b phoenix.Benchmark, xbin *obj.File, v Variant) f
 	}
 }
 
-// RunVariant simulates one build and records cycles and output.
-func (r *Result) RunVariant(v Variant) error {
-	return r.RunVariantContext(context.Background(), v)
-}
-
-// RunVariantContext is RunVariant bounded by ctx and MaxSimSteps: an
-// expired deadline or exhausted step cap fails the variant with an error
-// wrapping diag.ErrBudgetExceeded.
+// RunVariantContext simulates one build and records cycles and output,
+// bounded by ctx and MaxSimSteps: an expired deadline or exhausted step cap
+// fails the variant with an error wrapping diag.ErrBudgetExceeded.
 func (r *Result) RunVariantContext(ctx context.Context, v Variant) error {
 	mach, err := newMachine(r.Builds[v].Obj)
 	if err != nil {
@@ -210,14 +205,10 @@ func (r *Result) RunVariantContext(ctx context.Context, v Variant) error {
 	return nil
 }
 
-// RunAll simulates every variant and verifies they all produce the Native
-// output. Variants run concurrently: each simulation owns a private Machine
-// and writes only its own Cycles/Output slots.
-func (r *Result) RunAll() error {
-	return r.RunAllContext(context.Background())
-}
-
-// RunAllContext is RunAll with every simulation bounded by ctx.
+// RunAllContext simulates every variant, each simulation bounded by ctx,
+// and verifies they all produce the Native output. Variants run
+// concurrently: each simulation owns a private Machine and writes only its
+// own Cycles/Output slots.
 func (r *Result) RunAllContext(ctx context.Context) error {
 	if err := par.FirstErr(int(NumVariants), Parallelism, func(i int) error {
 		return r.RunVariantContext(ctx, Variant(i))
@@ -320,48 +311,4 @@ func GeoMean(vals []float64) float64 {
 		return 0
 	}
 	return mathPow(prod, 1/float64(len(vals)))
-}
-
-// AblationFences quantifies the stack-access analysis of §8 step 1: the
-// number of fences placed (and the simulated cycles) with and without the
-// use-def stack filter on the raw lifted module.
-func AblationFences(b phoenix.Benchmark) (withSkip, withoutSkip int, cyclesSkip, cyclesNo int64, err error) {
-	src, err := compileSource(b)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	xbin, err := backend.Compile(src, "x86-64")
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	base, err := lifter.Lift(xbin)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	run := func(m *ir.Module, opts fences.Options) (int, int64, error) {
-		fences.Place(m, opts)
-		n := fences.Count(m)
-		o, err := backend.Compile(m, "arm64")
-		if err != nil {
-			return 0, 0, err
-		}
-		mach, err := newMachine(o)
-		if err != nil {
-			return 0, 0, err
-		}
-		c, err := mach.Run()
-		return n, c, err
-	}
-	opts := []fences.Options{{SkipStackAccesses: true}, {}}
-	mods := [2]*ir.Module{base, base.Clone()} // cloned before the fan-out
-	var ns [2]int
-	var cs [2]int64
-	if err = par.FirstErr(len(opts), Parallelism, func(i int) error {
-		var e error
-		ns[i], cs[i], e = run(mods[i], opts[i])
-		return e
-	}); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return ns[0], ns[1], cs[0], cs[1], nil
 }

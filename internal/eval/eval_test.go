@@ -1,9 +1,15 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"lasagne/internal/backend"
+	"lasagne/internal/fences"
+	"lasagne/internal/ir"
+	"lasagne/internal/lifter"
+	"lasagne/internal/par"
 	"lasagne/internal/phoenix"
 )
 
@@ -14,7 +20,7 @@ func TestHistogramVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunAll(); err != nil {
+	if err := r.RunAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, r)
@@ -28,7 +34,7 @@ func TestStringMatchVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunAll(); err != nil {
+	if err := r.RunAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, r)
@@ -42,7 +48,7 @@ func TestKmeansVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunAll(); err != nil {
+	if err := r.RunAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, r)
@@ -51,8 +57,8 @@ func TestKmeansVariants(t *testing.T) {
 // checkResult validates the qualitative shape the paper reports.
 func checkResult(t *testing.T, r *Result) {
 	t.Helper()
-	// All variants agree functionally (checked by RunAll) — now the shape:
-	// Native is fastest; Lifted is slowest; PPOpt beats Lifted.
+	// All variants agree functionally (checked by RunAllContext) — now the
+	// shape: Native is fastest; Lifted is slowest; PPOpt beats Lifted.
 	if r.Cycles[Native] >= r.Cycles[Lifted] {
 		t.Errorf("native (%d) should be faster than lifted (%d)", r.Cycles[Native], r.Cycles[Lifted])
 	}
@@ -130,6 +136,50 @@ func TestPassIsolationOnHistogram(t *testing.T) {
 	}
 }
 
+// ablationFences quantifies the stack-access analysis of §8 step 1: the
+// number of fences placed (and the simulated cycles) with and without the
+// use-def stack filter on the raw lifted module.
+func ablationFences(b phoenix.Benchmark) (withSkip, withoutSkip int, cyclesSkip, cyclesNo int64, err error) {
+	src, err := compileSource(b)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	xbin, err := backend.Compile(src, "x86-64")
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	base, err := lifter.Lift(xbin)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	run := func(m *ir.Module, opts fences.Options) (int, int64, error) {
+		fences.Place(m, opts)
+		n := fences.Count(m)
+		o, err := backend.Compile(m, "arm64")
+		if err != nil {
+			return 0, 0, err
+		}
+		mach, err := newMachine(o)
+		if err != nil {
+			return 0, 0, err
+		}
+		c, err := mach.Run()
+		return n, c, err
+	}
+	opts := []fences.Options{{SkipStackAccesses: true}, {}}
+	mods := [2]*ir.Module{base, base.Clone()} // cloned before the fan-out
+	var ns [2]int
+	var cs [2]int64
+	if err = par.FirstErr(len(opts), Parallelism, func(i int) error {
+		var e error
+		ns[i], cs[i], e = run(mods[i], opts[i])
+		return e
+	}); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	return ns[0], ns[1], cs[0], cs[1], nil
+}
+
 // TestAblationStackAnalysis validates the DESIGN.md ablation: disabling the
 // §8 stack-access analysis (fencing *every* access) must cost both more
 // fences and more cycles.
@@ -137,7 +187,7 @@ func TestAblationStackAnalysis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	withSkip, withoutSkip, cSkip, cNo, err := AblationFences(*phoenix.Get("HT"))
+	withSkip, withoutSkip, cSkip, cNo, err := ablationFences(*phoenix.Get("HT"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,20 +9,14 @@ import (
 	"lasagne/internal/phoenix"
 )
 
-// LockFreeTable builds and simulates every variant of the lock-free
-// extension kernels (phoenix.LockFree — the ROADMAP's lock-free structure
-// ports, deliberately outside Table 1) and renders their normalized
-// runtimes and static fence counts. These kernels synchronize through
-// plain loads and stores instead of atomic RMWs, so they stress the fence
-// placement in the opposite way from the Phoenix suite: every ordering
-// the program needs must come from inserted fences, none from LOCK'd
-// instructions.
-func LockFreeTable() (string, error) {
-	return LockFreeTableContext(context.Background())
-}
-
-// LockFreeTableContext is LockFreeTable with every simulation bounded by
-// ctx.
+// LockFreeTableContext builds and simulates every variant of the
+// lock-free extension kernels (phoenix.LockFree — the ROADMAP's lock-free
+// structure ports, deliberately outside Table 1), every simulation bounded
+// by ctx, and renders their normalized runtimes and static fence counts.
+// These kernels synchronize through plain loads and stores instead of
+// atomic RMWs, so they stress the fence placement in the opposite way from
+// the Phoenix suite: every ordering the program needs must come from
+// inserted fences, none from LOCK'd instructions.
 func LockFreeTableContext(ctx context.Context) (string, error) {
 	benches := phoenix.LockFree()
 	results := make([]*Result, len(benches))

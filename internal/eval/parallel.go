@@ -7,11 +7,11 @@ import (
 	"lasagne/internal/sim"
 )
 
-// Parallelism bounds the worker pool used by BuildAll, RunAll, RunSuite and
-// the figure helpers. Commands override it via their -parallel flag; setting
-// it to 1 makes the whole pipeline sequential. Results are independent of
-// the value: every fan-out writes to index-fixed slots and error selection
-// is lowest-index deterministic.
+// Parallelism bounds the worker pool used by BuildAll, RunAllContext,
+// RunSuiteContext and the figure helpers. Commands override it via their
+// -parallel flag; setting it to 1 makes the whole pipeline sequential.
+// Results are independent of the value: every fan-out writes to
+// index-fixed slots and error selection is lowest-index deterministic.
 var Parallelism = runtime.GOMAXPROCS(0)
 
 // MaxSimSteps caps the instructions executed by each simulation the

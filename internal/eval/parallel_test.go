@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"lasagne/internal/phoenix"
@@ -21,7 +22,7 @@ func TestParallelPipelineDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if err := r.RunAll(); err != nil {
+		if err := r.RunAllContext(context.Background()); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return r

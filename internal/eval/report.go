@@ -17,18 +17,13 @@ type Suite struct {
 	Results []*Result
 }
 
-// RunSuite builds and simulates every benchmark variant. Benchmarks are
+// RunSuiteContext builds and simulates every benchmark variant, every
+// simulation bounded by ctx (builds are not interruptible, only simulations
+// poll the context). On expiry the suite fails with an error wrapping
+// diag.ErrBudgetExceeded instead of running to completion. Benchmarks are
 // processed concurrently on up to Parallelism workers; results land in
 // index-fixed slots, so Results keeps the phoenix.All() order regardless of
 // completion order and the rendered figures are identical to a serial run.
-func RunSuite() (*Suite, error) {
-	return RunSuiteContext(context.Background())
-}
-
-// RunSuiteContext is RunSuite with every simulation bounded by ctx (builds
-// are not interruptible, only simulations poll the context). On expiry the
-// suite fails with an error wrapping diag.ErrBudgetExceeded instead of
-// running to completion.
 func RunSuiteContext(ctx context.Context) (*Suite, error) {
 	benches := phoenix.All()
 	s := &Suite{Results: make([]*Result, len(benches))}

@@ -71,3 +71,14 @@ func TestCloneDeepCopy(t *testing.T) {
 		t.Fatal("global Init shared between clone and original")
 	}
 }
+
+// RemoveFunc deletes the named function from the module.
+func (m *Module) RemoveFunc(name string) {
+	delete(m.funcByName, name)
+	for i, f := range m.Funcs {
+		if f.Name == name {
+			m.Funcs = append(m.Funcs[:i], m.Funcs[i+1:]...)
+			return
+		}
+	}
+}

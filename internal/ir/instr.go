@@ -324,19 +324,6 @@ func (i *Instr) HasSideEffects() bool {
 	return false
 }
 
-// Pointer returns the pointer operand of a memory access, or nil.
-func (i *Instr) Pointer() Value {
-	switch i.Op {
-	case OpLoad:
-		return i.Args[0]
-	case OpStore:
-		return i.Args[1]
-	case OpRMW, OpCmpXchg:
-		return i.Args[0]
-	}
-	return nil
-}
-
 // CallArgs returns the argument operands of a call instruction.
 func (i *Instr) CallArgs() []Value {
 	if i.Op == OpCall {

@@ -62,9 +62,6 @@ func NewInterp(m *Module) *Interp {
 	return ip
 }
 
-// GlobalAddr returns the address assigned to a global.
-func (ip *Interp) GlobalAddr(name string) uint64 { return ip.globalAddr[name] }
-
 // Alloc reserves n bytes of heap memory and returns its address.
 func (ip *Interp) Alloc(n uint64) uint64 {
 	a := (ip.heapTop + 15) &^ 15

@@ -58,17 +58,6 @@ func (m *Module) Global(name string) *Global {
 	return m.globalByName[name]
 }
 
-// RemoveFunc deletes the named function from the module.
-func (m *Module) RemoveFunc(name string) {
-	delete(m.funcByName, name)
-	for i, f := range m.Funcs {
-		if f.Name == name {
-			m.Funcs = append(m.Funcs[:i], m.Funcs[i+1:]...)
-			return
-		}
-	}
-}
-
 // NumInstrs returns the total number of instructions in all function bodies.
 // This is the code-size metric used for Figs. 16 and 17 of the paper.
 func (m *Module) NumInstrs() int {
@@ -110,16 +99,6 @@ func (f *Func) NewBlock(name string) *Block {
 	b := &Block{Name: name, Parent: f}
 	f.Blocks = append(f.Blocks, b)
 	return b
-}
-
-// Block returns the block with the given name, or nil.
-func (f *Func) Block(name string) *Block {
-	for _, b := range f.Blocks {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
 }
 
 // NumInstrs returns the number of instructions in the function body.

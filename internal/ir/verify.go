@@ -41,17 +41,6 @@ func Verify(m *Module) error {
 	return nil
 }
 
-// VerifyAll checks every function and collects every violation instead of
-// stopping at the first: the diagnostics mode used by repro bundles, where
-// a single miscompiled function typically breaks several rules at once.
-func VerifyAll(m *Module) []*Violation {
-	var out []*Violation
-	for _, f := range m.Funcs {
-		out = append(out, VerifyAllFunc(f)...)
-	}
-	return out
-}
-
 // VerifyFunc checks a single function, returning the first violation.
 func VerifyFunc(f *Func) error {
 	v := &verifier{f: f}

@@ -265,3 +265,13 @@ func TestVerifyOperandCounts(t *testing.T) {
 		})
 	}
 }
+
+// VerifyAll checks every function and collects every violation instead of
+// stopping at the first, as VerifyAllFunc does for one function.
+func VerifyAll(m *Module) []*Violation {
+	var out []*Violation
+	for _, f := range m.Funcs {
+		out = append(out, VerifyAllFunc(f)...)
+	}
+	return out
+}

@@ -7,7 +7,7 @@ import "sync"
 // steady state *within* one program (see the walker/evaluator arenas), but
 // the bounded sweeps — the Fig. 11a reorder checker, the Thm 7.1 exhaustive
 // mapping campaigns — build tens of thousands of tiny enumeration spaces per
-// second, and every newEnumSpace/buildStatics/evaluator constructor paid a
+// second, and every newEnumSpaceIn/buildStatics/evaluator constructor paid a
 // fresh round of small allocations. The arena batches all of those into a
 // handful of grow-only slabs that are reset between checks, so the
 // steady-state cost of checking one more program is (amortized) zero

@@ -62,47 +62,8 @@ func intersects(a, b []uint64) bool {
 	return false
 }
 
-func (r *relation) clear() {
-	for i := range r.bits {
-		r.bits[i] = 0
-	}
-}
-
 // copyFrom overwrites r with o. The two must have identical shape.
 func (r *relation) copyFrom(o *relation) { copy(r.bits, o.bits) }
-
-func (r *relation) union(o *relation) {
-	for i, x := range o.bits {
-		r.bits[i] |= x
-	}
-}
-
-// transitiveClosure computes r+ in place: the Floyd–Warshall recurrence with
-// whole-row ORs (row i absorbs row k whenever i reaches k).
-func (r *relation) transitiveClosure() {
-	for k := 0; k < r.n; k++ {
-		kw, kb := k>>6, uint64(1)<<(uint(k)&63)
-		krow := r.bits[k*r.w : (k+1)*r.w]
-		for i := 0; i < r.n; i++ {
-			if i == k || r.bits[i*r.w+kw]&kb == 0 {
-				continue
-			}
-			irow := r.bits[i*r.w : (i+1)*r.w]
-			for j, x := range krow {
-				irow[j] |= x
-			}
-		}
-	}
-}
-
-func (r *relation) irreflexive() bool {
-	for i := 0; i < r.n; i++ {
-		if r.has(i, i) {
-			return false
-		}
-	}
-	return true
-}
 
 // acyclic reports whether r, viewed as a digraph, has no cycle — the fused
 // form of the models' "closure is irreflexive" axioms. It runs the same

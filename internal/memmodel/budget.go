@@ -16,10 +16,9 @@ type Budget struct {
 	// Ctx aborts the enumeration when it is done. Nil means no deadline.
 	Ctx context.Context
 	// MaxVisits caps the enumeration work across all workers. Zero means
-	// unlimited. The Visit* walks count candidate executions visited; the
-	// behavior folds (BehaviorsOf*, CheckMapping*) count enumeration nodes
-	// checked, partial or complete, since they prune whole subtrees and
-	// reach few complete candidates.
+	// unlimited. The behavior folds (BehaviorsOf*, CheckMapping*) count
+	// enumeration nodes checked, partial or complete, since they prune
+	// whole subtrees and reach few complete candidates.
 	MaxVisits int64
 }
 
@@ -46,8 +45,8 @@ func newLimiter(b Budget) *limiter {
 	return &limiter{ctx: b.Ctx, maxVisits: b.MaxVisits}
 }
 
-// take consumes one budget unit — a candidate visit, or a node check inside
-// a fold; false means the walk must stop.
+// take consumes one budget unit, a node check inside a fold; false means
+// the walk must stop.
 func (l *limiter) take() bool {
 	if l == nil {
 		return true
@@ -99,23 +98,6 @@ func (l *limiter) expired() bool {
 		return true
 	}
 	return false
-}
-
-// VisitExecutionsBudget is VisitExecutions under a Budget: the walk stops
-// as soon as the budget is exhausted and the cutoff is reported as an error
-// wrapping diag.ErrBudgetExceeded. Candidates visited before the cutoff
-// were delivered to visit, so a caller folding results holds a valid
-// partial answer.
-func VisitExecutionsBudget(p *Program, b Budget, visit func(*Execution)) error {
-	lim := newLimiter(b)
-	if lim.expired() {
-		return lim.err()
-	}
-	s := newEnumSpace(p)
-	w := s.newWalker(false)
-	w.lim = lim
-	w.walkCo(0, visit)
-	return lim.err()
 }
 
 // BehaviorsOfBudget is BehaviorsOf under a Budget. On cutoff the returned

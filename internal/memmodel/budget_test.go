@@ -21,26 +21,31 @@ func iriw() *Program {
 }
 
 func TestBudgetMaxVisits(t *testing.T) {
-	var visits int
-	err := VisitExecutionsBudget(iriw(), Budget{MaxVisits: 5}, func(*Execution) { visits++ })
-	if !errors.Is(err, diag.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	lim := newLimiter(Budget{MaxVisits: 5})
+	taken := 0
+	for lim.take() {
+		taken++
 	}
-	if visits != 5 {
-		t.Fatalf("visited %d candidates, want exactly 5", visits)
+	if !errors.Is(lim.err(), diag.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", lim.err())
+	}
+	if taken != 5 {
+		t.Fatalf("admitted %d budget units, want exactly 5", taken)
+	}
+	if _, err := foldBehaviorsBudget(iriw(), Arm, true, 1, Budget{MaxVisits: 5}); !errors.Is(err, diag.ErrBudgetExceeded) {
+		t.Fatalf("fold err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
 func TestBudgetExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var visits int
-	err := VisitExecutionsBudget(iriw(), Budget{Ctx: ctx}, func(*Execution) { visits++ })
+	got, err := BehaviorsOfBudget(iriw(), Arm, true, Budget{Ctx: ctx})
 	if !errors.Is(err, diag.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if visits != 0 {
-		t.Fatalf("visited %d candidates under a dead context, want 0", visits)
+	if len(got) != 0 {
+		t.Fatalf("folded %d behaviors under a dead context, want 0", len(got))
 	}
 }
 
@@ -76,28 +81,37 @@ func TestBudgetPartialIsSubset(t *testing.T) {
 }
 
 func TestBudgetParallelSharedAcrossWorkers(t *testing.T) {
-	// The cap is shared: the limiter admits exactly MaxVisits candidates in
+	// The cap is shared: the limiter admits exactly MaxVisits units in
 	// total no matter how many workers draw from it.
-	var visits atomic.Int64
-	err := VisitExecutionsParallelBudget(iriw(), 4, Budget{MaxVisits: 7}, func(*Execution) {
-		visits.Add(1)
+	lim := newLimiter(Budget{MaxVisits: 7})
+	var taken atomic.Int64
+	runTasks(4, 4, func(int) func(int) bool {
+		return func(int) bool {
+			for lim.take() {
+				taken.Add(1)
+			}
+			return false
+		}
 	})
-	if !errors.Is(err, diag.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(lim.err(), diag.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", lim.err())
 	}
-	if n := visits.Load(); n != 7 {
-		t.Fatalf("visited %d candidates across workers, want exactly 7", n)
+	if n := taken.Load(); n != 7 {
+		t.Fatalf("admitted %d budget units across workers, want exactly 7", n)
+	}
+	if _, err := foldBehaviorsBudget(iriw(), Arm, true, 4, Budget{MaxVisits: 7}); !errors.Is(err, diag.ErrBudgetExceeded) {
+		t.Fatalf("parallel fold err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
 func TestBudgetParallelUnboundedMatchesSerial(t *testing.T) {
 	p := iriw()
 	want := BehaviorsOf(p, LIMM, true)
-	got, err := BehaviorsOfParallelBudget(p, LIMM, true, 4, Budget{})
+	acc, err := foldBehaviorsBudget(p, LIMM, true, 4, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
+	if got := acc.result(); len(got) != len(want) {
 		t.Fatalf("behaviors %d != %d", len(got), len(want))
 	}
 }

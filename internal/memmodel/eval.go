@@ -10,7 +10,7 @@ type rmwPair struct{ r, w int }
 
 // statics holds every relation and lookup table that depends only on a
 // program's event skeleton — not on any execution's rf/co choice. It is
-// computed once per program in newEnumSpace and then shared read-only by
+// computed once per program in newEnumSpaceIn and then shared read-only by
 // every enumeration worker: the per-execution path only ORs the
 // execution-varying edges on top (see evaluator.consistent).
 type statics struct {
@@ -173,16 +173,9 @@ type evaluator struct {
 	in, out []uint64   // scratch rows for extend
 }
 
-// newEvaluator builds an evaluator for one enumeration of sp under m,
-// computing the model's static order. Use newEvaluatorShared to share a
-// precomputed static order across parallel workers.
-func newEvaluator(sp *enumSpace, m Model) *evaluator {
-	return newEvaluatorShared(sp, m, m.static(sp.stat, nil))
-}
-
-// newEvaluatorShared builds an evaluator around a precomputed (read-only)
-// model static order, so parallel workers hoist it once per enumeration
-// rather than once per worker.
+// newEvaluatorShared builds an evaluator for one enumeration of sp under m
+// around a precomputed (read-only) model static order, so parallel workers
+// hoist it once per enumeration rather than once per worker.
 func newEvaluatorShared(sp *enumSpace, m Model, ms *relation) *evaluator {
 	return newEvaluatorIn(sp, m, ms, nil)
 }
@@ -427,13 +420,6 @@ func (bs *behaviorSet) pack(x *Execution) (ikey, bool) {
 		}
 	}
 	return key, true
-}
-
-// add folds one consistent execution's behavior into the set: pack plus one
-// map assignment, with zero allocations for an already-seen behavior.
-func (bs *behaviorSet) add(x *Execution) {
-	key, ok := bs.pack(x)
-	bs.insert(x, key, ok)
 }
 
 // hasKey reports whether a packed behavior is already in the set.

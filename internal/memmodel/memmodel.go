@@ -64,16 +64,10 @@ type Op struct {
 }
 
 // Convenience constructors.
-func Ld(loc string) Op          { return Op{Kind: OpLoad, Loc: loc} }
-func St(loc string, v int) Op   { return Op{Kind: OpStore, Loc: loc, Val: v} }
-func LdSC(loc string) Op        { return Op{Kind: OpLoad, Loc: loc, SC: true} }
-func StSC(loc string, v int) Op { return Op{Kind: OpStore, Loc: loc, Val: v, SC: true} }
-func RMW(loc string, v int) Op  { return Op{Kind: OpRMW, Loc: loc, Val: v, SC: true} }
-
-// RMWE is an RMW that must read exp (the paper's RMW(x, vr, vw) notation).
-func RMWE(loc string, exp, v int) Op {
-	return Op{Kind: OpRMW, Loc: loc, Val: v, SC: true, HasExp: true, Exp: exp}
-}
+func Ld(loc string) Op         { return Op{Kind: OpLoad, Loc: loc} }
+func St(loc string, v int) Op  { return Op{Kind: OpStore, Loc: loc, Val: v} }
+func LdSC(loc string) Op       { return Op{Kind: OpLoad, Loc: loc, SC: true} }
+func RMW(loc string, v int) Op { return Op{Kind: OpRMW, Loc: loc, Val: v, SC: true} }
 
 // LdA is an Arm acquire load (LDAR) and StR an Arm release store (STLR) —
 // the Appendix A half-fence accesses.
@@ -306,37 +300,6 @@ func poBefore(a, b *Event) bool {
 	return a.Kind == EvR && b.Kind == EvW && a.RMW == b.ID
 }
 
-// po reports program order (see poBefore).
-func (x *Execution) po(a, b *Event) bool { return poBefore(a, b) }
-
-// coIndex returns the position of a write in its location's coherence
-// order, with init first. Enumerated executions answer from the dense coPos
-// index maintained by the walker; hand-built executions fall back to the
-// linear scan.
-func (x *Execution) coIndex(w *Event) int {
-	if x.coPos != nil {
-		return int(x.coPos[w.ID])
-	}
-	for i, id := range x.CO[w.Loc] {
-		if id == w.ID {
-			return i
-		}
-	}
-	return -1
-}
-
-// fr reports from-read: r reads from a write co-before w'.
-func (x *Execution) fr(r, w *Event) bool {
-	if r.Kind != EvR || w.Kind != EvW || r.Loc != w.Loc {
-		return false
-	}
-	src, ok := x.RF[r.ID]
-	if !ok {
-		return false
-	}
-	return x.coIndex(x.Events[src]) < x.coIndex(w)
-}
-
 // enumSpace is the shared, read-only description of a program's candidate
 // execution space: the event skeleton plus the pruned per-location coherence
 // orders and per-read rf choices. It is computed once and then walked by one
@@ -352,17 +315,16 @@ type enumSpace struct {
 	stat *statics
 }
 
-// newEnumSpace lowers p and enumerates the per-location coherence orders
+// newEnumSpaceIn lowers p and enumerates the per-location coherence orders
 // with pruning: a coherence prefix placing a write co-before a write that
 // precedes it in program order already violates SC-per-location (po|loc ∪ co
 // has a 2-cycle) for every rf choice, so such permutations are never built.
 // Similarly, rf choices that contradict an RMW's expected read value are
 // dropped up front.
-func newEnumSpace(p *Program) *enumSpace { return newEnumSpaceIn(p, nil) }
-
-// newEnumSpaceIn is newEnumSpace drawing every per-program structure from
-// the arena (nil = plain allocation). Counting passes replace the append
-// patterns of the original so slices can be taken at their exact size.
+//
+// Every per-program structure is drawn from the arena (nil = plain
+// allocation). Counting passes replace the append patterns of the original
+// so slices can be taken at their exact size.
 func newEnumSpaceIn(p *Program, a *arena) *enumSpace {
 	locs := p.locsIn(a)
 	var s *enumSpace
@@ -541,8 +503,8 @@ func newEnumSpaceIn(p *Program, a *arena) *enumSpace {
 // A dense walker leaves the exported RF/CO maps nil and maintains only the
 // dense arrays: the internal behavior folds read nothing else, and skipping
 // the two map writes per enumeration node (one of them string-hashed)
-// measurably speeds up the bounded checkers. Public Visit* entry points use
-// non-dense walkers so callbacks see the documented maps.
+// measurably speeds up the bounded checkers. VisitExecutions uses a
+// non-dense walker so callbacks see the documented maps.
 type walker struct {
 	s      *enumSpace
 	events []Event // private event storage (nil for an aliasing walker)
@@ -561,14 +523,11 @@ func (s *enumSpace) newWalker(dense bool) *walker {
 	return w
 }
 
-// newAliasWalker builds a dense walker that mutates the space's skeleton
-// events in place instead of copying them. Only valid when this walker is
-// the sole user of the space — the single-threaded behavior folds — where it
-// saves the per-program event copy.
-func (s *enumSpace) newAliasWalker() *walker { return s.newAliasWalkerIn(nil) }
-
-// newAliasWalkerIn is newAliasWalker with the walker scratch drawn from the
-// arena.
+// newAliasWalkerIn builds a dense walker that mutates the space's skeleton
+// events in place instead of copying them, with the walker scratch drawn
+// from the arena. Only valid when this walker is the sole user of the space
+// — the single-threaded behavior folds — where it saves the per-program
+// event copy.
 func (s *enumSpace) newAliasWalkerIn(a *arena) *walker {
 	var w *walker
 	if a != nil {
@@ -616,23 +575,16 @@ func (w *walker) finish(evs []*Event, dense bool, a *arena) {
 
 // walkReads enumerates rf assignments for reads[ri:] on top of the walker's
 // current co/rf prefix, calling visit with the scratch Execution at each
-// leaf. It returns false when the walker's budget ran out mid-walk; callers
-// must stop enumerating.
-func (w *walker) walkReads(ri int, visit func(*Execution)) bool {
+// leaf.
+func (w *walker) walkReads(ri int, visit func(*Execution)) {
 	if ri == len(w.s.reads) {
-		if !w.lim.take() {
-			return false
-		}
 		visit(w.x)
-		return true
+		return
 	}
 	for _, src := range w.s.rfChoices[ri] {
 		w.assign(ri, src)
-		if !w.walkReads(ri+1, visit) {
-			return false
-		}
+		w.walkReads(ri+1, visit)
 	}
-	return true
 }
 
 // assign makes write src the rf source of reads[ri] on the walker's scratch
@@ -660,18 +612,15 @@ func (w *walker) setCo(ci int, order []int) {
 }
 
 // walkCo enumerates coherence orders for locs[ci:], then descends into rf.
-// Like walkReads, false means the budget stopped the walk early.
-func (w *walker) walkCo(ci int, visit func(*Execution)) bool {
+func (w *walker) walkCo(ci int, visit func(*Execution)) {
 	if ci == len(w.s.locs) {
-		return w.walkReads(0, visit)
+		w.walkReads(0, visit)
+		return
 	}
 	for _, order := range w.s.coChoices[ci] {
 		w.setCo(ci, order)
-		if !w.walkCo(ci+1, visit) {
-			return false
-		}
+		w.walkCo(ci+1, visit)
 	}
-	return true
 }
 
 // VisitExecutions streams every candidate execution of p (all rf choices ×
@@ -681,68 +630,12 @@ func (w *walker) walkCo(ci int, visit func(*Execution)) bool {
 // both could never appear in a consistent execution of any supported model.
 //
 // The *Execution passed to visit is a scratch value reused between calls:
-// visitors must copy anything they retain (see (*Execution).Clone).
+// visitors must copy anything they retain.
 //
-// For a time- or visit-bounded walk use VisitExecutionsBudget.
+// The behavior folds do not visit every candidate: they prune inconsistent
+// subtrees. This unpruned walk is the oracle the tests compare them with.
 func VisitExecutions(p *Program, visit func(*Execution)) {
-	VisitExecutionsBudget(p, Budget{}, visit) // unbounded: cannot fail
-}
-
-// Clone returns a deep copy of the execution, safe to retain after the
-// VisitExecutions callback returns.
-func (x *Execution) Clone() *Execution {
-	c := &Execution{
-		Events: make([]*Event, len(x.Events)),
-		RF:     make(map[int]int, len(x.RF)),
-		CO:     make(map[string][]int, len(x.CO)),
-		n:      x.n,
-	}
-	for i, e := range x.Events {
-		ev := *e
-		c.Events[i] = &ev
-	}
-	if x.RF == nil && x.sp != nil {
-		// Dense enumeration scratch: rebuild the exported maps from the
-		// dense arrays.
-		for _, r := range x.sp.reads {
-			if src := x.rfOf[r.ID]; src >= 0 {
-				c.RF[r.ID] = int(src)
-			}
-		}
-		for ci, loc := range x.sp.locs {
-			c.CO[loc] = append([]int(nil), x.coOrd[ci]...)
-		}
-	}
-	for k, v := range x.RF {
-		c.RF[k] = v
-	}
-	for k, v := range x.CO {
-		c.CO[k] = append([]int(nil), v...)
-	}
-	// The dense scratch indexes are positions/IDs, not pointers into the
-	// walker, so value copies keep the clone fully functional; coOrd is
-	// rebuilt from the cloned CO slices.
-	if x.sp != nil {
-		c.sp = x.sp
-		c.rfOf = append([]int32(nil), x.rfOf...)
-		c.coPos = append([]int32(nil), x.coPos...)
-		c.coOrd = make([][]int, len(x.coOrd))
-		for i, loc := range x.sp.locs {
-			c.coOrd[i] = c.CO[loc]
-		}
-	}
-	return c
-}
-
-// Executions materializes every candidate execution of p. It is a thin
-// compatibility wrapper over VisitExecutions; enumeration-heavy callers
-// should stream instead of materializing.
-func Executions(p *Program) []*Execution {
-	var out []*Execution
-	VisitExecutions(p, func(x *Execution) {
-		out = append(out, x.Clone())
-	})
-	return out
+	newEnumSpaceIn(p, nil).newWalker(false).walkCo(0, visit)
 }
 
 // Behavior is the observable result of an execution: the co-maximal value
@@ -774,14 +667,11 @@ func (b Behavior) Key(withReads bool) string {
 	return sb.String()
 }
 
-// behaviorOf extracts the behavior of a consistent execution. Enumerated
-// executions use the precomputed location order and read slot keys of their
-// enumeration space (no re-sorting, no per-read key formatting); hand-built
-// executions fall back to the reference extraction.
+// behaviorOf extracts the behavior of a consistent execution from an
+// enumeration walker, using the precomputed location order and read slot
+// keys of its enumeration space (no re-sorting, no per-read key
+// formatting).
 func (x *Execution) behaviorOf() Behavior {
-	if x.sp == nil {
-		return x.referenceBehavior()
-	}
 	k := x.sp.stat
 	var sb strings.Builder
 	for ci, l := range k.locs {
@@ -796,45 +686,6 @@ func (x *Execution) behaviorOf() Behavior {
 		rd[k.readKeys[si]] = x.Events[r.ID].Val
 	}
 	return Behavior{Finals: sb.String(), Reads: rd}
-}
-
-// referenceBehavior is the original behavior extraction, kept for executions
-// that were not produced by an enumeration walker (and as the oracle the
-// differential test compares the fast path against).
-func (x *Execution) referenceBehavior() Behavior {
-	byID := x.Events
-	var locs []string
-	for l := range x.CO {
-		locs = append(locs, l)
-	}
-	sort.Strings(locs)
-	var fin []string
-	for _, l := range locs {
-		order := x.CO[l]
-		last := byID[order[len(order)-1]]
-		fin = append(fin, fmt.Sprintf("%s=%d", l, last.Val))
-	}
-	var reads []*Event
-	for _, e := range x.Events {
-		if e.Kind == EvR {
-			reads = append(reads, e)
-		}
-	}
-	sort.Slice(reads, func(i, j int) bool {
-		if reads[i].Tid != reads[j].Tid {
-			return reads[i].Tid < reads[j].Tid
-		}
-		return reads[i].Idx < reads[j].Idx
-	})
-	rd := map[string]int{}
-	occ := map[string]int{}
-	for _, e := range reads {
-		ok := fmt.Sprintf("t%d.%s", e.Tid, e.Loc)
-		k := occ[ok]
-		occ[ok]++
-		rd[fmt.Sprintf("%s.%d", ok, k)] = e.Val
-	}
-	return Behavior{Finals: strings.Join(fin, ";"), Reads: rd}
 }
 
 // BehaviorsOf returns the behaviors of p's consistent executions under the

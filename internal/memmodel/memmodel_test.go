@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// StSC is a LIMM seq_cst store.
+func StSC(loc string, v int) Op { return Op{Kind: OpStore, Loc: loc, Val: v, SC: true} }
+
+// RMWE is an RMW that must read exp (the paper's RMW(x, vr, vw) notation).
+func RMWE(loc string, exp, v int) Op {
+	return Op{Kind: OpRMW, Loc: loc, Val: v, SC: true, HasExp: true, Exp: exp}
+}
+
 // behaviorsContain reports whether the behavior set has an entry whose read
 // observations include all the given key=value pairs.
 func behaviorsContain(bs map[string]Behavior, want map[string]int) bool {
@@ -362,6 +370,25 @@ func TestProgramPrinting(t *testing.T) {
 }
 
 // Property tests on the relation algebra underpinning every model.
+
+// transitiveClosure computes r+ in place: the Floyd–Warshall recurrence with
+// whole-row ORs (row i absorbs row k whenever i reaches k). The checker
+// runs the same closure fused into relation.acyclic.
+func (r *relation) transitiveClosure() {
+	for k := 0; k < r.n; k++ {
+		kw, kb := k>>6, uint64(1)<<(uint(k)&63)
+		krow := r.bits[k*r.w : (k+1)*r.w]
+		for i := 0; i < r.n; i++ {
+			if i == k || r.bits[i*r.w+kw]&kb == 0 {
+				continue
+			}
+			irow := r.bits[i*r.w : (i+1)*r.w]
+			for j, x := range krow {
+				irow[j] |= x
+			}
+		}
+	}
+}
 
 func TestRelationClosureProperties(t *testing.T) {
 	prop := func(edges []uint16, nRaw uint8) bool {

@@ -8,7 +8,7 @@ package memmodel
 // order restricted to external pairs (rfe/coe/fre) or in full. The axiom
 // itself is uniform: static ∪ dynamic edges must be acyclic (see
 // evaluator.consistent in eval.go). The original per-execution closures are
-// retained in reference.go as referenceConsistent.
+// retained in reference_test.go as referenceConsistent.
 type Model struct {
 	Name string
 	// static builds the skeleton-invariant ordering edges on k. The arena

@@ -162,7 +162,7 @@ func TestBitsetEngineMatchesReferenceParallel(t *testing.T) {
 	checkInParallel(t, progs, func(t *testing.T, p *Program) {
 		for _, m := range []Model{SC, X86, Arm, LIMM} {
 			want := referenceBehaviors(p, m, true)
-			got := BehaviorsOfParallel(p, m, true, 4)
+			got := parallelBehaviors(p, m, 4)
 			if len(got) != len(want) {
 				t.Fatalf("%s under %s: parallel fold found %d behaviors, reference %d\nprogram: %s",
 					p.Name, m.Name, len(got), len(want), p)

@@ -8,8 +8,8 @@ import (
 	"lasagne/internal/par"
 )
 
-// DefaultParallelism is the worker count used by the parallel enumeration
-// driver and the bounded checkers. Commands override it via their -parallel
+// DefaultParallelism is the worker count used by the parallel behavior fold
+// and the bounded checkers. Commands override it via their -parallel
 // flag; 1 disables concurrency entirely.
 var DefaultParallelism = runtime.GOMAXPROCS(0)
 
@@ -29,45 +29,7 @@ type enumTask struct {
 	rf0   int   // index into rfChoices[0]; -1 when the program has no reads
 }
 
-// VisitExecutionsParallel streams the candidate executions of p like
-// VisitExecutions, but splits the enumeration across up to workers
-// goroutines: each task fixes the coherence orders and the first read's rf
-// choice, and a worker enumerates the remaining rf subtree. visit may be
-// called concurrently from multiple goroutines, each with its own scratch
-// Execution.
-func VisitExecutionsParallel(p *Program, workers int, visit func(*Execution)) {
-	VisitExecutionsParallelBudget(p, workers, Budget{}, visit) // unbounded: cannot fail
-}
-
-// VisitExecutionsParallelBudget is VisitExecutionsParallel under a Budget.
-// All workers draw from one shared limiter, so MaxVisits caps the total
-// candidates visited across goroutines; once any worker trips the budget
-// the others stop at their next candidate or task boundary.
-func VisitExecutionsParallelBudget(p *Program, workers int, b Budget, visit func(*Execution)) error {
-	if workers <= 1 {
-		return VisitExecutionsBudget(p, b, visit)
-	}
-	lim := newLimiter(b)
-	if lim.expired() {
-		return lim.err()
-	}
-	s := newEnumSpace(p)
-	tasks := s.tasks()
-	if workers = min(workers, len(tasks)); workers <= 1 {
-		w := s.newWalker(false)
-		w.lim = lim
-		w.walkCo(0, visit)
-		return lim.err()
-	}
-	runTasks(len(tasks), workers, func(int) func(int) bool {
-		w := s.newWalker(false)
-		w.lim = lim
-		return func(ti int) bool { return w.walkReads(w.enter(tasks[ti]), visit) }
-	})
-	return lim.err()
-}
-
-// tasks materializes the subtree roots the parallel drivers hand out.
+// tasks materializes the subtree roots the parallel fold hands out.
 // Materializing them is cheap: the co cross product is small (few writes
 // per location) and only the first read's choices multiply it.
 func (s *enumSpace) tasks() []enumTask {
@@ -129,22 +91,6 @@ func runTasks(n, workers int, newWorker func(g int) func(ti int) bool) {
 		}()
 	}
 	wg.Wait()
-}
-
-// BehaviorsOfParallel computes BehaviorsOf using the parallel enumeration
-// driver: each worker folds behaviors into a private set, and the sets are
-// merged at the end. The result is identical to BehaviorsOf.
-func BehaviorsOfParallel(p *Program, m Model, withReads bool, workers int) map[string]Behavior {
-	out, _ := BehaviorsOfParallelBudget(p, m, withReads, workers, Budget{}) // unbounded: cannot fail
-	return out
-}
-
-// BehaviorsOfParallelBudget is BehaviorsOfParallel under a Budget. On
-// cutoff the returned map holds the behaviors folded before the budget
-// tripped (a sound underapproximation) alongside the budget error.
-func BehaviorsOfParallelBudget(p *Program, m Model, withReads bool, workers int, b Budget) (map[string]Behavior, error) {
-	acc, err := foldBehaviorsBudget(p, m, withReads, workers, b)
-	return acc.result(), err
 }
 
 // foldBehaviorsBudget is the engine behind every behavior-set entry point:

@@ -59,7 +59,7 @@ func bruteForceBehaviors(p *Program, m Model, withReads bool) map[string]Behavio
 			if ci == len(locs) {
 				r := x.relations()
 				if refScPerLoc(x, r) && refAtomicity(x, r) && referenceConsistent(m, x, r) {
-					b := x.behaviorOf()
+					b := x.referenceBehavior()
 					out[b.Key(withReads)] = b
 				}
 				return
@@ -140,14 +140,20 @@ func TestStreamingMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestParallelBehaviorsMatchSerial checks that the worker-pool enumeration
-// driver computes exactly the serial behavior sets.
+// parallelBehaviors is BehaviorsOf with the fold split across workers.
+func parallelBehaviors(p *Program, m Model, workers int) map[string]Behavior {
+	acc, _ := foldBehaviorsBudget(p, m, true, workers, Budget{}) // unbounded: cannot fail
+	return acc.result()
+}
+
+// TestParallelBehaviorsMatchSerial checks that the worker-pool fold
+// computes exactly the serial behavior sets.
 func TestParallelBehaviorsMatchSerial(t *testing.T) {
 	for _, p := range ClassicTests() {
 		for _, m := range []Model{SC, X86, Arm, LIMM} {
 			serial := BehaviorsOf(p, m, true)
 			for _, workers := range []int{2, 4, 8} {
-				parallel := BehaviorsOfParallel(p, m, true, workers)
+				parallel := parallelBehaviors(p, m, workers)
 				if diff := behaviorKeysEqual(serial, parallel); diff != "" {
 					t.Errorf("%s under %s with %d workers: %s", p.Name, m.Name, workers, diff)
 				}
@@ -156,41 +162,26 @@ func TestParallelBehaviorsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelVisitCountsMatch checks the raw candidate streams agree in
-// size between the serial walker and the subtree-splitting driver.
+// TestParallelVisitCountsMatch checks that the subtree roots the parallel
+// fold hands out, walked by 4 workers, cover exactly the candidates of the
+// serial walk.
 func TestParallelVisitCountsMatch(t *testing.T) {
 	for _, p := range ClassicTests() {
 		serial := 0
 		VisitExecutions(p, func(*Execution) { serial++ })
+		s := newEnumSpace(p)
+		tasks := s.tasks()
 		var count atomic.Int64
-		VisitExecutionsParallel(p, 4, func(*Execution) { count.Add(1) })
+		runTasks(len(tasks), 4, func(int) func(int) bool {
+			w := s.newWalker(false)
+			return func(ti int) bool {
+				w.walkReads(w.enter(tasks[ti]), func(*Execution) { count.Add(1) })
+				return true
+			}
+		})
 		if int(count.Load()) != serial {
 			t.Errorf("%s: parallel visited %d candidates, serial %d", p.Name, count.Load(), serial)
 		}
-	}
-}
-
-// TestExecutionsClonesAreIndependent checks the compatibility wrapper hands
-// out deep copies, not aliases of the enumeration scratch state.
-func TestExecutionsClonesAreIndependent(t *testing.T) {
-	p := ClassicTests()[0] // SB
-	xs := Executions(p)
-	if len(xs) < 2 {
-		t.Fatalf("expected several executions, got %d", len(xs))
-	}
-	seen := map[*Event]bool{}
-	for _, x := range xs {
-		for _, e := range x.Events {
-			if seen[e] {
-				t.Fatal("two executions share an Event pointer")
-			}
-			seen[e] = true
-		}
-	}
-	// Mutating one execution must not affect another.
-	xs[0].Events[0].Val = 999
-	if xs[1].Events[0].Val == 999 {
-		t.Fatal("executions share event storage")
 	}
 }
 

@@ -121,21 +121,22 @@ func TestPartialCheckMonotone(t *testing.T) {
 				if !refScPerLoc(x, r) || !refAtomicity(x, r) || !referenceConsistent(m, x, r) {
 					return
 				}
-				c := x.Clone()
+				c := *x // the checks below rewrite only rfOf
+				c.rfOf = append([]int32(nil), x.rfOf...)
 				ev := newEvaluator(c.sp, m)
 				reads := c.sp.reads
 				for d := len(reads); d >= 0; d-- {
 					if d < len(reads) {
 						c.rfOf[reads[d].ID] = -1
 					}
-					if !ev.check(c, d) {
+					if !ev.check(&c, d) {
 						t.Fatalf("%s under %s: the rf-prefix of depth %d of a consistent execution fails the check\nprogram: %s",
 							p.Name, m.Name, d, p)
 					}
 				}
 				for d := 1; d <= len(reads); d++ {
 					c.rfOf[reads[d-1].ID] = x.rfOf[reads[d-1].ID]
-					if !ev.extend(c, d) {
+					if !ev.extend(&c, d) {
 						t.Fatalf("%s under %s: the incremental check rejects the rf-prefix of depth %d of a consistent execution\nprogram: %s",
 							p.Name, m.Name, d, p)
 					}
@@ -143,6 +144,18 @@ func TestPartialCheckMonotone(t *testing.T) {
 			})
 		}
 	})
+}
+
+// newEnumSpace is newEnumSpaceIn with plain allocation.
+func newEnumSpace(p *Program) *enumSpace { return newEnumSpaceIn(p, nil) }
+
+// newAliasWalker is newAliasWalkerIn with plain allocation.
+func (s *enumSpace) newAliasWalker() *walker { return s.newAliasWalkerIn(nil) }
+
+// newEvaluator builds an evaluator for one enumeration of sp under m,
+// computing the model's static order itself.
+func newEvaluator(sp *enumSpace, m Model) *evaluator {
+	return newEvaluatorShared(sp, m, m.static(sp.stat, nil))
 }
 
 // prunedWalkChecks counts the consistency checks the pruned walk makes on

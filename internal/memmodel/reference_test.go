@@ -1,10 +1,16 @@
 package memmodel
 
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
+
 // This file retains the original map/[]bool checking core verbatim as a
 // reference implementation. The production engine (bitrel.go, eval.go) packs
 // relations into word-wide bitsets and hoists skeleton-invariant relations
-// out of the per-execution path; the differential oracle test runs both over
-// randomized litmus programs and requires identical behavior sets.
+// out of the per-execution path; the differential oracle tests run both over
+// randomized litmus programs and require identical behavior sets.
 
 // boolRel is the reference n×n adjacency matrix: one bool per pair.
 type boolRel struct {
@@ -342,4 +348,74 @@ func referenceConsistent(m Model, x *Execution, r *rels) bool {
 		return refSC(x, r)
 	}
 	panic("memmodel: unknown model " + m.Name)
+}
+
+// po reports program order (see poBefore).
+func (x *Execution) po(a, b *Event) bool { return poBefore(a, b) }
+
+// coIndex returns the position of a write in its location's coherence
+// order, with init first. Enumerated executions answer from the dense coPos
+// index maintained by the walker; hand-built executions fall back to the
+// linear scan.
+func (x *Execution) coIndex(w *Event) int {
+	if x.coPos != nil {
+		return int(x.coPos[w.ID])
+	}
+	for i, id := range x.CO[w.Loc] {
+		if id == w.ID {
+			return i
+		}
+	}
+	return -1
+}
+
+// fr reports from-read: r reads from a write co-before w'.
+func (x *Execution) fr(r, w *Event) bool {
+	if r.Kind != EvR || w.Kind != EvW || r.Loc != w.Loc {
+		return false
+	}
+	src, ok := x.RF[r.ID]
+	if !ok {
+		return false
+	}
+	return x.coIndex(x.Events[src]) < x.coIndex(w)
+}
+
+// referenceBehavior is the original behavior extraction from the exported
+// RF/CO maps, for executions built without an enumeration walker and as
+// the oracle the differential tests compare behaviorOf with.
+func (x *Execution) referenceBehavior() Behavior {
+	byID := x.Events
+	var locs []string
+	for l := range x.CO {
+		locs = append(locs, l)
+	}
+	sort.Strings(locs)
+	var fin []string
+	for _, l := range locs {
+		order := x.CO[l]
+		last := byID[order[len(order)-1]]
+		fin = append(fin, fmt.Sprintf("%s=%d", l, last.Val))
+	}
+	var reads []*Event
+	for _, e := range x.Events {
+		if e.Kind == EvR {
+			reads = append(reads, e)
+		}
+	}
+	sort.Slice(reads, func(i, j int) bool {
+		if reads[i].Tid != reads[j].Tid {
+			return reads[i].Tid < reads[j].Tid
+		}
+		return reads[i].Idx < reads[j].Idx
+	})
+	rd := map[string]int{}
+	occ := map[string]int{}
+	for _, e := range reads {
+		ok := fmt.Sprintf("t%d.%s", e.Tid, e.Loc)
+		k := occ[ok]
+		occ[ok]++
+		rd[fmt.Sprintf("%s.%d", ok, k)] = e.Val
+	}
+	return Behavior{Finals: strings.Join(fin, ";"), Reads: rd}
 }

@@ -106,19 +106,13 @@ func buildContexts() [][]Op {
 	return out
 }
 
-// inclusion checks Behav(tgt) ⊆ Behav(src) under the model (with reads).
-// The transformed programs share their access layout with the originals, so
-// the check normally compares interned behavior keys; a witness string is
-// materialized only for a failing cell.
-func inclusion(src, tgt *Program, m Model) (string, bool) {
-	sc := checkScratchPool.Get().(*CheckScratch)
-	defer checkScratchPool.Put(sc)
-	return inclusionScratch(src, tgt, m, sc)
-}
-
-// inclusionScratch is inclusion with all per-check scratch drawn from sc.
-// One arena reset cycle covers both folds: the two behavior sets stay alive
-// together until compared, per the arena's lifetime contract.
+// inclusionScratch checks Behav(tgt) ⊆ Behav(src) under the model (with
+// reads), all per-check scratch drawn from sc. The transformed programs
+// share their access layout with the originals, so the check normally
+// compares interned behavior keys; a witness string is materialized only
+// for a failing cell. One arena reset cycle covers both folds: the two
+// behavior sets stay alive together until compared, per the arena's
+// lifetime contract.
 func inclusionScratch(src, tgt *Program, m Model, sc *CheckScratch) (string, bool) {
 	sc.a.reset()
 	srcS, _ := foldBehaviorsArena(src, m, true, 1, Budget{}, &sc.a) // unbounded: cannot fail
@@ -169,8 +163,8 @@ func (rs *reorderScratch) point(t0src, t0tgt, ctx []Op) (src, tgt *Program) {
 	return &rs.src, &rs.tgt
 }
 
-// wrapInto is wrapOps for the fixed two-op patterns, writing into dst's
-// storage instead of allocating.
+// wrapInto surrounds the pair a, b with the optional pre/post neighbour
+// ops, writing into dst's storage instead of allocating.
 func wrapInto(dst []Op, pre, post, a, b Op) []Op {
 	dst = dst[:0]
 	if realOp(pre) {
@@ -239,22 +233,9 @@ func checkReorder(a, b Cat, workers int) (Verdict, string) {
 // neighbour / no separator" placeholder).
 func realOp(o Op) bool { return !(o.Kind == OpFence && o.Fence == FenceNone) }
 
-// wrapOps surrounds mid with the optional pre/post neighbour ops.
-func wrapOps(pre, post Op, mid ...Op) []Op {
-	t := make([]Op, 0, len(mid)+2)
-	if realOp(pre) {
-		t = append(t, pre)
-	}
-	t = append(t, mid...)
-	if realOp(post) {
-		t = append(t, post)
-	}
-	return t
-}
-
 // ReorderTable computes the full Fig. 11a table, checking the 49 cells
 // across DefaultParallelism workers. Each cell's verdict is independent, so
-// the table is identical to ReorderTableSerial.
+// the table does not depend on the worker count.
 func ReorderTable() [NumCats][NumCats]Verdict {
 	var t [NumCats][NumCats]Verdict
 	n := int(NumCats) * int(NumCats)
@@ -263,18 +244,6 @@ func ReorderTable() [NumCats][NumCats]Verdict {
 		v, _ := checkReorder(a, b, 1)
 		t[a][b] = v
 	})
-	return t
-}
-
-// ReorderTableSerial computes the Fig. 11a table on a single goroutine.
-func ReorderTableSerial() [NumCats][NumCats]Verdict {
-	var t [NumCats][NumCats]Verdict
-	for a := Cat(0); a < NumCats; a++ {
-		for b := Cat(0); b < NumCats; b++ {
-			v, _ := checkReorder(a, b, 1)
-			t[a][b] = v
-		}
-	}
 	return t
 }
 
@@ -310,151 +279,4 @@ func FormatTable(t [NumCats][NumCats]Verdict) string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// Elim identifies one Fig. 11b elimination rule.
-type Elim int
-
-const (
-	ElimRAR Elim = iota
-	ElimRAW
-	ElimWAW
-	ElimFRAR // across Fo, o ∈ {rm, ww}
-	ElimFRAW // across Fτ, τ ∈ {sc, ww}
-	ElimFWAW // across Fo, o ∈ {rm, ww}
-)
-
-// CheckElimination verifies one elimination rule instance with the given
-// intervening fence (FenceNone for the adjacent rules). It returns an error
-// carrying a counterexample if the elimination admits new behavior.
-//
-// withReads selects the observation model. The paper's Theorem 7.5 compares
-// Behav — final memory values only — which is what the Agda proofs
-// establish; that is withReads=false. With withReads=true every load's
-// value is additionally observable (as if each read flowed into a distinct
-// final location). Under that stronger model the bounded checker finds
-// genuine counterexamples even for some fenced eliminations the paper
-// lists as safe (e.g. F-WAW across Fww: eliminating W(X,v) from
-// W(X,v)·Fww·W(X,v') removes the write that anchored a message-passing
-// ordering to a later write, which a reader of X can observe). This is a
-// real difference between the two observation models, not a model bug —
-// see the TestFig11bStrongObservation test.
-func CheckElimination(rule Elim, fence Fence, withReads bool) error {
-	var src, tgt []Op
-	// The source thread pattern on location X; the eliminated access is
-	// constrained to observe the retained one per Fig. 11b.
-	mid := func() []Op {
-		if fence == FenceNone {
-			return nil
-		}
-		return []Op{Fn(fence)}
-	}
-	// The eliminated access's own observation disappears from the target:
-	// its uses are rewritten to the retained value (RAR/RAW), so in the
-	// source execution its read may resolve freely.
-	dropKey := ""
-	drop := func(b Behavior) Behavior {
-		if dropKey == "" {
-			return b
-		}
-		nb := Behavior{Finals: b.Finals, Reads: map[string]int{}}
-		for k, v := range b.Reads {
-			if k != dropKey {
-				nb.Reads[k] = v
-			}
-		}
-		return nb
-	}
-	switch rule {
-	case ElimRAR, ElimFRAR:
-		src = append(append([]Op{Ld("X")}, mid()...), Ld("X"))
-		tgt = append([]Op{Ld("X")}, mid()...)
-		dropKey = "t0.X.1"
-	case ElimRAW, ElimFRAW:
-		src = append(append([]Op{St("X", 1)}, mid()...), Ld("X"))
-		tgt = append([]Op{St("X", 1)}, mid()...)
-		dropKey = "t0.X.0"
-	case ElimWAW, ElimFWAW:
-		src = append(append([]Op{St("X", 1)}, mid()...), St("X", 2))
-		if fence == FenceNone {
-			tgt = []Op{St("X", 2)}
-		} else {
-			tgt = []Op{Fn(fence), St("X", 2)}
-		}
-	}
-
-	ctxs := contexts()
-	nc := len(ctxs)
-	n := len(neighborOps) * len(neighborOps) * nc
-	return firstFailure(n, DefaultParallelism, func(i int) error {
-		pre := neighborOps[i/(len(neighborOps)*nc)]
-		post := neighborOps[(i/nc)%len(neighborOps)]
-		ctx := ctxs[i%nc]
-		srcP := &Program{Name: "elim-src", Threads: [][]Op{wrapOps(pre, post, src...), ctx}}
-		tgtP := &Program{Name: "elim-tgt", Threads: [][]Op{wrapOps(pre, post, tgt...), ctx}}
-		srcB := BehaviorsOf(srcP, LIMM, withReads)
-		tgtB := BehaviorsOf(tgtP, LIMM, withReads)
-		projected := map[string]bool{}
-		for _, b := range srcB {
-			projected[drop(b).Key(withReads)] = true
-		}
-		for k := range tgtB {
-			if !projected[k] {
-				return fmt.Errorf("elimination rule %d with fence %v: pre=%v post=%v context %v admits %s",
-					rule, fence, pre, post, ctx, k)
-			}
-		}
-		return nil
-	})
-}
-
-// CheckFenceMerge verifies that replacing the fence pair (f1; f2) with the
-// single fence merged preserves behaviors (the §7.2 merging rules).
-func CheckFenceMerge(f1, f2, merged Fence) error {
-	surround := []Op{Ld("X"), St("X", 1), Ld("Y"), St("Y", 1)}
-	for _, before := range surround {
-		for _, after := range surround {
-			src := &Program{Name: "merge-src", Threads: [][]Op{
-				{before, Fn(f1), Fn(f2), after},
-				{St("X", 2), Fn(Fsc), Ld("Y")},
-			}}
-			tgt := &Program{Name: "merge-tgt", Threads: [][]Op{
-				{before, Fn(merged), after},
-				{St("X", 2), Fn(Fsc), Ld("Y")},
-			}}
-			if w, ok := inclusion(src, tgt, LIMM); !ok {
-				return fmt.Errorf("merging %v;%v -> %v admits %s", f1, f2, merged, w)
-			}
-		}
-	}
-	return nil
-}
-
-// CheckLoadIntroduction verifies speculative load introduction (§7.2): the
-// target executes an extra unused load that the source lacks.
-func CheckLoadIntroduction() error {
-	ctxs := contexts()
-	return firstFailure(len(ctxs), DefaultParallelism, func(i int) error {
-		ctx := ctxs[i]
-		// X is initialized in both programs so the final-state location
-		// universe matches even when the context never touches X.
-		init := map[string]int{"X": 0, "Y": 0}
-		src := &Program{Name: "spec-src", Init: init, Threads: [][]Op{{St("Y", 1)}, ctx}}
-		tgt := &Program{Name: "spec-tgt", Init: init, Threads: [][]Op{{Ld("X"), St("Y", 1)}, ctx}}
-		srcB := BehaviorsOf(src, LIMM, true)
-		tgtB := BehaviorsOf(tgt, LIMM, true)
-		for _, b := range tgtB {
-			// Drop the introduced load's observation: its value is unused.
-			nb := Behavior{Finals: b.Finals, Reads: map[string]int{}}
-			for k, v := range b.Reads {
-				if k != "t0.X.0" {
-					nb.Reads[k] = v
-				}
-			}
-			if _, ok := srcB[nb.Key(true)]; !ok {
-				return fmt.Errorf("speculative load introduction: context %v admits %s", ctx, nb.Key(true))
-			}
-		}
-		return nil
-	})
 }

@@ -235,11 +235,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Queued and Inflight expose the live queue counters (used by tests and the
-// health endpoints).
-func (s *Server) Queued() int64   { return s.queued.Load() }
-func (s *Server) Inflight() int64 { return s.inflight.Load() }
-
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {

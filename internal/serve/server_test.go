@@ -543,3 +543,7 @@ func TestConfigOverride(t *testing.T) {
 		t.Errorf("weak lowering ran despite the override: %+v", resp.Stats)
 	}
 }
+
+// Queued and Inflight expose the live queue counters.
+func (s *Server) Queued() int64   { return s.queued.Load() }
+func (s *Server) Inflight() int64 { return s.inflight.Load() }

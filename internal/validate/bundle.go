@@ -40,7 +40,7 @@ type Bundle struct {
 	Func       string   `json:"func,omitempty"`
 	Pass       string   `json:"pass,omitempty"`
 	Opts       Opts     `json:"opts"`                 // checkpoint options at the failing checkpoint
-	Violations []string `json:"violations,omitempty"` // ir.VerifyAll on the post-pass body
+	Violations []string `json:"violations,omitempty"` // ir.VerifyAllFunc on the post-pass body
 	Shape      []byte   `json:"shape,omitempty"`      // cache.EncodeModuleShape
 	PreBody    []byte   `json:"pre_body,omitempty"`   // cache.EncodeBody of the pre-pass body
 	Reduced    []byte   `json:"reduced,omitempty"`    // minimized pre-pass body, when the reducer ran
