@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify deadcode fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate profile-sim
+.PHONY: build test verify deadcode fuzz bench bench-memmodel bench-translate bench-fences bench-serve bench-litmus bench-sim profile-translate profile-sim profile-litmus
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,23 @@ profile-sim:
 		-cpuprofile $$dir/cpu.prof -o $$dir/lasagne.test . && \
 	$(GO) tool pprof -top -nodecount 40 $$dir/lasagne.test $$dir/cpu.prof && \
 	echo "profile and test binary in $$dir"
+
+# profile-litmus profiles one cold bound-3 litmus campaign
+# (BenchmarkCampaignCold in internal/campaign: one worker, a fresh verdict
+# store, one CPU, one iteration) and prints the top 30 functions by flat CPU
+# and by allocated bytes (alloc_space). perfbench's traced litmus replay
+# maps through its own allocating closure, so its memmodel.check_ms layer
+# cannot show the campaign's own mapping and check; this target can. The
+# test binary and the profiles go to a fresh temporary directory, never
+# into the repository.
+profile-litmus:
+	@dir=$$(mktemp -d) && \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCampaignCold' -benchtime 1x -benchmem \
+		-cpuprofile $$dir/cpu.prof -memprofile $$dir/mem.prof -memprofilerate 512 \
+		-o $$dir/campaign.test ./internal/campaign && \
+	$(GO) tool pprof -top -nodecount 30 $$dir/campaign.test $$dir/cpu.prof && \
+	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_space $$dir/campaign.test $$dir/mem.prof && \
+	echo "profiles and test binary in $$dir"
 
 # bench-serve drives an in-process lasagned with 8 clients round-robining
 # over 4 Phoenix modules against one shared translation cache, then a

@@ -23,9 +23,9 @@ const CheckerVersion = "lasagne-campaign-1"
 // through the IR into Arm, checked src-x86 vs tgt-Arm (Theorem 7.1).
 const DefaultMapping = "x86→IR→arm"
 
-func mapX86ToArm(p *memmodel.Program) *memmodel.Program {
-	return memmodel.MapIRToArm(memmodel.MapX86ToIR(p))
-}
+// checkScheme is DefaultMapping as one per-op rule. Tests swap it for a
+// broken rule to show that Run reports what CheckMapping reports.
+var checkScheme = memmodel.X86ToIR.Then(memmodel.IRToArm)
 
 // Options configures a campaign run.
 type Options struct {
@@ -149,9 +149,13 @@ func run(ctx context.Context, opts Options, store *Store) (*Result, error) {
 		}()
 	}
 
+	// A worker checks each new orbit representative through prog, re-aimed
+	// at the canonicalizer-owned threads: the checker only reads them during
+	// the check, and the canonicalizer is not reused until it returns.
 	type worker struct {
 		canon *Canonicalizer
 		sc    *memmodel.CheckScratch
+		prog  memmodel.Program
 	}
 	pool := sync.Pool{New: func() any {
 		return &worker{canon: NewCanonicalizer(), sc: memmodel.NewCheckScratch()}
@@ -197,9 +201,9 @@ func run(ctx context.Context, opts Options, store *Store) (*Result, error) {
 				stopped.Store(true)
 				return
 			}
-			p := ownedProgram(fp, w.canon.threads())
+			w.prog.Reset(fp.programName(), nil, w.canon.threads())
 			b := memmodel.Budget{Ctx: ctx, MaxVisits: opts.MaxVisitsPerCheck}
-			err := memmodel.CheckMappingScratch(p, memmodel.X86, mapX86ToArm, memmodel.Arm, b, w.sc)
+			err := memmodel.CheckSchemeScratch(&w.prog, memmodel.X86, checkScheme, memmodel.Arm, b, w.sc)
 			switch {
 			case err == nil:
 				checked.Add(1)
@@ -270,12 +274,4 @@ func bytesLess(a, b Fingerprint) bool {
 		}
 	}
 	return false
-}
-
-// ownedProgram builds a standalone Program over the canonicalizer-owned
-// thread slices. The checker only reads the threads during the check, and
-// the canonicalizer is not reused until the check returns, so sharing the
-// storage is safe and saves a copy per new orbit.
-func ownedProgram(fp Fingerprint, canon [][]Op) *memmodel.Program {
-	return &memmodel.Program{Name: fp.programName(), Threads: canon}
 }

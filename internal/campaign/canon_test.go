@@ -187,8 +187,8 @@ func TestOrbitSoundness(t *testing.T) {
 						trial, mi, m.Name, diff, member, canonP.Threads)
 				}
 			}
-			vm := memmodel.CheckMapping(mp, memmodel.X86, mapX86ToArm, memmodel.Arm)
-			vc := memmodel.CheckMapping(canonP, memmodel.X86, mapX86ToArm, memmodel.Arm)
+			vm := memmodel.CheckMapping(mp, memmodel.X86, checkScheme.Map, memmodel.Arm)
+			vc := memmodel.CheckMapping(canonP, memmodel.X86, checkScheme.Map, memmodel.Arm)
 			if (vm == nil) != (vc == nil) {
 				t.Fatalf("trial %d member %d: verdict mismatch: member=%v canon=%v", trial, mi, vm, vc)
 			}
@@ -263,10 +263,10 @@ func TestBound2VerdictPreservation(t *testing.T) {
 		canonP, fp, _ := c.CanonicalProgram(p.Threads)
 		repSound, seen := repVerdict[fp]
 		if !seen {
-			repSound = memmodel.CheckMapping(canonP, memmodel.X86, mapX86ToArm, memmodel.Arm) == nil
+			repSound = memmodel.CheckMapping(canonP, memmodel.X86, checkScheme.Map, memmodel.Arm) == nil
 			repVerdict[fp] = repSound
 		}
-		memSound := memmodel.CheckMapping(p, memmodel.X86, mapX86ToArm, memmodel.Arm) == nil
+		memSound := memmodel.CheckMapping(p, memmodel.X86, checkScheme.Map, memmodel.Arm) == nil
 		if memSound != repSound {
 			t.Fatalf("%s: member verdict sound=%v but canonical %s sound=%v\nmember=%v\ncanon=%v",
 				p.Name, memSound, fp, repSound, p.Threads, canonP.Threads)

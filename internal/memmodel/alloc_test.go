@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"context"
 	"testing"
 
 	"lasagne/internal/race"
@@ -54,6 +55,9 @@ func TestSteadyStateVisitAllocationFree(t *testing.T) {
 // behind the bounded sweeps: once a scratch is warm, a full inclusion check
 // — building both enumeration spaces, hoisting statics, enumerating,
 // folding and comparing two behavior sets — performs zero heap allocations.
+// So does the campaign's check, CheckSchemeScratch with the x86→IR→Arm
+// chain, mapping included, under a context budget that runs the scratch
+// limiter.
 func TestSteadyStateCheckAllocationFree(t *testing.T) {
 	sc := NewCheckScratch()
 	for _, p := range allocProbePrograms() {
@@ -66,6 +70,20 @@ func TestSteadyStateCheckAllocationFree(t *testing.T) {
 				t.Errorf("%s under %s: %.1f allocs per steady-state inclusion check, want 0",
 					p.Name, m.Name, allocs)
 			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	x86ToArm := X86ToIR.Then(IRToArm)
+	for _, p := range allocProbePrograms() {
+		check := func() {
+			if err := CheckSchemeScratch(p, X86, x86ToArm, Arm, Budget{Ctx: ctx}, sc); err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+		check() // warm: grow the op slab and the target's thread slice
+		if allocs := testing.AllocsPerRun(5, check); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per steady-state CheckSchemeScratch, want 0", p.Name, allocs)
 		}
 	}
 }

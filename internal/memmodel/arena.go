@@ -93,6 +93,10 @@ type arena struct {
 	// bsets recycles behavior sets (two per inclusion check).
 	bsets []*behaviorSet
 	bcur  int
+
+	// lim is the budget limiter of the fold in progress, re-armed per fold
+	// so a bounded check needs no newLimiter.
+	lim limiter
 }
 
 // reset rewinds every slab for the next check. Interned keys and recycled
@@ -147,6 +151,15 @@ func (a *arena) relArena(n, count int) []relation {
 	return rs
 }
 
+// limiter is the arena-aware newLimiter: the arena's own limiter, re-armed
+// for b. Only one fold at a time may hold it.
+func (a *arena) limiter(b Budget) *limiter {
+	if a == nil {
+		return newLimiter(b)
+	}
+	return a.lim.reset(b)
+}
+
 // internKey returns the canonical interned copy of the key bytes in
 // a.keyBuf, allocating only the first time a key is seen.
 func (a *arena) internKey() string {
@@ -178,17 +191,42 @@ func (a *arena) behaviorSet(k *statics, withReads bool) *behaviorSet {
 }
 
 // CheckScratch is the reusable scratch state of one serial bounded-checker
-// worker: the enumeration arena plus nothing else. It exists so sweeps that
-// check thousands of programs (the reorder table, the campaign engine)
-// amortize all per-program setup allocations. Not safe for concurrent use;
-// hold one per goroutine.
+// worker: the enumeration arena plus the mapped program of
+// CheckSchemeScratch. It exists so sweeps that check thousands of programs
+// (the reorder table, the campaign engine) amortize all per-program setup
+// allocations. Not safe for concurrent use; hold one per goroutine.
 type CheckScratch struct {
 	a arena
+
+	// tgt is the mapped program, rewritten in place per check; its threads
+	// are capacity-capped windows of the flat op slab ops.
+	tgt Program
+	ops []Op
 }
 
 // NewCheckScratch returns an empty scratch; the first few checks grow its
-// slabs, after which checking is allocation-free modulo program construction.
+// slabs, after which a CheckSchemeScratch check allocates nothing.
 func NewCheckScratch() *CheckScratch { return &CheckScratch{} }
+
+// mapped writes the image of src under s into sc's reusable target and
+// returns it, named after src (see checkInclusion). Each thread is capped at
+// its own length, so an append to thread i cannot run into thread i+1.
+// When the slab grows mid-program the earlier threads stay behind in the old
+// block — stale storage, but valid, as in the arena's slabs.
+func (sc *CheckScratch) mapped(src *Program, s Scheme) *Program {
+	t := &sc.tgt
+	t.Reset(src.Name, src.Init, t.Threads[:0])
+	ops := sc.ops[:0]
+	for _, th := range src.Threads {
+		start := len(ops)
+		for _, o := range th {
+			ops = s.Rule(ops, o)
+		}
+		t.Threads = append(t.Threads, ops[start:len(ops):len(ops)])
+	}
+	sc.ops = ops
+	return t
+}
 
 // checkScratchPool recycles scratches for package-internal sweeps (the
 // Fig. 11a cells) whose workers are anonymous pool goroutines.

@@ -35,7 +35,7 @@ type limiter struct {
 	maxVisits int64
 	visits    atomic.Int64
 	stopped   atomic.Bool
-	cause     atomic.Value // error
+	cause     atomic.Pointer[error]
 }
 
 func newLimiter(b Budget) *limiter {
@@ -43,6 +43,19 @@ func newLimiter(b Budget) *limiter {
 		return nil
 	}
 	return &limiter{ctx: b.Ctx, maxVisits: b.MaxVisits}
+}
+
+// reset re-arms l for a fresh enumeration under b, as newLimiter would
+// build it, and returns it (nil when b is unbounded).
+func (l *limiter) reset(b Budget) *limiter {
+	if b.Ctx == nil && b.MaxVisits <= 0 {
+		return nil
+	}
+	l.ctx, l.maxVisits = b.Ctx, b.MaxVisits
+	l.visits.Store(0)
+	l.stopped.Store(false)
+	l.cause.Store(nil)
+	return l
 }
 
 // take consumes one budget unit, a node check inside a fold; false means
@@ -72,7 +85,7 @@ func (l *limiter) take() bool {
 
 func (l *limiter) stop(err error) {
 	if l.stopped.CompareAndSwap(false, true) {
-		l.cause.Store(err)
+		l.cause.Store(&err)
 	}
 }
 
@@ -81,8 +94,8 @@ func (l *limiter) err() error {
 	if l == nil || !l.stopped.Load() {
 		return nil
 	}
-	if e, ok := l.cause.Load().(error); ok {
-		return e
+	if e := l.cause.Load(); e != nil {
+		return *e
 	}
 	return diag.ErrBudgetExceeded
 }
@@ -117,38 +130,45 @@ func BehaviorsOfBudget(p *Program, m Model, withReads bool, b Budget) (map[strin
 // A cutoff yields the budget error, never a verdict: behavior-set inclusion
 // over partial sets proves nothing in either direction.
 func CheckMappingBudget(src *Program, srcModel Model, mapFn func(*Program) *Program, tgtModel Model, b Budget) error {
-	tgt := mapFn(src)
-	srcS, err := foldBehaviorsBudget(src, srcModel, true, DefaultParallelism, b)
-	if err != nil {
-		return fmt.Errorf("checking %s under %s: %w", src.Name, srcModel.Name, err)
-	}
-	tgtS, err := foldBehaviorsBudget(tgt, tgtModel, true, DefaultParallelism, b)
-	if err != nil {
-		return fmt.Errorf("checking %s under %s: %w", tgt.Name, tgtModel.Name, err)
-	}
-	return compareFolds(src, srcModel, tgtModel, srcS, tgtS)
+	return checkInclusion(src, srcModel, mapFn(src), "", tgtModel, DefaultParallelism, b, nil)
 }
 
 // CheckMappingScratch is CheckMappingBudget with every per-check structure
-// drawn from sc and both folds run serially on the calling goroutine. It is
-// the campaign engine's inner loop: a sweep checking many small programs
-// holds one scratch per worker, and once the scratch is warm each additional
-// check allocates nothing beyond the mapped program itself. A nil scratch
-// falls back to plain allocation.
+// drawn from sc and both folds run serially on the calling goroutine. Only
+// the mapped program is built fresh, by mapFn; CheckSchemeScratch writes it
+// into sc as well. A nil scratch falls back to plain allocation.
 func CheckMappingScratch(src *Program, srcModel Model, mapFn func(*Program) *Program, tgtModel Model, b Budget, sc *CheckScratch) error {
 	var a *arena
 	if sc != nil {
 		a = &sc.a
-		a.reset()
 	}
-	tgt := mapFn(src)
-	srcS, err := foldBehaviorsArena(src, srcModel, true, 1, b, a)
+	return checkInclusion(src, srcModel, mapFn(src), "", tgtModel, 1, b, a)
+}
+
+// CheckSchemeScratch is CheckMappingScratch for a mapping written as a
+// Scheme: the target is written into sc's reusable program instead of a
+// fresh one, so once sc is warm the whole check — mapping, both folds and
+// the comparison — allocates nothing. It is the campaign engine's inner
+// loop; a sweep holds one scratch per worker. sc must not be nil.
+func CheckSchemeScratch(src *Program, srcModel Model, s Scheme, tgtModel Model, b Budget, sc *CheckScratch) error {
+	return checkInclusion(src, srcModel, sc.mapped(src, s), s.Suffix, tgtModel, 1, b, &sc.a)
+}
+
+// checkInclusion is the core of every CheckMapping* entry point: fold src
+// and tgt, then require every target behavior to be a source behavior. The
+// arena (nil for plain allocation) is reset first and covers both folds. A
+// budget error names the target tgt.Name+tgtSuffix: the scratch target
+// carries its source's name and gains the scheme's suffix only when a
+// message needs it.
+func checkInclusion(src *Program, srcModel Model, tgt *Program, tgtSuffix string, tgtModel Model, workers int, b Budget, a *arena) error {
+	a.reset()
+	srcS, err := foldBehaviorsArena(src, srcModel, true, workers, b, a)
 	if err != nil {
 		return fmt.Errorf("checking %s under %s: %w", src.Name, srcModel.Name, err)
 	}
-	tgtS, err := foldBehaviorsArena(tgt, tgtModel, true, 1, b, a)
+	tgtS, err := foldBehaviorsArena(tgt, tgtModel, true, workers, b, a)
 	if err != nil {
-		return fmt.Errorf("checking %s under %s: %w", tgt.Name, tgtModel.Name, err)
+		return fmt.Errorf("checking %s%s under %s: %w", tgt.Name, tgtSuffix, tgtModel.Name, err)
 	}
 	return compareFolds(src, srcModel, tgtModel, srcS, tgtS)
 }

@@ -6,34 +6,46 @@ import (
 	"strings"
 )
 
-// MapX86ToIR applies the Fig. 8a mapping scheme:
+// A Scheme is one mapping scheme of Fig. 8 or Appendix B written as what it
+// is: a per-op rewrite. Rule appends the image of one source op to dst;
+// Suffix is what the mapped program's name gains ("→IR"). Because every
+// scheme maps op by op and keeps the thread structure, schemes compose per
+// op (Then) and can write a whole mapped program into reused storage
+// (CheckSchemeScratch) as well as into a fresh one (Map).
+type Scheme struct {
+	Suffix string
+	Rule   func(dst []Op, o Op) []Op
+}
+
+// The four mapping schemes of the paper.
+var (
+	X86ToIR = Scheme{"→IR", x86ToIR}
+	IRToArm = Scheme{"→Arm", irToArm}
+	IRToX86 = Scheme{"→x86", irToX86}
+	ArmToIR = Scheme{"→IR", armToIR}
+)
+
+// x86ToIR is the Fig. 8a mapping scheme:
 //
 //	ld     -> ld.na ; Frm
 //	st     -> Fww ; st.na
 //	RMW    -> RMWsc
 //	MFENCE -> Fsc
-func MapX86ToIR(p *Program) *Program {
-	out := &Program{Name: p.Name + "→IR", Init: p.Init}
-	for _, th := range p.Threads {
-		var t []Op
-		for _, o := range th {
-			switch o.Kind {
-			case OpLoad:
-				t = append(t, Ld(o.Loc), Fn(Frm))
-			case OpStore:
-				t = append(t, Fn(Fww), St(o.Loc, o.Val))
-			case OpRMW:
-				t = append(t, o) // RMW -> RMWsc (expectation preserved)
-			case OpFence:
-				t = append(t, Fn(Fsc))
-			}
-		}
-		out.Threads = append(out.Threads, t)
+func x86ToIR(dst []Op, o Op) []Op {
+	switch o.Kind {
+	case OpLoad:
+		return append(dst, Ld(o.Loc), Fn(Frm))
+	case OpStore:
+		return append(dst, Fn(Fww), St(o.Loc, o.Val))
+	case OpRMW:
+		return append(dst, o) // RMW -> RMWsc (expectation preserved)
+	case OpFence:
+		return append(dst, Fn(Fsc))
 	}
-	return out
+	return dst
 }
 
-// MapIRToArm applies the Fig. 8b mapping scheme:
+// irToArm is the Fig. 8b mapping scheme:
 //
 //	ld.na  -> ld
 //	st.na  -> st
@@ -41,89 +53,110 @@ func MapX86ToIR(p *Program) *Program {
 //	Frm    -> DMBLD
 //	Fww    -> DMBST
 //	Fsc    -> DMBFF
-func MapIRToArm(p *Program) *Program {
-	out := &Program{Name: p.Name + "→Arm", Init: p.Init}
+func irToArm(dst []Op, o Op) []Op {
+	switch o.Kind {
+	case OpLoad:
+		return append(dst, Ld(o.Loc))
+	case OpStore:
+		return append(dst, St(o.Loc, o.Val))
+	case OpRMW:
+		return append(dst, Fn(DMBFF), o, Fn(DMBFF))
+	case OpFence:
+		switch o.Fence {
+		case Frm:
+			return append(dst, Fn(DMBLD))
+		case Fww:
+			return append(dst, Fn(DMBST))
+		default:
+			return append(dst, Fn(DMBFF))
+		}
+	}
+	return dst
+}
+
+// irToX86 is the Appendix B mapping (IR back to x86, used for the Arm-to-x86
+// direction): non-atomic accesses need no fences under TSO, Fsc becomes
+// MFENCE, Frm/Fww vanish.
+func irToX86(dst []Op, o Op) []Op {
+	switch o.Kind {
+	case OpLoad:
+		return append(dst, Ld(o.Loc))
+	case OpStore:
+		return append(dst, St(o.Loc, o.Val))
+	case OpRMW:
+		return append(dst, o)
+	case OpFence:
+		if o.Fence == Fsc {
+			return append(dst, Fn(MFENCE))
+		}
+		// Frm/Fww: x86 loads and stores are already ordered.
+	}
+	return dst
+}
+
+// armToIR lifts Arm programs into the IR (Appendix B direction).
+func armToIR(dst []Op, o Op) []Op {
+	switch o.Kind {
+	case OpLoad:
+		return append(dst, Ld(o.Loc))
+	case OpStore:
+		return append(dst, St(o.Loc, o.Val))
+	case OpRMW:
+		return append(dst, o)
+	case OpFence:
+		switch o.Fence {
+		case DMBLD:
+			return append(dst, Fn(Frm))
+		case DMBST:
+			return append(dst, Fn(Fww))
+		default:
+			return append(dst, Fn(Fsc))
+		}
+	}
+	return dst
+}
+
+// Then is s followed by t, composed per op: the image of o under s is
+// appended to dst, then each of its ops is mapped by t in dst's spare
+// capacity and moved down over it. No intermediate program is built, and
+// once dst has room the composed rule allocates nothing.
+func (s Scheme) Then(t Scheme) Scheme {
+	return Scheme{Suffix: s.Suffix + t.Suffix, Rule: func(dst []Op, o Op) []Op {
+		n := len(dst)
+		dst = s.Rule(dst, o)
+		m := len(dst)
+		for i := n; i < m; i++ {
+			dst = t.Rule(dst, dst[i])
+		}
+		return append(dst[:n], dst[m:]...)
+	}}
+}
+
+// Map applies s to every op of p, building a fresh program.
+func (s Scheme) Map(p *Program) *Program {
+	out := &Program{Name: p.Name + s.Suffix, Init: p.Init}
 	for _, th := range p.Threads {
 		var t []Op
 		for _, o := range th {
-			switch o.Kind {
-			case OpLoad:
-				t = append(t, Ld(o.Loc))
-			case OpStore:
-				t = append(t, St(o.Loc, o.Val))
-			case OpRMW:
-				t = append(t, Fn(DMBFF), o, Fn(DMBFF))
-			case OpFence:
-				switch o.Fence {
-				case Frm:
-					t = append(t, Fn(DMBLD))
-				case Fww:
-					t = append(t, Fn(DMBST))
-				default:
-					t = append(t, Fn(DMBFF))
-				}
-			}
+			t = s.Rule(t, o)
 		}
 		out.Threads = append(out.Threads, t)
 	}
 	return out
 }
 
-// MapIRToX86 applies the Appendix B mapping (IR back to x86, used for the
-// Arm-to-x86 direction): non-atomic accesses need no fences under TSO, Fsc
-// becomes MFENCE, Frm/Fww vanish.
-func MapIRToX86(p *Program) *Program {
-	out := &Program{Name: p.Name + "→x86", Init: p.Init}
-	for _, th := range p.Threads {
-		var t []Op
-		for _, o := range th {
-			switch o.Kind {
-			case OpLoad:
-				t = append(t, Ld(o.Loc))
-			case OpStore:
-				t = append(t, St(o.Loc, o.Val))
-			case OpRMW:
-				t = append(t, o)
-			case OpFence:
-				if o.Fence == Fsc {
-					t = append(t, Fn(MFENCE))
-				}
-				// Frm/Fww: x86 loads and stores are already ordered.
-			}
-		}
-		out.Threads = append(out.Threads, t)
-	}
-	return out
-}
+// MapX86ToIR applies the Fig. 8a mapping scheme (X86ToIR).
+func MapX86ToIR(p *Program) *Program { return X86ToIR.Map(p) }
 
-// MapArmToIR lifts Arm programs into the IR (Appendix B direction).
-func MapArmToIR(p *Program) *Program {
-	out := &Program{Name: p.Name + "→IR", Init: p.Init}
-	for _, th := range p.Threads {
-		var t []Op
-		for _, o := range th {
-			switch o.Kind {
-			case OpLoad:
-				t = append(t, Ld(o.Loc))
-			case OpStore:
-				t = append(t, St(o.Loc, o.Val))
-			case OpRMW:
-				t = append(t, o)
-			case OpFence:
-				switch o.Fence {
-				case DMBLD:
-					t = append(t, Fn(Frm))
-				case DMBST:
-					t = append(t, Fn(Fww))
-				default:
-					t = append(t, Fn(Fsc))
-				}
-			}
-		}
-		out.Threads = append(out.Threads, t)
-	}
-	return out
-}
+// MapIRToArm applies the Fig. 8b mapping scheme (IRToArm).
+func MapIRToArm(p *Program) *Program { return IRToArm.Map(p) }
+
+// MapIRToX86 applies the Appendix B mapping from the IR back to x86
+// (IRToX86).
+func MapIRToX86(p *Program) *Program { return IRToX86.Map(p) }
+
+// MapArmToIR lifts Arm programs into the IR (ArmToIR).
+func MapArmToIR(p *Program) *Program { return ArmToIR.Map(p) }
 
 // CheckMapping verifies Theorem 7.1 on one program: every behavior of the
 // target program under the target model is a behavior of the source program

@@ -127,6 +127,14 @@ func (p *Program) String() string {
 	return sb.String()
 }
 
+// Reset re-aims p at new contents in place and drops its cached location
+// set, so a sweep can check program after program through one Program
+// value without a stale Locs surviving from the previous one.
+func (p *Program) Reset(name string, init map[string]int, threads [][]Op) {
+	p.Name, p.Init, p.Threads = name, init, threads
+	p.locs.Store(nil)
+}
+
 // Locs returns the sorted set of locations used. The result is computed
 // once and cached on the program (enumeration used to re-sort and
 // re-allocate it per walk); callers must not mutate the returned slice.

@@ -105,14 +105,15 @@ func foldBehaviorsBudget(p *Program, m Model, withReads bool, workers int, b Bud
 // foldBehaviorsArena is foldBehaviorsBudget with the serial path's scratch
 // structures drawn from the arena (nil falls back to plain allocation). The
 // parallel path ignores the arena — each worker builds its own walker,
-// evaluator and behavior set, and must not share a single-threaded arena.
+// evaluator and behavior set, and must not share a single-threaded arena —
+// and so takes a fresh limiter, which its workers share.
 func foldBehaviorsArena(p *Program, m Model, withReads bool, workers int, b Budget, a *arena) (*behaviorSet, error) {
-	lim := newLimiter(b)
-	if lim.expired() {
-		return newBehaviorSet(nil, withReads), lim.err()
-	}
 	if workers > 1 {
 		a = nil
+	}
+	lim := a.limiter(b)
+	if lim.expired() {
+		return newBehaviorSet(nil, withReads), lim.err()
 	}
 	s := newEnumSpaceIn(p, a)
 	ms := m.static(s.stat, a) // hoisted once, shared read-only by every worker

@@ -153,13 +153,10 @@ var reorderScratchPool = sync.Pool{New: func() any { return &reorderScratch{} }}
 // observer context, invalidating the location cache left by the previous
 // check (the shells are mutated in place, so the cache would be stale).
 func (rs *reorderScratch) point(t0src, t0tgt, ctx []Op) (src, tgt *Program) {
-	rs.src.Name, rs.tgt.Name = "reorder-src", "reorder-tgt"
 	rs.srcThreads = [2][]Op{t0src, ctx}
 	rs.tgtThreads = [2][]Op{t0tgt, ctx}
-	rs.src.Threads = rs.srcThreads[:]
-	rs.tgt.Threads = rs.tgtThreads[:]
-	rs.src.locs.Store(nil)
-	rs.tgt.locs.Store(nil)
+	rs.src.Reset("reorder-src", nil, rs.srcThreads[:])
+	rs.tgt.Reset("reorder-tgt", nil, rs.tgtThreads[:])
 	return &rs.src, &rs.tgt
 }
 
